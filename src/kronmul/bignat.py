@@ -7,12 +7,15 @@ vector).  The digits are held in a Python int, which makes addition,
 subtraction, shifting and byte-aligned digit packing linear-time at C speed;
 the ``limbs`` view is derived on demand and is normalized by construction.
 
-Multiplication is not delegated wholesale.  ``mul_classical`` runs the
-quadratic schoolbook algorithm one limb row at a time, and ``mul_karatsuba``
-the explicit three-product recursion down to a configurable limb-count
-threshold, so the number of single-word products each algorithm performs is
-a deterministic, countable quantity (``MulStats``).  A classical m-limb by
-n-limb product always counts exactly m*n word products.
+Multiplication is not delegated wholesale.  ``mul_karatsuba`` runs the
+explicit three-product recursion in Python down to a configurable limb-count
+threshold, and every product it does not split, like every ``mul_classical``
+call, is a schoolbook leaf that counts exactly m*n word products for an
+m-limb by n-limb product (``MulStats``).  A leaf whose smaller operand fits
+under CPython's own schoolbook cutoff (32 limbs at 30-bit digits) runs as a
+native ``x * y``, which is the same quadratic algorithm in C; larger leaves
+run one limb row at a time, so the interpreter never applies its own
+Karatsuba inside a leaf.  Where the leaves run does not change the counts.
 
 All operations are pure and safe to call concurrently, except that a
 MulStats counter must be owned by a single logical task; callers running
@@ -22,11 +25,15 @@ products in parallel use one counter per task and sum afterwards.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 
 LIMB_BITS = 64
 _LIMB_BYTES = LIMB_BITS // 8
 _LIMB_MASK = (1 << LIMB_BITS) - 1
+# CPython multiplies schoolbook in C (x_mul) while the smaller operand has at
+# most KARATSUBA_CUTOFF = 70 digits; this many 64-bit limbs always fit.
+_NATIVE_SCHOOLBOOK_LIMBS = 70 * sys.int_info.bits_per_digit // LIMB_BITS
 
 __all__ = [
     "LIMB_BITS",
@@ -321,17 +328,17 @@ def shr_bits_exact(a: BigNat, k: int) -> BigNat:
 
 
 def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
-    # Schoolbook: one shifted row per limb of the smaller operand.  Each row
-    # is a 1-limb x n-limb product, so an m x n product costs exactly m*n
-    # word products.
-    xl = _nlimbs(x)
-    yl = _nlimbs(y)
+    # Schoolbook: an m x n product costs exactly m*n word products.  Below
+    # the native cutoff CPython runs this very algorithm in C; above it, one
+    # shifted row (a 1-limb x n-limb product) per limb of the smaller operand.
+    xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if stats is not None:
         stats.limb_products += xl * yl
-    if xl == 0 or yl == 0:
-        return 0
     if xl > yl:
         x, y, xl, yl = y, x, yl, xl
+    if xl <= _NATIVE_SCHOOLBOOK_LIMBS:
+        return x * y
     words = struct.unpack(f"<{xl}Q", x.to_bytes(xl * _LIMB_BYTES, "little"))
     acc = 0
     shift = 0
@@ -342,21 +349,19 @@ def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
 
 
 def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> int:
-    xl = _nlimbs(x)
-    yl = _nlimbs(y)
+    xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if xl <= threshold or yl <= threshold:
         return _classical_int(x, y, stats)
     # Split both operands at half the longer one (odd lengths round up):
-    # x = x0 + x1*B, y = y0 + y1*B with B = 2**(64*half), then
+    # x = x0 + x1*B, y = y0 + y1*B with B = 2**shift, then
     # x*y = z0 + ((z0+z2) - (x0-x1)(y0-y1))*B + z2*B^2 in the three-product
     # form z1 = (x0+x1)(y0+y1) - z0 - z2.
-    half = (max(xl, yl) + 1) // 2
-    shift = half * LIMB_BITS
-    mask = (1 << shift) - 1
-    x0 = x & mask
+    shift = (max(xl, yl) + 1) // 2 * LIMB_BITS
     x1 = x >> shift
-    y0 = y & mask
+    x0 = x - (x1 << shift)
     y1 = y >> shift
+    y0 = y - (y1 << shift)
     z0 = _karatsuba_int(x0, y0, stats, threshold)
     z2 = _karatsuba_int(x1, y1, stats, threshold)
     z1 = _karatsuba_int(x0 + x1, y0 + y1, stats, threshold) - z0 - z2
@@ -365,8 +370,6 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 
 def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
     if config.classical_only:
-        return _classical_int(x, y, stats)
-    if min(_nlimbs(x), _nlimbs(y)) <= config.karatsuba_threshold:
         return _classical_int(x, y, stats)
     return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
 

@@ -30,9 +30,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .bignat import (BigNat, MulConfig, MulStats, SignedBig, _unpack_ints,
-                     mul, mul_signed, shr_bits_exact)
+                     mul, mul_signed)
+# ks3 and ks4 evaluate through pack and pack_reversed of the even/odd parts.
+# perfbench's tracer wraps all four pack names in this namespace, so the
+# negated ones stay imported.
 from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                    pack_reversed)
 
@@ -226,6 +230,16 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
 
+def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
+    # The `count` coefficients behind a forward and a reversed overlapped
+    # packing at `width`; each value spans count + 1 digits.
+    fwd_digits = _unpack_ints(fwd, width, count + 1)
+    rev_digits = _unpack_ints(rev, width, count + 1)
+    rev_digits.reverse()
+    coeffs, _, _ = _reconstruct(fwd_digits, rev_digits, width)
+    return coeffs
+
+
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             parallel: bool = False) -> CoeffVec:
@@ -239,11 +253,7 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
         [lambda s, c: mul(f_fwd, g_fwd, s, c),
          lambda s, c: mul(f_rev, g_rev, s, c)],
         stats, config, parallel)
-    ndigits = p.out_len + 1
-    fwd = _unpack_ints(int(prod_fwd), n, ndigits)
-    rev = _unpack_ints(int(prod_rev), n, ndigits)
-    rev.reverse()
-    coeffs, _, _ = _reconstruct(fwd, rev, n)
+    coeffs = _overlap_unpack(int(prod_fwd), int(prod_rev), n, p.out_len)
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
 
@@ -254,6 +264,43 @@ def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
+    """v at 2**n and -2**n and, if ``reciprocal``, at 2**(-n) and -2**(-n)
+    (normalized by 2**(n*(L-1))), from one blit per even/odd part and point.
+
+    With E and O the even and odd parts, v(+-X) = E(X**2) +- X*O(X**2).
+    Reversing puts the part holding v's last coefficient at the bottom and
+    leaves the other one factor X up.
+    """
+    even, odd = v.even_odd()
+    w = 2 * n
+    e = int(pack(even, w))
+    o = int(pack(odd, w)) << n if odd is not None else 0
+    values = [e + o, e - o]
+    if reciprocal:
+        e = int(pack_reversed(even, w))
+        o = int(pack_reversed(odd, w)) if odd is not None else 0
+        if len(v) % 2:
+            o <<= n
+        else:
+            e <<= n
+        values += [e + o, e - o]
+    return values
+
+
+def _signed_products(f_vals, g_vals, stats, config, parallel) -> list[int]:
+    # Pointwise products of the evaluations, through the counted multiply.
+    jobs = [partial(mul_signed, SignedBig.from_int(x), SignedBig.from_int(y))
+            for x, y in zip(f_vals, g_vals)]
+    return [r.value for r in _run_products(jobs, stats, config, parallel)]
+
+
+def _shr_exact(v: int, k: int) -> int:
+    # v / 2**k where the products' parity makes the division exact.
+    assert v >= 0 and not v & ((1 << k) - 1), "inexact half-sum"
+    return v >> k
+
+
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             parallel: bool = False) -> CoeffVec:
@@ -261,27 +308,22 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     output coefficients and the half-difference the odd ones."""
     p = _params_for(f, g)
     n = p.width_half
-    f_pos, g_pos = pack(f, n), pack(g, n)
-    f_neg, g_neg = pack_negated(f, n), pack_negated(g, n)
-    prod_pos, prod_neg = _run_products(
-        [lambda s, c: mul(f_pos, g_pos, s, c),
-         lambda s, c: mul_signed(f_neg, g_neg, s, c)],
-        stats, config, parallel)
-    signed_pos = SignedBig(prod_pos)
-    even_val = (signed_pos + prod_neg).halve_exact().to_bignat()
-    odd_val = (signed_pos - prod_neg).halve_exact().to_bignat()
-    odd_val = shr_bits_exact(odd_val, n)
+    pos, neg = _signed_products(_evaluations(f, n, False),
+                                _evaluations(g, n, False),
+                                stats, config, parallel)
     k = p.out_len
-    n_even = (k + 1) // 2
-    n_odd = k // 2
-    even = _unpack_ints(int(even_val), 2 * n, n_even)
-    odd = _unpack_ints(int(odd_val), 2 * n, n_odd)
+    even = _unpack_ints(_shr_exact(pos + neg, 1), 2 * n, (k + 1) // 2)
+    odd = _unpack_ints(_shr_exact(pos - neg, n + 1), 2 * n, k // 2)
     return CoeffVec(_interleave(even, odd), p.out_bound_bits)
 
 
 def _four_point_safe(p: KsParams) -> bool:
-    # The two reconstructions run at digit width 2*width_quarter and need
-    # every output coefficient below 2**w * (2**w - 1).
+    # The two reconstructions run at digit width w = 2*width_quarter and need
+    # every output coefficient below 2**w * (2**w - 1).  This always holds:
+    # with L = min length, 2**e >= L and 2w >= 2b+e, so t = 2**w satisfies
+    # t*t - t >= 2**(2b+e) - 2**(b+e/2), while
+    # L*(2**b-1)**2 <= 2**(2b+e) - 2**(b+e+1) + 2**e, and
+    # 2**(b+e/2) + 2**e < 2**(b+e+1) for every b >= 1, e >= 0.
     w = 2 * p.width_quarter
     return p.coeff_product_bound() < (1 << w) * ((1 << w) - 1)
 
@@ -290,59 +332,26 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             parallel: bool = False) -> CoeffVec:
     """Four-point variant: quarter-width products at +-2**N and +-2**(-N),
-    even/odd split by half-sums, then one overlap reconstruction per part.
-
-    Falls back to ks1 if the reconstruction bound cannot be certified for
-    these parameters.
-    """
+    even/odd split by half-sums, then one overlap reconstruction per part."""
     p = _params_for(f, g)
-    if not _four_point_safe(p):
-        return ks1_mul(f, g, stats=stats, config=config)
+    assert _four_point_safe(p)
     if p.out_len == 1:
         prod = mul(BigNat(f.coeffs[0]), BigNat(g.coeffs[0]), stats, config)
         return CoeffVec((int(prod),), p.out_bound_bits)
     n = p.width_quarter
-    w = 2 * n
-    f_fwd, g_fwd = pack(f, n), pack(g, n)
-    f_neg, g_neg = pack_negated(f, n), pack_negated(g, n)
-    f_rev, g_rev = pack_reversed(f, n), pack_reversed(g, n)
-    f_nrev, g_nrev = pack_negated_reversed(f, n), pack_negated_reversed(g, n)
-    prod_fwd, prod_neg, prod_rev, prod_nrev = _run_products(
-        [lambda s, c: mul(f_fwd, g_fwd, s, c),
-         lambda s, c: mul_signed(f_neg, g_neg, s, c),
-         lambda s, c: mul(f_rev, g_rev, s, c),
-         lambda s, c: mul_signed(f_nrev, g_nrev, s, c)],
-        stats, config, parallel)
+    fwd, neg, rev, nrev = _signed_products(_evaluations(f, n, True),
+                                           _evaluations(g, n, True),
+                                           stats, config, parallel)
     k = p.out_len
-    n_even = (k + 1) // 2
-    n_odd = k // 2
-
-    signed_fwd = SignedBig(prod_fwd)
-    fwd_even = (signed_fwd + prod_neg).halve_exact().to_bignat()
-    fwd_odd = shr_bits_exact(
-        (signed_fwd - prod_neg).halve_exact().to_bignat(), n)
-
     # The reversed half-sums are normalized by 2**(n*(k-1)); aligning them
-    # with the reversed packings of the even/odd parts (normalized by
-    # 2**(w*(part_len-1))) leaves one stray factor 2**n on the part whose
+    # with the reversed packings of the even/odd output parts (normalized by
+    # 2**(2n*(part_len-1))) leaves one stray factor 2**n on the part whose
     # length rounds down.
-    signed_rev = SignedBig(prod_rev)
-    rev_even = (signed_rev + prod_nrev).halve_exact().to_bignat()
-    rev_odd = (signed_rev - prod_nrev).halve_exact().to_bignat()
-    if k % 2 == 0:
-        rev_even = shr_bits_exact(rev_even, n)
-    else:
-        rev_odd = shr_bits_exact(rev_odd, n)
-
-    fwd_digits = _unpack_ints(int(fwd_even), w, n_even + 1)
-    rev_digits = _unpack_ints(int(rev_even), w, n_even + 1)
-    rev_digits.reverse()
-    even, _, _ = _reconstruct(fwd_digits, rev_digits, w)
-    if n_odd:
-        fwd_digits = _unpack_ints(int(fwd_odd), w, n_odd + 1)
-        rev_digits = _unpack_ints(int(rev_odd), w, n_odd + 1)
-        rev_digits.reverse()
-        odd, _, _ = _reconstruct(fwd_digits, rev_digits, w)
-    else:
-        odd = []
+    w = 2 * n
+    even = _overlap_unpack(_shr_exact(fwd + neg, 1),
+                           _shr_exact(rev + nrev, 1 + n * (1 - k % 2)),
+                           w, (k + 1) // 2)
+    odd = _overlap_unpack(_shr_exact(fwd - neg, n + 1),
+                          _shr_exact(rev - nrev, 1 + n * (k % 2)),
+                          w, k // 2)
     return CoeffVec(_interleave(even, odd), p.out_bound_bits)

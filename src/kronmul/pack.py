@@ -57,6 +57,26 @@ class CoeffVec:
     def reversed(self) -> "CoeffVec":
         return CoeffVec(self.coeffs[::-1], self.width_bound_bits)
 
+    def even_odd(self) -> "tuple[CoeffVec, CoeffVec | None]":
+        """The even-index and odd-index parts, constant term first, under
+        this vector's bound; the odd part is None for a single coefficient.
+
+        The parts are not validated again: their coefficients were checked
+        when this vector was built.
+        """
+        bound = self.width_bound_bits
+        odd = self.coeffs[1::2]
+        return (_validated(self.coeffs[0::2], bound),
+                _validated(odd, bound) if odd else None)
+
+
+def _validated(coeffs: tuple[int, ...], bound: int) -> CoeffVec:
+    # A CoeffVec over coefficients already known to satisfy the invariant.
+    v = object.__new__(CoeffVec)
+    object.__setattr__(v, "coeffs", coeffs)
+    object.__setattr__(v, "width_bound_bits", bound)
+    return v
+
 
 def _check_width(v: CoeffVec, width_bits: int) -> None:
     if 2 * width_bits < v.width_bound_bits:

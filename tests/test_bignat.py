@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from kronmul import bignat
 from kronmul.bignat import (BigNat, MulConfig, MulStats, SignedBig,
                             UnderflowError, add, from_digits, mul,
                             mul_classical, mul_karatsuba, mul_signed,
@@ -98,6 +100,63 @@ def test_mul_dispatch_threshold():
     split = MulStats()
     mul(a, b, split, MulConfig(karatsuba_threshold=16))
     assert split.limb_products < forced.limb_products
+
+
+# Word products of `mul` under the default config, recorded when every leaf
+# ran the Python row loop: threshold-straddling pairs, balanced pairs up to
+# 512 limbs and unbalanced pairs, on operands drawn from random.Random(20260).
+PINNED_PAIRS = ([(a, b) for a in (14, 16, 17, 18) for b in (14, 15, 16, 17, 18)]
+                + [(a, b) for a in (31, 32, 33, 34)
+                   for b in (16, 31, 32, 33, 34)]
+                + [(n, n) for n in (48, 64, 100, 129, 256, 333, 512)]
+                + [(3200, 20), (20, 3200), (1000, 40), (513, 17), (700, 33)])
+PINNED_COUNTS = [
+    196, 210, 224, 238, 252, 224, 240, 256, 272, 288, 238, 255, 272, 226,
+    243, 252, 270, 288, 234, 252, 496, 737, 768, 676, 690, 512, 768, 768,
+    692, 715, 528, 676, 692, 708, 732, 544, 698, 707, 732, 695, 1396, 2230,
+    4415, 6614, 19884, 27921, 60150, 55657, 55677, 28824, 7232, 16320]
+
+
+def full_limbs(rng, limbs):
+    return rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1))
+
+
+def test_mul_word_products_pinned():
+    rng = random.Random(20260)
+    counts = []
+    for a, b in PINNED_PAIRS:
+        x, y = full_limbs(rng, a), full_limbs(rng, b)
+        stats = MulStats()
+        assert mul(BigNat(x), BigNat(y), stats) == x * y
+        counts.append(stats.limb_products)
+    assert counts == PINNED_COUNTS
+
+
+def test_native_schoolbook_cutoff():
+    if sys.int_info.bits_per_digit == 30:
+        assert bignat._NATIVE_SCHOOLBOOK_LIMBS == 32
+    assert bignat._NATIVE_SCHOOLBOOK_LIMBS * 64 <= \
+        70 * sys.int_info.bits_per_digit
+
+
+@pytest.mark.parametrize("xl, yl", [(32, 32), (32, 500), (33, 33), (40, 33),
+                                    (7, 3200)])
+def test_classical_leaf_value_and_count(xl, yl):
+    # either side of the native cutoff: the product and the m*n count
+    rng = random.Random(xl * 1000 + yl)
+    x, y = full_limbs(rng, xl), full_limbs(rng, yl)
+    stats = MulStats()
+    assert bignat._classical_int(x, y, stats) == x * y
+    assert stats.limb_products == xl * yl
+
+
+def test_classical_only_row_loop():
+    rng = random.Random(200)
+    x, y = full_limbs(rng, 200), full_limbs(rng, 200)
+    stats = MulStats()
+    assert mul(BigNat(x), BigNat(y), stats,
+               MulConfig(classical_only=True)) == x * y
+    assert stats.limb_products == 200 * 200
 
 
 def test_ring_axioms_randomized():

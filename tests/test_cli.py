@@ -1,12 +1,15 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from kronmul.cli import (CSV_HEADER, CommandError, main, mul_config_from_env,
-                         parse_degree_grid, read_poly_file, render_csv,
-                         run_bench, run_selftest, write_poly_file)
+from kronmul.bignat import BigNat, MulConfig, mul
+from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply, main,
+                         mul_config_from_env, parse_degree_grid,
+                         read_poly_file, render_csv, run_bench, run_selftest,
+                         write_poly_file)
 from kronmul.modpoly import ModPoly
 
 EXAMPLE_F = "1000003\n4\n274 610 887 621\n"
@@ -145,6 +148,20 @@ def test_selftest_zero_iters(capsys):
 def test_selftest_mutation_guard_fails(capsys):
     assert main(["selftest", "--iters", "25", "--mutate"]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limbs, config", [
+    (40, MulConfig()),                       # Karatsuba over native leaves
+    (64, MulConfig(classical_only=True)),    # one row-loop leaf
+])
+def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
+    rng = random.Random(limbs)
+    a = BigNat(rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1)))
+    b = BigNat(rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1)))
+    good = mul(a, b, config=config)
+    assert good == int(a) * int(b)
+    with _corrupted_multiply():
+        assert mul(a, b, config=config) != good
 
 
 def test_selftest_runs_shared_rng_reproducibly(capsys):

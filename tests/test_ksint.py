@@ -3,11 +3,12 @@ import random
 import pytest
 
 from kronmul.bignat import MulConfig, MulStats
-from kronmul.ksint import (OverlapDigits, ReconstructionError, derive_params,
-                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
-                           reconstruct_overlapped)
+from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
+                           _four_point_safe, derive_params, ks1_mul, ks2_mul,
+                           ks3_mul, ks4_mul, reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
-from kronmul.pack import CoeffVec
+from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
+                          pack_reversed)
 
 F_EXAMPLE = CoeffVec((274, 610, 887, 621), 10)
 G_EXAMPLE = CoeffVec((553, 298, 424, 790), 10)
@@ -175,7 +176,6 @@ def test_packed_operand_lengths_max_input():
     # all-max inputs fill the nominal span exactly at full and half widths;
     # the quarter width overlaps and carries one extra bit when it is
     # narrower than the coefficients
-    from kronmul.pack import pack
     for b in (1, 4, 17, 48):
         for length in (1, 2, 5, 100):
             p = derive_params(length, length, b)
@@ -199,3 +199,35 @@ def test_exhaustive_tiny_inputs():
         want = schoolbook_z(f, g).coeffs
         for variant in ALL_VARIANTS:
             assert variant(f, g).coeffs == want
+
+
+def test_four_point_bound_always_holds():
+    # ks4 asserts its reconstruction bound instead of falling back to ks1;
+    # check it where it is tightest, at lengths 2**e and 2**e + 1
+    for e in range(40):
+        for length in (1 << e, (1 << e) + 1):
+            for b in range(1, 257):
+                for len_f, len_g in ((length, length), (length, 3 * length)):
+                    p = derive_params(len_f, len_g, b)
+                    assert _four_point_safe(p), (b, len_f, len_g)
+
+
+@pytest.mark.parametrize("b", [1, 4, 48, 64])
+def test_split_evaluations_match_whole_vector_packs(b):
+    # the even/odd split must reproduce every whole-vector pack, for odd
+    # and even lengths and beside an operand of length 1
+    rng = random.Random(b)
+    top = (1 << b) - 1
+    for length in range(1, 10):
+        for other in (1, length):
+            p = derive_params(length, other, b)
+            for coeffs in ((top,) * length,
+                           tuple(rng.randrange(top + 1) for _ in range(length))):
+                v = CoeffVec(coeffs, b)
+                nq, nh = p.width_quarter, p.width_half
+                assert _evaluations(v, nq, True) == [
+                    int(pack(v, nq)), pack_negated(v, nq).value,
+                    int(pack_reversed(v, nq)),
+                    pack_negated_reversed(v, nq).value]
+                assert _evaluations(v, nh, False) == [
+                    int(pack(v, nh)), pack_negated(v, nh).value]

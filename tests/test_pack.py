@@ -23,6 +23,15 @@ def test_coeffvec_validation():
     assert len(v) == 2
 
 
+def test_even_odd_parts():
+    even, odd = CoeffVec((3, 2, 1), 4).even_odd()
+    assert even == CoeffVec((3, 1), 4)
+    assert odd == CoeffVec((2,), 4)
+    even, odd = CoeffVec((11,), 4).even_odd()
+    assert even == CoeffVec((11,), 4)
+    assert odd is None
+
+
 def test_pack_examples():
     assert pack(CoeffVec((0,), 4), 9) == 0
     assert pack(CoeffVec((1, 2, 3), 8), 8) == 197121
