@@ -17,9 +17,8 @@ native ``x * y``, which is the same quadratic algorithm in C; larger leaves
 run one limb row at a time, so the interpreter never applies its own
 Karatsuba inside a leaf.  Where the leaves run does not change the counts.
 
-All operations are pure and safe to call concurrently, except that a
-MulStats counter must be owned by a single logical task; callers running
-products in parallel use one counter per task and sum afterwards.
+All operations are pure, except that a multiply adds its word products to
+the MulStats counter it is given.
 """
 
 from __future__ import annotations

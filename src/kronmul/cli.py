@@ -117,8 +117,7 @@ def cmd_mul(args) -> int:
             f"--modulus {args.modulus} does not match file modulus "
             f"{f.modulus}")
     config = mul_config_from_env()
-    product = mod_mul(f, g, _parse_variant(args.variant), config=config,
-                      parallel=args.parallel)
+    product = mod_mul(f, g, _parse_variant(args.variant), config=config)
     if args.output:
         write_poly_file(args.output, product)
     else:
@@ -190,8 +189,7 @@ def _median_call_ns(fn, reps: int) -> int:
 
 
 def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
-              count_ops: bool = False, parallel: bool = False,
-              config: MulConfig | None = None):
+              count_ops: bool = False, config: MulConfig | None = None):
     """Time every (degree, variant) cell on shared random inputs.
 
     Returns (comment_lines, rows).  In op-counting mode all products run
@@ -212,7 +210,7 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
     rng = random.Random(seed)
     modulus = max(2, rng.randrange(1 << (modulus_bits - 1), 1 << modulus_bits)
                   if modulus_bits > 1 else 2)
-    comments = [f"# seed={seed} modulus={modulus} parallel={parallel} "
+    comments = [f"# seed={seed} modulus={modulus} "
                 f"classical_only={config.classical_only} "
                 f"karatsuba_threshold={config.karatsuba_threshold}"]
     rows: list[BenchRow] = []
@@ -225,14 +223,13 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
         cell: dict[Variant, BenchRow] = {}
         for variant in variants:
             def call(v=variant):
-                return mod_mul(f, g, v, config=config, parallel=parallel)
+                return mod_mul(f, g, v, config=config)
 
             median = _median_call_ns(call, reps)
             ops = None
             if count_ops:
                 stats = MulStats()
-                mod_mul(f, g, variant, config=config, stats=stats,
-                        parallel=parallel)
+                mod_mul(f, g, variant, config=config, stats=stats)
                 ops = stats.limb_products
             row = BenchRow(degree, length, modulus_bits, variant.value,
                            median, ops, None)
@@ -259,8 +256,7 @@ def cmd_bench(args) -> int:
         raise CommandError("no variants requested")
     comments, rows = run_bench(degrees, args.modulus_bits, variants,
                                args.reps, args.seed,
-                               count_ops=args.count_ops,
-                               parallel=args.parallel)
+                               count_ops=args.count_ops)
     text = render_csv(comments, rows)
     if args.output:
         try:
@@ -353,7 +349,7 @@ def _selftest_pack(rng, iters, out):
     out(f"packing vs direct evaluation: ok ({iters} cases)")
 
 
-def _selftest_ksint(rng, iters, config, parallel, out):
+def _selftest_ksint(rng, iters, config, out):
     for i in range(iters):
         bound = rng.randrange(1, 33)
         len_f = rng.randrange(1, 65)
@@ -365,10 +361,7 @@ def _selftest_ksint(rng, iters, config, parallel, out):
         want = oracle.schoolbook_z(f, g).coeffs
         for name, func in (("ks1", ks1_mul), ("ks2", ks2_mul),
                            ("ks3", ks3_mul), ("ks4", ks4_mul)):
-            if func is ks1_mul:
-                got = func(f, g, config=config).coeffs
-            else:
-                got = func(f, g, config=config, parallel=parallel).coeffs
+            got = func(f, g, config=config).coeffs
             _check(got == want, f"ksint-{name}",
                    (f.coeffs, g.coeffs, bound))
     out(f"integer variants vs schoolbook: ok ({iters} cases, 4 variants)")
@@ -423,8 +416,7 @@ def _selftest_modpoly(rng, iters, config, out):
     out(f"modular front end vs schoolbook: ok ({iters} cases, 5 variants)")
 
 
-def run_selftest(seed: int, iters: int, parallel: bool = False,
-                 out=print) -> int:
+def run_selftest(seed: int, iters: int, out=print) -> int:
     config = mul_config_from_env()
     if iters == 0:
         out("selftest: 0 cases executed (trivially passing)")
@@ -434,7 +426,7 @@ def run_selftest(seed: int, iters: int, parallel: bool = False,
         _selftest_bignat(rng, iters, config, out)
         _selftest_digits(rng, iters, out)
         _selftest_pack(rng, iters, out)
-        _selftest_ksint(rng, iters, config, parallel, out)
+        _selftest_ksint(rng, iters, config, out)
         _selftest_bipoly(rng, iters, out)
         _selftest_modpoly(rng, max(1, iters // 5), config, out)
     except _SelfTestFailure as exc:
@@ -451,9 +443,8 @@ def cmd_selftest(args) -> int:
         # Documented mutation guard: with a corrupted multiply the suite
         # must fail; a pass here means the tests have lost their teeth.
         with _corrupted_multiply():
-            status = run_selftest(args.seed, args.iters, args.parallel)
-        return status
-    return run_selftest(args.seed, args.iters, args.parallel)
+            return run_selftest(args.seed, args.iters)
+    return run_selftest(args.seed, args.iters)
 
 
 # --- entry point -------------------------------------------------------------
@@ -474,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expected modulus; must match the input files")
     p_mul.add_argument("--variant", default="auto",
                        choices=["ks1", "ks2", "ks3", "ks4", "auto"])
-    p_mul.add_argument("--parallel", action="store_true",
-                       help="run the variant's inner products in threads")
     p_mul.set_defaults(func=cmd_mul)
 
     p_bench = sub.add_parser("bench", help="benchmark variants to CSV")
@@ -489,14 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count-ops", action="store_true",
                          help="also record word-product counts "
                               "(forces classical multiplication)")
-    p_bench.add_argument("--parallel", action="store_true")
     p_bench.add_argument("-o", "--output", help="CSV file (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run the seeded self-test")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--iters", type=int, default=100)
-    p_self.add_argument("--parallel", action="store_true")
     p_self.add_argument("--mutate", action="store_true",
                         help="corrupt the multiplier first; the run must "
                              "then fail (harness sensitivity check)")

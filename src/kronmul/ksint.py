@@ -21,16 +21,13 @@ the low digits stream in order through the forward digits and the high
 digits through the reversed digits, with one carry bit per stream resolved
 per step.
 
-The two (or four) inner products of ks2/ks3/ks4 are independent; pass
-``parallel=True`` to run them in threads.  Results are bit-identical either
-way, and word-product counts are accumulated per product and summed.
+The two (or four) inner products of ks2/ks3/ks4 run one after another
+and add their word products straight into the caller's ``stats``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .bignat import (BigNat, MulConfig, MulStats, SignedBig, _unpack_ints,
                      mul, mul_signed)
@@ -199,22 +196,6 @@ def reconstruct_overlapped(d: OverlapDigits, *, with_carries: bool = False):
     return out
 
 
-def _run_products(jobs, stats, config, parallel):
-    # Each job is fn(stats, config) -> result; independent, so each gets its
-    # own counter and the totals are summed afterwards.
-    locals_ = [MulStats() if stats is not None else None for _ in jobs]
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(job, s, config)
-                       for job, s in zip(jobs, locals_)]
-            results = [f.result() for f in futures]
-    else:
-        results = [job(s, config) for job, s in zip(jobs, locals_)]
-    if stats is not None:
-        stats.limb_products += sum(s.limb_products for s in locals_)
-    return results
-
-
 def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
     return derive_params(len(f), len(g),
                          max(f.width_bound_bits, g.width_bound_bits))
@@ -241,18 +222,13 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None,
-            parallel: bool = False) -> CoeffVec:
+            config: MulConfig | None = None) -> CoeffVec:
     """Reciprocal variant: forward and reversed half-width products, then
     carry reconstruction of the overlapped output chunks."""
     p = _params_for(f, g)
     n = p.width_half
-    f_fwd, g_fwd = pack(f, n), pack(g, n)
-    f_rev, g_rev = pack_reversed(f, n), pack_reversed(g, n)
-    prod_fwd, prod_rev = _run_products(
-        [lambda s, c: mul(f_fwd, g_fwd, s, c),
-         lambda s, c: mul(f_rev, g_rev, s, c)],
-        stats, config, parallel)
+    prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
+    prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
     coeffs = _overlap_unpack(int(prod_fwd), int(prod_rev), n, p.out_len)
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
@@ -288,11 +264,11 @@ def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
     return values
 
 
-def _signed_products(f_vals, g_vals, stats, config, parallel) -> list[int]:
+def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
     # Pointwise products of the evaluations, through the counted multiply.
-    jobs = [partial(mul_signed, SignedBig.from_int(x), SignedBig.from_int(y))
+    return [mul_signed(SignedBig.from_int(x), SignedBig.from_int(y),
+                       stats, config).value
             for x, y in zip(f_vals, g_vals)]
-    return [r.value for r in _run_products(jobs, stats, config, parallel)]
 
 
 def _shr_exact(v: int, k: int) -> int:
@@ -302,15 +278,14 @@ def _shr_exact(v: int, k: int) -> int:
 
 
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None,
-            parallel: bool = False) -> CoeffVec:
+            config: MulConfig | None = None) -> CoeffVec:
     """Negated variant: products at +-2**N; the half-sum holds the even-index
     output coefficients and the half-difference the odd ones."""
     p = _params_for(f, g)
     n = p.width_half
     pos, neg = _signed_products(_evaluations(f, n, False),
                                 _evaluations(g, n, False),
-                                stats, config, parallel)
+                                stats, config)
     k = p.out_len
     even = _unpack_ints(_shr_exact(pos + neg, 1), 2 * n, (k + 1) // 2)
     odd = _unpack_ints(_shr_exact(pos - neg, n + 1), 2 * n, k // 2)
@@ -329,8 +304,7 @@ def _four_point_safe(p: KsParams) -> bool:
 
 
 def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None,
-            parallel: bool = False) -> CoeffVec:
+            config: MulConfig | None = None) -> CoeffVec:
     """Four-point variant: quarter-width products at +-2**N and +-2**(-N),
     even/odd split by half-sums, then one overlap reconstruction per part."""
     p = _params_for(f, g)
@@ -341,7 +315,7 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     n = p.width_quarter
     fwd, neg, rev, nrev = _signed_products(_evaluations(f, n, True),
                                            _evaluations(g, n, True),
-                                           stats, config, parallel)
+                                           stats, config)
     k = p.out_len
     # The reversed half-sums are normalized by 2**(n*(k-1)); aligning them
     # with the reversed packings of the even/odd output parts (normalized by

@@ -5,6 +5,11 @@ Kronecker substitution variants, and reduced coefficient by coefficient.
 The coefficient bit bound is taken from the modulus (bit length of n - 1),
 not from the actual coefficients, so the variant choice and the packed
 widths depend only on (length, modulus).
+
+Each coefficient is checked once per direction: on the way in when the
+caller builds a ``ModPoly``, and on the way out when the variant builds its
+product ``CoeffVec``.  ``mod_mul`` lifts and reduces without checking again,
+since both steps keep the values in range by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from .bignat import MulConfig, MulStats
 from .ksint import ks1_mul, ks2_mul, ks3_mul, ks4_mul
-from .pack import CoeffVec
+from .pack import _validated
 
 __all__ = ["ModPoly", "Variant", "AutoThresholds", "DEFAULT_THRESHOLDS",
            "mod_mul", "choose_variant"]
@@ -92,11 +97,18 @@ def choose_variant(length: int, coeff_bits: int,
     return Variant.KS4
 
 
+def _reduced(coeffs: tuple[int, ...], n: int) -> ModPoly:
+    # A ModPoly over coefficients already known to lie in [0, n).
+    p = object.__new__(ModPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "modulus", n)
+    return p
+
+
 def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
             thresholds: AutoThresholds | None = None,
             stats: MulStats | None = None,
-            config: MulConfig | None = None,
-            parallel: bool = False) -> ModPoly:
+            config: MulConfig | None = None) -> ModPoly:
     """f * g mod n; the result has length len(f) + len(g) - 1."""
     if f.modulus != g.modulus:
         raise ValueError("modulus mismatch")
@@ -104,12 +116,8 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     coeff_bits = max(1, (n - 1).bit_length())
     if variant is Variant.AUTO:
         variant = choose_variant(max(len(f), len(g)), coeff_bits, thresholds)
-    func = _VARIANT_FUNCS[variant]
-    lifted_f = CoeffVec(f.coeffs, coeff_bits)
-    lifted_g = CoeffVec(g.coeffs, coeff_bits)
-    if func is ks1_mul:
-        product = func(lifted_f, lifted_g, stats=stats, config=config)
-    else:
-        product = func(lifted_f, lifted_g, stats=stats, config=config,
-                       parallel=parallel)
-    return ModPoly(tuple(c % n for c in product.coeffs), n)
+    # 0 <= c < n gives c.bit_length() <= (n - 1).bit_length() = coeff_bits.
+    product = _VARIANT_FUNCS[variant](_validated(f.coeffs, coeff_bits),
+                                      _validated(g.coeffs, coeff_bits),
+                                      stats=stats, config=config)
+    return _reduced(tuple(c % n for c in product.coeffs), n)

@@ -6,6 +6,7 @@ a couple of minutes; the randomized legs use fixed seeds.
 
 import itertools
 import random
+import statistics
 import time
 
 import pytest
@@ -193,10 +194,16 @@ def test_work_ratio_classical_only():
 
 
 def test_wall_clock_shape():
-    _, rows = run_bench([768, 1536], 48, ["ks1", "ks4"], reps=5, seed=11,
-                        config=MulConfig())
-    ratios = {r.degree: r.ratio_vs_ks1 for r in rows if r.variant == "ks4"}
-    best = min(ratios.values())
+    # One 5-rep draw swings widely on a shared host, so each degree's ratio
+    # is the median over five repeated draws.
+    ratios = {768: [], 1536: []}
+    for _ in range(5):
+        _, rows = run_bench([768, 1536], 48, ["ks1", "ks4"], reps=5, seed=11,
+                            config=MulConfig())
+        for r in rows:
+            if r.variant == "ks4":
+                ratios[r.degree].append(r.ratio_vs_ks1)
+    best = min(statistics.median(draws) for draws in ratios.values())
 
     _, small_rows = run_bench([2, 4], 48, ["ks1", "ks2", "ks3", "ks4"],
                               reps=7, seed=12, config=MulConfig())

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from kronmul.bignat import MulConfig, MulStats
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
                            _four_point_safe, derive_params, ks1_mul, ks2_mul,
                            ks3_mul, ks4_mul, reconstruct_overlapped)
@@ -89,28 +88,6 @@ def test_variants_match_oracle_randomized(variant):
         f = random_vec(rng, rng.randrange(1, 40), b)
         g = random_vec(rng, rng.randrange(1, 40), b)
         assert variant(f, g).coeffs == schoolbook_z(f, g).coeffs
-
-
-def test_parallel_is_bit_identical():
-    rng = random.Random(3)
-    for variant in (ks2_mul, ks3_mul, ks4_mul):
-        for _ in range(20):
-            b = rng.randrange(1, 33)
-            f = random_vec(rng, rng.randrange(1, 50), b)
-            g = random_vec(rng, rng.randrange(1, 50), b)
-            assert variant(f, g, parallel=True).coeffs == \
-                variant(f, g, parallel=False).coeffs
-
-
-def test_parallel_stats_sum_matches_sequential():
-    rng = random.Random(4)
-    f = random_vec(rng, 40, 30)
-    g = random_vec(rng, 40, 30)
-    cfg = MulConfig(classical_only=True)
-    seq, par = MulStats(), MulStats()
-    ks4_mul(f, g, stats=seq, config=cfg)
-    ks4_mul(f, g, stats=par, config=cfg, parallel=True)
-    assert seq.limb_products == par.limb_products > 0
 
 
 def test_reconstruct_single_coefficient():

@@ -6,6 +6,7 @@ from kronmul.bignat import MulConfig
 from kronmul.modpoly import (AutoThresholds, ModPoly, Variant, choose_variant,
                              mod_mul)
 from kronmul.oracle import schoolbook_mod
+from kronmul.pack import CoeffVec
 
 EXPLICIT = [Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4]
 
@@ -24,6 +25,43 @@ def test_modpoly_validation():
         ModPoly((5,), 5)
     with pytest.raises(ValueError):
         ModPoly((0,), 1 << 65)
+    with pytest.raises(ValueError):
+        ModPoly((1, -1), 5)
+    top = (1 << 64) - 1
+    assert ModPoly((0, top - 1), top).modulus == top
+    with pytest.raises(ValueError):
+        ModPoly((0,), 1 << 64)
+
+
+def _counting(monkeypatch, cls):
+    calls = []
+    original = cls.__init__
+
+    def init(self, *args, **kwargs):
+        calls.append(cls)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_one_check_per_direction(monkeypatch, variant):
+    # ModPoly checks the inputs and the variant's product CoeffVec the
+    # outputs; mod_mul itself lifts and reduces without checking again.
+    rng = random.Random(5)
+    n = (1 << 48) - 59
+    cases = [(random_modpoly(rng, lf, n), random_modpoly(rng, lg, n))
+             for lf, lg in ((1, 1), (7, 7), (3, 60), (600, 600))]
+    coeff_vecs = _counting(monkeypatch, CoeffVec)
+    mod_polys = _counting(monkeypatch, ModPoly)
+    for f, g in cases:
+        del coeff_vecs[:], mod_polys[:]
+        h = mod_mul(f, g, variant)
+        assert (len(coeff_vecs), len(mod_polys)) == (1, 0)
+        assert h.coeffs == schoolbook_mod(f, g).coeffs
+        checked = ModPoly(h.coeffs, n)
+        assert h == checked and hash(h) == hash(checked)
 
 
 def test_mod_mul_worked_example():
