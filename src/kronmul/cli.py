@@ -402,10 +402,10 @@ def _selftest_modpoly(rng, iters, config, out):
     for i in range(iters):
         bits = rng.choice([2, 4, 16, 48])
         modulus = rng.randrange(max(2, 1 << (bits - 1)), 1 << bits)
-        length = rng.randrange(1, 50)
-        f = ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
+        len_f, len_g = rng.randrange(1, 50), rng.randrange(1, 50)
+        f = ModPoly(tuple(rng.randrange(modulus) for _ in range(len_f)),
                     modulus)
-        g = ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
+        g = ModPoly(tuple(rng.randrange(modulus) for _ in range(len_g)),
                     modulus)
         want = oracle.schoolbook_mod(f, g).coeffs
         for variant in (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4,

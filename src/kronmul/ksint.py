@@ -27,6 +27,7 @@ and add their word products straight into the caller's ``stats``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .bignat import (BigNat, MulConfig, MulStats, SignedBig, _unpack_ints,
@@ -115,20 +116,19 @@ class OverlapDigits:
     width_bits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "forward_digits",
-                           tuple(int(d) for d in self.forward_digits))
-        object.__setattr__(self, "reversed_digits",
-                           tuple(int(d) for d in self.reversed_digits))
+        fwd = tuple(map(operator.index, self.forward_digits))
+        rev = tuple(map(operator.index, self.reversed_digits))
+        object.__setattr__(self, "forward_digits", fwd)
+        object.__setattr__(self, "reversed_digits", rev)
         if self.width_bits < 1:
             raise ValueError("digit width must be >= 1")
-        if len(self.forward_digits) != len(self.reversed_digits):
+        if len(fwd) != len(rev):
             raise ValueError("digit streams must have equal length")
-        if len(self.forward_digits) < 2:
+        if len(fwd) < 2:
             raise ValueError("need at least two digits per stream")
-        top = 1 << self.width_bits
-        for d in self.forward_digits + self.reversed_digits:
-            if not 0 <= d < top:
-                raise ValueError("digit out of range")
+        digits = fwd + rev
+        if min(digits) < 0 or max(digits) >= 1 << self.width_bits:
+            raise ValueError("digit out of range")
 
     @property
     def coeff_count(self) -> int:

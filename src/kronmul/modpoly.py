@@ -3,8 +3,8 @@
 Inputs are lifted to integer polynomials, multiplied with one of the
 Kronecker substitution variants, and reduced coefficient by coefficient.
 The coefficient bit bound is taken from the modulus (bit length of n - 1),
-not from the actual coefficients, so the variant choice and the packed
-widths depend only on (length, modulus).
+not from the actual coefficients, so the packed widths depend only on
+(lengths, modulus) and AUTO's variant choice only on the two lengths.
 
 Each coefficient is checked once per direction: on the way in when the
 caller builds a ``ModPoly``, and on the way out when the variant builds its
@@ -15,6 +15,7 @@ since both steps keep the values in range by construction.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .bignat import MulConfig, MulStats
@@ -51,7 +52,7 @@ class ModPoly:
     modulus: int
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         n = self.modulus
         if n < 2:
@@ -60,9 +61,9 @@ class ModPoly:
             raise ValueError(f"modulus must fit in {_WORD_BITS} bits")
         if len(coeffs) < 1:
             raise ValueError("a polynomial has length >= 1")
-        for i, c in enumerate(coeffs):
-            if not 0 <= c < n:
-                raise ValueError(f"coefficient {i} outside [0, {n})")
+        if min(coeffs) < 0 or max(coeffs) >= n:
+            i = next(i for i, c in enumerate(coeffs) if not 0 <= c < n)
+            raise ValueError(f"coefficient {i} outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -71,6 +72,15 @@ class ModPoly:
 @dataclass(frozen=True)
 class AutoThresholds:
     """Length bands for AUTO variant selection.
+
+    ``ks1_max_length`` bounds the *longer* operand: up to it a single
+    product beats the extra pack/unpack work of the multipoint variants.
+    ``ks3_max_length`` bounds the *shorter* operand: ks4 runs only when
+    both operands are longer.  ks4's quarter width ceil((2b+e)/4) saves
+    on the products only as e = ceil(log2 of the shorter length) grows,
+    while its four blits per operand and its two overlap reconstructions
+    scale with the output length, which the longer operand sets; a
+    long-by-short product pays those linear stages for little saving.
 
     Crossovers are machine dependent; these defaults were calibrated with
     the shipped benchmark (``kronmul bench``) on this implementation.
@@ -83,16 +93,17 @@ class AutoThresholds:
 DEFAULT_THRESHOLDS = AutoThresholds()
 
 
-def choose_variant(length: int, coeff_bits: int,
+def choose_variant(len_f: int, len_g: int,
                    thresholds: AutoThresholds | None = None) -> Variant:
-    """Deterministic band lookup: ks1 for short inputs (padding savings do
-    not pay for the extra pack/unpack work), ks3 in the middle, ks4 beyond."""
-    if length < 1 or coeff_bits < 1:
-        raise ValueError("length and coefficient bits must be >= 1")
+    """AUTO's variant for operands of these lengths, in either order: ks1
+    while the longer is at most ``ks1_max_length``, ks4 once the shorter
+    exceeds ``ks3_max_length``, ks3 in between (``AutoThresholds`` says why)."""
+    if len_f < 1 or len_g < 1:
+        raise ValueError("lengths must be >= 1")
     t = thresholds or DEFAULT_THRESHOLDS
-    if length <= t.ks1_max_length:
+    if max(len_f, len_g) <= t.ks1_max_length:
         return Variant.KS1
-    if length <= t.ks3_max_length:
+    if min(len_f, len_g) <= t.ks3_max_length:
         return Variant.KS3
     return Variant.KS4
 
@@ -115,7 +126,7 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     n = f.modulus
     coeff_bits = max(1, (n - 1).bit_length())
     if variant is Variant.AUTO:
-        variant = choose_variant(max(len(f), len(g)), coeff_bits, thresholds)
+        variant = choose_variant(len(f), len(g), thresholds)
     # 0 <= c < n gives c.bit_length() <= (n - 1).bit_length() = coeff_bits.
     product = _VARIANT_FUNCS[variant](_validated(f.coeffs, coeff_bits),
                                       _validated(g.coeffs, coeff_bits),

@@ -20,6 +20,7 @@ and the upper bound holds for every input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .bignat import BigNat, SignedBig, _pack_ints
@@ -40,16 +41,17 @@ class CoeffVec:
     width_bound_bits: int
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 1:
             raise ValueError("a coefficient vector has length >= 1")
         if self.width_bound_bits < 1:
             raise ValueError("width bound must be >= 1")
         bound = self.width_bound_bits
-        for i, c in enumerate(coeffs):
-            if c < 0 or c.bit_length() > bound:
-                raise ValueError(f"coefficient {i} outside [0, 2**{bound})")
+        if min(coeffs) < 0 or max(coeffs).bit_length() > bound:
+            i = next(i for i, c in enumerate(coeffs)
+                     if c < 0 or c.bit_length() > bound)
+            raise ValueError(f"coefficient {i} outside [0, 2**{bound})")
 
     def __len__(self) -> int:
         return len(self.coeffs)

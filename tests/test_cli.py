@@ -10,7 +10,7 @@ from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply, main,
                          mul_config_from_env, parse_degree_grid,
                          read_poly_file, render_csv, run_bench, run_selftest,
                          write_poly_file)
-from kronmul.modpoly import ModPoly
+from kronmul.modpoly import ModPoly, mod_mul
 
 EXAMPLE_F = "1000003\n4\n274 610 887 621\n"
 EXAMPLE_G = "1000003\n4\n553 298 424 790\n"
@@ -166,6 +166,20 @@ def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
 
 def test_selftest_runs_shared_rng_reproducibly(capsys):
     assert run_selftest(seed=123, iters=10, out=lambda *_: None) == 0
+
+
+def test_selftest_draws_unequal_lengths(monkeypatch):
+    # AUTO decides from both lengths, so the self-test must not pair only
+    # equal ones.
+    shapes = []
+
+    def recorded(f, g, *args, **kwargs):
+        shapes.append((len(f), len(g)))
+        return mod_mul(f, g, *args, **kwargs)
+
+    monkeypatch.setattr("kronmul.cli.mod_mul", recorded)
+    assert run_selftest(seed=0, iters=25, out=lambda *_: None) == 0
+    assert any(len_f != len_g for len_f, len_g in shapes)
 
 
 def test_env_threshold_override(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kronmul.bignat import BigNat
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
                            _four_point_safe, derive_params, ks1_mul, ks2_mul,
                            ks3_mul, ks4_mul, reconstruct_overlapped)
@@ -147,6 +148,15 @@ def test_overlap_digits_validation():
         OverlapDigits((1, 2), (1,), 3)
     with pytest.raises(ValueError):
         OverlapDigits((8, 0), (0, 8), 3)
+    with pytest.raises(ValueError):
+        OverlapDigits((1, 0), (0, -1), 3)
+    # Integers only: no truncated floats or parsed strings.
+    for fwd, rev in (((1.5, 0), (0, 1)), ((1, 0), ("0", 1))):
+        with pytest.raises(TypeError):
+            OverlapDigits(fwd, rev, 3)
+    d = OverlapDigits((True, BigNat(7)), (0, False), 3)
+    assert d.forward_digits == (1, 7) and d.reversed_digits == (0, 0)
+    assert all(type(x) is int for x in d.forward_digits + d.reversed_digits)
 
 
 def test_packed_operand_lengths_max_input():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from kronmul.bignat import MulConfig
-from kronmul.modpoly import (AutoThresholds, ModPoly, Variant, choose_variant,
-                             mod_mul)
+from kronmul.bignat import BigNat, MulConfig
+from kronmul.modpoly import (_VARIANT_FUNCS, AutoThresholds, ModPoly, Variant,
+                             choose_variant, mod_mul)
 from kronmul.oracle import schoolbook_mod
 from kronmul.pack import CoeffVec
 
@@ -31,6 +31,18 @@ def test_modpoly_validation():
     assert ModPoly((0, top - 1), top).modulus == top
     with pytest.raises(ValueError):
         ModPoly((0,), 1 << 64)
+    # The message names the first coefficient out of range, either side.
+    with pytest.raises(ValueError, match=r"coefficient 1 outside \[0, 5\)"):
+        ModPoly((1, 7, 2), 5)
+    with pytest.raises(ValueError, match=r"coefficient 2 outside"):
+        ModPoly((1, 2, -1, 9), 5)
+    # Integers only: no truncated floats or parsed strings.
+    for bad in ((1.9, 3), (1, "3"), (2.0,)):
+        with pytest.raises(TypeError):
+            ModPoly(bad, 5)
+    p = ModPoly((True, BigNat(3), False), 5)
+    assert p.coeffs == (1, 3, 0)
+    assert all(type(c) is int for c in p.coeffs)
 
 
 def _counting(monkeypatch, cls):
@@ -110,24 +122,52 @@ def test_even_modulus_all_variants_agree():
             assert mod_mul(f, g, variant).coeffs == want
 
 
-def test_auto_matches_every_explicit_variant():
+@pytest.mark.parametrize("len_f,len_g", [(30, 30), (300, 7), (7, 600)])
+def test_auto_matches_every_explicit_variant(len_f, len_g):
     rng = random.Random(7)
-    f = random_modpoly(rng, 30, 1009)
-    g = random_modpoly(rng, 30, 1009)
+    f = random_modpoly(rng, len_f, 1009)
+    g = random_modpoly(rng, len_g, 1009)
     auto = mod_mul(f, g, Variant.AUTO).coeffs
     for variant in EXPLICIT:
         assert mod_mul(f, g, variant).coeffs == auto
 
 
 def test_choose_variant_table():
-    assert choose_variant(1, 7) is Variant.KS1
-    assert choose_variant(16, 4) is Variant.KS1
-    assert choose_variant(1000, 48) is Variant.KS4
+    ks1, ks3, ks4 = Variant.KS1, Variant.KS3, Variant.KS4
     custom = AutoThresholds(ks1_max_length=2, ks3_max_length=4)
-    assert choose_variant(3, 10, custom) is Variant.KS3
-    assert choose_variant(5, 10, custom) is Variant.KS4
+    rows = [
+        ((1, 7), ks1), ((16, 4), ks1), ((48, 48), ks1), ((48, 8), ks1),
+        ((49, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
+        ((4096, 512), ks3), ((4096, 513), ks4), ((1000, 1000), ks4),
+        ((2, 2, custom), ks1), ((3, 1, custom), ks3),
+        ((3, 10, custom), ks3), ((4, 1000, custom), ks3),
+        ((5, 10, custom), ks4),
+    ]
+    for (len_f, len_g, *thresholds), want in rows:
+        # The decision depends on the two lengths, not on their order.
+        assert choose_variant(len_f, len_g, *thresholds) is want
+        assert choose_variant(len_g, len_f, *thresholds) is want
     with pytest.raises(ValueError):
         choose_variant(0, 3)
+    with pytest.raises(ValueError):
+        choose_variant(3, 0)
+
+
+def test_auto_dispatch(monkeypatch):
+    ran = []
+    for variant, fn in list(_VARIANT_FUNCS.items()):
+        def recorded(f, g, *, variant=variant, fn=fn, **kwargs):
+            ran.append(variant)
+            return fn(f, g, **kwargs)
+        monkeypatch.setitem(_VARIANT_FUNCS, variant, recorded)
+    rng = random.Random(11)
+    n = (1 << 48) - 59
+    for len_f, len_g, want in ((300, 7, Variant.KS3), (7, 600, Variant.KS3),
+                               (48, 5, Variant.KS1), (513, 600, Variant.KS4)):
+        f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
+        del ran[:]
+        assert mod_mul(f, g).coeffs == schoolbook_mod(f, g).coeffs
+        assert ran == [want]
 
 
 def test_variant_dispatch_visible_in_op_counts():

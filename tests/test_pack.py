@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kronmul.bignat import to_digits
+from kronmul.bignat import BigNat, to_digits
 from kronmul.pack import (CoeffVec, pack, pack_negated,
                           pack_negated_reversed, pack_reversed)
 
@@ -21,6 +21,16 @@ def test_coeffvec_validation():
         CoeffVec((-1,), 4)
     v = CoeffVec((0, 15), 4)
     assert len(v) == 2
+    with pytest.raises(ValueError, match=r"coefficient 1 outside \[0, 2\*\*4\)"):
+        CoeffVec((3, 16, 2), 4)
+    with pytest.raises(ValueError, match=r"coefficient 2 outside"):
+        CoeffVec((3, 1, -2, 99), 4)
+    # Integers only: no truncated floats or parsed strings.
+    for bad in ((2.7,), (1, "3")):
+        with pytest.raises(TypeError):
+            CoeffVec(bad, 2)
+    v = CoeffVec((True, BigNat(3)), 2)
+    assert v.coeffs == (1, 3) and all(type(c) is int for c in v.coeffs)
 
 
 def test_even_odd_parts():
