@@ -2,16 +2,15 @@
 
 The integer path packs coefficient vectors into big integers at one, two or
 four carefully chosen evaluation points (powers and reciprocals of 2**N,
-with and without negation), multiplies with an instrumented bignum core,
+with and without negation), multiplies those ints with a counted multiply,
 and unpacks; the narrower the packing, the less zero-padding is multiplied.
 A ring-generic bivariate reduction, a (Z/nZ)[x] front end and a benchmark
 CLI sit on top.
 """
 
 from .bignat import (BigNat, DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig,
-                     MulStats, SignedBig, UnderflowError, add, from_digits,
-                     mul, mul_classical, mul_karatsuba, mul_signed,
-                     shl_bits, shr_bits, shr_bits_exact, sub, to_digits)
+                     MulStats, from_digits, mul, mul_classical,
+                     mul_karatsuba, mul_signed, to_digits)
 from .bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
                      bks_negated, bks_reciprocal, bks_standard, ring_z,
                      ring_zmod)
@@ -28,10 +27,9 @@ from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigNat", "SignedBig", "MulStats", "MulConfig", "DEFAULT_MUL_CONFIG",
-    "LIMB_BITS", "UnderflowError", "add", "sub", "mul", "mul_classical",
-    "mul_karatsuba", "mul_signed", "shl_bits", "shr_bits", "shr_bits_exact",
-    "to_digits", "from_digits",
+    "BigNat", "MulStats", "MulConfig", "DEFAULT_MUL_CONFIG", "LIMB_BITS",
+    "mul", "mul_classical", "mul_karatsuba", "mul_signed", "to_digits",
+    "from_digits",
     "CoeffVec", "pack", "pack_reversed", "pack_negated",
     "pack_negated_reversed",
     "KsParams", "OverlapDigits", "ReconstructionError", "derive_params",

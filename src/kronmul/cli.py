@@ -304,18 +304,10 @@ def _selftest_bignat(rng, iters, config, out):
     for i in range(iters):
         a = rng.getrandbits(rng.randrange(1, 64 * 64))
         b = rng.getrandbits(rng.randrange(1, 64 * 64))
-        an, bn = bignat.BigNat(a), bignat.BigNat(b)
-        _check(int(an + bn) == a + b, "bignat-add", (a, b))
-        big, small = (a, b) if a >= b else (b, a)
-        _check(int(bignat.sub(bignat.BigNat(big), bignat.BigNat(small)))
-               == big - small, "bignat-sub", (a, b))
-        classical = bignat.mul_classical(an, bn)
-        karatsuba = bignat.mul_karatsuba(
-            an, bn, config=MulConfig(karatsuba_threshold=max(
-                1, config.karatsuba_threshold)))
-        _check(int(classical) == a * b == int(karatsuba),
-               "bignat-mul", (a, b))
-    out(f"bignat arithmetic vs int arithmetic: ok ({iters} cases)")
+        classical = bignat.mul_classical(a, b)
+        karatsuba = bignat.mul_karatsuba(a, b, config=config)
+        _check(classical == a * b == karatsuba, "bignat-mul", (a, b))
+    out(f"counted multiplies vs int multiply: ok ({iters} cases)")
 
 
 def _selftest_digits(rng, iters, out):
@@ -324,7 +316,7 @@ def _selftest_digits(rng, iters, out):
         count = rng.randrange(0, 40)
         digits = [rng.randrange(1 << width) for _ in range(count)]
         packed = bignat.from_digits(digits, width)
-        back = [int(d) for d in bignat.to_digits(packed, width, count)]
+        back = bignat.to_digits(packed, width, count)
         _check(back == digits, "digit-roundtrip", (width, digits))
     out(f"digit pack/unpack round-trip: ok ({iters} cases)")
 
@@ -337,14 +329,14 @@ def _selftest_pack(rng, iters, out):
         v = CoeffVec(tuple(coeffs), bound)
         width = rng.randrange(bound, 2 * bound + 8)
         expect = sum(c << (i * width) for i, c in enumerate(coeffs))
-        _check(int(pack(v, width)) == expect, "pack", (coeffs, width))
+        _check(pack(v, width) == expect, "pack", (coeffs, width))
         expect_rev = sum(c << ((length - 1 - i) * width)
                          for i, c in enumerate(coeffs))
-        _check(int(pack_reversed(v, width)) == expect_rev,
+        _check(pack_reversed(v, width) == expect_rev,
                "pack-reversed", (coeffs, width))
         expect_neg = sum((-1) ** i * (c << (i * width))
                          for i, c in enumerate(coeffs))
-        _check(pack_negated(v, width).value == expect_neg,
+        _check(pack_negated(v, width) == expect_neg,
                "pack-negated", (coeffs, width))
     out(f"packing vs direct evaluation: ok ({iters} cases)")
 

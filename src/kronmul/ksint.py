@@ -30,8 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bignat import (BigNat, MulConfig, MulStats, SignedBig, _unpack_ints,
-                     mul, mul_signed)
+from .bignat import MulConfig, MulStats, _unpack_ints, mul, mul_signed
 # ks3 and ks4 evaluate through pack and pack_reversed of the even/odd parts.
 # perfbench's tracer wraps all four pack names in this namespace, so the
 # negated ones stay imported.
@@ -118,16 +117,18 @@ class OverlapDigits:
     def __post_init__(self):
         fwd = tuple(map(operator.index, self.forward_digits))
         rev = tuple(map(operator.index, self.reversed_digits))
+        width = operator.index(self.width_bits)
         object.__setattr__(self, "forward_digits", fwd)
         object.__setattr__(self, "reversed_digits", rev)
-        if self.width_bits < 1:
+        object.__setattr__(self, "width_bits", width)
+        if width < 1:
             raise ValueError("digit width must be >= 1")
         if len(fwd) != len(rev):
             raise ValueError("digit streams must have equal length")
         if len(fwd) < 2:
             raise ValueError("need at least two digits per stream")
         digits = fwd + rev
-        if min(digits) < 0 or max(digits) >= 1 << self.width_bits:
+        if min(digits) < 0 or max(digits) >= 1 << width:
             raise ValueError("digit out of range")
 
     @property
@@ -207,7 +208,7 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     p = _params_for(f, g)
     n = p.width_full
     prod = mul(pack(f, n), pack(g, n), stats, config)
-    coeffs = _unpack_ints(int(prod), n, p.out_len)
+    coeffs = _unpack_ints(prod, n, p.out_len)
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
 
@@ -229,7 +230,7 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     n = p.width_half
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
-    coeffs = _overlap_unpack(int(prod_fwd), int(prod_rev), n, p.out_len)
+    coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len)
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
 
@@ -250,12 +251,12 @@ def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
     """
     even, odd = v.even_odd()
     w = 2 * n
-    e = int(pack(even, w))
-    o = int(pack(odd, w)) << n if odd is not None else 0
+    e = pack(even, w)
+    o = pack(odd, w) << n if odd is not None else 0
     values = [e + o, e - o]
     if reciprocal:
-        e = int(pack_reversed(even, w))
-        o = int(pack_reversed(odd, w)) if odd is not None else 0
+        e = pack_reversed(even, w)
+        o = pack_reversed(odd, w) if odd is not None else 0
         if len(v) % 2:
             o <<= n
         else:
@@ -266,9 +267,7 @@ def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
 
 def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
     # Pointwise products of the evaluations, through the counted multiply.
-    return [mul_signed(SignedBig.from_int(x), SignedBig.from_int(y),
-                       stats, config).value
-            for x, y in zip(f_vals, g_vals)]
+    return [mul_signed(x, y, stats, config) for x, y in zip(f_vals, g_vals)]
 
 
 def _shr_exact(v: int, k: int) -> int:
@@ -310,8 +309,8 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     p = _params_for(f, g)
     assert _four_point_safe(p)
     if p.out_len == 1:
-        prod = mul(BigNat(f.coeffs[0]), BigNat(g.coeffs[0]), stats, config)
-        return CoeffVec((int(prod),), p.out_bound_bits)
+        prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
+        return CoeffVec((prod,), p.out_bound_bits)
     n = p.width_quarter
     fwd, neg, rev, nrev = _signed_products(_evaluations(f, n, True),
                                            _evaluations(g, n, True),

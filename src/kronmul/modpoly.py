@@ -53,8 +53,9 @@ class ModPoly:
 
     def __post_init__(self):
         coeffs = tuple(map(operator.index, self.coeffs))
+        n = operator.index(self.modulus)
         object.__setattr__(self, "coeffs", coeffs)
-        n = self.modulus
+        object.__setattr__(self, "modulus", n)
         if n < 2:
             raise ValueError("modulus must be >= 2")
         if n.bit_length() > _WORD_BITS:

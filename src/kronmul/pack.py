@@ -2,7 +2,7 @@
 
 pack(v, N) is v's value at 2**N, pack_reversed the normalized value at
 2**(-N) (coefficient reversal), and the negated variants the values at
--2**N and -2**(-N), which may be negative and come back as SignedBig.
+-2**N and -2**(-N), which may be negative.  Every pack returns a plain int.
 
 Packing is byte-blitting, not repeated shift-and-add, so it runs in time
 linear in the output size.  Chunk widths below the coefficient bound are
@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bignat import BigNat, SignedBig, _pack_ints
+from .bignat import _pack_ints
 
 __all__ = ["CoeffVec", "pack", "pack_reversed", "pack_negated",
            "pack_negated_reversed"]
@@ -42,12 +42,13 @@ class CoeffVec:
 
     def __post_init__(self):
         coeffs = tuple(map(operator.index, self.coeffs))
+        bound = operator.index(self.width_bound_bits)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "width_bound_bits", bound)
         if len(coeffs) < 1:
             raise ValueError("a coefficient vector has length >= 1")
-        if self.width_bound_bits < 1:
+        if bound < 1:
             raise ValueError("width bound must be >= 1")
-        bound = self.width_bound_bits
         if min(coeffs) < 0 or max(coeffs).bit_length() > bound:
             i = next(i for i, c in enumerate(coeffs)
                      if c < 0 or c.bit_length() > bound)
@@ -104,27 +105,26 @@ def _value_at_neg_pow2(coeffs, width_bits: int) -> int:
     return even - (odd << width_bits)
 
 
-def pack(v: CoeffVec, width_bits: int) -> BigNat:
+def pack(v: CoeffVec, width_bits: int) -> int:
     """Value of v at 2**width_bits."""
     _check_width(v, width_bits)
-    return BigNat(_value_at_pow2(v.coeffs, width_bits, v.width_bound_bits))
+    return _value_at_pow2(v.coeffs, width_bits, v.width_bound_bits)
 
 
-def pack_reversed(v: CoeffVec, width_bits: int) -> BigNat:
+def pack_reversed(v: CoeffVec, width_bits: int) -> int:
     """Value of the reversed vector at 2**width_bits, i.e. the value of v at
     2**(-width_bits) normalized by 2**(width_bits*(L-1))."""
     _check_width(v, width_bits)
-    return BigNat(_value_at_pow2(v.coeffs[::-1], width_bits,
-                                 v.width_bound_bits))
+    return _value_at_pow2(v.coeffs[::-1], width_bits, v.width_bound_bits)
 
 
-def pack_negated(v: CoeffVec, width_bits: int) -> SignedBig:
+def pack_negated(v: CoeffVec, width_bits: int) -> int:
     """Value of v at -2**width_bits: even part minus shifted odd part."""
     _check_width(v, width_bits)
-    return SignedBig.from_int(_value_at_neg_pow2(v.coeffs, width_bits))
+    return _value_at_neg_pow2(v.coeffs, width_bits)
 
 
-def pack_negated_reversed(v: CoeffVec, width_bits: int) -> SignedBig:
+def pack_negated_reversed(v: CoeffVec, width_bits: int) -> int:
     """Value of v at -2**(-width_bits), normalized by 2**(width_bits*(L-1)).
 
     Equals (-1)**(L-1) times the negated pack of the reversed vector: the
@@ -135,4 +135,4 @@ def pack_negated_reversed(v: CoeffVec, width_bits: int) -> SignedBig:
     value = _value_at_neg_pow2(v.coeffs[::-1], width_bits)
     if len(v.coeffs) % 2 == 0:
         value = -value
-    return SignedBig.from_int(value)
+    return value

@@ -4,48 +4,23 @@ import sys
 import pytest
 
 from kronmul import bignat
-from kronmul.bignat import (BigNat, MulConfig, MulStats, SignedBig,
-                            UnderflowError, add, from_digits, mul,
+from kronmul.bignat import (BigNat, MulConfig, MulStats, from_digits, mul,
                             mul_classical, mul_karatsuba, mul_signed,
-                            shl_bits, shr_bits, shr_bits_exact, sub,
                             to_digits)
 
 
-def test_add_examples():
-    assert add(BigNat(0), BigNat(0)) == 0
-    carried = add(BigNat(2**64 - 1), BigNat(1))
-    assert carried == 2**64
-    assert carried.limbs == (0, 1)
-    big = BigNat.from_decimal("621000088700006100000274")
-    assert add(big, BigNat(1)).to_decimal() == "621000088700006100000275"
-
-
-def test_sub_examples():
-    assert sub(BigNat(5), BigNat(5)) == 0
-    assert sub(BigNat(5), BigNat(5)).limbs == ()
-    assert sub(BigNat(2**64), BigNat(1)) == 2**64 - 1
-    a = BigNat.from_decimal("490686413831542917850889971522")
-    assert sub(a, BigNat(151522)).to_decimal() == \
-        "490686413831542917850889820000"
-
-
-def test_sub_underflow():
-    with pytest.raises(UnderflowError):
-        sub(BigNat(1), BigNat(2))
-
-
 def test_mul_example():
-    a = BigNat.from_decimal("621000088700006100000274")
-    b = BigNat.from_decimal("790000042400002980000553")
-    want = "490590096403410430461082839078846704189820151522"
-    assert mul(a, b).to_decimal() == want
-    assert mul(BigNat(0), b) == 0
+    a = 621000088700006100000274
+    b = 790000042400002980000553
+    want = 490590096403410430461082839078846704189820151522
+    assert mul(a, b) == want
+    assert mul(0, b) == 0
 
 
 def test_classical_identity_and_widening():
-    assert mul_classical(BigNat(1), BigNat(12345)) == 12345
+    assert mul_classical(1, 12345) == 12345
     a = 2**64 - 1
-    assert mul_classical(BigNat(a), BigNat(a)) == a * a
+    assert mul_classical(a, a) == a * a
 
 
 def test_classical_count_is_m_times_n():
@@ -56,7 +31,7 @@ def test_classical_count_is_m_times_n():
         a = rng.getrandbits(m * 64 - rng.randrange(64)) if m else 0
         b = rng.getrandbits(n * 64 - rng.randrange(64)) if n else 0
         stats = MulStats()
-        mul_classical(BigNat(a), BigNat(b), stats)
+        mul_classical(a, b, stats)
         an = (a.bit_length() + 63) // 64
         bn = (b.bit_length() + 63) // 64
         assert stats.limb_products == an * bn
@@ -68,22 +43,20 @@ def test_karatsuba_equals_classical():
     for _ in range(1000):
         a = rng.getrandbits(rng.randrange(1, 64 * 64))
         b = rng.getrandbits(rng.randrange(1, 64 * 64))
-        assert mul_karatsuba(BigNat(a), BigNat(b), config=cfg) == \
-            mul_classical(BigNat(a), BigNat(b)) == a * b
+        assert mul_karatsuba(a, b, config=cfg) == mul_classical(a, b) == a * b
 
 
 def test_karatsuba_hundred_limb_pair():
     rng = random.Random(2)
     a = rng.getrandbits(100 * 64)
     b = rng.getrandbits(100 * 64)
-    assert mul_karatsuba(BigNat(a), BigNat(b)) == \
-        mul_classical(BigNat(a), BigNat(b))
+    assert mul_karatsuba(a, b) == mul_classical(a, b)
 
 
 def test_karatsuba_saves_word_products():
     rng = random.Random(3)
-    a = BigNat(rng.getrandbits(128 * 64))
-    b = BigNat(rng.getrandbits(128 * 64))
+    a = rng.getrandbits(128 * 64)
+    b = rng.getrandbits(128 * 64)
     s_classical, s_karatsuba = MulStats(), MulStats()
     mul_classical(a, b, s_classical)
     mul_karatsuba(a, b, s_karatsuba)
@@ -92,8 +65,8 @@ def test_karatsuba_saves_word_products():
 
 def test_mul_dispatch_threshold():
     rng = random.Random(4)
-    a = BigNat(rng.getrandbits(40 * 64))
-    b = BigNat(rng.getrandbits(40 * 64))
+    a = rng.getrandbits(40 * 64)
+    b = rng.getrandbits(40 * 64)
     forced = MulStats()
     mul(a, b, forced, MulConfig(classical_only=True))
     assert forced.limb_products == 40 * 40
@@ -154,46 +127,41 @@ def test_classical_only_row_loop():
     rng = random.Random(200)
     x, y = full_limbs(rng, 200), full_limbs(rng, 200)
     stats = MulStats()
-    assert mul(BigNat(x), BigNat(y), stats,
-               MulConfig(classical_only=True)) == x * y
+    assert mul(x, y, stats, MulConfig(classical_only=True)) == x * y
     assert stats.limb_products == 200 * 200
 
 
 def test_ring_axioms_randomized():
+    # the counted multiply against int addition, small enough to split
     rng = random.Random(5)
+    cfg = MulConfig(karatsuba_threshold=1)
     for _ in range(10_000):
         a = rng.getrandbits(rng.randrange(1, 512))
         b = rng.getrandbits(rng.randrange(1, 512))
         c = rng.getrandbits(rng.randrange(1, 512))
-        an, bn, cn = BigNat(a), BigNat(b), BigNat(c)
-        assert add(an, bn) == add(bn, an)
-        assert add(add(an, bn), cn) == add(an, add(bn, cn))
-        assert mul(an, add(bn, cn)) == add(mul(an, bn), mul(an, cn))
+        assert mul(a, b, config=cfg) == mul(b, a, config=cfg)
+        assert mul(mul(a, b, config=cfg), c, config=cfg) == \
+            mul(a, mul(b, c, config=cfg), config=cfg)
+        assert mul(a, b + c, config=cfg) == \
+            mul(a, b, config=cfg) + mul(a, c, config=cfg)
 
 
 def test_results_are_normalized():
-    ops = [add(BigNat(2**64 - 1), BigNat(1)),
-           sub(BigNat(2**70), BigNat(2**70)),
-           mul(BigNat(2**63), BigNat(2)),
-           shr_bits(BigNat(2**64), 64)]
-    for r in ops:
-        assert r.limbs == () or r.limbs[-1] != 0
-
-
-def test_shifts():
-    assert shl_bits(BigNat(5), 0) == 5
-    assert shl_bits(BigNat(1), 70) == 2**70
-    assert shr_bits(BigNat(2**70 + 2**3), 3) == 2**67 + 1
-    assert shr_bits_exact(BigNat(2**70 + 2**3), 3) == 2**67 + 1
-    with pytest.raises(ValueError):
-        shr_bits_exact(BigNat(5), 1)
+    # plain ints out, whatever int-like operands went in
+    x, y = BigNat(2**64 - 1), True
+    results = [mul(x, y), mul_classical(x, y), mul_karatsuba(x, y),
+               mul_signed(x, -2), mul_signed(-1, False),
+               from_digits([1, 2], 8)]
+    results += to_digits(BigNat(197121), 8, 3)
+    assert all(type(r) is int for r in results)
+    assert results == [2**64 - 1] * 3 + [2 - 2**65, 0, 513, 1, 2, 3]
 
 
 def test_digit_examples():
-    assert to_digits(BigNat(0), 7, 3) == [0, 0, 0]
-    assert to_digits(BigNat(475), 3, 4) == [3, 3, 7, 0]
+    assert to_digits(0, 7, 3) == [0, 0, 0]
+    assert to_digits(475, 3, 4) == [3, 3, 7, 0]
     assert 475 == 3 + 3 * 8 + 7 * 64
-    assert to_digits(BigNat(197121), 8, 3) == [1, 2, 3]
+    assert to_digits(197121, 8, 3) == [1, 2, 3]
     assert from_digits([], 8) == 0
     assert from_digits([1, 2, 3], 8) == 197121
     assert from_digits([3, 3, 7, 0], 3) == 475
@@ -201,9 +169,19 @@ def test_digit_examples():
 
 def test_digit_errors():
     with pytest.raises(ValueError):
-        to_digits(BigNat(256), 8, 1)
+        to_digits(256, 8, 1)
+    with pytest.raises(ValueError):
+        to_digits(-1, 8, 1)
     with pytest.raises(ValueError):
         from_digits([256], 8)
+    with pytest.raises(ValueError):
+        from_digits([1, -1], 8)
+    # digits are integers: no truncated floats or parsed strings
+    for digits in ([2.7, 1], ["3"]):
+        with pytest.raises(TypeError):
+            from_digits(digits, 8)
+    with pytest.raises(TypeError):
+        to_digits(2.0, 8, 1)
 
 
 def test_digit_round_trip_randomized():
@@ -216,36 +194,45 @@ def test_digit_round_trip_randomized():
         assert to_digits(packed, width, count) == digits
 
 
-def test_from_limbs_normalizes():
-    assert BigNat.from_limbs([1, 2, 0, 0]).limbs == (1, 2)
-    assert BigNat.from_limbs([]).limbs == ()
-    with pytest.raises(ValueError):
-        BigNat.from_limbs([2**64])
-
-
 def test_decimal_round_trip():
-    v = BigNat.from_decimal("123456789012345678901234567890")
-    assert v.to_decimal() == "123456789012345678901234567890"
-    with pytest.raises(ValueError):
-        BigNat.from_decimal("-3")
+    text = "123456789012345678901234567890"
+    assert str(BigNat(int(text))) == text
+    assert BigNat(True) == 1 and BigNat() == 0
     with pytest.raises(ValueError):
         BigNat(-1)
+    for bad in (2.0, "3"):
+        with pytest.raises(TypeError):
+            BigNat(bad)
 
 
 def test_signed_big():
-    assert SignedBig.from_int(-5).value == -5
-    assert SignedBig.from_int(0).negative is False
-    assert SignedBig(BigNat(0), True).negative is False
-    a = SignedBig.from_int(-6)
-    b = SignedBig.from_int(10)
-    assert (a + b).value == 4
-    assert (a - b).value == -16
-    assert (-a).value == 6
-    assert a.halve_exact().value == -3
-    with pytest.raises(ValueError):
-        SignedBig.from_int(3).halve_exact()
-    with pytest.raises(ValueError):
-        a.to_bignat()
-    assert b.to_bignat() == 10
-    assert mul_signed(a, b).value == -60
-    assert mul_signed(a, a).value == 36
+    # mul_signed multiplies magnitudes through the counted path
+    for a, b in ((-6, 10), (-6, -6), (6, -10), (0, -5), (-5, 0)):
+        stats = MulStats()
+        assert mul_signed(a, b, stats) == a * b
+        assert stats.limb_products == (1 if a and b else 0)
+    x, y = -(2**200 + 3), 2**150 + 7
+    stats = MulStats()
+    assert mul_signed(x, y, stats, MulConfig(classical_only=True)) == x * y
+    assert stats.limb_products == 4 * 3
+
+
+def test_naturals_only():
+    for fn in (mul, mul_classical, mul_karatsuba):
+        for a, b in ((-1, 5), (5, -1), (-2, -3)):
+            with pytest.raises(ValueError):
+                fn(a, b)
+        with pytest.raises(TypeError):
+            fn(2.0, 3)
+
+
+def test_mul_config_validates_threshold():
+    # a threshold below 1 never stops splitting 1-limb operands
+    for threshold in (0, -1):
+        with pytest.raises(ValueError):
+            MulConfig(karatsuba_threshold=threshold)
+    for threshold in (1.5, "16"):
+        with pytest.raises(TypeError):
+            MulConfig(karatsuba_threshold=threshold)
+    config = MulConfig(karatsuba_threshold=BigNat(3))
+    assert type(config.karatsuba_threshold) is int

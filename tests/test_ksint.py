@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kronmul.bignat import BigNat
+from kronmul.bignat import BigNat, MulConfig, MulStats
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
                            _four_point_safe, derive_params, ks1_mul, ks2_mul,
                            ks3_mul, ks4_mul, reconstruct_overlapped)
@@ -154,8 +154,12 @@ def test_overlap_digits_validation():
     for fwd, rev in (((1.5, 0), (0, 1)), ((1, 0), ("0", 1))):
         with pytest.raises(TypeError):
             OverlapDigits(fwd, rev, 3)
-    d = OverlapDigits((True, BigNat(7)), (0, False), 3)
+    for width in (3.0, "3"):
+        with pytest.raises(TypeError):
+            OverlapDigits((1, 0), (0, 1), width)
+    d = OverlapDigits((True, BigNat(7)), (0, False), BigNat(3))
     assert d.forward_digits == (1, 7) and d.reversed_digits == (0, 0)
+    assert type(d.width_bits) is int
     assert all(type(x) is int for x in d.forward_digits + d.reversed_digits)
 
 
@@ -213,8 +217,58 @@ def test_split_evaluations_match_whole_vector_packs(b):
                 v = CoeffVec(coeffs, b)
                 nq, nh = p.width_quarter, p.width_half
                 assert _evaluations(v, nq, True) == [
-                    int(pack(v, nq)), pack_negated(v, nq).value,
-                    int(pack_reversed(v, nq)),
-                    pack_negated_reversed(v, nq).value]
+                    pack(v, nq), pack_negated(v, nq), pack_reversed(v, nq),
+                    pack_negated_reversed(v, nq)]
                 assert _evaluations(v, nh, False) == [
-                    int(pack(v, nh)), pack_negated(v, nh).value]
+                    pack(v, nh), pack_negated(v, nh)]
+
+
+# Word products per variant (ks1, ks2, ks3, ks4) under the default config
+# and under classical_only, on operands drawn in this order from
+# random.Random(31) with every coefficient in [1, 2**b): for each b, the
+# shapes 1x1, 1xL, Lx1, unequal and balanced.
+PINNED_SHAPES = [(1, 1), (1, 40), (40, 1), (5, 23), (300, 17), (64, 64),
+                 (300, 300)]
+PINNED_VARIANT_COUNTS = {
+    "default": [
+        (1, 2, 2, 1), (2, 2, 2, 4), (2, 2, 2, 4), (2, 4, 4, 4),
+        (66, 76, 57, 40), (64, 32, 32, 16), (1521, 1292, 1292, 900),
+        (1, 2, 2, 1), (60, 60, 60, 64), (60, 60, 60, 64), (245, 144, 144, 120),
+        (10058, 6706, 6692, 3936), (4568, 3005, 3046, 2244),
+        (59139, 40516, 40471, 27062),
+        (1, 2, 2, 1), (79, 80, 80, 84), (79, 80, 80, 84), (470, 288, 288, 208),
+        (14382, 9370, 9400, 6400), (6372, 4196, 4162, 2922),
+        (76247, 52852, 52986, 36381)],
+    "classical": [
+        (1, 2, 2, 1), (2, 2, 2, 4), (2, 2, 2, 4), (2, 4, 4, 4),
+        (66, 76, 57, 40), (64, 32, 32, 16), (2704, 1682, 1682, 900),
+        (1, 2, 2, 1), (60, 60, 60, 64), (60, 60, 60, 64), (245, 144, 144, 120),
+        (12298, 6706, 6692, 3936), (10404, 5202, 5202, 2916),
+        (242064, 124002, 124002, 64516),
+        (1, 2, 2, 1), (79, 80, 80, 84), (79, 80, 80, 84), (470, 288, 288, 208),
+        (21805, 11340, 11340, 6400), (17689, 8978, 8978, 4900),
+        (412164, 209952, 209952, 108900)],
+}
+
+
+def test_variant_word_products_pinned():
+    configs = {"default": MulConfig(),
+               "classical": MulConfig(classical_only=True)}
+    counts = {name: [] for name in configs}
+    rng = random.Random(31)
+    for b in (1, 48, 64):
+        for len_f, len_g in PINNED_SHAPES:
+            f = CoeffVec(tuple(rng.randrange(1, 1 << b) for _ in range(len_f)),
+                         b)
+            g = CoeffVec(tuple(rng.randrange(1, 1 << b) for _ in range(len_g)),
+                         b)
+            want = schoolbook_z(f, g).coeffs
+            for name, config in configs.items():
+                row = []
+                for variant in ALL_VARIANTS:
+                    stats = MulStats()
+                    assert variant(f, g, stats=stats,
+                                   config=config).coeffs == want
+                    row.append(stats.limb_products)
+                counts[name].append(tuple(row))
+    assert counts == PINNED_VARIANT_COUNTS

@@ -40,8 +40,11 @@ def test_modpoly_validation():
     for bad in ((1.9, 3), (1, "3"), (2.0,)):
         with pytest.raises(TypeError):
             ModPoly(bad, 5)
-    p = ModPoly((True, BigNat(3), False), 5)
-    assert p.coeffs == (1, 3, 0)
+    for modulus in (5.0, "5"):
+        with pytest.raises(TypeError):
+            ModPoly((0,), modulus)
+    p = ModPoly((True, BigNat(3), False), BigNat(5))
+    assert p.coeffs == (1, 3, 0) and type(p.modulus) is int
     assert all(type(c) is int for c in p.coeffs)
 
 
@@ -190,3 +193,25 @@ def test_variant_dispatch_visible_in_op_counts():
     mod_mul(f, g, Variant.KS1, stats=s1, config=cfg)
     mod_mul(f, g, Variant.KS4, stats=s4, config=cfg)
     assert s1.limb_products > 2 * s4.limb_products
+
+
+def test_paper_cell_word_products():
+    # L = 2048, 48-bit modulus, every coefficient n - 1: the cell where the
+    # paper's classical ks1/ks4 ratio approaches 4.  Under the default
+    # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208).
+    from kronmul.bignat import MulStats
+    n = (1 << 48) - 59
+    top = ModPoly((n - 1,) * 2048, n)
+    want = {"default": (1_226_907, 817_938, 817_938, 555_728),
+            "classical": (11_723_776, 5_971_968, 5_971_968, 2_992_900)}
+    configs = {"default": MulConfig(),
+               "classical": MulConfig(classical_only=True)}
+    for name, config in configs.items():
+        counts = []
+        for variant in EXPLICIT:
+            stats = MulStats()
+            mod_mul(top, top, variant, stats=stats, config=config)
+            counts.append(stats.limb_products)
+        assert tuple(counts) == want[name], name
+    ks1, ks2, _, ks4 = want["default"]
+    assert (round(ks1 / ks2, 3), round(ks1 / ks4, 3)) == (1.5, 2.208)

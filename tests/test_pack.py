@@ -29,8 +29,12 @@ def test_coeffvec_validation():
     for bad in ((2.7,), (1, "3")):
         with pytest.raises(TypeError):
             CoeffVec(bad, 2)
+    for bound in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            CoeffVec((3,), bound)
     v = CoeffVec((True, BigNat(3)), 2)
     assert v.coeffs == (1, 3) and all(type(c) is int for c in v.coeffs)
+    assert type(CoeffVec((1,), BigNat(2)).width_bound_bits) is int
 
 
 def test_even_odd_parts():
@@ -66,15 +70,22 @@ def test_pack_reversed_examples():
     assert pack_reversed(pal, 5) == pack(pal, 5)
 
 
+def test_packs_return_plain_ints():
+    v = CoeffVec((3, 2, 1, 7), 4)
+    for fn in (pack, pack_reversed, pack_negated, pack_negated_reversed):
+        for width in (2, 4, 9):
+            assert type(fn(v, width)) is int
+
+
 def test_pack_negated_examples():
-    assert pack_negated(CoeffVec((11,), 4), 4).value == 11
-    assert pack_negated(CoeffVec((3, 2, 1), 4), 4).value == 227
+    assert pack_negated(CoeffVec((11,), 4), 4) == 11
+    assert pack_negated(CoeffVec((3, 2, 1), 4), 4) == 227
     assert 227 == 3 - 2 * 16 + 1 * 256
 
 
 def test_pack_negated_reversed_examples():
-    assert pack_negated_reversed(CoeffVec((11,), 4), 4).value == 11
-    assert pack_negated_reversed(CoeffVec((3, 2, 1), 4), 4).value == 737
+    assert pack_negated_reversed(CoeffVec((11,), 4), 4) == 11
+    assert pack_negated_reversed(CoeffVec((3, 2, 1), 4), 4) == 737
     assert 737 == 1 - 2 * 16 + 3 * 256
 
 
@@ -89,11 +100,11 @@ def test_packs_match_direct_evaluation(length):
         x = 2**width
         assert int(pack(v, width)) == eval_at(coeffs, x)
         assert int(pack_reversed(v, width)) == eval_at(coeffs[::-1], x)
-        assert pack_negated(v, width).value == eval_at(coeffs, -x)
+        assert pack_negated(v, width) == eval_at(coeffs, -x)
         # value at -1/x, normalized by x**(L-1)
         want = sum(c * (-1) ** i * x ** (length - 1 - i)
                    for i, c in enumerate(coeffs))
-        assert pack_negated_reversed(v, width).value == want
+        assert pack_negated_reversed(v, width) == want
 
 
 def test_round_trip_with_digits():
@@ -128,8 +139,8 @@ def test_even_odd_sign_identity():
         v = CoeffVec(coeffs, bound)
         width = bound + rng.randrange(0, 6)
         even = CoeffVec(coeffs[0::2], bound)
-        total = int(pack(v, width)) + pack_negated(v, width).value
-        assert total == 2 * int(pack(even, 2 * width))
+        total = pack(v, width) + pack_negated(v, width)
+        assert total == 2 * pack(even, 2 * width)
 
 
 def test_bit_length_bound_and_equality():
