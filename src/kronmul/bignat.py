@@ -200,6 +200,61 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 # Groups of eight width-bit digits always span exactly `width` bytes, so a
 # digit vector packs into (and unpacks from) a byte buffer with whole-group
 # blits: O(k*width) bit work overall, no repeated big shifts.
+#
+# From _LANE_MIN_DIGITS digits on, widths 8..56 go by digit phase instead
+# (the lane path).  Digits i = r (mod 8) sit `width` bytes apart, each at
+# byte r*width // 8 and bit r*width % 8 of its group.  A width of at most
+# 56 keeps shift + width <= 63, so each digit lies inside the 64-bit lane
+# that starts at its byte; a width of at least 8 keeps the lanes of one
+# phase from overlapping.  So a phase moves as 8 strided byte-slice copies
+# (one per lane byte) plus one whole-buffer shift and mask: about 100
+# C-level calls for all digits instead of one Python step per digit.
+# Below the digit cutoff the group loops win on fixed cost.
+
+_LANE_WIDTHS = range(8, 57)
+_LANE_MIN_DIGITS = 384
+
+
+def _pack_lanes(values: list[int], width: int) -> int:
+    # Pads `values` in place: _pack_ints hands over its own copy.
+    ngroups = (len(values) + 7) // 8
+    values += [0] * (8 * ngroups - len(values))
+    span = (ngroups - 1) * width + 1
+    to_lanes = struct.Struct(f"<{ngroups}Q").pack
+    # Only the bytes a digit touches are written.  Phases r and r+2 never
+    # share a byte (width >= 8), so the even and the odd phases fill one
+    # buffer each, and the two add bit-disjointly.
+    bufs = [bytearray(ngroups * width + _LIMB_BYTES) for _ in range(2)]
+    for r in range(8):
+        byte, shift = divmod(r * width, 8)
+        lanes = int.from_bytes(to_lanes(*values[r::8]), "little") << shift
+        lanes = lanes.to_bytes(ngroups * _LIMB_BYTES, "little")
+        buf = bufs[r & 1]
+        for k in range((shift + width + 7) // 8):
+            buf[byte + k:byte + k + span:width] = lanes[k::8]
+    return (int.from_bytes(bufs[0], "little")
+            + int.from_bytes(bufs[1], "little"))
+
+
+def _unpack_lanes(value: int, width: int, count: int) -> list[int]:
+    ngroups = (count + 7) // 8
+    nbytes = ngroups * _LIMB_BYTES
+    # Padded so that the last lane of every phase can read 8 bytes.
+    raw = value.to_bytes(ngroups * width + _LIMB_BYTES, "little")
+    span = (ngroups - 1) * width + 1
+    mask = int.from_bytes(((1 << width) - 1).to_bytes(_LIMB_BYTES, "little")
+                          * ngroups, "little")
+    from_lanes = struct.Struct(f"<{ngroups}Q").unpack
+    lanes = bytearray(nbytes)
+    out = [0] * (8 * ngroups)
+    for r in range(8):
+        byte, shift = divmod(r * width, 8)
+        for k in range(8):
+            lanes[k::8] = raw[byte + k:byte + k + span:width]
+        phase = (int.from_bytes(lanes, "little") >> shift) & mask
+        out[r::8] = from_lanes(phase.to_bytes(nbytes, "little"))
+    del out[count:]
+    return out
 
 
 def _pack_ints(values, width: int) -> int:
@@ -208,6 +263,8 @@ def _pack_ints(values, width: int) -> int:
     values = list(values)
     if not values:
         return 0
+    if len(values) >= _LANE_MIN_DIGITS and width in _LANE_WIDTHS:
+        return _pack_lanes(values, width)
     ngroups = (len(values) + 7) // 8
     buf = bytearray(ngroups * width)
     pos = 0
@@ -231,6 +288,8 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
     if count == 0:
         return []
+    if count >= _LANE_MIN_DIGITS and width in _LANE_WIDTHS:
+        return _unpack_lanes(value, width, count)
     ngroups = (count + 7) // 8
     raw = value.to_bytes(ngroups * width, "little")
     mask = (1 << width) - 1

@@ -25,7 +25,8 @@ from . import bignat, oracle
 from .bignat import DEFAULT_MUL_CONFIG, MulConfig, MulStats
 from .bipoly import BiPoly, MissingHalveError, bks_four, bks_negated, \
     bks_reciprocal, bks_standard, ring_z, ring_zmod
-from .ksint import ks1_mul, ks2_mul, ks3_mul, ks4_mul
+from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
+                    ks3_mul, ks4_mul, reconstruct_overlapped)
 from .modpoly import ModPoly, Variant, mod_mul
 from .pack import CoeffVec, pack, pack_negated, pack_reversed
 
@@ -310,15 +311,52 @@ def _selftest_bignat(rng, iters, config, out):
     out(f"counted multiplies vs int multiply: ok ({iters} cases)")
 
 
+# Digit and recovery cases draw counts on both sides of the lane cutoff.
+_SELFTEST_MAX_DIGITS = 2 * bignat._LANE_MIN_DIGITS
+
+
 def _selftest_digits(rng, iters, out):
     for i in range(iters):
         width = rng.randrange(1, 80)
-        count = rng.randrange(0, 40)
+        count = rng.randrange(0, _SELFTEST_MAX_DIGITS)
         digits = [rng.randrange(1 << width) for _ in range(count)]
         packed = bignat.from_digits(digits, width)
         back = bignat.to_digits(packed, width, count)
         _check(back == digits, "digit-roundtrip", (width, digits))
     out(f"digit pack/unpack round-trip: ok ({iters} cases)")
+
+
+def _overlap_streams(values, width):
+    # The two digit streams of ``values`` by plain shifts: the forward one
+    # least significant digit first, the reversed one most significant first.
+    count = len(values)
+    mask = (1 << width) - 1
+    fwd = sum(h << (i * width) for i, h in enumerate(values))
+    rev = sum(h << ((count - 1 - i) * width) for i, h in enumerate(values))
+    return ([(fwd >> (i * width)) & mask for i in range(count + 1)],
+            [(rev >> ((count - i) * width)) & mask for i in range(count + 1)])
+
+
+def _selftest_reconstruct(rng, iters, out):
+    for i in range(iters):
+        width = rng.randrange(1, 65)
+        count = rng.randrange(1, _SELFTEST_MAX_DIGITS)
+        top = (1 << width) * ((1 << width) - 1)
+        values = [rng.randrange(top) for _ in range(count)]
+        streams = _overlap_streams(values, width)
+        got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
+        _check(list(got) == values, "reconstruct", (width, values))
+        # One flipped bit in one stream: the streams must be rejected, or
+        # the values returned must produce the corrupted streams exactly.
+        side = streams[rng.randrange(2)]
+        side[rng.randrange(count + 1)] ^= 1 << rng.randrange(width)
+        try:
+            got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
+        except ReconstructionError:
+            continue
+        _check(_overlap_streams(got, width) == streams,
+               "reconstruct-corrupted", (width, values))
+    out(f"overlap recovery round-trip and corruption: ok ({iters} cases)")
 
 
 def _selftest_pack(rng, iters, out):
@@ -417,6 +455,7 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
     try:
         _selftest_bignat(rng, iters, config, out)
         _selftest_digits(rng, iters, out)
+        _selftest_reconstruct(rng, iters, out)
         _selftest_pack(rng, iters, out)
         _selftest_ksint(rng, iters, config, out)
         _selftest_bipoly(rng, iters, out)

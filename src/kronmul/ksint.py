@@ -14,12 +14,14 @@ e = ceil(log2 L), the variants evaluate at:
         quarter-width products; even/odd split first, then the overlap
         reconstruction on each part)
 
-The overlapped reconstruction recovers values h_i < 2**N * (2**N - 1) from
-the base-2**N digits of sum(h_i * 2**(i*N)) and of the same sum taken over
-the reversed sequence.  Each h_i splits into a low digit and a high digit;
-the low digits stream in order through the forward digits and the high
-digits through the reversed digits, with one carry bit per stream resolved
-per step.
+The overlapped reconstruction recovers values h_i < X*(X-1), X = 2**N,
+from F = sum(h_i * X**i) and the base-X digits of the same sum taken over
+the reversed sequence.  Listing those digits most significant first gives
+the digits of an integer R~, and X*F - R~ = (X**2 - 1) * Q exactly, where
+Q's base-X digits q_i are each h_i's high digit plus one carry bit of the
+reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
+h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
+is 0): no carry is chased digit by digit.
 
 The two (or four) inner products of ks2/ks3/ks4 run one after another
 and add their word products straight into the caller's ``stats``.
@@ -30,7 +32,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bignat import MulConfig, MulStats, _unpack_ints, mul, mul_signed
+from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints, mul,
+                     mul_signed)
 # ks3 and ks4 evaluate through pack and pack_reversed of the even/odd parts.
 # perfbench's tracer wraps all four pack names in this namespace, so the
 # negated ones stay imported.
@@ -82,6 +85,8 @@ class KsParams:
 
 def derive_params(len_f: int, len_g: int, coeff_bits: int) -> KsParams:
     """Compute chunk widths for inputs of the given lengths and bit bound."""
+    len_f, len_g = operator.index(len_f), operator.index(len_g)
+    coeff_bits = operator.index(coeff_bits)
     if len_f < 1 or len_g < 1:
         raise ValueError("polynomial lengths must be >= 1")
     if coeff_bits < 1:
@@ -136,65 +141,73 @@ class OverlapDigits:
         return len(self.forward_digits) - 1
 
 
-def _reconstruct(fwd, rev, width):
-    """Solve the two overlapped digit streams for the coefficients.
-
-    Returns (coeffs, forward_carries, reverse_carries).  Each coefficient is
-    lo + 2**width * hi with lo < 2**width and hi < 2**width - 1; the hi
-    bound is what makes the reverse-stream carry decidable by a single
-    comparison per step.
+def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
+    """The `count` values h_j < X*(X-1), X = 2**width, whose forward packing
+    at `width` is ``fwd`` and whose reversed packing is ``rev``; each packing
+    spans count + 1 digits.  Raises ReconstructionError when no such values
+    exist (ValueError when ``rev`` does not fit in count + 1 digits).
     """
-    count = len(fwd) - 1
+    # Let r be rev's digits, most significant first, and R~ = sum(r_j X**j).
+    # Packing h_j = lo_j + X*hi_j (lo_j < X, hi_j <= X-2) in reverse makes
+    # r_j = lo_{j-1} + hi_j + g_j - X*g_{j-1}, with g_j the carry into
+    # position j from j+1 and g_{-1} = g_count = lo_{-1} = hi_count = 0.
+    # Then X*fwd - R~ = (X**2-1)*Q with Q = sum(q_j X**j), q_j = hi_j + g_j
+    # <= X-1, and r_{j+1} = lo_j + q_{j+1} - X*g_j gives
+    # h_j = X*q_j + r_{j+1} - q_{j+1}.
+    #
+    # Conversely, if the division is exact, 0 <= Q < X**count and every h_j
+    # lies in [0, X*(X-1)), the h_j reproduce both packings.  Reducing the
+    # identity mod X gives q_0 = Q mod X = r_0 (so that needs no check of
+    # its own), and sum(h_j X**j) = X*Q + (R~ - r_0 - Q + q_0)/X = fwd.
+    # For the reversed packing of h, let g'_j be its carries and show
+    # q_j = hi_j + g'_j by downward induction: at j = count both sides are
+    # 0; if it holds at j+1, position j+1 sums lo_j + hi_{j+1} + g'_{j+1} =
+    # lo_j + q_{j+1} = X*(q_j - hi_j) + r_{j+1}, so its digit is r_{j+1}
+    # (0 <= r_{j+1} < X) and it carries g'_j = q_j - hi_j.  At j = 0 the top
+    # digit is q_0 = r_0 < X, so nothing carries past it and the reversed
+    # packing is rev.
     base = 1 << width
-    mask = base - 1
-    lo = [0] * count
-    hi = [0] * count
-    fwd_carries = [0] * (count + 1)
-    rev_carries = [0] * count
-    lo[0] = fwd[0]
-    for j in range(count - 1):
-        carry_r = 1 if lo[j] > rev[j + 1] else 0
-        rev_carries[j] = carry_r
-        h = (rev[j] - (lo[j - 1] if j else 0) - carry_r) & mask
-        if h >= mask:
-            raise ReconstructionError("high digit out of range")
-        hi[j] = h
-        carry_f = fwd_carries[j]
-        nxt = (fwd[j + 1] - h - carry_f) & mask
-        lo[j + 1] = nxt
-        t = h + nxt + carry_f - fwd[j + 1]
-        if t == 0:
-            fwd_carries[j + 1] = 0
-        elif t == base:
-            fwd_carries[j + 1] = 1
-        else:
-            raise ReconstructionError("forward carry out of range")
-    h = (rev[count - 1] - (lo[count - 2] if count >= 2 else 0)) & mask
-    if h >= mask:
-        raise ReconstructionError("high digit out of range")
-    hi[count - 1] = h
-    if lo[count - 1] != rev[count]:
+    r = _unpack_ints(rev, width, count + 1)
+    r.reverse()
+    q, rem = divmod((fwd << width) - _pack_ints(r, width), base * base - 1)
+    if rem:
         raise ReconstructionError("digit streams disagree")
-    if h + fwd_carries[count - 1] != fwd[count]:
-        raise ReconstructionError("top digit mismatch")
-    coeffs = [lo[i] | (hi[i] << width) for i in range(count)]
-    return coeffs, fwd_carries, rev_carries
+    if q < 0 or q.bit_length() > width * count:
+        raise ReconstructionError("high digits out of range")
+    q = _unpack_ints(q, width, count)
+    q.append(0)
+    h = [(a << width) + b - c for a, b, c in zip(q, r[1:], q[1:])]
+    if min(h) < 0 or max(h) >= base * (base - 1):
+        raise ReconstructionError("coefficient out of range")
+    return h
 
 
 def reconstruct_overlapped(d: OverlapDigits, *, with_carries: bool = False):
     """Recover the coefficients behind two overlapped packings.
 
-    With ``with_carries`` also returns the per-step carry bits of each
-    stream (all 0 or 1 for consistent inputs; inconsistency raises
-    ReconstructionError).
+    With ``with_carries`` also returns each stream's carries:
+    ``fwd_carries[i]`` leaves forward digit i (i = 0..count) and
+    ``rev_carries[j]`` enters reversed position j from position j+1
+    (j = 0..count-1).  All are 0 or 1 and each list ends in 0.
+    Inconsistent streams raise ReconstructionError.
     """
-    coeffs, fwd_c, rev_c = _reconstruct(list(d.forward_digits),
-                                        list(d.reversed_digits),
-                                        d.width_bits)
-    out = CoeffVec(tuple(coeffs), 2 * d.width_bits)
-    if with_carries:
-        return out, fwd_c, rev_c
-    return out
+    w = d.width_bits
+    coeffs = _overlap_unpack(_pack_ints(d.forward_digits, w),
+                             _pack_ints(d.reversed_digits[::-1], w), w,
+                             d.coeff_count)
+    out = CoeffVec(tuple(coeffs), 2 * w)
+    if not with_carries:
+        return out
+    # Each carry follows from the digits around it: forward digit i+1 is
+    # lo_{i+1} + hi_i + carry (mod X), and reversed position j+1 holds
+    # lo_j + q_{j+1} - X*g_j with q_{j+1} < X, so g_j = 1 exactly when
+    # lo_j exceeds that digit.
+    mask = (1 << w) - 1
+    lo = [h & mask for h in coeffs]
+    fwd_carries = [(f - l - (h >> w)) & mask for f, l, h in
+                   zip(d.forward_digits[1:], lo[1:] + [0], coeffs)]
+    rev_carries = [int(l > r) for l, r in zip(lo, d.reversed_digits[1:])]
+    return out, fwd_carries + [0], rev_carries
 
 
 def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
@@ -212,20 +225,10 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     return CoeffVec(tuple(coeffs), p.out_bound_bits)
 
 
-def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
-    # The `count` coefficients behind a forward and a reversed overlapped
-    # packing at `width`; each value spans count + 1 digits.
-    fwd_digits = _unpack_ints(fwd, width, count + 1)
-    rev_digits = _unpack_ints(rev, width, count + 1)
-    rev_digits.reverse()
-    coeffs, _, _ = _reconstruct(fwd_digits, rev_digits, width)
-    return coeffs
-
-
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None) -> CoeffVec:
     """Reciprocal variant: forward and reversed half-width products, then
-    carry reconstruction of the overlapped output chunks."""
+    the overlap recovery of the output chunks."""
     p = _params_for(f, g)
     n = p.width_half
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)

@@ -99,6 +99,7 @@ def choose_variant(len_f: int, len_g: int,
     """AUTO's variant for operands of these lengths, in either order: ks1
     while the longer is at most ``ks1_max_length``, ks4 once the shorter
     exceeds ``ks3_max_length``, ks3 in between (``AutoThresholds`` says why)."""
+    len_f, len_g = operator.index(len_f), operator.index(len_g)
     if len_f < 1 or len_g < 1:
         raise ValueError("lengths must be >= 1")
     t = thresholds or DEFAULT_THRESHOLDS

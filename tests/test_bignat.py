@@ -194,6 +194,30 @@ def test_digit_round_trip_randomized():
         assert to_digits(packed, width, count) == digits
 
 
+def _reference_pack(digits, width):
+    # Concatenated binary text, most significant digit first.
+    text = "".join(format(d, f"0{width}b") for d in reversed(digits))
+    return int(text or "0", 2)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 55, 56, 57, 64,
+                                   108, 130])
+def test_digit_blits_match_reference(width):
+    # Covers the group loops and, at widths 8..56 from _LANE_MIN_DIGITS
+    # digits on, the lane path, with partial and whole last groups.
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    for count in (0, 1, 7, 8, 9, bignat._LANE_MIN_DIGITS - 1,
+                  bignat._LANE_MIN_DIGITS, 1025, 4097):
+        for digits in ([rng.randrange(top + 1) for _ in range(count)],
+                       [top] * count):
+            value = _reference_pack(digits, width)
+            assert bignat._pack_ints(digits, width) == value
+            assert bignat._unpack_ints(value, width, count) == digits
+        with pytest.raises(ValueError, match="value does not fit"):
+            bignat._unpack_ints(1 << (width * count), width, count)
+
+
 def test_decimal_round_trip():
     text = "123456789012345678901234567890"
     assert str(BigNat(int(text))) == text

@@ -138,6 +138,23 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--iters", "25"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed" in out
+    assert "overlap recovery round-trip and corruption: ok" in out
+
+
+def test_selftest_catches_broken_recovery(monkeypatch):
+    # The reconstruct suite must notice a recovery that is off by one.
+    from kronmul import ksint
+    original = ksint._overlap_unpack
+
+    def off_by_one(*args):
+        values = original(*args)
+        values[-1] ^= 1
+        return values
+
+    monkeypatch.setattr(ksint, "_overlap_unpack", off_by_one)
+    lines = []
+    assert run_selftest(seed=0, iters=5, out=lines.append) == 1
+    assert "reconstruct" in lines[-1]
 
 
 def test_selftest_zero_iters(capsys):

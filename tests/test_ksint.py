@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from kronmul.bignat import BigNat, MulConfig, MulStats
+from kronmul.bignat import _LANE_MIN_DIGITS, BigNat, MulConfig, MulStats
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
-                           _four_point_safe, derive_params, ks1_mul, ks2_mul,
-                           ks3_mul, ks4_mul, reconstruct_overlapped)
+                           _four_point_safe, _overlap_unpack, derive_params,
+                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
+                           reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
@@ -55,6 +56,13 @@ def test_derive_params_rejects_bad_input():
         derive_params(0, 1, 4)
     with pytest.raises(ValueError):
         derive_params(1, 1, 0)
+    # Integers only: no fractional widths from a float bound or length.
+    for args in ((3, 3, 2.5), (3.0, 3, 2), (3, "3", 2), (3, 3, 2.0)):
+        with pytest.raises(TypeError):
+            derive_params(*args)
+    p = derive_params(BigNat(3), True, BigNat(2))
+    assert all(type(x) is int for x in (p.len_f, p.len_g, p.coeff_bits,
+                                        p.width_half))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -104,19 +112,43 @@ def test_reconstruct_traced_example():
     assert coeffs.coeffs == (3, 11, 6)
     assert fwd_carries == [0, 0, 0, 0]
     assert rev_carries == [0, 0, 0]
+    assert (fwd_carries, rev_carries) == stream_carries([3, 11, 6], 3)
+
+
+def shift_pack(values, width):
+    return sum(h << (i * width) for i, h in enumerate(values))
 
 
 def make_overlap_digits(values, width):
     # independent construction of the two digit streams by plain shifts
     count = len(values)
-    fwd_val = sum(h << (i * width) for i, h in enumerate(values))
-    rev_val = sum(h << ((count - 1 - i) * width)
-                  for i, h in enumerate(values))
+    fwd_val = shift_pack(values, width)
+    rev_val = shift_pack(values[::-1], width)
     mask = (1 << width) - 1
     fwd = [(fwd_val >> (i * width)) & mask for i in range(count + 1)]
     rev = [(rev_val >> (i * width)) & mask for i in range(count + 1)]
     rev.reverse()
     return OverlapDigits(tuple(fwd), tuple(rev), width)
+
+
+def stream_carries(values, width):
+    # The carries of both packings, by column addition of each value's low
+    # digit lo_i and high digit hi_i.  Forward digit i sums lo_i, hi_{i-1}
+    # and the carry from digit i-1; reversed position j sums lo_{j-1}, hi_j
+    # and the carry from position j+1.
+    count = len(values)
+    base = 1 << width
+    lo = [h % base for h in values] + [0]
+    hi = [h // base for h in values] + [0]
+    fwd, carry = [], 0
+    for i in range(count + 1):
+        carry = (lo[i] + (hi[i - 1] if i else 0) + carry) // base
+        fwd.append(carry)
+    rev, carry = [0] * count, 0
+    for j in range(count, 0, -1):
+        carry = (lo[j - 1] + hi[j] + carry) // base
+        rev[j - 1] = carry
+    return fwd, rev
 
 
 def test_reconstruct_round_trip_randomized():
@@ -129,8 +161,23 @@ def test_reconstruct_round_trip_randomized():
         got, fwd_c, rev_c = reconstruct_overlapped(
             make_overlap_digits(values, width), with_carries=True)
         assert list(got.coeffs) == values
+        assert (fwd_c, rev_c) == stream_carries(values, width)
         assert set(fwd_c) <= {0, 1} and set(rev_c) <= {0, 1}
-        assert fwd_c[0] == 0 and rev_c[-1] == 0
+        assert fwd_c[0] == 0 and fwd_c[-1] == 0 and rev_c[-1] == 0
+
+
+def test_reconstruct_extreme_values():
+    # All-zero values and every value at the limit X*(X-1) - 1, at every
+    # width for one coefficient and, at lane widths, past the lane cutoff.
+    cases = [(width, 1) for width in range(1, 129)]
+    cases += [(width, _LANE_MIN_DIGITS) for width in (8, 16, 54, 56)]
+    for width, count in cases:
+        limit = (1 << width) * ((1 << width) - 1) - 1
+        for values in ([0] * count, [limit] * count):
+            got, fwd_c, rev_c = reconstruct_overlapped(
+                make_overlap_digits(values, width), with_carries=True)
+            assert list(got.coeffs) == values, (width, count)
+            assert (fwd_c, rev_c) == stream_carries(values, width)
 
 
 def test_reconstruct_rejects_out_of_range_values():
@@ -139,6 +186,49 @@ def test_reconstruct_rejects_out_of_range_values():
     top = (1 << width) * ((1 << width) - 1)
     with pytest.raises(ReconstructionError):
         reconstruct_overlapped(make_overlap_digits([top, 3], width))
+
+
+def test_reconstruct_rejects_inconsistent_streams():
+    # One case per check at width 3 (X = 8), with R~ the reversed digits
+    # read as an integer: X*F - R~ = 8 is not a multiple of X**2 - 1;
+    # X*F - R~ = 63 * 8 and -63 put the quotient above X**count and below
+    # 0; X*F - R~ = 63 * 40 gives h_0 = -5, h_1 = 40, which pack to both
+    # streams but are not naturals.
+    for fwd, rev in (((1, 0), (0, 0)), ((7, 7), (0, 0)), ((0, 0), (7, 7)),
+                     ((3, 7, 4), (0, 0, 0))):
+        with pytest.raises(ReconstructionError):
+            reconstruct_overlapped(OverlapDigits(fwd, rev, 3))
+
+
+def test_overlap_unpack_single_bit_flips():
+    # A corrupted bit in either packing must raise or yield values in range
+    # that pack back to the corrupted pair exactly.  A flip moves X*F - R~
+    # by a power of two, which the odd X**2 - 1 never divides, so the
+    # remainder check alone should reject every one of them.
+    rng = random.Random(8)
+    cases = [(width, count) for width in (1, 2, 3, 8, 17, 54)
+             for count in (1, 2, 5)] + [(54, _LANE_MIN_DIGITS)]
+    for width, count in cases:
+        top = (1 << width) * ((1 << width) - 1)
+        nbits = width * (count + 1)
+        bits = (range(nbits + 2) if count < 100
+                else rng.sample(range(nbits), 48))
+        for values in ([rng.randrange(top) for _ in range(count)],
+                       [0] * count, [top - 1] * count):
+            packed = (shift_pack(values, width),
+                      shift_pack(values[::-1], width))
+            assert _overlap_unpack(*packed, width, count) == values
+            for side in (0, 1):
+                for bit in bits:
+                    pair = list(packed)
+                    pair[side] ^= 1 << bit
+                    try:
+                        got = _overlap_unpack(*pair, width, count)
+                    except (ReconstructionError, ValueError):
+                        continue
+                    assert min(got) >= 0 and max(got) < top
+                    assert shift_pack(got, width) == pair[0]
+                    assert shift_pack(got[::-1], width) == pair[1]
 
 
 def test_overlap_digits_validation():

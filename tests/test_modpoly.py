@@ -162,6 +162,9 @@ def test_choose_variant_table():
         choose_variant(0, 3)
     with pytest.raises(ValueError):
         choose_variant(3, 0)
+    for lens in ((49.5, 8), (8, 49.5), (64.0, 8), ("64", 8)):
+        with pytest.raises(TypeError):
+            choose_variant(*lens)
 
 
 def test_auto_dispatch(monkeypatch):
