@@ -210,6 +210,11 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 # (one per lane byte) plus one whole-buffer shift and mask: about 100
 # C-level calls for all digits instead of one Python step per digit.
 # Below the digit cutoff the group loops win on fixed cost.
+#
+# Every digit must lie in [0, 2**width).  _pack_ints does not check, and its
+# two paths differ on an oversized digit, but every caller ensures it
+# (CoeffVec bounds with pack's width check, from_digits, OverlapDigits,
+# unpacked digits), and a check would cost on every blit.
 
 _LANE_WIDTHS = range(8, 57)
 _LANE_MIN_DIGITS = 384

@@ -1,14 +1,14 @@
 """Bivariate multiplication in R[x, y] reduced to univariate products in
 R[x], over any commutative ring supplying the needed operations.
 
-The standard substitution evaluates at y = x**N with N wide enough that
-output chunks never touch.  The reciprocal variant adds the evaluation at
-y = x**(-N) with N half as wide, the negated variant the evaluation at
-y = -x**N (this one needs exact division by 2 in the ring), and the
-four-point variant combines both tricks at a quarter of the width.
-
-Every variant takes the univariate multiplier as a callback, so any R[x]
-product that agrees with schoolbook convolution can be plugged in.
+Chunk j of an operand holds the x-coefficients of y**j.  The standard
+substitution evaluates at y = x**N with N wide enough that output chunks
+never touch.  The reciprocal variant adds y = x**(-N) (the chunks reversed)
+with N half as wide and peels overlapping output chunks apart; the negated
+variant adds y = -x**N and splits even from odd output chunks by a half-sum
+and half-difference (this needs exact halving in the ring); the four-point
+variant combines both at a quarter of the width.  The univariate product
+is a callback: any R[x] product that agrees with schoolbook convolution.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Sequence
 __all__ = ["RingOps", "BiPoly", "MissingHalveError", "ring_z", "ring_zmod",
            "bks_standard", "bks_reciprocal", "bks_negated", "bks_four"]
 
-UniMul = Callable[[Sequence[Any], Sequence[Any]], list]
+UniMul = Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]]
 
 
 class MissingHalveError(ValueError):
@@ -39,8 +39,6 @@ class RingOps:
     zero: Any
     add: Callable[[Any, Any], Any]
     sub: Callable[[Any, Any], Any]
-    neg: Callable[[Any], Any]
-    eq: Callable[[Any, Any], bool]
     halve: Optional[Callable[[Any], Any]] = None
 
 
@@ -53,7 +51,7 @@ def _halve_int(a: int) -> int:
 def ring_z() -> RingOps:
     """The integers."""
     return RingOps(zero=0, add=operator.add, sub=operator.sub,
-                   neg=operator.neg, eq=operator.eq, halve=_halve_int)
+                   halve=_halve_int)
 
 
 def ring_zmod(n: int) -> RingOps:
@@ -67,8 +65,6 @@ def ring_zmod(n: int) -> RingOps:
     return RingOps(zero=0,
                    add=lambda a, b: (a + b) % n,
                    sub=lambda a, b: (a - b) % n,
-                   neg=lambda a: (-a) % n,
-                   eq=operator.eq,
                    halve=halve)
 
 
@@ -97,20 +93,25 @@ class BiPoly:
         return len(self.coeffs[0])
 
 
-def _ychunks(p: BiPoly) -> list[list[Any]]:
+def _ychunks(p: BiPoly) -> list[tuple[Any, ...]]:
     # chunk j is the x-coefficient vector of y**j
-    return [[p.coeffs[i][j] for i in range(p.lx)] for j in range(p.ly)]
+    return list(zip(*p.coeffs))
 
 
-def _from_ychunks(chunks: list[list[Any]]) -> BiPoly:
-    lx = len(chunks[0])
-    return BiPoly(tuple(tuple(chunks[j][i] for j in range(len(chunks)))
-                        for i in range(lx)))
+def _from_ychunks(chunks) -> BiPoly:
+    return BiPoly(tuple(zip(*chunks)))
 
 
-def _check_shapes(f: BiPoly, g: BiPoly) -> None:
+def _checked_mul(f: BiPoly, g: BiPoly, ring: RingOps,
+                 mul: UniMul | None) -> UniMul:
+    # Operands of unequal shape are rejected; the default univariate
+    # product is schoolbook.
     if f.lx != g.lx or f.ly != g.ly:
         raise ValueError("inputs must share both lengths")
+    if mul is not None:
+        return mul
+    from .oracle import uni_schoolbook
+    return uni_schoolbook(ring, operator.mul)
 
 
 def _require_halve(ring: RingOps) -> None:
@@ -118,161 +119,141 @@ def _require_halve(ring: RingOps) -> None:
         raise MissingHalveError("ring does not support exact halving")
 
 
-def _default_mul(ring: RingOps, mul: UniMul | None) -> UniMul:
-    if mul is not None:
-        return mul
-    from .oracle import uni_schoolbook
-    return uni_schoolbook(ring, operator.mul)
-
-
-def _concat_chunks(chunks, spacing, chunk_len, ring, reverse=False,
-                   alternate=False):
-    # sum of chunk_k placed at position k*spacing (or (count-1-k)*spacing
-    # when reversed), with sign (-1)**k when alternating.  Chunks overlap
-    # whenever spacing < chunk_len, hence additions rather than placement.
-    count = len(chunks)
-    vec = [ring.zero] * (spacing * (count - 1) + chunk_len)
+def _place(chunks, spacing, length, zero):
+    # chunk k at k*spacing in a vector of ``length`` entries; with spacing at
+    # least the chunk length no two chunks touch, so no ring call is needed.
+    vec = [zero] * length
     for k, chunk in enumerate(chunks):
-        base = (count - 1 - k if reverse else k) * spacing
-        if alternate and k % 2 == 1:
-            for t, c in enumerate(chunk):
-                vec[base + t] = ring.sub(vec[base + t], c)
-        else:
-            for t, c in enumerate(chunk):
-                vec[base + t] = ring.add(vec[base + t], c)
+        vec[k * spacing:k * spacing + len(chunk)] = chunk
     return vec
 
 
+def _evaluations(chunks, spacing, ring):
+    # The chunk sequence at y = +-x**spacing as E(y**2) +- y*O(y**2), with E
+    # and O the even and odd chunks: E is plain placement at 2*spacing, and
+    # only adding and subtracting the shifted odd chunks costs ring calls.
+    length = spacing * (len(chunks) - 1) + len(chunks[0])
+    pos = _place(chunks[0::2], 2 * spacing, length, ring.zero)
+    neg = list(pos)
+    for k in range(1, len(chunks), 2):
+        for t, c in enumerate(chunks[k], k * spacing):
+            pos[t] = ring.add(pos[t], c)
+            neg[t] = ring.sub(neg[t], c)
+    return pos, neg
+
+
+def _sign_split(pos, neg, shift, ring):
+    # The products at +y and -y give the even-index chunks as their half-sum
+    # and the odd-index ones as their half-difference over y; its first
+    # ``shift`` entries are zero.
+    halve, add, sub = ring.halve, ring.add, ring.sub
+    even = [halve(add(a, b)) for a, b in zip(pos, neg)]
+    odd = [halve(sub(a, b)) for a, b in zip(pos[shift:], neg[shift:])]
+    return even, odd
+
+
 def _split_chunks(vec, spacing, chunk_len, count):
-    return [list(vec[k * spacing:k * spacing + chunk_len])
-            for k in range(count)]
+    return [vec[k * spacing:k * spacing + chunk_len] for k in range(count)]
+
+
+def _interleave(even, odd):
+    # even has one chunk more than odd
+    return [c for pair in zip(even, odd) for c in pair] + even[len(odd):]
 
 
 def _overlap_recover(fwd, rev, count, spacing, chunk_len, ring):
     """Peel overlapped chunks off the forward and reversed sums.
 
     Chunk k starts at k*spacing in ``fwd`` and at (count-1-k)*spacing in
-    ``rev``.  Its first ``spacing`` entries are clean in the forward sum
-    once chunks 0..k-1 are subtracted, and its remaining entries are clean
-    in the reversed sum for the same reason; gluing the two and subtracting
-    from both sums exposes the next chunk.
+    ``rev``, and overlaps only its neighbours, in their last and first
+    ``chunk_len - spacing`` entries.  So its first ``spacing`` entries are
+    the forward sum less chunk k-1's tail, and the rest are the reversed
+    sum less chunk k-1's head.
     """
-    fwd = list(fwd)
-    rev = list(rev)
+    over = chunk_len - spacing
+    sub = ring.sub
     out = []
-    low = min(spacing, chunk_len)
     for k in range(count):
-        fpos = k * spacing
-        rpos = (count - 1 - k) * spacing
-        chunk = fwd[fpos:fpos + low]
-        if chunk_len > spacing:
-            chunk += rev[rpos + spacing:rpos + chunk_len]
-        for t, c in enumerate(chunk):
-            fwd[fpos + t] = ring.sub(fwd[fpos + t], c)
-            rev[rpos + t] = ring.sub(rev[rpos + t], c)
+        low = k * spacing
+        high = (count - k) * spacing    # entry ``spacing`` of chunk k in rev
+        chunk = [*fwd[low:low + min(spacing, chunk_len)],
+                 *rev[high:high + over]]
+        if k:
+            prev = out[-1]
+            for t in range(over):
+                chunk[t] = sub(chunk[t], prev[spacing + t])
+                chunk[spacing + t] = sub(chunk[spacing + t], prev[t])
         out.append(chunk)
     return out
 
 
 def bks_standard(f: BiPoly, g: BiPoly, ring: RingOps,
                  mul: UniMul | None = None) -> BiPoly:
-    """One univariate product of length 2*Lx*Ly - Lx - Ly + 1; output chunks
-    land in disjoint windows."""
-    _check_shapes(f, g)
-    mul = _default_mul(ring, mul)
+    """One univariate product of length 2*Lx*Ly - Lx - Ly + 1; operand and
+    output chunks land in disjoint windows, so no ring call is made."""
+    mul = _checked_mul(f, g, ring, mul)
     lx, ly = f.lx, f.ly
     spacing = 2 * lx - 1
-    cat_f = _concat_chunks(_ychunks(f), spacing, lx, ring)
-    cat_g = _concat_chunks(_ychunks(g), spacing, lx, ring)
-    prod = mul(cat_f, cat_g)
-    return _from_ychunks(_split_chunks(prod, spacing, 2 * lx - 1, 2 * ly - 1))
+    length = spacing * (ly - 1) + lx
+    prod = mul(_place(_ychunks(f), spacing, length, ring.zero),
+               _place(_ychunks(g), spacing, length, ring.zero))
+    return _from_ychunks(_split_chunks(prod, spacing, spacing, 2 * ly - 1))
 
 
 def bks_reciprocal(f: BiPoly, g: BiPoly, ring: RingOps,
                    mul: UniMul | None = None) -> BiPoly:
-    """Two univariate products of length Lx*Ly (forward and reversed chunk
-    order) plus O(Lx*Ly) subtractions for the overlap recovery."""
-    _check_shapes(f, g)
-    mul = _default_mul(ring, mul)
+    """Two univariate products of length Lx*Ly, of the chunks in forward and
+    in reversed order, then the overlap recovery: 2*(Lx-1) subtractions per
+    output chunk after the first."""
+    mul = _checked_mul(f, g, ring, mul)
     lx, ly = f.lx, f.ly
-    chunks_f = _ychunks(f)
-    chunks_g = _ychunks(g)
-    prod_fwd = mul(_concat_chunks(chunks_f, lx, lx, ring),
-                   _concat_chunks(chunks_g, lx, lx, ring))
-    prod_rev = mul(_concat_chunks(chunks_f, lx, lx, ring, reverse=True),
-                   _concat_chunks(chunks_g, lx, lx, ring, reverse=True))
-    chunks = _overlap_recover(prod_fwd, prod_rev, 2 * ly - 1, lx,
-                              2 * lx - 1, ring)
-    return _from_ychunks(chunks)
+    chunks_f, chunks_g = _ychunks(f), _ychunks(g)
+    prod_fwd = mul(_place(chunks_f, lx, lx * ly, ring.zero),
+                   _place(chunks_g, lx, lx * ly, ring.zero))
+    prod_rev = mul(_place(chunks_f[::-1], lx, lx * ly, ring.zero),
+                   _place(chunks_g[::-1], lx, lx * ly, ring.zero))
+    return _from_ychunks(_overlap_recover(prod_fwd, prod_rev, 2 * ly - 1, lx,
+                                          2 * lx - 1, ring))
 
 
 def bks_negated(f: BiPoly, g: BiPoly, ring: RingOps,
                 mul: UniMul | None = None) -> BiPoly:
-    """Two univariate products of length Lx*Ly with alternating chunk signs;
-    even/odd output chunks come from the half-sum and half-difference."""
-    _check_shapes(f, g)
+    """Two univariate products of length Lx*Ly, at y = x**Lx and y = -x**Lx;
+    one sign split gives the even output chunks from their half-sum and the
+    odd ones from their half-difference.  Only the odd operand chunks and
+    the split cost ring calls."""
+    mul = _checked_mul(f, g, ring, mul)
     _require_halve(ring)
-    mul = _default_mul(ring, mul)
     lx, ly = f.lx, f.ly
-    chunks_f = _ychunks(f)
-    chunks_g = _ychunks(g)
-    prod_pos = mul(_concat_chunks(chunks_f, lx, lx, ring),
-                   _concat_chunks(chunks_g, lx, lx, ring))
-    prod_neg = mul(_concat_chunks(chunks_f, lx, lx, ring, alternate=True),
-                   _concat_chunks(chunks_g, lx, lx, ring, alternate=True))
-    halve = ring.halve
-    even_vec = [halve(ring.add(a, b)) for a, b in zip(prod_pos, prod_neg)]
-    odd_vec = [halve(ring.sub(a, b)) for a, b in zip(prod_pos, prod_neg)]
-    odd_vec = odd_vec[lx:]  # strip the x**N normalization
-    even = _split_chunks(even_vec, 2 * lx, 2 * lx - 1, ly)
-    odd = _split_chunks(odd_vec, 2 * lx, 2 * lx - 1, ly - 1)
-    chunks = [None] * (2 * ly - 1)
-    chunks[0::2] = even
-    chunks[1::2] = odd
-    return _from_ychunks(chunks)
+    pos_f, neg_f = _evaluations(_ychunks(f), lx, ring)
+    pos_g, neg_g = _evaluations(_ychunks(g), lx, ring)
+    even, odd = _sign_split(mul(pos_f, pos_g), mul(neg_f, neg_g), lx, ring)
+    return _from_ychunks(_interleave(
+        _split_chunks(even, 2 * lx, 2 * lx - 1, ly),
+        _split_chunks(odd, 2 * lx, 2 * lx - 1, ly - 1)))
 
 
 def bks_four(f: BiPoly, g: BiPoly, ring: RingOps,
              mul: UniMul | None = None) -> BiPoly:
-    """Four univariate products of length ceil(Lx/2)*(Ly-1) + Lx.  Chunks
-    overlap already during evaluation, so building the four points costs
-    ring additions; recovery is an even/odd split followed by two overlap
-    recoveries."""
-    _check_shapes(f, g)
+    """Four univariate products of length ceil(Lx/2)*(Ly-1) + Lx, at
+    y = +-x**N and, through the reversed chunk order, y = +-x**(-N), with
+    N = ceil(Lx/2); reversed operands multiply to the reversed product, so
+    no sign fix-up is needed.  A sign split per direction and an overlap
+    recovery per part give the output chunks.  Chunks overlap already in
+    the operands, so adding the odd chunks costs ring calls."""
+    mul = _checked_mul(f, g, ring, mul)
     _require_halve(ring)
-    mul = _default_mul(ring, mul)
     lx, ly = f.lx, f.ly
-    if lx == 1 and ly == 1:
-        return BiPoly(((mul([f.coeffs[0][0]], [g.coeffs[0][0]])[0],),))
     n = (lx + 1) // 2
-    chunks_f = _ychunks(f)
-    chunks_g = _ychunks(g)
 
     def points(chunks):
-        return (_concat_chunks(chunks, n, lx, ring),
-                _concat_chunks(chunks, n, lx, ring, alternate=True),
-                _concat_chunks(chunks, n, lx, ring, reverse=True),
-                _concat_chunks(chunks, n, lx, ring, reverse=True,
-                               alternate=True))
+        return (_evaluations(chunks, n, ring)
+                + _evaluations(chunks[::-1], n, ring))
 
-    pf = points(chunks_f)
-    pg = points(chunks_g)
-    prod_pos, prod_neg, prod_rpos, prod_rneg = (
-        mul(a, b) for a, b in zip(pf, pg))
-
-    halve = ring.halve
-    fwd_even = [halve(ring.add(a, b)) for a, b in zip(prod_pos, prod_neg)]
-    fwd_odd = [halve(ring.sub(a, b)) for a, b in zip(prod_pos, prod_neg)][n:]
-    rev_even = [halve(ring.add(a, b)) for a, b in zip(prod_rpos, prod_rneg)]
-    rev_odd = [halve(ring.sub(a, b)) for a, b in zip(prod_rpos, prod_rneg)][n:]
-
-    even = _overlap_recover(fwd_even, rev_even, ly, 2 * n, 2 * lx - 1, ring)
-    if ly > 1:
-        odd = _overlap_recover(fwd_odd, rev_odd, ly - 1, 2 * n,
-                               2 * lx - 1, ring)
-    else:
-        odd = []
-    chunks = [None] * (2 * ly - 1)
-    chunks[0::2] = even
-    chunks[1::2] = odd
-    return _from_ychunks(chunks)
+    pos, neg, rpos, rneg = (mul(a, b) for a, b in
+                            zip(points(_ychunks(f)), points(_ychunks(g))))
+    fwd_even, fwd_odd = _sign_split(pos, neg, n, ring)
+    rev_even, rev_odd = _sign_split(rpos, rneg, n, ring)
+    return _from_ychunks(_interleave(
+        _overlap_recover(fwd_even, rev_even, ly, 2 * n, 2 * lx - 1, ring),
+        _overlap_recover(fwd_odd, rev_odd, ly - 1, 2 * n, 2 * lx - 1, ring)))

@@ -397,26 +397,34 @@ def _selftest_ksint(rng, iters, config, out):
     out(f"integer variants vs schoolbook: ok ({iters} cases, 4 variants)")
 
 
-def _selftest_bipoly(rng, iters, out):
+def _selftest_bipoly(rng, wide_rng, iters, config, out):
+    # Each case runs a small ring with schoolbook products, drawn from the
+    # shared rng, and an odd 48-bit modulus with mod_mul as the univariate
+    # product, drawn from ``wide_rng`` so the later suites' draws stay put.
     import operator
     cases = max(1, iters // 5) if iters else 0
-    rings = [(ring_z(), operator.mul, lambda r: r.randrange(-50, 51)),
-             (ring_zmod(7), lambda a, b: (a * b) % 7,
-              lambda r: r.randrange(7))]
+    small = [(ring_z(), lambda r: r.randrange(-50, 51), None),
+             (ring_zmod(7), lambda r: r.randrange(7), None)]
     for i in range(cases):
-        ring, elem_mul, draw = rings[i % 2]
-        lx = rng.randrange(1, 6)
-        ly = rng.randrange(1, 6)
-        f = BiPoly(tuple(tuple(draw(rng) for _ in range(ly))
-                         for _ in range(lx)))
-        g = BiPoly(tuple(tuple(draw(rng) for _ in range(ly))
-                         for _ in range(lx)))
-        want = oracle.schoolbook_bivar(f, g, ring, elem_mul).coeffs
-        for name, func in (("standard", bks_standard),
-                           ("reciprocal", bks_reciprocal),
-                           ("negated", bks_negated), ("four", bks_four)):
-            got = func(f, g, ring).coeffs
-            _check(got == want, f"bipoly-{name}", (f.coeffs, g.coeffs))
+        n = wide_rng.randrange(1 << 47, 1 << 48) | 1
+        wide = (ring_zmod(n), lambda r: r.randrange(n),
+                lambda a, b: mod_mul(ModPoly(a, n), ModPoly(b, n),
+                                     config=config).coeffs)
+        for (ring, draw, uni), case_rng in ((small[i % 2], rng),
+                                            (wide, wide_rng)):
+            lx = case_rng.randrange(1, 6)
+            ly = case_rng.randrange(1, 6)
+            f = BiPoly(tuple(tuple(draw(case_rng) for _ in range(ly))
+                             for _ in range(lx)))
+            g = BiPoly(tuple(tuple(draw(case_rng) for _ in range(ly))
+                             for _ in range(lx)))
+            # ring.add reduces the plain products, so one mul fits all rings
+            want = oracle.schoolbook_bivar(f, g, ring, operator.mul).coeffs
+            for name, func in (("standard", bks_standard),
+                               ("reciprocal", bks_reciprocal),
+                               ("negated", bks_negated), ("four", bks_four)):
+                got = func(f, g, ring, uni).coeffs
+                _check(got == want, f"bipoly-{name}", (f.coeffs, g.coeffs))
     if cases:
         try:
             one = BiPoly(((1,),))
@@ -425,7 +433,8 @@ def _selftest_bipoly(rng, iters, out):
             pass
         else:
             raise _SelfTestFailure("bipoly-halve: even modulus not rejected")
-    out(f"bivariate variants vs schoolbook: ok ({cases} cases, 4 variants)")
+    out(f"bivariate variants vs schoolbook: ok ({cases} cases of 2 rings, "
+        f"4 variants)")
 
 
 def _selftest_modpoly(rng, iters, config, out):
@@ -458,7 +467,8 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
         _selftest_reconstruct(rng, iters, out)
         _selftest_pack(rng, iters, out)
         _selftest_ksint(rng, iters, config, out)
-        _selftest_bipoly(rng, iters, out)
+        _selftest_bipoly(rng, random.Random(f"bipoly-{seed}"), iters, config,
+                         out)
         _selftest_modpoly(rng, max(1, iters // 5), config, out)
     except _SelfTestFailure as exc:
         out(f"selftest FAILED (seed={seed}): {exc}")

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from kronmul.bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
-                            bks_reciprocal, bks_standard, ring_z, ring_zmod)
+from kronmul.bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
+                            bks_negated, bks_reciprocal, bks_standard, ring_z,
+                            ring_zmod)
 from kronmul.oracle import schoolbook_bivar, uni_schoolbook
 
 Z = ring_z()
@@ -95,6 +96,16 @@ def test_exhaustive_small_z7_sampled():
             assert variant(f, g, Z7).coeffs == want
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_unequal_shapes_rejected(variant):
+    # The reductions take operands of one shape; others are refused.
+    p = BiPoly(((1, 2), (3, 4)))
+    with pytest.raises(ValueError):
+        variant(p, BiPoly(((1, 2), (3, 4), (5, 6))), Z)   # unequal lx
+    with pytest.raises(ValueError):
+        variant(p, BiPoly(((1, 2, 3), (4, 5, 6))), Z)     # unequal ly
+
+
 @pytest.mark.parametrize("variant", [bks_negated, bks_four])
 @pytest.mark.parametrize("modulus", [2, 8, 1 << 16])
 def test_missing_halve_error(variant, modulus):
@@ -172,3 +183,45 @@ def test_four_point_ring_multiplication_budget():
         bks_standard(f, g, Z, uni_schoolbook(Z, counter))
         std_len = 2 * lx * ly - lx - ly + 1
         assert counter.count == std_len**2
+
+
+def counting_ring():
+    """Z with a counter of its add, sub and halve calls."""
+    calls = [0]
+
+    def counted(op):
+        def call(*args):
+            calls[0] += 1
+            return op(*args)
+        return call
+
+    return RingOps(0, counted(Z.add), counted(Z.sub), counted(Z.halve)), calls
+
+
+def shape_only(a, b):
+    return [0] * (len(a) + len(b) - 1)
+
+
+# Ring calls per reduction (standard, reciprocal, negated, four) with the
+# univariate products excluded.  Placing chunks that cannot touch is free;
+# the reciprocal peel subtracts 2*(Lx-1) entries per output chunk after the
+# first; the negated and four-point variants pay for their odd operand
+# chunks and their sign splits.
+RING_CALLS = {
+    (1, 1): (0, 0, 2, 4),
+    (1, 4): (0, 0, 34, 68),
+    (3, 2): (0, 8, 50, 90),
+    (4, 4): (0, 36, 148, 238),
+    (32, 32): (0, 3844, 10172, 16254),
+}
+
+
+@pytest.mark.parametrize("lx,ly", sorted(RING_CALLS))
+def test_ring_calls_per_reduction(lx, ly):
+    p = BiPoly(((0,) * ly,) * lx)
+    calls = []
+    for variant in ALL_VARIANTS:
+        ring, count = counting_ring()
+        variant(p, p, ring, shape_only)
+        calls.append(count[0])
+    assert tuple(calls) == RING_CALLS[lx, ly]

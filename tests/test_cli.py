@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from kronmul.bignat import BigNat, MulConfig, mul
-from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply, main,
+from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply,
+                         _selftest_bipoly, _SelfTestFailure, main,
                          mul_config_from_env, parse_degree_grid,
                          read_poly_file, render_csv, run_bench, run_selftest,
                          write_poly_file)
@@ -165,6 +166,15 @@ def test_selftest_zero_iters(capsys):
 def test_selftest_mutation_guard_fails(capsys):
     assert main(["selftest", "--iters", "25", "--mutate"]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_bipoly_selftest_alone_catches_corrupted_multiply():
+    # The bivariate suite's 48-bit cases multiply through mod_mul, so the
+    # suite has teeth of its own.
+    with _corrupted_multiply(), pytest.raises(_SelfTestFailure,
+                                              match="bipoly"):
+        _selftest_bipoly(random.Random(0), random.Random("bipoly-0"), 25,
+                         MulConfig(), lambda *_: None)
 
 
 @pytest.mark.parametrize("limbs, config", [
