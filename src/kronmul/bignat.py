@@ -12,9 +12,13 @@ threshold, and every product it does not split, like every ``mul_classical``
 call, is a schoolbook leaf that counts exactly m*n word products for an
 m-limb by n-limb product (``MulStats``).  A leaf whose smaller operand fits
 under CPython's own schoolbook cutoff (32 limbs at 30-bit digits) runs as a
-native ``x * y``, which is the same quadratic algorithm in C; larger leaves
+native product, which is the same quadratic algorithm in C; larger leaves
 run one limb row at a time, so the interpreter never applies its own
-Karatsuba inside a leaf.  Where the leaves run does not change the counts.
+Karatsuba inside a leaf.  A split decides for each of its three
+sub-products whether it is a leaf and runs a native leaf itself, through
+``_native_mul``; a product that is never split, and every row-loop leaf,
+runs in ``_classical_int``.  Each product goes through exactly one of these
+two hooks.  Where the leaves run does not change the counts.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -107,8 +111,10 @@ class BigNat(int):
 
 def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
     # Schoolbook: an m x n product costs exactly m*n word products.  Below
-    # the native cutoff CPython runs this very algorithm in C; above it, one
-    # shifted row (a 1-limb x n-limb product) per limb of the smaller operand.
+    # the native cutoff CPython runs this very algorithm in C, as this
+    # function's own x * y (not _native_mul, so no product meets both
+    # hooks); above it, one shifted row (a 1-limb x n-limb product) per limb
+    # of the smaller operand.
     xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if stats is not None:
@@ -126,23 +132,70 @@ def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
     return acc
 
 
+# Every native leaf that a Karatsuba split runs itself goes through this
+# name, so a fault injected here reaches all of them.
+_native_mul = operator.mul
+
+
 def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> int:
     xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if xl <= threshold or yl <= threshold:
         return _classical_int(x, y, stats)
+    return _karatsuba_split(x, y, xl, yl, stats, threshold)
+
+
+def _karatsuba_split(x: int, y: int, xl: int, yl: int,
+                     stats: MulStats | None, threshold: int) -> int:
     # Split both operands at half the longer one (odd lengths round up):
     # x = x0 + x1*B, y = y0 + y1*B with B = 2**shift, then
     # x*y = z0 + ((z0+z2) - (x0-x1)(y0-y1))*B + z2*B^2 in the three-product
-    # form z1 = (x0+x1)(y0+y1) - z0 - z2.
-    shift = (max(xl, yl) + 1) // 2 * LIMB_BITS
+    # form z1 = (x0+x1)(y0+y1) - z0 - z2.  (A conditional, not max(): this
+    # runs once per internal node.)
+    shift = ((xl if xl > yl else yl) + 1) // 2 * LIMB_BITS
     x1 = x >> shift
     x0 = x - (x1 << shift)
     y1 = y >> shift
     y0 = y - (y1 << shift)
-    z0 = _karatsuba_int(x0, y0, stats, threshold)
-    z2 = _karatsuba_int(x1, y1, stats, threshold)
-    z1 = _karatsuba_int(x0 + x1, y0 + y1, stats, threshold) - z0 - z2
+    # Each sub-product a*b splits again, or is a leaf run right here and
+    # counted as _classical_int counts it: natively up to the cutoff, else
+    # (only at thresholds above the cutoff) by _classical_int's row loop.
+    # The three are written out: a call per sub-product, one Python frame
+    # per leaf, cost about 2% of perfbench's zn-long throughput.
+    a, b = x0, y0
+    al = (a.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    bl = (b.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    if al > threshold and bl > threshold:
+        z0 = _karatsuba_split(a, b, al, bl, stats, threshold)
+    else:
+        if stats is not None:
+            stats.limb_products += al * bl
+        z0 = (_native_mul(a, b) if al <= _NATIVE_SCHOOLBOOK_LIMBS
+              or bl <= _NATIVE_SCHOOLBOOK_LIMBS
+              else _classical_int(a, b, None))
+    a, b = x1, y1
+    al = (a.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    bl = (b.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    if al > threshold and bl > threshold:
+        z2 = _karatsuba_split(a, b, al, bl, stats, threshold)
+    else:
+        if stats is not None:
+            stats.limb_products += al * bl
+        z2 = (_native_mul(a, b) if al <= _NATIVE_SCHOOLBOOK_LIMBS
+              or bl <= _NATIVE_SCHOOLBOOK_LIMBS
+              else _classical_int(a, b, None))
+    a, b = x0 + x1, y0 + y1
+    al = (a.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    bl = (b.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    if al > threshold and bl > threshold:
+        z1 = _karatsuba_split(a, b, al, bl, stats, threshold)
+    else:
+        if stats is not None:
+            stats.limb_products += al * bl
+        z1 = (_native_mul(a, b) if al <= _NATIVE_SCHOOLBOOK_LIMBS
+              or bl <= _NATIVE_SCHOOLBOOK_LIMBS
+              else _classical_int(a, b, None))
+    z1 -= z0 + z2
     return z0 + (z1 << shift) + (z2 << (2 * shift))
 
 

@@ -275,21 +275,26 @@ def cmd_bench(args) -> int:
 
 @contextlib.contextmanager
 def _corrupted_multiply():
-    # Deliberate fault injection: multi-limb classical products come back
-    # wrong.  Used to verify the self-test has teeth.
-    original = bignat._classical_int
+    # Deliberate fault injection: multi-limb products come back wrong,
+    # through both of bignat's product hooks: _classical_int (classical
+    # products, unsplit Karatsuba products and row-loop leaves) and
+    # _native_mul (the native leaves a Karatsuba split runs itself).  No
+    # product goes through both, so no fault cancels another.  Used to
+    # verify the self-test has teeth.
+    originals = bignat._classical_int, bignat._native_mul
 
-    def wonky(x, y, stats=None):
-        result = original(x, y, stats)
+    def flip(x, y, result):
         if x > bignat._LIMB_MASK and y > bignat._LIMB_MASK:
             result ^= 1 << bignat.LIMB_BITS
         return result
 
-    bignat._classical_int = wonky
+    bignat._classical_int = lambda x, y, stats=None: flip(
+        x, y, originals[0](x, y, stats))
+    bignat._native_mul = lambda x, y: flip(x, y, originals[1](x, y))
     try:
         yield
     finally:
-        bignat._classical_int = original
+        bignat._classical_int, bignat._native_mul = originals
 
 
 class _SelfTestFailure(Exception):

@@ -105,6 +105,43 @@ def test_mul_word_products_pinned():
     assert counts == PINNED_COUNTS
 
 
+def _reference_karatsuba(x, y, stats, threshold):
+    # The plain three-product recursion: every node recomputes its limb
+    # counts and every leaf is one counted x * y.
+    xl, yl = (x.bit_length() + 63) // 64, (y.bit_length() + 63) // 64
+    if xl <= threshold or yl <= threshold:
+        stats.limb_products += xl * yl
+        return x * y
+    shift = (max(xl, yl) + 1) // 2 * 64
+    x1, y1 = x >> shift, y >> shift
+    x0, y0 = x - (x1 << shift), y - (y1 << shift)
+    z0 = _reference_karatsuba(x0, y0, stats, threshold)
+    z2 = _reference_karatsuba(x1, y1, stats, threshold)
+    z1 = _reference_karatsuba(x0 + x1, y0 + y1, stats, threshold) - z0 - z2
+    return z0 + (z1 << shift) + (z2 << (2 * shift))
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 16, 32, 33, 40])
+def test_karatsuba_matches_reference_recursion(threshold):
+    rng = random.Random(threshold)
+    pairs = [(full_limbs(rng, a), full_limbs(rng, b))
+             for a, b in [(3, 3), (20, 20), (41, 41), (67, 67), (90, 45),
+                          (3200, 20), (20, 3200)]]
+    pairs.append((0, full_limbs(rng, 100)))
+    # The low half's top limbs are zero, so it is shorter than the split.
+    pairs.append((full_limbs(rng, 60) << (64 * 30) | rng.getrandbits(64),
+                  full_limbs(rng, 60)))
+    # All-ones halves of `threshold` limbs sum to threshold + 1 limbs, so
+    # the sum child splits where its addends are leaves.
+    ones = (1 << (2 * threshold * 64)) - 1
+    pairs.append((ones, ones))
+    for x, y in pairs:
+        got, want = MulStats(), MulStats()
+        assert bignat._karatsuba_int(x, y, got, threshold) == \
+            _reference_karatsuba(x, y, want, threshold) == x * y
+        assert got.limb_products == want.limb_products
+
+
 def test_native_schoolbook_cutoff():
     if sys.int_info.bits_per_digit == 30:
         assert bignat._NATIVE_SCHOOLBOOK_LIMBS == 32

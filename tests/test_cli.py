@@ -180,6 +180,8 @@ def test_bipoly_selftest_alone_catches_corrupted_multiply():
 @pytest.mark.parametrize("limbs, config", [
     (40, MulConfig()),                       # Karatsuba over native leaves
     (64, MulConfig(classical_only=True)),    # one row-loop leaf
+    (16, MulConfig()),                       # one top-level native leaf
+    (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over row-loop leaves
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     rng = random.Random(limbs)
