@@ -15,10 +15,10 @@ under CPython's own schoolbook cutoff (32 limbs at 30-bit digits) runs as a
 native product, which is the same quadratic algorithm in C; larger leaves
 run one limb row at a time, so the interpreter never applies its own
 Karatsuba inside a leaf.  A split decides for each of its three
-sub-products whether it is a leaf and runs a native leaf itself, through
-``_native_mul``; a product that is never split, and every row-loop leaf,
-runs in ``_classical_int``.  Each product goes through exactly one of these
-two hooks.  Where the leaves run does not change the counts.
+sub-products whether it is a leaf and runs a native leaf itself; a product
+that is never split, and every row-loop leaf, runs in ``_classical_int``.
+Every machine product, native leaf or row, is a call of ``_native_mul``.
+Where the leaves run does not change the counts.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -109,12 +109,16 @@ class BigNat(int):
 # --- multiplication ---------------------------------------------------------
 
 
+# Every machine product of the multiplies below is a call of this name, so a
+# fault injected here reaches all of them.
+_native_mul = operator.mul
+
+
 def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
     # Schoolbook: an m x n product costs exactly m*n word products.  Below
-    # the native cutoff CPython runs this very algorithm in C, as this
-    # function's own x * y (not _native_mul, so no product meets both
-    # hooks); above it, one shifted row (a 1-limb x n-limb product) per limb
-    # of the smaller operand.
+    # the native cutoff CPython runs this very algorithm in C; above it, one
+    # shifted row (a 1-limb x n-limb product) per limb of the smaller
+    # operand.
     xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if stats is not None:
@@ -122,19 +126,14 @@ def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
     if xl > yl:
         x, y, xl, yl = y, x, yl, xl
     if xl <= _NATIVE_SCHOOLBOOK_LIMBS:
-        return x * y
+        return _native_mul(x, y)
     words = struct.unpack(f"<{xl}Q", x.to_bytes(xl * _LIMB_BYTES, "little"))
     acc = 0
     shift = 0
     for w in words:
-        acc += (w * y) << shift
+        acc += _native_mul(w, y) << shift
         shift += LIMB_BITS
     return acc
-
-
-# Every native leaf that a Karatsuba split runs itself goes through this
-# name, so a fault injected here reaches all of them.
-_native_mul = operator.mul
 
 
 def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> int:

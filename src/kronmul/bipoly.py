@@ -56,6 +56,7 @@ def ring_z() -> RingOps:
 
 def ring_zmod(n: int) -> RingOps:
     """Integers mod n for a word-sized n >= 2; halving exists only for odd n."""
+    n = operator.index(n)
     if n < 2:
         raise ValueError("modulus must be >= 2")
     halve = None

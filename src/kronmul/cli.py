@@ -275,26 +275,24 @@ def cmd_bench(args) -> int:
 
 @contextlib.contextmanager
 def _corrupted_multiply():
-    # Deliberate fault injection: multi-limb products come back wrong,
-    # through both of bignat's product hooks: _classical_int (classical
-    # products, unsplit Karatsuba products and row-loop leaves) and
-    # _native_mul (the native leaves a Karatsuba split runs itself).  No
-    # product goes through both, so no fault cancels another.  Used to
-    # verify the self-test has teeth.
-    originals = bignat._classical_int, bignat._native_mul
+    # Deliberate fault injection: every product with a multi-limb operand
+    # comes back wrong.  bignat runs each machine product through
+    # _native_mul, the native leaves and the row loop's 1-limb x n-limb rows
+    # alike, so that one name reaches every path.  Used to verify the
+    # self-test has teeth.
+    original = bignat._native_mul
 
-    def flip(x, y, result):
-        if x > bignat._LIMB_MASK and y > bignat._LIMB_MASK:
+    def flipped(x, y):
+        result = original(x, y)
+        if x > bignat._LIMB_MASK or y > bignat._LIMB_MASK:
             result ^= 1 << bignat.LIMB_BITS
         return result
 
-    bignat._classical_int = lambda x, y, stats=None: flip(
-        x, y, originals[0](x, y, stats))
-    bignat._native_mul = lambda x, y: flip(x, y, originals[1](x, y))
+    bignat._native_mul = flipped
     try:
         yield
     finally:
-        bignat._classical_int, bignat._native_mul = originals
+        bignat._native_mul = original
 
 
 class _SelfTestFailure(Exception):

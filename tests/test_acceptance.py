@@ -205,13 +205,19 @@ def test_wall_clock_shape():
                 ratios[r.degree].append(r.ratio_vs_ks1)
     best = min(statistics.median(draws) for draws in ratios.values())
 
-    _, small_rows = run_bench([2, 4], 48, ["ks1", "ks2", "ks3", "ks4"],
-                              reps=7, seed=12, config=MulConfig())
-    small_ok = True
-    for degree in (2, 4):
-        cell = [r for r in small_rows if r.degree == degree]
-        fastest = min(cell, key=lambda r: r.wall_ns_median)
-        small_ok = small_ok and fastest.variant == "ks1"
+    # The variants differ by microseconds at these degrees, so each
+    # variant's time is likewise its median over five draws.
+    variants = ["ks1", "ks2", "ks3", "ks4"]
+    small = {}
+    for _ in range(5):
+        _, rows = run_bench([2, 4], 48, variants, reps=7, seed=12,
+                            config=MulConfig())
+        for r in rows:
+            small.setdefault((r.degree, r.variant), []).append(
+                r.wall_ns_median)
+    small_ok = all(
+        min(variants, key=lambda v: statistics.median(small[degree, v]))
+        == "ks1" for degree in (2, 4))
     print(f"\n[{'PASS' if best <= 0.85 and small_ok else 'FAIL'}] wall clock: "
           f"best ks4/ks1 ratio {best:.2f} (<= 0.85 somewhere in [100, 5000]); "
           f"ks1 fastest at degrees <= 4: {small_ok}")

@@ -115,6 +115,15 @@ def test_missing_halve_error(variant, modulus):
         variant(p, p, ring)
 
 
+def test_ring_zmod_validation():
+    for modulus in (7.0, "7"):
+        with pytest.raises(TypeError):
+            ring_zmod(modulus)
+    for modulus in (1, 0, -7):
+        with pytest.raises(ValueError):
+            ring_zmod(modulus)
+
+
 def test_halve_in_odd_modular_ring():
     ring = ring_zmod(9)
     assert ring.halve is not None

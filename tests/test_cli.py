@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kronmul import bignat
 from kronmul.bignat import BigNat, MulConfig, mul
 from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply,
                          _selftest_bipoly, _SelfTestFailure, main,
@@ -191,6 +192,38 @@ def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     assert good == int(a) * int(b)
     with _corrupted_multiply():
         assert mul(a, b, config=config) != good
+
+
+@pytest.mark.parametrize("limbs, config", [
+    (40, MulConfig()),
+    (64, MulConfig(classical_only=True)),
+    (16, MulConfig()),
+    (70, MulConfig(karatsuba_threshold=40)),
+])
+def test_every_product_path_calls_native_mul(monkeypatch, limbs, config):
+    # The leaf paths above all multiply through the one name that
+    # _corrupted_multiply replaces.
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return x * y
+
+    monkeypatch.setattr(bignat, "_native_mul", counted)
+    rng = random.Random(limbs)
+    a = rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1))
+    b = rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1))
+    assert mul(a, b, config=config) == a * b
+    assert calls > 0
+
+
+def test_corrupted_multiply_replaces_only_native_mul():
+    classical, native = bignat._classical_int, bignat._native_mul
+    with _corrupted_multiply():
+        assert bignat._classical_int is classical
+        assert bignat._native_mul is not native
+    assert bignat._native_mul is native
 
 
 def test_selftest_runs_shared_rng_reproducibly(capsys):
