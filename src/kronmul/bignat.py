@@ -10,15 +10,15 @@ Multiplication is not delegated wholesale.  ``mul_karatsuba`` runs the
 explicit three-product recursion in Python down to a configurable limb-count
 threshold, and every product it does not split, like every ``mul_classical``
 call, is a schoolbook leaf that counts exactly m*n word products for an
-m-limb by n-limb product (``MulStats``).  A leaf whose smaller operand fits
-under CPython's own schoolbook cutoff (32 limbs at 30-bit digits) runs as a
-native product, which is the same quadratic algorithm in C; larger leaves
-run one limb row at a time, so the interpreter never applies its own
+m-limb by n-limb product (``MulStats``).  A leaf runs as native products,
+which CPython computes with the same quadratic algorithm in C while the
+smaller operand fits under its schoolbook cutoff (32 limbs at 30-bit
+digits).  A larger leaf cuts its smaller operand into blocks of that many
+limbs, one native product each, so the interpreter never applies its own
 Karatsuba inside a leaf.  A split decides for each of its three
-sub-products whether it is a leaf and runs a native leaf itself; a product
-that is never split, and every row-loop leaf, runs in ``_classical_int``.
-Every machine product, native leaf or row, is a call of ``_native_mul``.
-Where the leaves run does not change the counts.
+sub-products whether it is a leaf and runs a single-block leaf itself;
+every other leaf runs in ``_classical_int``.  Every machine product is a
+call of ``_native_mul``.  Where the leaves run does not change the counts.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -37,6 +37,8 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 # CPython multiplies schoolbook in C (x_mul) while the smaller operand has at
 # most KARATSUBA_CUTOFF = 70 digits; this many 64-bit limbs always fit.
 _NATIVE_SCHOOLBOOK_LIMBS = 70 * sys.int_info.bits_per_digit // LIMB_BITS
+_BLOCK_BITS = _NATIVE_SCHOOLBOOK_LIMBS * LIMB_BITS
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 
 __all__ = [
     "LIMB_BITS",
@@ -115,24 +117,20 @@ _native_mul = operator.mul
 
 
 def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
-    # Schoolbook: an m x n product costs exactly m*n word products.  Below
-    # the native cutoff CPython runs this very algorithm in C; above it, one
-    # shifted row (a 1-limb x n-limb product) per limb of the smaller
-    # operand.
+    # Schoolbook: an m x n product costs exactly m*n word products.  CPython
+    # runs this very algorithm in C for each block of the smaller operand,
+    # since a block never exceeds the native cutoff.
     xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     if stats is not None:
         stats.limb_products += xl * yl
     if xl > yl:
-        x, y, xl, yl = y, x, yl, xl
+        x, y, xl = y, x, yl
     if xl <= _NATIVE_SCHOOLBOOK_LIMBS:
         return _native_mul(x, y)
-    words = struct.unpack(f"<{xl}Q", x.to_bytes(xl * _LIMB_BYTES, "little"))
     acc = 0
-    shift = 0
-    for w in words:
-        acc += _native_mul(w, y) << shift
-        shift += LIMB_BITS
+    for shift in range(0, xl * LIMB_BITS, _BLOCK_BITS):
+        acc += _native_mul((x >> shift) & _BLOCK_MASK, y) << shift
     return acc
 
 
@@ -158,7 +156,7 @@ def _karatsuba_split(x: int, y: int, xl: int, yl: int,
     y0 = y - (y1 << shift)
     # Each sub-product a*b splits again, or is a leaf run right here and
     # counted as _classical_int counts it: natively up to the cutoff, else
-    # (only at thresholds above the cutoff) by _classical_int's row loop.
+    # (only at thresholds above the cutoff) by _classical_int's blocks.
     # The three are written out: a call per sub-product, one Python frame
     # per leaf, cost about 2% of perfbench's zn-long throughput.
     a, b = x0, y0

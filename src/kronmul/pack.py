@@ -57,9 +57,6 @@ class CoeffVec:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def reversed(self) -> "CoeffVec":
-        return CoeffVec(self.coeffs[::-1], self.width_bound_bits)
-
     def even_odd(self) -> "tuple[CoeffVec, CoeffVec | None]":
         """The even-index and odd-index parts, constant term first, under
         this vector's bound; the odd part is None for a single coefficient.

@@ -150,11 +150,14 @@ def test_native_schoolbook_cutoff():
 
 
 @pytest.mark.parametrize("xl, yl", [(32, 32), (32, 500), (33, 33), (40, 33),
-                                    (7, 3200)])
+                                    (7, 3200), (64, 64), (65, 65), (33, 3200),
+                                    (0, 40)])
 def test_classical_leaf_value_and_count(xl, yl):
-    # either side of the native cutoff: the product and the m*n count
+    # either side of the native cutoff and of each block boundary: the
+    # product and the m*n count
     rng = random.Random(xl * 1000 + yl)
-    x, y = full_limbs(rng, xl), full_limbs(rng, yl)
+    x = full_limbs(rng, xl) if xl else 0
+    y = full_limbs(rng, yl)
     stats = MulStats()
     assert bignat._classical_int(x, y, stats) == x * y
     assert stats.limb_products == xl * yl
@@ -166,6 +169,24 @@ def test_classical_only_row_loop():
     stats = MulStats()
     assert mul(x, y, stats, MulConfig(classical_only=True)) == x * y
     assert stats.limb_products == 200 * 200
+
+
+@pytest.mark.parametrize("xl, yl, calls", [(200, 200, 7), (16, 500, 1)])
+def test_classical_native_calls_per_block(monkeypatch, xl, yl, calls):
+    # The smaller operand goes to the machine in blocks of at most
+    # _NATIVE_SCHOOLBOOK_LIMBS limbs, one native product each.
+    made = 0
+
+    def counted(x, y):
+        nonlocal made
+        made += 1
+        return x * y
+
+    monkeypatch.setattr(bignat, "_native_mul", counted)
+    rng = random.Random(xl + yl)
+    x, y = full_limbs(rng, xl), full_limbs(rng, yl)
+    assert mul(x, y, config=MulConfig(classical_only=True)) == x * y
+    assert made == calls
 
 
 def test_ring_axioms_randomized():

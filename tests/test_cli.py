@@ -129,6 +129,19 @@ def test_bench_ratio_against_ks1_rows():
     assert text.splitlines()[1] == CSV_HEADER
 
 
+def test_bench_count_ops_forces_classical():
+    # --count-ops counts the m*n law even when handed a Karatsuba config.
+    def bench(config):
+        return run_bench([40], 48, ["ks1", "ks4"], reps=1, seed=3,
+                         count_ops=True, config=config)
+
+    comments, rows = bench(MulConfig())
+    _, classical = bench(MulConfig(classical_only=True))
+    assert "classical_only=True" in comments[0]
+    assert [r.limb_products for r in rows] == \
+        [r.limb_products for r in classical]
+
+
 def test_bench_rejects_bad_grid(capsys):
     assert main(["bench", "--degrees", "nope"]) == 1
     assert "invalid degree grid" in capsys.readouterr().err
@@ -180,9 +193,9 @@ def test_bipoly_selftest_alone_catches_corrupted_multiply():
 
 @pytest.mark.parametrize("limbs, config", [
     (40, MulConfig()),                       # Karatsuba over native leaves
-    (64, MulConfig(classical_only=True)),    # one row-loop leaf
+    (64, MulConfig(classical_only=True)),    # one block-loop leaf
     (16, MulConfig()),                       # one top-level native leaf
-    (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over row-loop leaves
+    (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over block-loop leaves
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     rng = random.Random(limbs)

@@ -201,10 +201,10 @@ def test_reconstruct_rejects_inconsistent_streams():
 
 
 def test_overlap_unpack_single_bit_flips():
-    # A corrupted bit in either packing must raise or yield values in range
-    # that pack back to the corrupted pair exactly.  A flip moves X*F - R~
-    # by a power of two, which the odd X**2 - 1 never divides, so the
-    # remainder check alone should reject every one of them.
+    # A flip moves X*F - R~ by a power of two, which the odd X**2 - 1 never
+    # divides, so the remainder check rejects every one of them.  A flip in
+    # the reversed packing past its count + 1 digits fails its unpacking
+    # first.
     rng = random.Random(8)
     cases = [(width, count) for width in (1, 2, 3, 8, 17, 54)
              for count in (1, 2, 5)] + [(54, _LANE_MIN_DIGITS)]
@@ -222,13 +222,10 @@ def test_overlap_unpack_single_bit_flips():
                 for bit in bits:
                     pair = list(packed)
                     pair[side] ^= 1 << bit
-                    try:
-                        got = _overlap_unpack(*pair, width, count)
-                    except (ReconstructionError, ValueError):
-                        continue
-                    assert min(got) >= 0 and max(got) < top
-                    assert shift_pack(got, width) == pair[0]
-                    assert shift_pack(got[::-1], width) == pair[1]
+                    past = side == 1 and bit >= nbits
+                    with pytest.raises(ValueError if past
+                                       else ReconstructionError):
+                        _overlap_unpack(*pair, width, count)
 
 
 def test_overlap_digits_validation():
