@@ -292,9 +292,15 @@ class _SelfTestFailure(Exception):
     pass
 
 
-def _check(ok: bool, suite: str, case) -> None:
+def _check(ok: bool, suite: str, case: tuple) -> None:
+    # Names the case by the bit length of each int and the length of each
+    # sequence: the values themselves run to thousands of digits, past
+    # what repr may print.
     if not ok:
-        raise _SelfTestFailure(f"{suite}: failing case {case!r}")
+        parts = ", ".join(f"{x.bit_length()}-bit int" if isinstance(x, int)
+                          else f"{type(x).__name__} of {len(x)}"
+                          for x in case)
+        raise _SelfTestFailure(f"{suite}: failing case ({parts})")
 
 
 def _selftest_bignat(rng, iters, config, out):
@@ -309,12 +315,19 @@ def _selftest_bignat(rng, iters, config, out):
 
 # Digit and recovery cases draw counts on both sides of the lane cutoff.
 _SELFTEST_MAX_DIGITS = 2 * bignat._LANE_MIN_DIGITS
+# One count range per blit path: plain shifts, groups of eight, lanes.
+_DIGIT_TIERS = ((0, bignat._GROUP_MIN_DIGITS),
+                (bignat._GROUP_MIN_DIGITS, bignat._LANE_MIN_DIGITS),
+                (bignat._LANE_MIN_DIGITS, _SELFTEST_MAX_DIGITS))
 
 
 def _selftest_digits(rng, iters, out):
+    # ``rng`` is this suite's own, so the later suites' shared draws do not
+    # depend on its draws.  Widths reach 141 = 2*64 + 13, ks1's full width
+    # for 64-bit coefficients and operands of up to 8192 terms.
     for i in range(iters):
-        width = rng.randrange(1, 80)
-        count = rng.randrange(0, _SELFTEST_MAX_DIGITS)
+        width = rng.randrange(1, 142)
+        count = rng.randrange(*_DIGIT_TIERS[i % 3])
         digits = [rng.randrange(1 << width) for _ in range(count)]
         packed = bignat.from_digits(digits, width)
         back = bignat.to_digits(packed, width, count)
@@ -458,7 +471,7 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
     rng = random.Random(seed)
     try:
         _selftest_bignat(rng, iters, config, out)
-        _selftest_digits(rng, iters, out)
+        _selftest_digits(random.Random(f"digits-{seed}"), iters, out)
         _selftest_reconstruct(rng, iters, out)
         _selftest_pack(rng, iters, out)
         _selftest_ksint(rng, iters, config, out)

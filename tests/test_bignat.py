@@ -259,14 +259,18 @@ def _reference_pack(digits, width):
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 55, 56, 57, 64,
-                                   108, 130])
+                                   108, 130, 141])
 def test_digit_blits_match_reference(width):
-    # Covers the group loops and, at widths 8..56 from _LANE_MIN_DIGITS
-    # digits on, the lane path, with partial and whole last groups.
+    # Covers the plain shifts below _GROUP_MIN_DIGITS digits, the groups
+    # from there on and, at widths 8..56 from _LANE_MIN_DIGITS digits on,
+    # the lane path, with partial and whole last groups.  141 = 2*64 + 13
+    # is ks1's full width for 64-bit coefficients and a shorter operand of
+    # up to 8192 terms.
     rng = random.Random(width)
     top = (1 << width) - 1
-    for count in (0, 1, 7, 8, 9, bignat._LANE_MIN_DIGITS - 1,
-                  bignat._LANE_MIN_DIGITS, 1025, 4097):
+    group, lane = bignat._GROUP_MIN_DIGITS, bignat._LANE_MIN_DIGITS
+    for count in (0, 1, 7, 8, 9, group - 1, group, group + 1, lane - 1,
+                  lane, 1025, 4097):
         for digits in ([rng.randrange(top + 1) for _ in range(count)],
                        [top] * count):
             value = _reference_pack(digits, width)

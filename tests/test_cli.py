@@ -7,8 +7,9 @@ import pytest
 
 from kronmul import bignat
 from kronmul.bignat import BigNat, MulConfig, mul
-from kronmul.cli import (CSV_HEADER, CommandError, _corrupted_multiply,
-                         _selftest_bipoly, _SelfTestFailure, main,
+from kronmul.cli import (CSV_HEADER, CommandError, _check,
+                         _corrupted_multiply, _selftest_bipoly,
+                         _selftest_digits, _SelfTestFailure, main,
                          mul_config_from_env, parse_degree_grid,
                          read_poly_file, render_csv, run_bench, run_selftest,
                          write_poly_file)
@@ -180,6 +181,41 @@ def test_selftest_zero_iters(capsys):
 def test_selftest_mutation_guard_fails(capsys):
     assert main(["selftest", "--iters", "25", "--mutate"]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threshold", ["1", "16", "40"])
+def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
+                                                 threshold):
+    # The failing operands run to thousands of digits; the report gives
+    # their sizes and the suite instead.
+    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
+    assert main(["selftest", "--seed", "0", "--iters", "20",
+                 "--mutate"]) == 1
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "FAILED" in line and "bignat-mul" in line
+    assert len(line) < 200
+
+
+def test_check_describes_cases_past_the_repr_limit():
+    # repr of a 6,000-digit int raises ValueError under the default limit.
+    with pytest.raises(_SelfTestFailure,
+                       match=r"^x: failing case \(20001-bit int, "
+                             r"list of 5000\)$"):
+        _check(False, "x", (1 << 20000, [1] * 5000))
+
+
+def test_digit_selftest_reaches_every_blit_path(monkeypatch):
+    counts = []
+
+    def recorded(digits, width):
+        counts.append(len(digits))
+        return original(digits, width)
+
+    original = bignat.from_digits
+    monkeypatch.setattr(bignat, "from_digits", recorded)
+    _selftest_digits(random.Random("digits-0"), 3, lambda *_: None)
+    assert counts[0] < bignat._GROUP_MIN_DIGITS <= counts[1] \
+        < bignat._LANE_MIN_DIGITS <= counts[2]
 
 
 def test_bipoly_selftest_alone_catches_corrupted_multiply():
