@@ -26,13 +26,14 @@ the MulStats counter it is given.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 LIMB_BITS = 64
-_LIMB_BYTES = LIMB_BITS // 8
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 # CPython multiplies schoolbook in C (x_mul) while the smaller operand has at
 # most KARATSUBA_CUTOFF = 70 digits; this many 64-bit limbs always fit.
@@ -264,64 +265,107 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 # and unpacks group by group from one byte string, O(k*width) bit work
 # overall with no repeated big shifts.
 #
-# From _LANE_MIN_DIGITS digits on, widths 8..56 go by digit phase instead
-# (the lane path).  Digits i = r (mod 8) sit `width` bytes apart, each at
-# byte r*width // 8 and bit r*width % 8 of its group.  A width of at most
-# 56 keeps shift + width <= 63, so each digit lies inside the 64-bit lane
-# that starts at its byte; a width of at least 8 keeps the lanes of one
-# phase from overlapping.  So a phase moves as 8 strided byte-slice copies
-# (one per lane byte) plus one whole-buffer shift and mask: about 100
-# C-level calls for all digits instead of one Python step per digit.
-# Below the lane cutoff, and at other widths, the groups win on fixed cost.
+# Widths 8..64 can go by digit phase instead (strided fields).  Let d be
+# the smallest power of two whose d*width bits fill a whole number gap >= 8
+# of bytes (width 54: d = 4, gap = 27).  The digits i = r (mod d) of phase
+# r then sit `gap` bytes apart, each at bit r*width of its gap-byte group.
+# So one struct call writes phase r as little-endian 64-bit fields, each
+# followed by gap - 8 pad bytes; one int.from_bytes reads it, and one shift
+# by r*width and one OR put it in place.  Unpacking phase r is
+# ((value >> r*width) & P).to_bytes(...), read back by one unpack_from, with
+# P the width-bit mask repeated every gap bytes.  That is about four C-level
+# calls per phase and no Python step per digit.  But each phase converts
+# the whole vector's bytes, so d phases cost d passes, and struct converts a
+# digit wider than one CPython digit (30 bits) by a slower general path.
+#
+# So the fields win where d is small or the digits are narrow.  Time of the
+# groups over the fields (CPython 3.11, best of 9 runs) at 48 / 128 / 384 /
+# 1024 / 4096 digits:
+#
+#   width (d)   pack                          unpack
+#   64 (1)      2.32 2.56 2.48 2.10 1.93      1.96 2.37 2.89 3.24 2.83
+#   48 (2)      1.45 1.60 1.72 1.56 1.32      1.57 2.09 2.56 2.88 3.09
+#   54 (4)      0.93 1.05 1.14 1.16 1.04      1.09 1.43 1.78 2.01 2.10
+#   62 (4)      1.00 1.13 1.30 1.31 1.26      0.95 1.37 1.73 1.78 1.93
+#    8 (8)      0.72 1.15 2.18 2.48 2.83      0.68 1.51 2.70 3.39 4.09
+#   29 (8)      -    1.02 1.19 -    -         -    1.01 1.50 -    -
+#   51 (8)      0.59 0.74 0.76 0.81 0.87      0.60 0.92 1.25 1.39 1.38
+#   63 (8)      0.53 0.64 0.81 0.84 0.84      0.58 0.76 1.12 1.17 1.21
+#
+# Hence the cutoffs below: d <= 4 (the even widths 16..64) from 48 digits;
+# d = 8 at widths up to 30 from 128 digits; and the wider d = 8 widths from
+# 384 digits, for unpacking only.  The groups take the rest.  A phase moves
+# in blocks of at most _FIELD_BLOCK fields, so the 64 cached structs (about
+# 32 bytes per field) hold at most 2 MB.
 #
 # Every digit must lie in [0, 2**width).  _pack_ints does not check, and its
-# three paths differ on an oversized digit, but every caller ensures it
-# (CoeffVec bounds with pack's width check, from_digits, OverlapDigits,
-# unpacked digits), and a check would cost on every blit.
+# three paths differ on an oversized digit (on the fields, its extra bits OR
+# into its neighbour, and from 2**64 on struct raises), but every caller
+# ensures it (CoeffVec bounds with pack's width check, from_digits,
+# OverlapDigits, unpacked digits), and a check would cost on every blit.
 
-_LANE_WIDTHS = range(8, 57)
-_LANE_MIN_DIGITS = 384
 _GROUP_MIN_DIGITS = 48
+_FIELD_BLOCK = 1024
 
 
-def _pack_lanes(values: list[int], width: int) -> int:
-    # Pads `values` in place: _pack_ints hands over its own copy.
-    ngroups = (len(values) + 7) // 8
-    values += [0] * (8 * ngroups - len(values))
-    span = (ngroups - 1) * width + 1
-    to_lanes = struct.Struct(f"<{ngroups}Q").pack
-    # Only the bytes a digit touches are written.  Phases r and r+2 never
-    # share a byte (width >= 8), so the even and the odd phases fill one
-    # buffer each, and the two add bit-disjointly.
-    bufs = [bytearray(ngroups * width + _LIMB_BYTES) for _ in range(2)]
-    for r in range(8):
-        byte, shift = divmod(r * width, 8)
-        lanes = int.from_bytes(to_lanes(*values[r::8]), "little") << shift
-        lanes = lanes.to_bytes(ngroups * _LIMB_BYTES, "little")
-        buf = bufs[r & 1]
-        for k in range((shift + width + 7) // 8):
-            buf[byte + k:byte + k + span:width] = lanes[k::8]
-    return (int.from_bytes(bufs[0], "little")
-            + int.from_bytes(bufs[1], "little"))
+def _field_layout(width: int) -> tuple[int, int]:
+    # (d, gap) as above.
+    d = 1
+    while d * width % 8 or d * width < 64:
+        d *= 2
+    return d, d * width // 8
 
 
-def _unpack_lanes(value: int, width: int, count: int) -> list[int]:
-    ngroups = (count + 7) // 8
-    nbytes = ngroups * _LIMB_BYTES
-    # Padded so that the last lane of every phase can read 8 bytes.
-    raw = value.to_bytes(ngroups * width + _LIMB_BYTES, "little")
-    span = (ngroups - 1) * width + 1
-    mask = int.from_bytes(((1 << width) - 1).to_bytes(_LIMB_BYTES, "little")
-                          * ngroups, "little")
-    from_lanes = struct.Struct(f"<{ngroups}Q").unpack
-    lanes = bytearray(nbytes)
-    out = [0] * (8 * ngroups)
-    for r in range(8):
-        byte, shift = divmod(r * width, 8)
-        for k in range(8):
-            lanes[k::8] = raw[byte + k:byte + k + span:width]
-        phase = (int.from_bytes(lanes, "little") >> shift) & mask
-        out[r::8] = from_lanes(phase.to_bytes(nbytes, "little"))
+_FIELD_LAYOUTS = {w: _field_layout(w) for w in range(8, 65)}
+# The digit counts from which the fields beat the groups, by width.
+_FIELD_PACK_MIN_DIGITS = {w: 48 if d <= 4 else 128
+                          for w, (d, _) in _FIELD_LAYOUTS.items()
+                          if d <= 4 or w <= 30}
+_FIELD_UNPACK_MIN_DIGITS = {w: _FIELD_PACK_MIN_DIGITS.get(w, 384)
+                            for w in _FIELD_LAYOUTS}
+
+
+@functools.lru_cache(maxsize=64)
+def _fields(gap: int, n: int) -> struct.Struct:
+    # n little-endian 64-bit fields, each followed by gap - 8 pad bytes.
+    return struct.Struct("<" + f"Q{gap - 8}x" * n)
+
+
+def _field_bytes(digits: list[int], gap: int) -> bytes:
+    # The digits as fields `gap` bytes apart, one struct call per block.
+    if len(digits) <= _FIELD_BLOCK:
+        return _fields(gap, len(digits)).pack(*digits)
+    return b"".join(_field_bytes(digits[q:q + _FIELD_BLOCK], gap)
+                    for q in range(0, len(digits), _FIELD_BLOCK))
+
+
+def _field_digits(raw: bytes, gap: int, n: int):
+    # The n fields `gap` bytes apart in raw, as a tuple or list of ints.
+    if n <= _FIELD_BLOCK:
+        return _fields(gap, n).unpack_from(raw)
+    return list(chain.from_iterable(
+        _fields(gap, min(n - q, _FIELD_BLOCK)).unpack_from(raw, q * gap)
+        for q in range(0, n, _FIELD_BLOCK)))
+
+
+def _pack_fields(values, width: int) -> int:
+    d, gap = _FIELD_LAYOUTS[width]
+    acc = int.from_bytes(_field_bytes(values[0::d], gap), "little")
+    for r in range(1, d):
+        acc |= int.from_bytes(_field_bytes(values[r::d], gap),
+                              "little") << r * width
+    return acc
+
+
+def _unpack_fields(value: int, width: int, count: int) -> list[int]:
+    d, gap = _FIELD_LAYOUTS[width]
+    n = -(-count // d)
+    mask = int.from_bytes(((1 << width) - 1).to_bytes(gap, "little") * n,
+                          "little")
+    out = [0] * (n * d)
+    for r in range(d):
+        raw = ((value >> r * width) & mask).to_bytes(n * gap, "little")
+        out[r::d] = _field_digits(raw, gap, n)
     del out[count:]
     return out
 
@@ -329,14 +373,15 @@ def _unpack_lanes(value: int, width: int, count: int) -> list[int]:
 def _pack_ints(values, width: int) -> int:
     if width < 1:
         raise ValueError("digit width must be >= 1")
-    values = list(values)
     if len(values) < _GROUP_MIN_DIGITS:
         acc = 0
         for v in reversed(values):
             acc = acc << width | v
         return acc
-    if len(values) >= _LANE_MIN_DIGITS and width in _LANE_WIDTHS:
-        return _pack_lanes(values, width)
+    cutoff = _FIELD_PACK_MIN_DIGITS.get(width)
+    if cutoff is not None and len(values) >= cutoff:
+        return _pack_fields(values, width)
+    values = list(values)
     values += [0] * (-len(values) % 8)
     s1, s2, s3, s4, s5, s6, s7 = range(width, 8 * width, width)
     it = iter(values)
@@ -352,13 +397,16 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
         raise ValueError("digit width must be >= 1")
     if count < 0:
         raise ValueError("digit count must be >= 0")
+    if value < 0:
+        raise ValueError("cannot split a negative value into digits")
     if value.bit_length() > width * count:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
     if count < _GROUP_MIN_DIGITS:
         mask = (1 << width) - 1
         return [value >> s & mask for s in range(0, width * count, width)]
-    if count >= _LANE_MIN_DIGITS and width in _LANE_WIDTHS:
-        return _unpack_lanes(value, width, count)
+    cutoff = _FIELD_UNPACK_MIN_DIGITS.get(width)
+    if cutoff is not None and count >= cutoff:
+        return _unpack_fields(value, width, count)
     ngroups = (count + 7) // 8
     raw = value.to_bytes(ngroups * width, "little")
     mask = (1 << width) - 1
@@ -378,10 +426,7 @@ def to_digits(a: int, width_bits: int, count: int) -> list[int]:
 
     Errors if the value does not fit in `count` digits.
     """
-    a = operator.index(a)
-    if a < 0:
-        raise ValueError("cannot split a negative value into digits")
-    return _unpack_ints(a, width_bits, count)
+    return _unpack_ints(operator.index(a), width_bits, count)
 
 
 def from_digits(digits, width_bits: int) -> int:

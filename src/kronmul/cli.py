@@ -313,12 +313,14 @@ def _selftest_bignat(rng, iters, config, out):
     out(f"counted multiplies vs int multiply: ok ({iters} cases)")
 
 
-# Digit and recovery cases draw counts on both sides of the lane cutoff.
-_SELFTEST_MAX_DIGITS = 2 * bignat._LANE_MIN_DIGITS
-# One count range per blit path: plain shifts, groups of eight, lanes.
-_DIGIT_TIERS = ((0, bignat._GROUP_MIN_DIGITS),
-                (bignat._GROUP_MIN_DIGITS, bignat._LANE_MIN_DIGITS),
-                (bignat._LANE_MIN_DIGITS, _SELFTEST_MAX_DIGITS))
+# Digit and recovery cases draw counts on both sides of every field cutoff.
+_FIELD_MAX_CUTOFF = max(bignat._FIELD_UNPACK_MIN_DIGITS.values())
+_SELFTEST_MAX_DIGITS = 2 * _FIELD_MAX_CUTOFF
+# One (widths, counts) range per blit path: plain shifts; groups of eight, at
+# widths past the fields; strided fields, past every width's field cutoff.
+_DIGIT_TIERS = (((1, 142), (0, bignat._GROUP_MIN_DIGITS)),
+                ((65, 142), (bignat._GROUP_MIN_DIGITS, _SELFTEST_MAX_DIGITS)),
+                ((8, 65), (_FIELD_MAX_CUTOFF, _SELFTEST_MAX_DIGITS)))
 
 
 def _selftest_digits(rng, iters, out):
@@ -326,8 +328,9 @@ def _selftest_digits(rng, iters, out):
     # depend on its draws.  Widths reach 141 = 2*64 + 13, ks1's full width
     # for 64-bit coefficients and operands of up to 8192 terms.
     for i in range(iters):
-        width = rng.randrange(1, 142)
-        count = rng.randrange(*_DIGIT_TIERS[i % 3])
+        widths, counts = _DIGIT_TIERS[i % 3]
+        width = rng.randrange(*widths)
+        count = rng.randrange(*counts)
         digits = [rng.randrange(1 << width) for _ in range(count)]
         packed = bignat.from_digits(digits, width)
         back = bignat.to_digits(packed, width, count)

@@ -274,8 +274,10 @@ def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
 
 
 def _shr_exact(v: int, k: int) -> int:
-    # v / 2**k where the products' parity makes the division exact.
-    assert v >= 0 and not v & ((1 << k) - 1), "inexact half-sum"
+    # v / 2**k where the products' parity makes the division exact; a
+    # corrupted product breaks that, and must not be truncated.
+    if v < 0 or v & ((1 << k) - 1):
+        raise ReconstructionError("inexact half-sum")
     return v >> k
 
 

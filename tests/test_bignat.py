@@ -258,19 +258,23 @@ def _reference_pack(digits, width):
     return int(text or "0", 2)
 
 
-@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 55, 56, 57, 64,
-                                   108, 130, 141])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 54, 55, 56, 57,
+                                   62, 63, 64, 108, 130, 141])
 def test_digit_blits_match_reference(width):
     # Covers the plain shifts below _GROUP_MIN_DIGITS digits, the groups
-    # from there on and, at widths 8..56 from _LANE_MIN_DIGITS digits on,
-    # the lane path, with partial and whole last groups.  141 = 2*64 + 13
-    # is ks1's full width for 64-bit coefficients and a shorter operand of
-    # up to 8192 terms.
+    # from there on and, at widths 8..64 from their field cutoff on, the
+    # strided fields, each side of every cutoff, with partial and whole last
+    # groups and phases.  4097 digits split each phase into more than one
+    # block of fields where d <= 4, as 1025 do where d = 1.  141 = 2*64 + 13
+    # is ks1's full width for 64-bit coefficients and a shorter operand of up
+    # to 8192 terms.
     rng = random.Random(width)
     top = (1 << width) - 1
-    group, lane = bignat._GROUP_MIN_DIGITS, bignat._LANE_MIN_DIGITS
-    for count in (0, 1, 7, 8, 9, group - 1, group, group + 1, lane - 1,
-                  lane, 1025, 4097):
+    cutoffs = {bignat._GROUP_MIN_DIGITS,
+               *bignat._FIELD_UNPACK_MIN_DIGITS.values()}
+    counts = [0, 1, 7, 8, 9, 1025, 4097]
+    counts += [c + k for c in cutoffs for k in (-1, 0, 1)]
+    for count in counts:
         for digits in ([rng.randrange(top + 1) for _ in range(count)],
                        [top] * count):
             value = _reference_pack(digits, width)
@@ -278,6 +282,23 @@ def test_digit_blits_match_reference(width):
             assert bignat._unpack_ints(value, width, count) == digits
         with pytest.raises(ValueError, match="value does not fit"):
             bignat._unpack_ints(1 << (width * count), width, count)
+
+
+@pytest.mark.parametrize("width, count", [(8, 3), (100, 48), (54, 48)])
+def test_unpack_rejects_negative_values(width, count):
+    # One case per path: plain shifts, groups, strided fields.  The shifts
+    # would read -5 as [251, 255, 255] at width 8, the fields as garbage.
+    with pytest.raises(ValueError, match="negative"):
+        bignat._unpack_ints(-5, width, count)
+
+
+def test_field_layouts():
+    # d is the least power of two with d*width a whole number gap >= 8 of
+    # bytes; 54 is ks4's width on a 48-bit modulus.
+    assert bignat._FIELD_LAYOUTS[54] == (4, 27)
+    for width, (d, gap) in bignat._FIELD_LAYOUTS.items():
+        assert d * width == 8 * gap and gap >= 8
+        assert d == 1 or (d // 2 * width) % 8 or d // 2 * width < 64
 
 
 def test_decimal_round_trip():

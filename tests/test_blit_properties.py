@@ -1,8 +1,10 @@
 """Property test: the digit blits against the binary-text reference.
 
-Each tier of counts (plain shifts, groups of eight, lanes) gets its own
-draws, so every path of ``_pack_ints`` and ``_unpack_ints`` runs; the
-lane path runs where a lane-tier draw falls in widths 8..56.
+Each blit path of ``_pack_ints`` and ``_unpack_ints`` has its own tier of
+draws, and every draw of a tier runs its path: plain shifts below the group
+cutoff; groups of eight at widths and counts short of any field cutoff;
+strided fields at widths 8..64 from that width's field cutoff on (packing
+by fields where the width has a pack cutoff too).
 """
 
 import pytest
@@ -13,17 +15,29 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from kronmul import bignat  # noqa: E402
 from test_bignat import _reference_pack  # noqa: E402
 
-_TIERS = {
-    "shifts": (0, bignat._GROUP_MIN_DIGITS - 1),
-    "groups": (bignat._GROUP_MIN_DIGITS, bignat._LANE_MIN_DIGITS - 1),
-    "lanes": (bignat._LANE_MIN_DIGITS, 800),
+_GROUP = bignat._GROUP_MIN_DIGITS
+_FIELD = bignat._FIELD_UNPACK_MIN_DIGITS
+_MAX_COUNT = 800
+
+_WIDTHS = {
+    "shifts": range(1, 161),
+    "groups": [w for w in range(1, 161) if _FIELD.get(w, _MAX_COUNT) > _GROUP],
+    "fields": list(_FIELD),
 }
 
 
+def _counts(tier, width):
+    if tier == "shifts":
+        return 0, _GROUP - 1
+    if tier == "groups":
+        return _GROUP, _FIELD.get(width, _MAX_COUNT + 1) - 1
+    return _FIELD[width], _MAX_COUNT
+
+
 @st.composite
-def _digit_vectors(draw, counts):
-    width = draw(st.integers(1, 160))
-    count = draw(st.integers(*counts))
+def _digit_vectors(draw, tier):
+    width = draw(st.sampled_from(_WIDTHS[tier]))
+    count = draw(st.integers(*_counts(tier, width)))
     fill = draw(st.sampled_from(["random", "top", "zero"]))
     if fill == "random":
         rng = draw(st.randoms(use_true_random=False))
@@ -33,16 +47,34 @@ def _digit_vectors(draw, counts):
     return width, digits
 
 
-@pytest.mark.parametrize("tier", list(_TIERS))
-def test_blits_match_reference(tier):
+@pytest.mark.parametrize("tier", list(_WIDTHS))
+def test_blits_match_reference(tier, monkeypatch):
+    ran = []
+
+    def recorder(name):
+        blit = getattr(bignat, name)
+
+        def recorded(*args):
+            ran.append(name)
+            return blit(*args)
+        return recorded
+
+    for name in ("_pack_fields", "_unpack_fields"):
+        monkeypatch.setattr(bignat, name, recorder(name))
+
     @settings(derandomize=True, max_examples=60, database=None,
               deadline=None)
-    @given(_digit_vectors(_TIERS[tier]))
+    @given(_digit_vectors(tier))
     def check(case):
         width, digits = case
         value = _reference_pack(digits, width)
+        ran.clear()
         assert bignat._pack_ints(digits, width) == value
         assert bignat._pack_ints(tuple(digits), width) == value
         assert bignat._unpack_ints(value, width, len(digits)) == digits
+        fields = tier == "fields"
+        packs = fields and width in bignat._FIELD_PACK_MIN_DIGITS
+        assert ran == (["_pack_fields"] * 2 * packs
+                       + ["_unpack_fields"] * fields)
 
     check()

@@ -205,17 +205,24 @@ def test_check_describes_cases_past_the_repr_limit():
 
 
 def test_digit_selftest_reaches_every_blit_path(monkeypatch):
-    counts = []
+    # The three cases unpack by plain shifts, by groups and by fields.
+    counts, fields = [], []
 
     def recorded(digits, width):
         counts.append(len(digits))
         return original(digits, width)
 
+    def recorded_fields(value, width, count):
+        fields.append(count)
+        return original_fields(value, width, count)
+
     original = bignat.from_digits
+    original_fields = bignat._unpack_fields
     monkeypatch.setattr(bignat, "from_digits", recorded)
+    monkeypatch.setattr(bignat, "_unpack_fields", recorded_fields)
     _selftest_digits(random.Random("digits-0"), 3, lambda *_: None)
-    assert counts[0] < bignat._GROUP_MIN_DIGITS <= counts[1] \
-        < bignat._LANE_MIN_DIGITS <= counts[2]
+    assert counts[0] < bignat._GROUP_MIN_DIGITS <= counts[1]
+    assert fields == counts[2:]
 
 
 def test_bipoly_selftest_alone_catches_corrupted_multiply():

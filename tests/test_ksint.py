@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from kronmul.bignat import _LANE_MIN_DIGITS, BigNat, MulConfig, MulStats
+from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
+                            MulStats)
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
-                           _four_point_safe, _overlap_unpack, derive_params,
-                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
+                           _four_point_safe, _overlap_unpack, _shr_exact,
+                           derive_params, ks1_mul, ks2_mul, ks3_mul, ks4_mul,
                            reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
+
+# A digit count past every width's strided-field cutoff.
+_FIELD_COUNT = max(_FIELD_UNPACK_MIN_DIGITS.values())
 
 F_EXAMPLE = CoeffVec((274, 610, 887, 621), 10)
 G_EXAMPLE = CoeffVec((553, 298, 424, 790), 10)
@@ -168,9 +172,9 @@ def test_reconstruct_round_trip_randomized():
 
 def test_reconstruct_extreme_values():
     # All-zero values and every value at the limit X*(X-1) - 1, at every
-    # width for one coefficient and, at lane widths, past the lane cutoff.
+    # width for one coefficient and, at field widths, past the field cutoffs.
     cases = [(width, 1) for width in range(1, 129)]
-    cases += [(width, _LANE_MIN_DIGITS) for width in (8, 16, 54, 56)]
+    cases += [(width, _FIELD_COUNT) for width in (8, 16, 54, 56)]
     for width, count in cases:
         limit = (1 << width) * ((1 << width) - 1) - 1
         for values in ([0] * count, [limit] * count):
@@ -207,7 +211,7 @@ def test_overlap_unpack_single_bit_flips():
     # first.
     rng = random.Random(8)
     cases = [(width, count) for width in (1, 2, 3, 8, 17, 54)
-             for count in (1, 2, 5)] + [(54, _LANE_MIN_DIGITS)]
+             for count in (1, 2, 5)] + [(54, _FIELD_COUNT)]
     for width, count in cases:
         top = (1 << width) * ((1 << width) - 1)
         nbits = width * (count + 1)
@@ -226,6 +230,15 @@ def test_overlap_unpack_single_bit_flips():
                     with pytest.raises(ValueError if past
                                        else ReconstructionError):
                         _overlap_unpack(*pair, width, count)
+
+
+def test_shr_exact_rejects_inexact_half_sums():
+    # A corrupted ks3/ks4 product leaves an odd or a negative half-sum.  It
+    # must raise, under python -O too, rather than truncate.
+    assert _shr_exact(12, 2) == 3
+    for v, k in ((3, 1), (-4, 1), ((1 << 70) + 32, 6)):
+        with pytest.raises(ReconstructionError, match="inexact"):
+            _shr_exact(v, k)
 
 
 def test_overlap_digits_validation():
