@@ -15,10 +15,14 @@ which CPython computes with the same quadratic algorithm in C while the
 smaller operand fits under its schoolbook cutoff (32 limbs at 30-bit
 digits).  A larger leaf cuts its smaller operand into blocks of that many
 limbs, one native product each, so the interpreter never applies its own
-Karatsuba inside a leaf.  A split decides for each of its three
-sub-products whether it is a leaf and runs a single-block leaf itself;
-every other leaf runs in ``_classical_int``.  Every machine product is a
-call of ``_native_mul``.  Where the leaves run does not change the counts.
+Karatsuba inside a leaf.  A split whose half is shorter than both the
+threshold and that cutoff has only single-block leaves: it runs its three
+native products directly and takes their limb counts only when it is given
+a MulStats.  Any other split decides for each of its three sub-products
+whether it is a leaf and runs a single-block leaf itself; every other leaf
+runs in ``_classical_int``.  Every machine product is a call of
+``_native_mul``.  Where the leaves run does not change the tree or the
+counts.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -40,6 +44,9 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 _NATIVE_SCHOOLBOOK_LIMBS = 70 * sys.int_info.bits_per_digit // LIMB_BITS
 _BLOCK_BITS = _NATIVE_SCHOOLBOOK_LIMBS * LIMB_BITS
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1
+# The low h limbs of an all-leaf Karatsuba node, for h below the cutoff.
+_LOW_MASKS = tuple((1 << (h * LIMB_BITS)) - 1
+                   for h in range(_NATIVE_SCHOOLBOOK_LIMBS))
 
 __all__ = [
     "LIMB_BITS",
@@ -145,21 +152,44 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 
 def _karatsuba_split(x: int, y: int, xl: int, yl: int,
                      stats: MulStats | None, threshold: int) -> int:
-    # Split both operands at half the longer one (odd lengths round up):
+    # Split both operands at h, half the longer one (odd lengths round up):
     # x = x0 + x1*B, y = y0 + y1*B with B = 2**shift, then
     # x*y = z0 + ((z0+z2) - (x0-x1)(y0-y1))*B + z2*B^2 in the three-product
     # form z1 = (x0+x1)(y0+y1) - z0 - z2.  (A conditional, not max(): this
-    # runs once per internal node.)
-    shift = ((xl if xl > yl else yl) + 1) // 2 * LIMB_BITS
+    # runs once per internal node.)  x1 has exactly xl - h limbs when xl > h.
+    h = ((xl if xl > yl else yl) + 1) // 2
+    shift = h * LIMB_BITS
     x1 = x >> shift
-    x0 = x - (x1 << shift)
     y1 = y >> shift
+    if h < threshold and h < _NATIVE_SCHOOLBOOK_LIMBS:
+        # All-leaf node: no operand of the three sub-products exceeds
+        # h + 1 <= threshold limbs, so each is a leaf under the native
+        # cutoff.  Its three native products run directly, and limb counts
+        # are taken only when stats is given.
+        x0 = x & _LOW_MASKS[h]
+        y0 = y & _LOW_MASKS[h]
+        xs = x0 + x1
+        ys = y0 + y1
+        z0 = _native_mul(x0, y0)
+        z2 = _native_mul(x1, y1)
+        z1 = _native_mul(xs, ys) - z0 - z2
+        if stats is not None:
+            stats.limb_products += (
+                (x0.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+                * ((y0.bit_length() + LIMB_BITS - 1) // LIMB_BITS)
+                + (xl - h) * (yl - h)
+                + (xs.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+                * ((ys.bit_length() + LIMB_BITS - 1) // LIMB_BITS))
+        return z0 + (z1 << shift) + (z2 << (shift + shift))
+    x0 = x - (x1 << shift)
     y0 = y - (y1 << shift)
-    # Each sub-product a*b splits again, or is a leaf run right here and
-    # counted as _classical_int counts it: natively up to the cutoff, else
-    # (only at thresholds above the cutoff) by _classical_int's blocks.
-    # The three are written out: a call per sub-product, one Python frame
-    # per leaf, cost about 2% of perfbench's zn-long throughput.
+    # Otherwise each sub-product a*b splits again, or is a leaf run right
+    # here and counted as _classical_int counts it: natively up to the
+    # cutoff, else (only at thresholds above the cutoff) by _classical_int's
+    # blocks.  The three are written out: a call per sub-product, one Python
+    # frame per leaf, cost about 2% of perfbench's zn-long throughput.  The
+    # limb counts decide the tree, so they are taken with or without stats;
+    # only all-leaf nodes skip them.
     a, b = x0, y0
     al = (a.bit_length() + LIMB_BITS - 1) // LIMB_BITS
     bl = (b.bit_length() + LIMB_BITS - 1) // LIMB_BITS
@@ -172,8 +202,8 @@ def _karatsuba_split(x: int, y: int, xl: int, yl: int,
               or bl <= _NATIVE_SCHOOLBOOK_LIMBS
               else _classical_int(a, b, None))
     a, b = x1, y1
-    al = (a.bit_length() + LIMB_BITS - 1) // LIMB_BITS
-    bl = (b.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    al = xl - h if xl > h else 0
+    bl = yl - h if yl > h else 0
     if al > threshold and bl > threshold:
         z2 = _karatsuba_split(a, b, al, bl, stats, threshold)
     else:

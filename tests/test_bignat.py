@@ -122,7 +122,7 @@ def _reference_karatsuba(x, y, stats, threshold):
 
 
 @pytest.mark.parametrize("threshold", [1, 2, 16, 32, 33, 40])
-def test_karatsuba_matches_reference_recursion(threshold):
+def test_karatsuba_matches_reference_recursion(monkeypatch, threshold):
     rng = random.Random(threshold)
     pairs = [(full_limbs(rng, a), full_limbs(rng, b))
              for a, b in [(3, 3), (20, 20), (41, 41), (67, 67), (90, 45),
@@ -135,11 +135,33 @@ def test_karatsuba_matches_reference_recursion(threshold):
     # the sum child splits where its addends are leaves.
     ones = (1 << (2 * threshold * 64)) - 1
     pairs.append((ones, ones))
+    # Either side of the all-leaf node: half of 2*threshold - 2 limbs is
+    # below the threshold, half of 2*threshold - 1 is not.
+    pairs += [(full_limbs(rng, n), full_limbs(rng, n))
+              for n in (2 * threshold - 2, 2 * threshold - 1) if n > 0]
+    limbs = []
+
+    def recorded(x, y):
+        limbs.append(tuple((v.bit_length() + 63) // 64 for v in (x, y)))
+        return x * y
+
+    def leaves(x, y, stats):
+        # The operand limbs of each machine product, in order.
+        limbs.clear()
+        assert bignat._karatsuba_int(x, y, stats, threshold) == x * y
+        return limbs[:]
+
+    monkeypatch.setattr(bignat, "_native_mul", recorded)
     for x, y in pairs:
         got, want = MulStats(), MulStats()
-        assert bignat._karatsuba_int(x, y, got, threshold) == \
-            _reference_karatsuba(x, y, want, threshold) == x * y
+        counted = leaves(x, y, got)
+        assert _reference_karatsuba(x, y, want, threshold) == x * y
         assert got.limb_products == want.limb_products
+        # Counting does not change the tree or its leaves, and no machine
+        # product runs past CPython's schoolbook cutoff.
+        assert leaves(x, y, None) == counted
+        assert all(min(pair) <= bignat._NATIVE_SCHOOLBOOK_LIMBS
+                   for pair in counted)
 
 
 def test_native_schoolbook_cutoff():

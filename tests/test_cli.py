@@ -239,6 +239,7 @@ def test_bipoly_selftest_alone_catches_corrupted_multiply():
     (64, MulConfig(classical_only=True)),    # one block-loop leaf
     (16, MulConfig()),                       # one top-level native leaf
     (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over block-loop leaves
+    (24, MulConfig()),                       # one all-leaf split
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     rng = random.Random(limbs)
@@ -255,6 +256,7 @@ def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     (64, MulConfig(classical_only=True)),
     (16, MulConfig()),
     (70, MulConfig(karatsuba_threshold=40)),
+    (24, MulConfig()),
 ])
 def test_every_product_path_calls_native_mul(monkeypatch, limbs, config):
     # The leaf paths above all multiply through the one name that

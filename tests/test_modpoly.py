@@ -201,14 +201,17 @@ def test_variant_dispatch_visible_in_op_counts():
 def test_paper_cell_word_products():
     # L = 2048, 48-bit modulus, every coefficient n - 1: the cell where the
     # paper's classical ks1/ks4 ratio approaches 4.  Under the default
-    # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208).
+    # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208);
+    # at threshold 1, where no split is all-leaf, they are 1.031 and 1.743.
     from kronmul.bignat import MulStats
     n = (1 << 48) - 59
     top = ModPoly((n - 1,) * 2048, n)
     want = {"default": (1_226_907, 817_938, 817_938, 555_728),
-            "classical": (11_723_776, 5_971_968, 5_971_968, 2_992_900)}
+            "classical": (11_723_776, 5_971_968, 5_971_968, 2_992_900),
+            "threshold 1": (565_115, 547_962, 533_254, 324_186)}
     configs = {"default": MulConfig(),
-               "classical": MulConfig(classical_only=True)}
+               "classical": MulConfig(classical_only=True),
+               "threshold 1": MulConfig(1)}
     for name, config in configs.items():
         counts = []
         for variant in EXPLICIT:
@@ -216,5 +219,7 @@ def test_paper_cell_word_products():
             mod_mul(top, top, variant, stats=stats, config=config)
             counts.append(stats.limb_products)
         assert tuple(counts) == want[name], name
-    ks1, ks2, _, ks4 = want["default"]
-    assert (round(ks1 / ks2, 3), round(ks1 / ks4, 3)) == (1.5, 2.208)
+    for name, ratios in (("default", (1.5, 2.208)),
+                         ("threshold 1", (1.031, 1.743))):
+        ks1, ks2, _, ks4 = want[name]
+        assert (round(ks1 / ks2, 3), round(ks1 / ks4, 3)) == ratios, name
