@@ -35,7 +35,7 @@ import operator
 import struct
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 LIMB_BITS = 64
 _LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -278,7 +278,7 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 
 # --- base-2^N digit packing -------------------------------------------------
 #
-# A digit vector of k digits takes one of three paths.
+# A digit vector of k digits takes one of four paths.
 #
 # Below _GROUP_MIN_DIGITS digits, plain shifts: packing is Horner's rule
 # (acc = acc << width | digit, most significant digit first) and unpacking
@@ -324,17 +324,51 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 #
 # Hence the cutoffs below: d <= 4 (the even widths 16..64) from 48 digits;
 # d = 8 at widths up to 30 from 128 digits; and the wider d = 8 widths from
-# 384 digits, for unpacking only.  The groups take the rest.  A phase moves
-# in blocks of at most _FIELD_BLOCK fields, so the 64 cached structs (about
-# 32 bytes per field) hold at most 2 MB.
+# 384 digits, for unpacking only.
+#
+# Widths above 64 go wide from _WIDE_MIN_DIGITS digits on.  Unpacking at a
+# width of a whole number nb of bytes is one to_bytes of the value, one
+# struct of nb-byte string fields per block and one map(int.from_bytes)
+# over them, with no Python step per digit.  Any other width unpacks at
+# twice the width and splits each pair by two maps, & mask and >> width:
+# one level at widths 4 (mod 8), two at 2 (mod 4), three at odd widths.
+# That split beat two masked phases (d = 2) at width 100 too: 179 against
+# 215 ns/digit at 2087 digits.  Joining pairs to pack costs as much as the groups, so
+# packing writes the digits into the width-bit slots as the 64-bit fields
+# above, at widths divisible by 4 (d <= 2).  That holds digits below 2**64
+# only, such as the coefficients that ks1 and ks3 pack on the mod path; a
+# larger one (from_digits, the overlap recovery) makes struct raise, and
+# the vector goes by groups.  Time of the groups over the wide path (best
+# of 15, CPython 3.11) at 48 / 128 / 384 / 1024 / 4096 digits, and the
+# wide path's ns/digit at 4096:
+#
+#   unpack       48   128   384  1024  4096   ns   pack, 64-bit digits
+#    65 (odd)   0.73 0.99 1.13 1.20 1.27  115   -
+#    68         1.04 1.27 1.35 1.42 1.47  106   1.30 1.59 1.84 1.90 1.76
+#   100         1.05 1.27 1.31 1.44 1.39  115   1.29 1.56 1.73 1.78 1.59
+#   102 (d = 4) 0.86 1.30 1.66 1.48 1.32  124   0.81 0.98 1.11 1.17 1.11
+#   104         1.46 1.62 1.74 1.80 1.73   92   2.02 2.28 2.46 2.39 2.15
+#   136         1.46 1.62 1.73 1.74 1.70   99   2.02 2.23 2.44 2.49 2.17
+#   141 (odd)   0.76 1.01 1.12 1.19 1.24  137   0.43 0.50 0.57 0.59 0.58
+#
+# A second run on the same shared 2-vCPU host moved single cells by up to
+# 0.3 (65 at 384 digits read 0.92).  The pack rows at 102 and 141 time
+# fields at d = 4 and 8, which the wide path does not take.  The cutoff
+# sits at 384 digits, past every crossover, and keeps short vectors, with
+# their many distinct counts, off the struct cache.
+#
+# The groups take the rest.  Both field kinds move in blocks of at most
+# _FIELD_BLOCK fields, each kind through its own cache of 64 structs at
+# about 36 bytes per field with the format text: at most 2.3 MB each.
 #
 # Every digit must lie in [0, 2**width).  _pack_ints does not check, and its
-# three paths differ on an oversized digit (on the fields, its extra bits OR
+# paths differ on an oversized digit (on the fields, its extra bits OR
 # into its neighbour, and from 2**64 on struct raises), but every caller
 # ensures it (CoeffVec bounds with pack's width check, from_digits,
 # OverlapDigits, unpacked digits), and a check would cost on every blit.
 
 _GROUP_MIN_DIGITS = 48
+_WIDE_MIN_DIGITS = 384
 _FIELD_BLOCK = 1024
 
 
@@ -361,6 +395,12 @@ def _fields(gap: int, n: int) -> struct.Struct:
     return struct.Struct("<" + f"Q{gap - 8}x" * n)
 
 
+@functools.lru_cache(maxsize=64)
+def _byte_fields(nb: int, n: int) -> struct.Struct:
+    # n byte strings of nb bytes each, back to back.
+    return struct.Struct(f"{nb}s" * n)
+
+
 def _field_bytes(digits: list[int], gap: int) -> bytes:
     # The digits as fields `gap` bytes apart, one struct call per block.
     if len(digits) <= _FIELD_BLOCK:
@@ -369,17 +409,18 @@ def _field_bytes(digits: list[int], gap: int) -> bytes:
                     for q in range(0, len(digits), _FIELD_BLOCK))
 
 
-def _field_digits(raw: bytes, gap: int, n: int):
-    # The n fields `gap` bytes apart in raw, as a tuple or list of ints.
+def _field_digits(raw: bytes, gap: int, n: int, fields=_fields):
+    # The n fields `gap` bytes apart in raw, as a tuple or an iterator: ints,
+    # or with fields=_byte_fields the gap-byte strings.
     if n <= _FIELD_BLOCK:
-        return _fields(gap, n).unpack_from(raw)
-    return list(chain.from_iterable(
-        _fields(gap, min(n - q, _FIELD_BLOCK)).unpack_from(raw, q * gap)
-        for q in range(0, n, _FIELD_BLOCK)))
+        return fields(gap, n).unpack_from(raw)
+    return chain.from_iterable(
+        fields(gap, min(n - q, _FIELD_BLOCK)).unpack_from(raw, q * gap)
+        for q in range(0, n, _FIELD_BLOCK))
 
 
 def _pack_fields(values, width: int) -> int:
-    d, gap = _FIELD_LAYOUTS[width]
+    d, gap = _FIELD_LAYOUTS.get(width) or _field_layout(width)
     acc = int.from_bytes(_field_bytes(values[0::d], gap), "little")
     for r in range(1, d):
         acc |= int.from_bytes(_field_bytes(values[r::d], gap),
@@ -400,6 +441,21 @@ def _unpack_fields(value: int, width: int, count: int) -> list[int]:
     return out
 
 
+def _unpack_wide(value: int, width: int, count: int) -> list[int]:
+    if width % 8:
+        pairs = _unpack_wide(value, 2 * width, -(-count // 2))
+        out = [0] * (2 * len(pairs))
+        out[0::2] = map(operator.and_, pairs, repeat((1 << width) - 1))
+        out[1::2] = map(operator.rshift, pairs, repeat(width))
+        del out[count:]
+        return out
+    nb = width // 8
+    raw = value.to_bytes(nb * count, "little")
+    return list(map(int.from_bytes,
+                    _field_digits(raw, nb, count, _byte_fields),
+                    repeat("little")))
+
+
 def _pack_ints(values, width: int) -> int:
     if width < 1:
         raise ValueError("digit width must be >= 1")
@@ -411,6 +467,12 @@ def _pack_ints(values, width: int) -> int:
     cutoff = _FIELD_PACK_MIN_DIGITS.get(width)
     if cutoff is not None and len(values) >= cutoff:
         return _pack_fields(values, width)
+    if (width > LIMB_BITS and width % 4 == 0
+            and len(values) >= _WIDE_MIN_DIGITS):
+        try:
+            return _pack_fields(values, width)
+        except struct.error:
+            pass  # a digit of 2**64 or more: no 64-bit field holds it
     values = list(values)
     values += [0] * (-len(values) % 8)
     s1, s2, s3, s4, s5, s6, s7 = range(width, 8 * width, width)
@@ -437,6 +499,8 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
     cutoff = _FIELD_UNPACK_MIN_DIGITS.get(width)
     if cutoff is not None and count >= cutoff:
         return _unpack_fields(value, width, count)
+    if width > LIMB_BITS and count >= _WIDE_MIN_DIGITS:
+        return _unpack_wide(value, width, count)
     ngroups = (count + 7) // 8
     raw = value.to_bytes(ngroups * width, "little")
     mask = (1 << width) - 1

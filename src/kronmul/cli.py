@@ -313,14 +313,24 @@ def _selftest_bignat(rng, iters, config, out):
     out(f"counted multiplies vs int multiply: ok ({iters} cases)")
 
 
-# Digit and recovery cases draw counts on both sides of every field cutoff.
+# Digit and recovery cases draw counts on both sides of every field cutoff,
+# and digit cases on both sides of the wide cutoff.
 _FIELD_MAX_CUTOFF = max(bignat._FIELD_UNPACK_MIN_DIGITS.values())
-_SELFTEST_MAX_DIGITS = 2 * _FIELD_MAX_CUTOFF
-# One (widths, counts) range per blit path: plain shifts; groups of eight, at
-# widths past the fields; strided fields, past every width's field cutoff.
-_DIGIT_TIERS = (((1, 142), (0, bignat._GROUP_MIN_DIGITS)),
-                ((65, 142), (bignat._GROUP_MIN_DIGITS, _SELFTEST_MAX_DIGITS)),
-                ((8, 65), (_FIELD_MAX_CUTOFF, _SELFTEST_MAX_DIGITS)))
+_SELFTEST_MAX_DIGITS = 2 * max(_FIELD_MAX_CUTOFF, bignat._WIDE_MIN_DIGITS)
+# One (widths, counts, digit bits) range per blit path: plain shifts; groups
+# of eight, at widths past the fields and counts short of the wide cutoff;
+# strided fields, past every width's field cutoff; the wide path, past its
+# cutoff, once with full-width digits (which pack by groups) and once with
+# 64-bit ones (which pack by fields where the width is divisible by 4).
+# Digit bits of None mean the full width.
+_DIGIT_TIERS = (((1, 142), (0, bignat._GROUP_MIN_DIGITS), None),
+                ((65, 142), (bignat._GROUP_MIN_DIGITS,
+                             bignat._WIDE_MIN_DIGITS), None),
+                ((8, 65), (_FIELD_MAX_CUTOFF, _SELFTEST_MAX_DIGITS), None),
+                ((65, 142), (bignat._WIDE_MIN_DIGITS, _SELFTEST_MAX_DIGITS),
+                 None),
+                ((65, 142), (bignat._WIDE_MIN_DIGITS, _SELFTEST_MAX_DIGITS),
+                 64))
 
 
 def _selftest_digits(rng, iters, out):
@@ -328,10 +338,10 @@ def _selftest_digits(rng, iters, out):
     # depend on its draws.  Widths reach 141 = 2*64 + 13, ks1's full width
     # for 64-bit coefficients and operands of up to 8192 terms.
     for i in range(iters):
-        widths, counts = _DIGIT_TIERS[i % 3]
+        widths, counts, bits = _DIGIT_TIERS[i % len(_DIGIT_TIERS)]
         width = rng.randrange(*widths)
         count = rng.randrange(*counts)
-        digits = [rng.randrange(1 << width) for _ in range(count)]
+        digits = [rng.randrange(1 << (bits or width)) for _ in range(count)]
         packed = bignat.from_digits(digits, width)
         back = bignat.to_digits(packed, width, count)
         _check(back == digits, "digit-roundtrip", (width, digits))

@@ -306,10 +306,53 @@ def test_digit_blits_match_reference(width):
             bignat._unpack_ints(1 << (width * count), width, count)
 
 
-@pytest.mark.parametrize("width, count", [(8, 3), (100, 48), (54, 48)])
+@pytest.mark.parametrize("width", [65, 100, 104, 128, 136, 160])
+def test_wide_digit_round_trips(width):
+    # The wide path's edges: one digit short of its cutoff and at it, and
+    # one block of byte-string fields and one digit past it (1024 / 1025
+    # digits at whole-byte widths, pairs at 2049 digits of width 100).
+    # Full-width digits pack by groups, 64-bit ones by fields where the
+    # width is divisible by 4.
+    assert bignat._WIDE_MIN_DIGITS == 384 and bignat._FIELD_BLOCK == 1024
+    rng = random.Random(width)
+    for count in (383, 384, 1024, 1025, 2049):
+        for bits in (width, 64):
+            digits = [rng.getrandbits(bits) for _ in range(count)]
+            packed = from_digits(digits, width)
+            assert packed == _reference_pack(digits, width)
+            assert to_digits(packed, width, count) == digits
+
+
+@pytest.mark.parametrize("width, count", [(100, 384), (104, 1025),
+                                          (136, 2049)])
+def test_wide_pack_digit_bound(monkeypatch, width, count):
+    # Digits up to 2**64 - 1 pack through 64-bit fields; a last digit of
+    # 2**64 sends the whole vector to the groups.
+    ran = []
+    fields = bignat._pack_fields
+
+    def recorded(values, w):
+        out = fields(values, w)
+        ran.append(w)
+        return out
+
+    monkeypatch.setattr(bignat, "_pack_fields", recorded)
+    rng = random.Random(count)
+    digits = [rng.getrandbits(64) for _ in range(count)]
+    for top, by_fields in ((2**64 - 1, True), (2**64, False)):
+        digits[-1] = top
+        ran.clear()
+        assert bignat._pack_ints(digits, width) == \
+            _reference_pack(digits, width)
+        assert ran == [width] * by_fields
+
+
+@pytest.mark.parametrize("width, count", [(8, 3), (100, 48), (54, 48),
+                                          (100, 384)])
 def test_unpack_rejects_negative_values(width, count):
-    # One case per path: plain shifts, groups, strided fields.  The shifts
-    # would read -5 as [251, 255, 255] at width 8, the fields as garbage.
+    # One case per path: plain shifts, groups, strided fields, wide.  The
+    # shifts would read -5 as [251, 255, 255] at width 8, the fields as
+    # garbage.
     with pytest.raises(ValueError, match="negative"):
         bignat._unpack_ints(-5, width, count)
 

@@ -205,24 +205,33 @@ def test_check_describes_cases_past_the_repr_limit():
 
 
 def test_digit_selftest_reaches_every_blit_path(monkeypatch):
-    # The three cases unpack by plain shifts, by groups and by fields.
-    counts, fields = [], []
+    # The five cases unpack by plain shifts, by groups, by fields and twice
+    # by the wide path; of the last two, only the one with 64-bit digits can
+    # pack by fields, and does where its width is divisible by 4.
+    cases, fields, wide, packed = [], [], [], []
 
-    def recorded(digits, width):
-        counts.append(len(digits))
-        return original(digits, width)
+    def recorder(name, log, key):
+        blit = getattr(bignat, name)
 
-    def recorded_fields(value, width, count):
-        fields.append(count)
-        return original_fields(value, width, count)
+        def recorded(*args):
+            out = blit(*args)
+            log.append(key(*args))
+            return out
+        monkeypatch.setattr(bignat, name, recorded)
 
-    original = bignat.from_digits
-    original_fields = bignat._unpack_fields
-    monkeypatch.setattr(bignat, "from_digits", recorded)
-    monkeypatch.setattr(bignat, "_unpack_fields", recorded_fields)
-    _selftest_digits(random.Random("digits-0"), 3, lambda *_: None)
-    assert counts[0] < bignat._GROUP_MIN_DIGITS <= counts[1]
-    assert fields == counts[2:]
+    recorder("from_digits", cases, lambda digits, width: (width, len(digits)))
+    recorder("_unpack_fields", fields, lambda value, width, count: count)
+    recorder("_unpack_wide", wide, lambda value, width, count: count)
+    recorder("_pack_fields", packed,
+             lambda values, width: (width, len(values)))
+    _selftest_digits(random.Random("digits-0"), 5, lambda *_: None)
+    (_, shifts), (_, groups), (_, field), (w3, wide3), (w4, wide4) = cases
+    assert shifts < bignat._GROUP_MIN_DIGITS <= groups
+    assert groups < bignat._WIDE_MIN_DIGITS <= min(wide3, wide4)
+    assert fields == [field]
+    assert wide3 in wide and wide4 in wide
+    assert (w3, wide3) not in packed
+    assert ((w4, wide4) in packed) == (w4 % 4 == 0)
 
 
 def test_bipoly_selftest_alone_catches_corrupted_multiply():

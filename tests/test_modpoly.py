@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kronmul import bignat
 from kronmul.bignat import BigNat, MulConfig
 from kronmul.modpoly import (_VARIANT_FUNCS, AutoThresholds, ModPoly, Variant,
                              choose_variant, mod_mul)
@@ -112,6 +113,31 @@ def test_randomized_against_oracle(bits):
             assert got.coeffs == want
             assert len(got.coeffs) == len(f.coeffs) + len(g.coeffs) - 1
             assert all(0 <= c < modulus for c in got.coeffs)
+
+
+@pytest.mark.parametrize("len_f, len_g", [(1500, 200), (600, 500)])
+def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
+                                                   len_g):
+    # At n = 2**64 - 59 every variant unpacks digits wider than 64 bits by
+    # the wide path: ks1 at width 136 and ks3 at 2*68 for (1500, 200), 137
+    # and 2*69 for (600, 500); ks2 and ks4 in their overlap recovery.
+    modulus = 2**64 - 59
+    rng = random.Random(len_f)
+    f = random_modpoly(rng, len_f, modulus)
+    g = random_modpoly(rng, len_g, modulus)
+    want = schoolbook_mod(f, g).coeffs
+    wide = []
+    unpack_wide = bignat._unpack_wide
+
+    def recorded(value, width, count):
+        wide.append(width)
+        return unpack_wide(value, width, count)
+
+    monkeypatch.setattr(bignat, "_unpack_wide", recorded)
+    for variant in EXPLICIT + [Variant.AUTO]:
+        wide.clear()
+        assert mod_mul(f, g, variant).coeffs == want
+        assert wide, variant
 
 
 def test_even_modulus_all_variants_agree():
