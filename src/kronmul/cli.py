@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
+import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 from . import bignat, oracle
 from .bignat import DEFAULT_MUL_CONFIG, MulConfig, MulStats
@@ -27,7 +31,8 @@ from .bipoly import BiPoly, MissingHalveError, bks_four, bks_negated, \
     bks_reciprocal, bks_standard, ring_z, ring_zmod
 from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
                     ks3_mul, ks4_mul, reconstruct_overlapped)
-from .modpoly import ModPoly, Variant, mod_mul
+from .modpoly import (DEFAULT_THRESHOLDS, ModPoly, Variant,
+                      choose_variant, mod_mul)
 from .pack import CoeffVec, pack, pack_negated, pack_reversed
 
 CSV_HEADER = "degree,length,modulus_bits,variant,wall_ns_median,limb_products,ratio_vs_ks1"
@@ -156,43 +161,70 @@ class BenchRow:
     wall_ns_median: int
     limb_products: int | None
     ratio_vs_ks1: float | None
+    length_g: int | None = None  # the second operand's, when it differs
+    wall_ns_iqr: int = 0
 
     def csv(self) -> str:
         ops = "" if self.limb_products is None else str(self.limb_products)
         ratio = "" if self.ratio_vs_ks1 is None else f"{self.ratio_vs_ks1:.4f}"
-        return (f"{self.degree},{self.length},{self.modulus_bits},"
+        length = (self.length if self.length_g is None
+                  else f"{self.length}x{self.length_g}")
+        return (f"{self.degree},{length},{self.modulus_bits},"
                 f"{self.variant},{self.wall_ns_median},{ops},{ratio}")
 
 
-def _median_call_ns(fn, reps: int) -> int:
-    fn()  # warm-up, discarded
-    # batch fast calls so each repetition measures at least ~2 ms
-    iters = 1
-    t0 = time.perf_counter_ns()
-    fn()
-    single = max(1, time.perf_counter_ns() - t0)
-    if single < 2_000_000:
-        iters = min(256, 2_000_000 // single + 1)
-    samples = []
-    for _ in range(reps):
+def _interleaved_samples(fns, reps: int) -> list[list[int]]:
+    """ns per call of each of ``fns``, one sample per repetition.
+
+    Each fn gets a discarded warm-up, and fast calls are batched so each
+    sample measures at least ~2 ms.  Every repetition times each fn once,
+    in turn, so a drift in the host's speed reaches all fns alike.
+    """
+    batches = []
+    for fn in fns:
+        fn()  # warm-up, discarded
         t0 = time.perf_counter_ns()
-        for _ in range(iters):
-            fn()
-        samples.append((time.perf_counter_ns() - t0) // iters)
-    return int(statistics.median(samples))
+        fn()
+        single = max(1, time.perf_counter_ns() - t0)
+        batches.append(min(256, 2_000_000 // single + 1)
+                       if single < 2_000_000 else 1)
+    samples = [[] for _ in fns]
+    for _ in range(reps):
+        for fn, iters, out in zip(fns, batches, samples):
+            t0 = time.perf_counter_ns()
+            for _ in range(iters):
+                fn()
+            out.append((time.perf_counter_ns() - t0) // iters)
+    return samples
+
+
+def _bench_inputs(cells, modulus_bits: int, seed: int):
+    """The drawn modulus and one (f, g) pair per (len_f, len_g) cell."""
+    if modulus_bits < 1 or modulus_bits > 64:
+        raise CommandError("modulus bits must be in [1, 64]")
+    rng = random.Random(seed)
+    modulus = max(2, rng.randrange(1 << (modulus_bits - 1), 1 << modulus_bits)
+                  if modulus_bits > 1 else 2)
+
+    def draw(length):
+        return ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
+                       modulus)
+
+    return modulus, [(draw(len_f), draw(len_g)) for len_f, len_g in cells]
 
 
 def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
-              count_ops: bool = False, config: MulConfig | None = None):
-    """Time every (degree, variant) cell on shared random inputs.
+              count_ops: bool = False, config: MulConfig | None = None,
+              shapes=()):
+    """Time every (cell, variant) on shared random inputs: one cell of equal
+    lengths degree + 1 per degree, then one per (len_f, len_g) in
+    ``shapes``.
 
     Returns (comment_lines, rows).  In op-counting mode all products run
     classically so the counters follow the deterministic m*n law.
     """
     if reps < 1:
         raise CommandError("reps must be >= 1")
-    if modulus_bits < 1 or modulus_bits > 64:
-        raise CommandError("modulus bits must be in [1, 64]")
     variants = [v if isinstance(v, Variant) else _parse_variant(v)
                 for v in variants]
     if any(v is Variant.AUTO for v in variants):
@@ -201,37 +233,33 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
         config = mul_config_from_env()
     if count_ops:
         config = replace(config, classical_only=True)
-    rng = random.Random(seed)
-    modulus = max(2, rng.randrange(1 << (modulus_bits - 1), 1 << modulus_bits)
-                  if modulus_bits > 1 else 2)
+    cells = [(d + 1, d + 1) for d in degrees] + [tuple(s) for s in shapes]
+    modulus, inputs = _bench_inputs(cells, modulus_bits, seed)
     comments = [f"# seed={seed} modulus={modulus} "
                 f"classical_only={config.classical_only} "
                 f"karatsuba_threshold={config.karatsuba_threshold}"]
     rows: list[BenchRow] = []
-    for degree in degrees:
-        length = degree + 1
-        f = ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
-                    modulus)
-        g = ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
-                    modulus)
-        cell: dict[Variant, BenchRow] = {}
-        for variant in variants:
-            def call(v=variant):
-                return mod_mul(f, g, v, config=config)
-
-            median = _median_call_ns(call, reps)
+    for f, g in inputs:
+        calls = [lambda v=v: mod_mul(f, g, v, config=config)
+                 for v in variants]
+        cell = []
+        for variant, samples in zip(variants,
+                                    _interleaved_samples(calls, reps)):
             ops = None
             if count_ops:
                 stats = MulStats()
                 mod_mul(f, g, variant, config=config, stats=stats)
                 ops = stats.limb_products
-            row = BenchRow(degree, length, modulus_bits, variant.value,
-                           median, ops, None)
-            cell[variant] = row
-            rows.append(row)
-        base = cell.get(Variant.KS1)
+            q1, _, q3 = (statistics.quantiles(samples, n=4)
+                         if reps > 1 else samples * 3)
+            cell.append(BenchRow(
+                len(f) - 1, len(f), modulus_bits, variant.value,
+                int(statistics.median(samples)), ops, None,
+                len(g) if len(g) != len(f) else None, int(q3 - q1)))
+        rows.extend(cell)
+        base = next((r for r in cell if r.variant == "ks1"), None)
         if base is not None and base.wall_ns_median > 0:
-            for row in cell.values():
+            for row in cell:
                 row.ratio_vs_ks1 = row.wall_ns_median / base.wall_ns_median
     return comments, rows
 
@@ -243,9 +271,93 @@ def render_csv(comments, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The bench file's grid: equal lengths from JSON_DEGREES, then these
+# shapes.  The long sides of zn-unbalanced against its short ones; the
+# short cells AUTO's ks1 band is read from; and the lengths of
+# zn-bivariate's four-point products (520, 528, 544, 1024) with 600
+# between them, where the ks3 band ends.
+JSON_DEGREES = "16:8192:log"
+JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
+                     for short in (16, 64, 256))
+               + tuple((n, n) for n in (8, 12, 16, 20, 24, 28, 32, 40, 48,
+                                        56, 64))
+               + ((8, 48), (16, 48), (8, 64))
+               + tuple((n, n) for n in (520, 528, 544, 600, 1024)))
+_VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
+
+
+def _git(*args) -> str | None:
+    # The checkout this package was loaded from, if it is one.
+    try:
+        done = subprocess.run(["git", *args], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
+               seed: int) -> dict:
+    """The bench file's content: every variant timed under ``MulConfig()``
+    on each cell, with exact word products under ``MulConfig()`` and under
+    ``classical_only``, and AUTO's pick (not timed)."""
+    config = MulConfig()
+    classical = replace(config, classical_only=True)
+    _, rows = run_bench(degrees, modulus_bits, _VARIANTS, reps, seed,
+                        config=config, shapes=shapes)
+    cells = [(d + 1, d + 1) for d in degrees] + [tuple(s) for s in shapes]
+    modulus, inputs = _bench_inputs(cells, modulus_bits, seed)
+    out = []
+    for i, (f, g) in enumerate(inputs):
+        timed = rows[i * len(_VARIANTS):(i + 1) * len(_VARIANTS)]
+        variants = {}
+        for variant, row in zip(_VARIANTS, timed):
+            counts = []
+            for cfg in (config, classical):
+                stats = MulStats()
+                mod_mul(f, g, variant, config=cfg, stats=stats)
+                counts.append(stats.limb_products)
+            variants[variant.value] = {
+                "wall_ns_median": row.wall_ns_median,
+                "wall_ns_iqr": row.wall_ns_iqr,
+                "ratio_vs_ks1": round(row.ratio_vs_ks1, 4),
+                "word_products": counts[0],
+                "word_products_classical": counts[1]}
+        out.append({"len_f": len(f), "len_g": len(g),
+                    "auto": choose_variant(len(f), len(g)).value,
+                    "fastest": min(timed,
+                                   key=lambda r: r.wall_ns_median).variant,
+                    "variants": variants})
+    dirty = _git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": _git("rev-parse", "HEAD"),
+            "dirty": None if dirty is None else bool(dirty),
+            "nproc": os.cpu_count(),
+            "python": f"{platform.python_implementation()} "
+                      f"{platform.python_version()}",
+            "mul_config": asdict(config),
+            "auto_thresholds": asdict(DEFAULT_THRESHOLDS),
+            "seed": seed, "reps": reps, "modulus_bits": modulus_bits,
+            "modulus": modulus, "cells": out}
+
+
 def cmd_bench(args) -> int:
-    degrees = parse_degree_grid(args.degrees)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if args.json:
+        if args.variants is not None or args.count_ops or args.output:
+            raise CommandError("--json times every variant and counts both "
+                               "ways; drop --variants, --count-ops and -o")
+        grid = bench_grid(parse_degree_grid(args.degrees or JSON_DEGREES),
+                          JSON_SHAPES, args.modulus_bits, args.reps,
+                          args.seed)
+        try:
+            with open(args.json, "w", encoding="ascii") as fh:
+                json.dump(grid, fh, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            raise CommandError(f"cannot write {args.json}: {exc}")
+        return 0
+    degrees = parse_degree_grid(args.degrees or "100:5000:log")
+    variants = [v.strip() for v in (args.variants or "ks1,ks2,ks3,ks4")
+                .split(",") if v.strip()]
     if not variants:
         raise CommandError("no variants requested")
     comments, rows = run_bench(degrees, args.modulus_bits, variants,
@@ -531,9 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="benchmark variants to CSV")
     p_bench.add_argument("--modulus-bits", type=int, default=48)
-    p_bench.add_argument("--degrees", default="100:5000:log",
-                         help="grid: lo:hi:log or lo:hi:+step")
-    p_bench.add_argument("--variants", default="ks1,ks2,ks3,ks4")
+    p_bench.add_argument("--degrees",
+                         help="grid: lo:hi:log or lo:hi:+step (default "
+                              "100:5000:log, with --json " + JSON_DEGREES + ")")
+    p_bench.add_argument("--variants", help="default ks1,ks2,ks3,ks4")
     p_bench.add_argument("--reps", type=int, default=5,
                          help="timed repetitions per cell (median taken)")
     p_bench.add_argument("--seed", type=int, default=1)
@@ -541,6 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also record word-product counts "
                               "(forces classical multiplication)")
     p_bench.add_argument("-o", "--output", help="CSV file (default stdout)")
+    p_bench.add_argument("--json", metavar="PATH",
+                         help="write the north-star grid as JSON instead "
+                              "of CSV: every variant, both word-product "
+                              "counts and AUTO's pick per cell")
     p_bench.set_defaults(func=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run the seeded self-test")

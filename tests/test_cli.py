@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -5,15 +6,16 @@ import sys
 
 import pytest
 
-from kronmul import bignat
-from kronmul.bignat import BigNat, MulConfig, mul
-from kronmul.cli import (CSV_HEADER, CommandError, _check,
-                         _corrupted_multiply, _selftest_bipoly,
+from kronmul import bignat, cli
+from kronmul.bignat import BigNat, MulConfig, MulStats, mul
+from kronmul.cli import (CSV_HEADER, JSON_DEGREES, CommandError,
+                         _bench_inputs, _check, _corrupted_multiply,
+                         _selftest_bipoly,
                          _selftest_digits, _SelfTestFailure, main,
                          mul_config_from_env, parse_degree_grid,
                          read_poly_file, render_csv, run_bench, run_selftest,
                          write_poly_file)
-from kronmul.modpoly import ModPoly, mod_mul
+from kronmul.modpoly import ModPoly, Variant, choose_variant, mod_mul
 
 EXAMPLE_F = "1000003\n4\n274 610 887 621\n"
 EXAMPLE_G = "1000003\n4\n553 298 424 790\n"
@@ -141,6 +143,74 @@ def test_bench_count_ops_forces_classical():
     assert "classical_only=True" in comments[0]
     assert [r.limb_products for r in rows] == \
         [r.limb_products for r in classical]
+
+
+def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
+    # Every word-product cell of the file equals a MulStats count taken
+    # here on the same seeded inputs, under MulConfig() and classically.
+    monkeypatch.setattr(cli, "JSON_SHAPES", ((9, 3), (3, 9)))
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--json", str(out), "--degrees", "4:8:+4",
+                 "--reps", "2", "--seed", "3"]) == 0
+    grid = json.loads(out.read_text())
+    assert {"commit", "nproc", "python", "mul_config", "seed",
+            "modulus"} <= set(grid)
+    assert grid["mul_config"] == {"karatsuba_threshold": 16,
+                                  "classical_only": False}
+    cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
+    assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
+    modulus, inputs = _bench_inputs(cells, 48, 3)
+    assert grid["seed"] == 3 and grid["modulus"] == modulus
+    configs = {"word_products": MulConfig(),
+               "word_products_classical": MulConfig(classical_only=True)}
+    for cell, (f, g) in zip(grid["cells"], inputs):
+        assert cell["auto"] == choose_variant(len(f), len(g)).value
+        assert cell["variants"]["ks1"]["ratio_vs_ks1"] == 1.0
+        for variant in ("ks1", "ks2", "ks3", "ks4"):
+            row = cell["variants"][variant]
+            assert row["wall_ns_median"] > 0
+            for key, config in configs.items():
+                stats = MulStats()
+                mod_mul(f, g, Variant(variant), stats=stats, config=config)
+                assert row[key] == stats.limb_products, (cell, variant, key)
+
+
+def test_bench_json_rejects_csv_options(tmp_path, capsys):
+    out = str(tmp_path / "bench.json")
+    for extra in (["--count-ops"], ["--variants", "ks1"], ["-o", out]):
+        assert main(["bench", "--json", out, "--degrees", "4:4:+1"]
+                    + extra) == 1
+        assert "--json" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# Classical ks1/ks2 and ks1/ks4 word-product ratios on the bench grid's
+# equal lengths (JSON_DEGREES), 48-bit modulus, seed 1.  ks4's ratio
+# approaches the paper's 4 as e = ceil(log2 L) amortizes.
+GRID_CLASSICAL_RATIOS = {
+    17: (1.724, 2.641), 23: (1.795, 3.24), 32: (1.849, 3.189),
+    44: (2.0, 3.393), 60: (1.959, 3.61), 84: (1.914, 3.719),
+    116: (1.917, 3.754), 160: (2.0, 3.88), 222: (1.978, 3.913),
+    308: (1.961, 3.715), 428: (1.955, 3.761), 593: (2.0, 3.827),
+    824: (1.994, 3.841), 1143: (1.96, 3.911), 1587: (1.963, 3.92),
+    2204: (1.999, 3.989), 3060: (1.999, 3.992), 4249: (1.963, 3.784),
+    5900: (1.963, 3.786), 8193: (2.0, 3.857)}
+
+
+def test_grid_classical_word_product_ratios():
+    cells = [(d + 1, d + 1) for d in parse_degree_grid(JSON_DEGREES)]
+    _, inputs = _bench_inputs(cells, 48, 1)
+    config = MulConfig(classical_only=True)
+    ratios = {}
+    for f, g in inputs:
+        counts = []
+        for variant in (Variant.KS1, Variant.KS2, Variant.KS4):
+            stats = MulStats()
+            mod_mul(f, g, variant, stats=stats, config=config)
+            counts.append(stats.limb_products)
+        ks1, ks2, ks4 = counts
+        ratios[len(f)] = (round(ks1 / ks2, 3), round(ks1 / ks4, 3))
+    assert ratios == GRID_CLASSICAL_RATIOS
 
 
 def test_bench_rejects_bad_grid(capsys):
