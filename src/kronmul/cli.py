@@ -250,12 +250,14 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
                 stats = MulStats()
                 mod_mul(f, g, variant, config=config, stats=stats)
                 ops = stats.limb_products
-            q1, _, q3 = (statistics.quantiles(samples, n=4)
-                         if reps > 1 else samples * 3)
+            iqr = 0
+            if reps > 1:
+                q1, _, q3 = statistics.quantiles(samples, n=4)
+                iqr = int(q3 - q1)
             cell.append(BenchRow(
                 len(f) - 1, len(f), modulus_bits, variant.value,
                 int(statistics.median(samples)), ops, None,
-                len(g) if len(g) != len(f) else None, int(q3 - q1)))
+                len(g) if len(g) != len(f) else None, iqr))
         rows.extend(cell)
         base = next((r for r in cell if r.variant == "ks1"), None)
         if base is not None and base.wall_ns_median > 0:

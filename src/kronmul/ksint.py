@@ -23,20 +23,28 @@ reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
 h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
 is 0): no carry is chased digit by digit.
 
+ks3 blits each operand once, at N >= b, where its slots cannot overlap:
+masking the odd slots of x = v(2**N) gives the odd terms' sum, so
+v(-2**N) = x - 2*(x & mask), with one cached mask per width.  ks4's
+quarter width lies below b whenever e < 2b, and then its slots overlap; it
+blits the even and odd parts at 2N instead, v(+-X) = E(X**2) +- X*O(X**2),
+forward and reversed.
+
 The two (or four) inner products of ks2/ks3/ks4 run one after another
 and add their word products straight into the caller's ``stats``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints, mul,
                      mul_signed)
-# ks3 and ks4 evaluate through pack and pack_reversed of the even/odd parts.
-# perfbench's tracer wraps all four pack names in this namespace, so the
-# negated ones stay imported.
+# ks3 packs each operand through pack, ks4 its even/odd parts through pack
+# and pack_reversed.  perfbench's tracer wraps all four pack names in this
+# namespace, so the negated ones stay imported.
 from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                    pack_reversed)
 
@@ -210,9 +218,18 @@ def reconstruct_overlapped(d: OverlapDigits, *, with_carries: bool = False):
     return out, fwd_carries + [0], rev_carries
 
 
+# Keyed on plain ints (lengths and a CoeffVec's checked bound), so a hit
+# skips derive_params' checks and the frozen KsParams build.  4096 entries
+# hold every shape of lengths up to 64 at one bound, at about 300 bytes each
+# with the key: at most 1.2 MB.
+@functools.lru_cache(maxsize=4096)
+def _cached_params(len_f: int, len_g: int, coeff_bits: int) -> KsParams:
+    return derive_params(len_f, len_g, coeff_bits)
+
+
 def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
-    return derive_params(len(f), len(g),
-                         max(f.width_bound_bits, g.width_bound_bits))
+    return _cached_params(len(f), len(g),
+                          max(f.width_bound_bits, g.width_bound_bits))
 
 
 def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -244,9 +261,9 @@ def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
-    """v at 2**n and -2**n and, if ``reciprocal``, at 2**(-n) and -2**(-n)
-    (normalized by 2**(n*(L-1))), from one blit per even/odd part and point.
+def _evaluations(v: CoeffVec, n: int) -> list[int]:
+    """v at 2**n, -2**n, 2**(-n) and -2**(-n) (the last two normalized by
+    2**(n*(L-1))), from one blit per even/odd part and point.
 
     With E and O the even and odd parts, v(+-X) = E(X**2) +- X*O(X**2).
     Reversing puts the part holding v's last coefficient at the bottom and
@@ -257,15 +274,55 @@ def _evaluations(v: CoeffVec, n: int, reciprocal: bool) -> list[int]:
     e = pack(even, w)
     o = pack(odd, w) << n if odd is not None else 0
     values = [e + o, e - o]
-    if reciprocal:
-        e = pack_reversed(even, w)
-        o = pack_reversed(odd, w) if odd is not None else 0
-        if len(v) % 2:
-            o <<= n
-        else:
-            e <<= n
-        values += [e + o, e - o]
-    return values
+    e = pack_reversed(even, w)
+    o = pack_reversed(odd, w) if odd is not None else 0
+    if len(v) % 2:
+        o <<= n
+    else:
+        e <<= n
+    return values + [e + o, e - o]
+
+
+# Odd-slot masks by slot width: width -> (slots, mask), where the mask has
+# all `width` bits of every odd slot below `slots` set.  A longer request
+# replaces its width's entry, a new width past _MASK_WIDTHS empties the
+# cache first, and masks above _MASK_MAX_BITS are built per call and not
+# kept.  So the cache holds at most 16 masks of 128 KB: 2 MB.  The bit
+# bound keeps every operand of up to 8192 coefficients at widths up to 128;
+# ks3's width there is at most 71, for 64-bit coefficients.
+_MASK_WIDTHS = 16
+_MASK_MAX_BITS = 1 << 20
+_odd_masks: dict[int, tuple[int, int]] = {}
+
+
+def _odd_slot_mask(width: int, count: int) -> int:
+    """A mask of every odd slot of `width` bits among at least `count`."""
+    slots, mask = _odd_masks.get(width, (0, 0))
+    if slots >= count:
+        return mask
+    # Slot 1 set, then doubled until the mask spans `count` slots.
+    mask = ((1 << width) - 1) << width
+    slots = 2
+    while slots < count:
+        mask |= mask << (slots * width)
+        slots *= 2
+    if slots * width <= _MASK_MAX_BITS:
+        if width not in _odd_masks and len(_odd_masks) >= _MASK_WIDTHS:
+            _odd_masks.clear()
+        _odd_masks[width] = slots, mask
+    return mask
+
+
+def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
+    """v at 2**n and -2**n from one blit.
+
+    With n >= v's bound the slots of x = v(2**n) never overlap, so
+    x & mask over the odd slots is the odd terms' sum, and
+    v(-2**n) = x - 2*(x & mask).
+    """
+    assert n >= v.width_bound_bits
+    x = pack(v, n)
+    return x, x - ((x & _odd_slot_mask(n, len(v))) << 1)
 
 
 def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
@@ -286,9 +343,8 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     """Negated variant: products at +-2**N; the half-sum holds the even-index
     output coefficients and the half-difference the odd ones."""
     p = _params_for(f, g)
-    n = p.width_half
-    pos, neg = _signed_products(_evaluations(f, n, False),
-                                _evaluations(g, n, False),
+    n = p.width_half  # b + ceil(e/2) >= b, as _plus_minus needs
+    pos, neg = _signed_products(_plus_minus(f, n), _plus_minus(g, n),
                                 stats, config)
     k = p.out_len
     even = _unpack_ints(_shr_exact(pos + neg, 1), 2 * n, (k + 1) // 2)
@@ -317,9 +373,8 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
         prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
         return CoeffVec((prod,), p.out_bound_bits)
     n = p.width_quarter
-    fwd, neg, rev, nrev = _signed_products(_evaluations(f, n, True),
-                                           _evaluations(g, n, True),
-                                           stats, config)
+    fwd, neg, rev, nrev = _signed_products(_evaluations(f, n),
+                                           _evaluations(g, n), stats, config)
     k = p.out_len
     # The reversed half-sums are normalized by 2**(n*(k-1)); aligning them
     # with the reversed packings of the even/odd output parts (normalized by

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bignat import MulConfig, MulStats
 from .ksint import ks1_mul, ks2_mul, ks3_mul, ks4_mul
@@ -83,12 +84,27 @@ class AutoThresholds:
     scale with the output length, which the longer operand sets; a
     long-by-short product pays those linear stages for little saving.
 
-    Crossovers are machine dependent; these defaults were calibrated with
-    the shipped benchmark (``kronmul bench``) on this implementation.
+    The defaults are read from ``BENCH_ks3_mask.json`` (``kronmul bench
+    --json``: 48-bit modulus, ``MulConfig()``, median of 9 interleaved
+    repetitions, CPython 3.11 on a shared 2-core host).  Time ratios to
+    ks1 in the same cell:
+
+    - ks1_max_length = 20: ks3/ks1 is 1.22 at 16x16, 1.03 at 20x20, then
+      0.88 at 24x24, 0.90 at 23x23 and 0.86 at 32x32; with a short side,
+      1.04 at 8x48 and 0.97 at 8x64.
+    - ks3_max_length = 600: ks3/ks4 is 0.98 at 520x520, 0.94 at 544x544
+      and 0.97 at 600x600 (the lengths of zn-bivariate's four-point
+      products run 520 to 544), then 1.10 at 824x824 and 1.08 at
+      1024x1024.
+
+    The crossovers depend on the machine and the multiply backend.  Both
+    rules key on one length each, so no pair of constants fits every
+    shape: with a side of 8, ks3 overtakes ks1 only once the other side
+    reaches about 40.
     """
 
-    ks1_max_length: int = 48
-    ks3_max_length: int = 512
+    ks1_max_length: int = 20
+    ks3_max_length: int = 600
 
 
 DEFAULT_THRESHOLDS = AutoThresholds()
@@ -133,4 +149,5 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     product = _VARIANT_FUNCS[variant](_validated(f.coeffs, coeff_bits),
                                       _validated(g.coeffs, coeff_bits),
                                       stats=stats, config=config)
-    return _reduced(tuple(c % n for c in product.coeffs), n)
+    return _reduced(tuple(map(operator.mod, product.coeffs, repeat(n))),
+                    n)

@@ -4,10 +4,11 @@ import pytest
 
 from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
                             MulStats)
+from kronmul import ksint
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
-                           _four_point_safe, _overlap_unpack, _shr_exact,
-                           derive_params, ks1_mul, ks2_mul, ks3_mul, ks4_mul,
-                           reconstruct_overlapped)
+                           _four_point_safe, _odd_slot_mask, _overlap_unpack,
+                           _plus_minus, _shr_exact, derive_params, ks1_mul,
+                           ks2_mul, ks3_mul, ks4_mul, reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
@@ -305,8 +306,9 @@ def test_four_point_bound_always_holds():
 
 @pytest.mark.parametrize("b", [1, 4, 48, 64])
 def test_split_evaluations_match_whole_vector_packs(b):
-    # the even/odd split must reproduce every whole-vector pack, for odd
-    # and even lengths and beside an operand of length 1
+    # ks4's even/odd split and ks3's one blit with its odd-slot mask must
+    # reproduce every whole-vector pack, for odd and even lengths and beside
+    # an operand of length 1
     rng = random.Random(b)
     top = (1 << b) - 1
     for length in range(1, 10):
@@ -316,11 +318,70 @@ def test_split_evaluations_match_whole_vector_packs(b):
                            tuple(rng.randrange(top + 1) for _ in range(length))):
                 v = CoeffVec(coeffs, b)
                 nq, nh = p.width_quarter, p.width_half
-                assert _evaluations(v, nq, True) == [
+                assert _evaluations(v, nq) == [
                     pack(v, nq), pack_negated(v, nq), pack_reversed(v, nq),
                     pack_negated_reversed(v, nq)]
-                assert _evaluations(v, nh, False) == [
+                assert nh >= b
+                assert list(_plus_minus(v, nh)) == [
                     pack(v, nh), pack_negated(v, nh)]
+
+
+def test_plus_minus_needs_non_overlapping_slots():
+    # Below the bound, slots overlap and the mask would cut coefficients.
+    v = CoeffVec((5, 7, 6), 3)
+    assert _plus_minus(v, 3) == (pack(v, 3), pack_negated(v, 3))
+    with pytest.raises(AssertionError):
+        _plus_minus(v, 2)
+
+
+def test_odd_slot_mask_cache(monkeypatch):
+    # At one width: a short mask, then a longer one that replaces it, then
+    # the short request again, which reads the longer mask.
+    monkeypatch.setattr(ksint, "_odd_masks", {})
+
+    def covers(mask, width, count):
+        ones = (1 << width) - 1
+        odd = sum(ones << (i * width) for i in range(1, count, 2))
+        return mask & ((1 << (count * width)) - 1) == odd
+
+    width = 7
+    short = _odd_slot_mask(width, 3)
+    assert covers(short, width, 3)
+    longer = _odd_slot_mask(width, 40)
+    assert covers(longer, width, 40)
+    assert ksint._odd_masks[width][0] >= 40
+    again = _odd_slot_mask(width, 3)
+    assert again == longer and covers(again, width, 3)
+    v = CoeffVec(tuple(range(100, 103)), width)
+    assert _plus_minus(v, width) == (pack(v, width), pack_negated(v, width))
+    # A mask past the bit bound is built for the call and not kept.
+    assert _odd_slot_mask(8, 2) == 0xff00
+    count = ksint._MASK_MAX_BITS // 8 + 3
+    odd_bytes = (b"\0\xff" * count)[:count]
+    mask = _odd_slot_mask(8, count)
+    assert mask & ((1 << (8 * count)) - 1) == int.from_bytes(odd_bytes,
+                                                             "little")
+    assert ksint._odd_masks[8] == (2, 0xff00)
+    # A new width past the bound empties the cache first.
+    for w in range(9, 7 + ksint._MASK_WIDTHS):
+        _odd_slot_mask(w, 2)
+    assert len(ksint._odd_masks) == ksint._MASK_WIDTHS
+    _odd_slot_mask(7 + ksint._MASK_WIDTHS, 2)
+    assert list(ksint._odd_masks) == [7 + ksint._MASK_WIDTHS]
+
+
+@pytest.mark.parametrize("b,len_f,len_g", [
+    (1, 1, 1), (1, 1, 9), (1, 7, 2), (1, 33, 5),
+    (64, 1, 1), (64, 1, 17), (64, 40, 3), (64, 130, 257)])
+def test_ks3_edge_shapes_against_oracle(b, len_f, len_g):
+    # b = 1 and b = 64 (a 64-bit modulus), L = 1 and unequal lengths in
+    # either order, all-max and random coefficients.
+    rng = random.Random(b * 1000 + len_f * 10 + len_g)
+    top = (1 << b) - 1
+    for draw in (lambda: top, lambda: rng.randrange(top + 1)):
+        f = CoeffVec(tuple(draw() for _ in range(len_f)), b)
+        g = CoeffVec(tuple(draw() for _ in range(len_g)), b)
+        assert ks3_mul(f, g).coeffs == schoolbook_z(f, g).coeffs
 
 
 # Word products per variant (ks1, ks2, ks3, ks4) under the default config

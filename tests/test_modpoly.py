@@ -1,8 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from kronmul import bignat
+from kronmul import bignat, ksint
 from kronmul.bignat import BigNat, MulConfig
 from kronmul.modpoly import (_VARIANT_FUNCS, AutoThresholds, ModPoly, Variant,
                              choose_variant, mod_mul)
@@ -78,6 +81,39 @@ def test_one_check_per_direction(monkeypatch, variant):
         assert h.coeffs == schoolbook_mod(f, g).coeffs
         checked = ModPoly(h.coeffs, n)
         assert h == checked and hash(h) == hash(checked)
+
+
+def test_caches_keep_type_checks():
+    # mod_mul fills ksint's params memo and odd-slot masks for length 1 at
+    # 48 bits; the public entry points must still refuse 1.0 and "1" for
+    # that same shape, which a cache keyed on equal values would let by.
+    n = (1 << 48) - 59
+    one = ModPoly((1,), n)
+    for variant in EXPLICIT + [Variant.AUTO]:
+        assert mod_mul(one, one, variant).coeffs == (1,)
+    assert ksint._cached_params(1, 1, 48) == ksint.derive_params(1, 1, 48)
+    for bad in (1.0, "1"):
+        for args in ((bad, 1, 48), (1, bad, 48), (1, 1, bad)):
+            with pytest.raises(TypeError):
+                ksint.derive_params(*args)
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError):
+                choose_variant(*args)
+        with pytest.raises(TypeError):
+            ModPoly((bad,), n)
+    with pytest.raises(TypeError):
+        ModPoly((1,), float(n))
+
+
+def test_import_builds_no_cache():
+    # Nothing is built at import, so setup time does not grow.
+    code = ("import kronmul.ksint as k; "
+            "print(len(k._odd_masks), k._cached_params.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(ksint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_mod_mul_worked_example():
@@ -173,9 +209,9 @@ def test_choose_variant_table():
     ks1, ks3, ks4 = Variant.KS1, Variant.KS3, Variant.KS4
     custom = AutoThresholds(ks1_max_length=2, ks3_max_length=4)
     rows = [
-        ((1, 7), ks1), ((16, 4), ks1), ((48, 48), ks1), ((48, 8), ks1),
-        ((49, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
-        ((4096, 512), ks3), ((4096, 513), ks4), ((1000, 1000), ks4),
+        ((1, 7), ks1), ((16, 4), ks1), ((20, 20), ks1), ((20, 8), ks1),
+        ((21, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
+        ((4096, 600), ks3), ((4096, 601), ks4), ((1000, 1000), ks4),
         ((2, 2, custom), ks1), ((3, 1, custom), ks3),
         ((3, 10, custom), ks3), ((4, 1000, custom), ks3),
         ((5, 10, custom), ks4),
@@ -203,7 +239,7 @@ def test_auto_dispatch(monkeypatch):
     rng = random.Random(11)
     n = (1 << 48) - 59
     for len_f, len_g, want in ((300, 7, Variant.KS3), (7, 600, Variant.KS3),
-                               (48, 5, Variant.KS1), (513, 600, Variant.KS4)):
+                               (20, 5, Variant.KS1), (601, 700, Variant.KS4)):
         f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
         del ran[:]
         assert mod_mul(f, g).coeffs == schoolbook_mod(f, g).coeffs
