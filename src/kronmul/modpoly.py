@@ -85,22 +85,22 @@ class AutoThresholds:
     long-by-short product pays those linear stages for little saving.
 
     The defaults are read from ``BENCH_ks3_mask.json`` (``kronmul bench
-    --json``: 48-bit modulus, ``MulConfig()``, median of 9 interleaved
-    repetitions, CPython 3.11 on a shared 2-core host).  Time ratios to
-    ks1 in the same cell:
+    --json``: 48-bit modulus, ``MulConfig()``, median of 21 interleaved
+    repetitions, CPython 3.11 on a shared 2-core host):
 
-    - ks1_max_length = 20: ks3/ks1 is 1.22 at 16x16, 1.03 at 20x20, then
-      0.88 at 24x24, 0.90 at 23x23 and 0.86 at 32x32; with a short side,
-      1.04 at 8x48 and 0.97 at 8x64.
-    - ks3_max_length = 600: ks3/ks4 is 0.98 at 520x520, 0.94 at 544x544
-      and 0.97 at 600x600 (the lengths of zn-bivariate's four-point
-      products run 520 to 544), then 1.10 at 824x824 and 1.08 at
-      1024x1024.
+    - ks1_max_length = 20: ks3/ks1 is 1.26 at 8x8, 1.09 at 12x12 and
+      17x17, 0.98 at 16x16 and 0.96 at 20x20 (ties within the cells'
+      spread), then 0.93 at 23x23, 0.88 at 24x24 and 32x32, 0.90 at 28x28.
+      With a short side it is 0.95 at 8x48 and 0.99 at 8x64.
+    - ks3_max_length = 600: ks3/ks4 is 0.96 at 520x520, 0.93 at 528x528,
+      0.84 at 544x544 (zn-bivariate's four-point products have these
+      lengths), 1.01 at 593x593 and 0.97 at 600x600, then 1.06 at
+      824x824 and 1.07 at 1024x1024.
 
-    The crossovers depend on the machine and the multiply backend.  Both
-    rules key on one length each, so no pair of constants fits every
-    shape: with a side of 8, ks3 overtakes ks1 only once the other side
-    reaches about 40.
+    The crossovers depend on the machine and the multiply backend.  Each
+    band keys on one length, so no pair of constants fits every shape:
+    with a side of 8, ks3 overtakes ks1 only once the other side reaches
+    about 40.
     """
 
     ks1_max_length: int = 20
