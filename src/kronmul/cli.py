@@ -198,8 +198,9 @@ def _interleaved_samples(fns, reps: int) -> list[list[int]]:
     return samples
 
 
-def _bench_inputs(cells, modulus_bits: int, seed: int):
-    """The drawn modulus and one (f, g) pair per (len_f, len_g) cell."""
+def _bench_inputs(degrees, shapes, modulus_bits: int, seed: int):
+    """The drawn modulus and one (f, g) pair per cell: equal lengths
+    degree + 1 per degree, then one cell per (len_f, len_g) in shapes."""
     if modulus_bits < 1 or modulus_bits > 64:
         raise CommandError("modulus bits must be in [1, 64]")
     rng = random.Random(seed)
@@ -210,15 +211,15 @@ def _bench_inputs(cells, modulus_bits: int, seed: int):
         return ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),
                        modulus)
 
+    cells = [(d + 1, d + 1) for d in degrees] + list(shapes)
     return modulus, [(draw(len_f), draw(len_g)) for len_f, len_g in cells]
 
 
 def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
               count_ops: bool = False, config: MulConfig | None = None,
               shapes=()):
-    """Time every (cell, variant) on shared random inputs: one cell of equal
-    lengths degree + 1 per degree, then one per (len_f, len_g) in
-    ``shapes``.
+    """Time every (cell, variant) on shared random inputs (cells as in
+    ``_bench_inputs``).
 
     Returns (comment_lines, rows).  In op-counting mode all products run
     classically so the counters follow the deterministic m*n law.
@@ -233,8 +234,7 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
         config = mul_config_from_env()
     if count_ops:
         config = replace(config, classical_only=True)
-    cells = [(d + 1, d + 1) for d in degrees] + [tuple(s) for s in shapes]
-    modulus, inputs = _bench_inputs(cells, modulus_bits, seed)
+    modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
     comments = [f"# seed={seed} modulus={modulus} "
                 f"classical_only={config.classical_only} "
                 f"karatsuba_threshold={config.karatsuba_threshold}"]
@@ -307,8 +307,7 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
     classical = replace(config, classical_only=True)
     _, rows = run_bench(degrees, modulus_bits, _VARIANTS, reps, seed,
                         config=config, shapes=shapes)
-    cells = [(d + 1, d + 1) for d in degrees] + [tuple(s) for s in shapes]
-    modulus, inputs = _bench_inputs(cells, modulus_bits, seed)
+    modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
     out = []
     for i, (f, g) in enumerate(inputs):
         timed = rows[i * len(_VARIANTS):(i + 1) * len(_VARIANTS)]
@@ -643,11 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["ks1", "ks2", "ks3", "ks4", "auto"])
     p_mul.set_defaults(func=cmd_mul)
 
-    p_bench = sub.add_parser("bench", help="benchmark variants to CSV")
+    p_bench = sub.add_parser("bench", help="benchmark variants to CSV or JSON")
     p_bench.add_argument("--modulus-bits", type=int, default=48)
     p_bench.add_argument("--degrees",
                          help="grid: lo:hi:log or lo:hi:+step (default "
-                              "100:5000:log, with --json " + JSON_DEGREES + ")")
+                              f"100:5000:log, with --json {JSON_DEGREES})")
     p_bench.add_argument("--variants", help="default ks1,ks2,ks3,ks4")
     p_bench.add_argument("--reps", type=int, default=5,
                          help="timed repetitions per cell (median taken)")

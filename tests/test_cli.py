@@ -159,7 +159,7 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
                                   "classical_only": False}
     cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
     assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
-    modulus, inputs = _bench_inputs(cells, 48, 3)
+    modulus, inputs = _bench_inputs([4, 8], ((9, 3), (3, 9)), 48, 3)
     assert grid["seed"] == 3 and grid["modulus"] == modulus
     configs = {"word_products": MulConfig(),
                "word_products_classical": MulConfig(classical_only=True)}
@@ -198,8 +198,7 @@ GRID_CLASSICAL_RATIOS = {
 
 
 def test_grid_classical_word_product_ratios():
-    cells = [(d + 1, d + 1) for d in parse_degree_grid(JSON_DEGREES)]
-    _, inputs = _bench_inputs(cells, 48, 1)
+    _, inputs = _bench_inputs(parse_degree_grid(JSON_DEGREES), (), 48, 1)
     config = MulConfig(classical_only=True)
     ratios = {}
     for f, g in inputs:

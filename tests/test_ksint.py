@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from kronmul import ksint
 from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
                             MulStats)
-from kronmul import ksint
 from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
                            _four_point_safe, _odd_slot_mask, _overlap_unpack,
                            _plus_minus, _shr_exact, derive_params, ks1_mul,
