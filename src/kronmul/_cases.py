@@ -1,0 +1,249 @@
+"""Drawn cases for ``kronmul selftest`` and the property tests.
+
+Each suite draws one case from a ``random.Random`` (the self-test's seeded
+one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
+checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
+and returns what it drew.  A mismatch raises ``SelfTestFailure``, naming
+the suite and the case's sizes.  Draws favour the edges of each invariant:
+coefficient bounds 1, 2, 63, 64 and above 64, length 1, equal and unequal
+lengths, values at the overlap recovery's limit, and digit counts on both
+sides of every blit cutoff.
+"""
+
+from __future__ import annotations
+
+import operator
+
+from . import bignat, oracle
+from .bignat import LIMB_BITS
+from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
+                     bks_reciprocal, bks_standard, ring_z, ring_zmod)
+from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
+                    ks3_mul, ks4_mul, reconstruct_overlapped)
+from .modpoly import ModPoly, Variant, mod_mul
+from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
+                   pack_reversed)
+
+_MAX_DIGITS = 800
+
+
+class SelfTestFailure(Exception):
+    pass
+
+
+def check(ok: bool, suite: str, case: tuple) -> None:
+    # Names the case by the bit length of each int and the length of each
+    # sequence: the values themselves run to thousands of digits, past
+    # what repr may print.
+    if not ok:
+        parts = ", ".join(f"{x.bit_length()}-bit int" if isinstance(x, int)
+                          else f"{type(x).__name__} of {len(x)}"
+                          for x in case)
+        raise SelfTestFailure(f"{suite}: failing case ({parts})")
+
+
+def _pick(rng, edges, lo, hi):
+    # One of ``edges`` a quarter of the time, else uniform in [lo, hi].
+    return rng.choice(edges) if rng.randrange(4) == 0 else rng.randint(lo, hi)
+
+
+def _bound(rng):
+    # A coefficient bound; CoeffVec has no 64-bit cap, ModPoly does.
+    return _pick(rng, (1, 2, 63, 64, 65), 1, 2 * LIMB_BITS)
+
+
+def _lengths(rng, hi):
+    # Equal a third of the time; either may be 1.
+    len_f = _pick(rng, (1,), 1, hi)
+    return len_f, len_f if rng.randrange(3) == 0 else _pick(rng, (1,), 1, hi)
+
+
+def _values(rng, count, top):
+    # ``count`` values in [0, top): uniform, or all top - 1, or all 0.
+    fill = rng.randrange(4)
+    if fill >= 2:
+        return [(top - 1) * (fill == 2)] * count
+    return [rng.randrange(top) for _ in range(count)]
+
+
+def _at(coeffs, x):
+    # Horner's rule: the polynomial's value at x.
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _raises(error, fn, *args) -> bool:
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
+
+
+def bignat_case(rng, config):
+    """Naturals of 1 to 64 limbs: classical, Karatsuba and ``mul`` products
+    against int multiply."""
+    bits = [LIMB_BITS * limbs - rng.randrange(LIMB_BITS)
+            for limbs in _lengths(rng, 64)]
+    a, b = ((1 << k) - 1 if rng.randrange(4) == 0 else rng.getrandbits(k)
+            for k in bits)
+    check(bignat.mul_classical(a, b) == a * b
+          == bignat.mul_karatsuba(a, b, config=config)
+          == bignat.mul(a, b, config=config), "bignat-mul", (a, b))
+    return a, b
+
+
+_GROUP = bignat._GROUP_MIN_DIGITS
+_FIELD = bignat._FIELD_UNPACK_MIN_DIGITS
+_WIDE = bignat._WIDE_MIN_DIGITS
+# One tier per blit path of _pack_ints and _unpack_ints, as its widths and
+# its digit counts at a width; every draw of a tier runs its path: plain
+# shifts below the group cutoff; groups of eight at widths and counts short
+# of any field or wide cutoff; strided fields at widths 8..64 from that
+# width's field cutoff on; byte-string fields at widths above 64 from the
+# wide cutoff on.  Widths reach 160, past ks1's 141 for 64-bit coefficients
+# and operands of up to 8192 terms.
+DIGIT_TIERS = {
+    "shifts": (range(1, 161), lambda w: (0, _GROUP - 1)),
+    "groups": ([w for w in range(1, 161) if _FIELD.get(w, _WIDE) > _GROUP],
+               lambda w: (_GROUP, _FIELD.get(w, _WIDE if w > LIMB_BITS
+                                             else _MAX_DIGITS + 1) - 1)),
+    "fields": (list(_FIELD), lambda w: (_FIELD[w], _MAX_DIGITS)),
+    "wide": (range(65, 161), lambda w: (_WIDE, _MAX_DIGITS)),
+}
+
+
+def digits_case(rng, config, tier=None):
+    """Digits of a tier, full-width or below 2**64: packed from a list and a
+    tuple against Horner's rule, and unpacked back."""
+    tier = tier or rng.choice(tuple(DIGIT_TIERS))
+    widths, counts = DIGIT_TIERS[tier]
+    width = rng.choice(widths)
+    count = rng.randint(*counts(width))
+    bits = rng.choice((width, min(width, LIMB_BITS)))
+    digits = _values(rng, count, 1 << bits)
+    value = _at(digits, 1 << width)
+    check(bignat.from_digits(digits, width) == value
+          == bignat._pack_ints(tuple(digits), width)
+          and bignat.to_digits(value, width, count) == digits,
+          f"digits-{tier}", (width, digits))
+    return tier, width, digits
+
+
+def _overlap_streams(values, width):
+    # The two digit streams of ``values`` by plain shifts: the forward one
+    # least significant digit first, the reversed one most significant first.
+    count = len(values)
+    mask = (1 << width) - 1
+    fwd = sum(h << (i * width) for i, h in enumerate(values))
+    rev = sum(h << ((count - 1 - i) * width) for i, h in enumerate(values))
+    return ([(fwd >> (i * width)) & mask for i in range(count + 1)],
+            [(rev >> ((count - i) * width)) & mask for i in range(count + 1)])
+
+
+def reconstruct_case(rng, config):
+    """Values below X(X-1), X = 2**width, recovered from their overlapped
+    digit streams; one flipped bit must be rejected."""
+    width = _pick(rng, (1, 2, 63, 64), 1, 64)
+    count = _pick(rng, (1,), 1, _MAX_DIGITS)
+    values = _values(rng, count, (1 << width) * ((1 << width) - 1))
+    streams = _overlap_streams(values, width)
+    got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
+    check(list(got) == values, "reconstruct", (width, values))
+    # One flipped bit in one stream moves X*F - R~ by a power of two, which
+    # the odd X**2 - 1 never divides: the streams must be rejected.
+    side = streams[rng.randrange(2)]
+    side[rng.randrange(count + 1)] ^= 1 << rng.randrange(width)
+    check(_raises(ReconstructionError, reconstruct_overlapped,
+                  OverlapDigits(*streams, width)),
+          "reconstruct-corrupted", (width, values))
+    return width, values
+
+
+def pack_case(rng, config):
+    """Up to 40 coefficients at the four packs, from half their bound up,
+    against Horner's rule."""
+    bound = _bound(rng)
+    coeffs = _values(rng, _pick(rng, (1,), 1, 40), 1 << bound)
+    width = rng.randint((bound + 1) // 2, 2 * bound + 9)
+    v = CoeffVec(tuple(coeffs), bound)
+    x = 1 << width
+    alternating = [(-c if i % 2 else c) for i, c in enumerate(coeffs)]
+    for name, fn, want in (
+            ("pack", pack, _at(coeffs, x)),
+            ("pack-reversed", pack_reversed, _at(coeffs[::-1], x)),
+            ("pack-negated", pack_negated, _at(alternating, x)),
+            ("pack-negated-reversed", pack_negated_reversed,
+             _at(alternating[::-1], x))):
+        check(fn(v, width) == want, name, (coeffs, width))
+    return coeffs, width
+
+
+def ksint_case(rng, config):
+    """Vectors of up to 64 coefficients: ks1 to ks4 against schoolbook."""
+    bound = _bound(rng)
+    f, g = (CoeffVec(tuple(_values(rng, length, 1 << bound)), bound)
+            for length in _lengths(rng, 64))
+    want = oracle.schoolbook_z(f, g).coeffs
+    for name, fn in (("ks1", ks1_mul), ("ks2", ks2_mul), ("ks3", ks3_mul),
+                     ("ks4", ks4_mul)):
+        check(fn(f, g, config=config).coeffs == want, f"ksint-{name}",
+              (f.coeffs, g.coeffs, bound))
+    return f.coeffs, g.coeffs, bound
+
+
+def bipoly_case(rng, config):
+    """Operands up to 8 x 8 over Z, Z/7 or a 48-bit Z/n through ``mod_mul``:
+    the four reductions against schoolbook; at even n the two that halve
+    must refuse."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        ring, draw, uni = ring_z(), lambda: rng.randint(-99, 99), None
+    elif kind == 1:
+        ring, draw, uni = ring_zmod(7), lambda: rng.randrange(7), None
+    else:
+        n = 2 * rng.randrange(1 << 46, 1 << 47) + (kind == 2)
+        ring, draw = ring_zmod(n), lambda: rng.randrange(n)
+
+        def uni(a, b):
+            return mod_mul(ModPoly(a, n), ModPoly(b, n),
+                           config=config).coeffs
+    lx, ly = _pick(rng, (1,), 1, 8), _pick(rng, (1,), 1, 8)
+    f, g = (BiPoly(tuple(tuple(draw() for _ in range(ly))
+                         for _ in range(lx))) for _ in range(2))
+    # ring.add reduces the plain products, so one mul fits all rings
+    want = oracle.schoolbook_bivar(f, g, ring, operator.mul).coeffs
+    for name, fn in (("standard", bks_standard),
+                     ("reciprocal", bks_reciprocal),
+                     ("negated", bks_negated), ("four", bks_four)):
+        if ring.halve is None and fn in (bks_negated, bks_four):
+            ok = _raises(MissingHalveError, fn, f, g, ring, uni)
+        else:
+            ok = fn(f, g, ring, uni).coeffs == want
+        check(ok, f"bipoly-{name}", (f.coeffs, g.coeffs))
+    return kind, f.coeffs, g.coeffs
+
+
+def modpoly_case(rng, config):
+    """Up to 60 terms mod n of 2 to 64 bits: every variant and AUTO against
+    the modular schoolbook, with the output's length and range."""
+    bits = _pick(rng, (2, 4, 16, 48, 64), 2, 64)
+    n = rng.randrange(1 << (bits - 1), 1 << bits)
+    f, g = (ModPoly(tuple(_values(rng, length, n)), n)
+            for length in _lengths(rng, 60))
+    want = oracle.schoolbook_mod(f, g).coeffs
+    for variant in Variant:
+        got = mod_mul(f, g, variant, config=config).coeffs
+        check(got == want and len(got) == len(f) + len(g) - 1
+              and all(0 <= c < n for c in got), f"modpoly-{variant.value}",
+              (n, f.coeffs, g.coeffs))
+    return n, f.coeffs, g.coeffs
+
+
+# In the self-test's order: a corrupted multiply fails bignat first.
+SUITES = {"bignat": bignat_case, "digits": digits_case,
+          "reconstruct": reconstruct_case, "pack": pack_case,
+          "ksint": ksint_case, "bipoly": bipoly_case,
+          "modpoly": modpoly_case}

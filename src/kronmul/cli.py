@@ -1,6 +1,6 @@
 """Command-line front end: file-based modular polynomial multiplication, a
-CSV benchmark harness comparing the substitution variants, and a seeded
-self-test.
+benchmark harness comparing the substitution variants (CSV, or the
+north-star grid as JSON), and a seeded self-test.
 
 Polynomial file format: line 1 is the decimal modulus, line 2 the decimal
 length L, followed by L whitespace-separated decimal coefficients with the
@@ -25,15 +25,10 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import bignat, oracle
+from . import bignat
 from .bignat import DEFAULT_MUL_CONFIG, MulConfig, MulStats
-from .bipoly import BiPoly, MissingHalveError, bks_four, bks_negated, \
-    bks_reciprocal, bks_standard, ring_z, ring_zmod
-from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
-                    ks3_mul, ks4_mul, reconstruct_overlapped)
 from .modpoly import (DEFAULT_THRESHOLDS, ModPoly, Variant,
                       choose_variant, mod_mul)
-from .pack import CoeffVec, pack, pack_negated, pack_reversed
 
 CSV_HEADER = "degree,length,modulus_bits,variant,wall_ns_median,limb_products,ratio_vs_ks1"
 
@@ -224,8 +219,6 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
     Returns (comment_lines, rows).  In op-counting mode all products run
     classically so the counters follow the deterministic m*n law.
     """
-    if reps < 1:
-        raise CommandError("reps must be >= 1")
     variants = [v if isinstance(v, Variant) else _parse_variant(v)
                 for v in variants]
     if any(v is Variant.AUTO for v in variants):
@@ -238,7 +231,18 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
     comments = [f"# seed={seed} modulus={modulus} "
                 f"classical_only={config.classical_only} "
                 f"karatsuba_threshold={config.karatsuba_threshold}"]
-    rows: list[BenchRow] = []
+    cells = _time_cells(inputs, variants, modulus_bits, reps, config,
+                        count_ops)
+    return comments, [row for cell in cells for row in cell]
+
+
+def _time_cells(inputs, variants, modulus_bits: int, reps: int,
+                config: MulConfig, count_ops: bool = False):
+    """One list of rows per (f, g) in ``inputs``, a row per variant, timed
+    on those inputs."""
+    if reps < 1:
+        raise CommandError("reps must be >= 1")
+    cells = []
     for f, g in inputs:
         calls = [lambda v=v: mod_mul(f, g, v, config=config)
                  for v in variants]
@@ -258,12 +262,12 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
                 len(f) - 1, len(f), modulus_bits, variant.value,
                 int(statistics.median(samples)), ops, None,
                 len(g) if len(g) != len(f) else None, iqr))
-        rows.extend(cell)
         base = next((r for r in cell if r.variant == "ks1"), None)
         if base is not None and base.wall_ns_median > 0:
             for row in cell:
                 row.ratio_vs_ks1 = row.wall_ns_median / base.wall_ns_median
-    return comments, rows
+        cells.append(cell)
+    return cells
 
 
 def render_csv(comments, rows) -> str:
@@ -305,12 +309,10 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
     ``classical_only``, and AUTO's pick (not timed)."""
     config = MulConfig()
     classical = replace(config, classical_only=True)
-    _, rows = run_bench(degrees, modulus_bits, _VARIANTS, reps, seed,
-                        config=config, shapes=shapes)
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
+    cells = _time_cells(inputs, _VARIANTS, modulus_bits, reps, config)
     out = []
-    for i, (f, g) in enumerate(inputs):
-        timed = rows[i * len(_VARIANTS):(i + 1) * len(_VARIANTS)]
+    for (f, g), timed in zip(inputs, cells):
         variants = {}
         for variant, row in zip(_VARIANTS, timed):
             counts = []
@@ -401,210 +403,21 @@ def _corrupted_multiply():
         bignat._native_mul = original
 
 
-class _SelfTestFailure(Exception):
-    pass
-
-
-def _check(ok: bool, suite: str, case: tuple) -> None:
-    # Names the case by the bit length of each int and the length of each
-    # sequence: the values themselves run to thousands of digits, past
-    # what repr may print.
-    if not ok:
-        parts = ", ".join(f"{x.bit_length()}-bit int" if isinstance(x, int)
-                          else f"{type(x).__name__} of {len(x)}"
-                          for x in case)
-        raise _SelfTestFailure(f"{suite}: failing case ({parts})")
-
-
-def _selftest_bignat(rng, iters, config, out):
-    for i in range(iters):
-        a = rng.getrandbits(rng.randrange(1, 64 * 64))
-        b = rng.getrandbits(rng.randrange(1, 64 * 64))
-        classical = bignat.mul_classical(a, b)
-        karatsuba = bignat.mul_karatsuba(a, b, config=config)
-        _check(classical == a * b == karatsuba, "bignat-mul", (a, b))
-    out(f"counted multiplies vs int multiply: ok ({iters} cases)")
-
-
-# Digit and recovery cases draw counts on both sides of every field cutoff,
-# and digit cases on both sides of the wide cutoff.
-_FIELD_MAX_CUTOFF = max(bignat._FIELD_UNPACK_MIN_DIGITS.values())
-_SELFTEST_MAX_DIGITS = 2 * max(_FIELD_MAX_CUTOFF, bignat._WIDE_MIN_DIGITS)
-# One (widths, counts, digit bits) range per blit path: plain shifts; groups
-# of eight, at widths past the fields and counts short of the wide cutoff;
-# strided fields, past every width's field cutoff; the wide path, past its
-# cutoff, once with full-width digits (which pack by groups) and once with
-# 64-bit ones (which pack by fields where the width is divisible by 4).
-# Digit bits of None mean the full width.
-_DIGIT_TIERS = (((1, 142), (0, bignat._GROUP_MIN_DIGITS), None),
-                ((65, 142), (bignat._GROUP_MIN_DIGITS,
-                             bignat._WIDE_MIN_DIGITS), None),
-                ((8, 65), (_FIELD_MAX_CUTOFF, _SELFTEST_MAX_DIGITS), None),
-                ((65, 142), (bignat._WIDE_MIN_DIGITS, _SELFTEST_MAX_DIGITS),
-                 None),
-                ((65, 142), (bignat._WIDE_MIN_DIGITS, _SELFTEST_MAX_DIGITS),
-                 64))
-
-
-def _selftest_digits(rng, iters, out):
-    # ``rng`` is this suite's own, so the later suites' shared draws do not
-    # depend on its draws.  Widths reach 141 = 2*64 + 13, ks1's full width
-    # for 64-bit coefficients and operands of up to 8192 terms.
-    for i in range(iters):
-        widths, counts, bits = _DIGIT_TIERS[i % len(_DIGIT_TIERS)]
-        width = rng.randrange(*widths)
-        count = rng.randrange(*counts)
-        digits = [rng.randrange(1 << (bits or width)) for _ in range(count)]
-        packed = bignat.from_digits(digits, width)
-        back = bignat.to_digits(packed, width, count)
-        _check(back == digits, "digit-roundtrip", (width, digits))
-    out(f"digit pack/unpack round-trip: ok ({iters} cases)")
-
-
-def _overlap_streams(values, width):
-    # The two digit streams of ``values`` by plain shifts: the forward one
-    # least significant digit first, the reversed one most significant first.
-    count = len(values)
-    mask = (1 << width) - 1
-    fwd = sum(h << (i * width) for i, h in enumerate(values))
-    rev = sum(h << ((count - 1 - i) * width) for i, h in enumerate(values))
-    return ([(fwd >> (i * width)) & mask for i in range(count + 1)],
-            [(rev >> ((count - i) * width)) & mask for i in range(count + 1)])
-
-
-def _selftest_reconstruct(rng, iters, out):
-    for i in range(iters):
-        width = rng.randrange(1, 65)
-        count = rng.randrange(1, _SELFTEST_MAX_DIGITS)
-        top = (1 << width) * ((1 << width) - 1)
-        values = [rng.randrange(top) for _ in range(count)]
-        streams = _overlap_streams(values, width)
-        got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
-        _check(list(got) == values, "reconstruct", (width, values))
-        # One flipped bit in one stream moves X*F - R~ by a power of two,
-        # which the odd X**2 - 1 never divides: the streams must be rejected.
-        side = streams[rng.randrange(2)]
-        side[rng.randrange(count + 1)] ^= 1 << rng.randrange(width)
-        try:
-            reconstruct_overlapped(OverlapDigits(*streams, width))
-        except ReconstructionError:
-            continue
-        _check(False, "reconstruct-corrupted", (width, values))
-    out(f"overlap recovery round-trip and corruption: ok ({iters} cases)")
-
-
-def _selftest_pack(rng, iters, out):
-    for i in range(iters):
-        bound = rng.randrange(1, 64)
-        length = rng.randrange(1, 40)
-        coeffs = [rng.randrange(1 << bound) for _ in range(length)]
-        v = CoeffVec(tuple(coeffs), bound)
-        width = rng.randrange(bound, 2 * bound + 8)
-        expect = sum(c << (i * width) for i, c in enumerate(coeffs))
-        _check(pack(v, width) == expect, "pack", (coeffs, width))
-        expect_rev = sum(c << ((length - 1 - i) * width)
-                         for i, c in enumerate(coeffs))
-        _check(pack_reversed(v, width) == expect_rev,
-               "pack-reversed", (coeffs, width))
-        expect_neg = sum((-1) ** i * (c << (i * width))
-                         for i, c in enumerate(coeffs))
-        _check(pack_negated(v, width) == expect_neg,
-               "pack-negated", (coeffs, width))
-    out(f"packing vs direct evaluation: ok ({iters} cases)")
-
-
-def _selftest_ksint(rng, iters, config, out):
-    for i in range(iters):
-        bound = rng.randrange(1, 33)
-        len_f = rng.randrange(1, 65)
-        len_g = rng.randrange(1, 65)
-        f = CoeffVec(tuple(rng.randrange(1 << bound) for _ in range(len_f)),
-                     bound)
-        g = CoeffVec(tuple(rng.randrange(1 << bound) for _ in range(len_g)),
-                     bound)
-        want = oracle.schoolbook_z(f, g).coeffs
-        for name, func in (("ks1", ks1_mul), ("ks2", ks2_mul),
-                           ("ks3", ks3_mul), ("ks4", ks4_mul)):
-            got = func(f, g, config=config).coeffs
-            _check(got == want, f"ksint-{name}",
-                   (f.coeffs, g.coeffs, bound))
-    out(f"integer variants vs schoolbook: ok ({iters} cases, 4 variants)")
-
-
-def _selftest_bipoly(rng, wide_rng, iters, config, out):
-    # Each case runs a small ring with schoolbook products, drawn from the
-    # shared rng, and an odd 48-bit modulus with mod_mul as the univariate
-    # product, drawn from ``wide_rng`` so the later suites' draws stay put.
-    import operator
-    cases = max(1, iters // 5) if iters else 0
-    small = [(ring_z(), lambda r: r.randrange(-50, 51), None),
-             (ring_zmod(7), lambda r: r.randrange(7), None)]
-    for i in range(cases):
-        n = wide_rng.randrange(1 << 47, 1 << 48) | 1
-        wide = (ring_zmod(n), lambda r: r.randrange(n),
-                lambda a, b: mod_mul(ModPoly(a, n), ModPoly(b, n),
-                                     config=config).coeffs)
-        for (ring, draw, uni), case_rng in ((small[i % 2], rng),
-                                            (wide, wide_rng)):
-            lx = case_rng.randrange(1, 6)
-            ly = case_rng.randrange(1, 6)
-            f = BiPoly(tuple(tuple(draw(case_rng) for _ in range(ly))
-                             for _ in range(lx)))
-            g = BiPoly(tuple(tuple(draw(case_rng) for _ in range(ly))
-                             for _ in range(lx)))
-            # ring.add reduces the plain products, so one mul fits all rings
-            want = oracle.schoolbook_bivar(f, g, ring, operator.mul).coeffs
-            for name, func in (("standard", bks_standard),
-                               ("reciprocal", bks_reciprocal),
-                               ("negated", bks_negated), ("four", bks_four)):
-                got = func(f, g, ring, uni).coeffs
-                _check(got == want, f"bipoly-{name}", (f.coeffs, g.coeffs))
-    if cases:
-        try:
-            one = BiPoly(((1,),))
-            bks_negated(one, one, ring_zmod(8))
-        except MissingHalveError:
-            pass
-        else:
-            raise _SelfTestFailure("bipoly-halve: even modulus not rejected")
-    out(f"bivariate variants vs schoolbook: ok ({cases} cases of 2 rings, "
-        f"4 variants)")
-
-
-def _selftest_modpoly(rng, iters, config, out):
-    for i in range(iters):
-        bits = rng.choice([2, 4, 16, 48])
-        modulus = rng.randrange(max(2, 1 << (bits - 1)), 1 << bits)
-        len_f, len_g = rng.randrange(1, 50), rng.randrange(1, 50)
-        f = ModPoly(tuple(rng.randrange(modulus) for _ in range(len_f)),
-                    modulus)
-        g = ModPoly(tuple(rng.randrange(modulus) for _ in range(len_g)),
-                    modulus)
-        want = oracle.schoolbook_mod(f, g).coeffs
-        for variant in (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4,
-                        Variant.AUTO):
-            got = mod_mul(f, g, variant, config=config).coeffs
-            _check(got == want, f"modpoly-{variant.value}",
-                   (modulus, f.coeffs, g.coeffs))
-    out(f"modular front end vs schoolbook: ok ({iters} cases, 5 variants)")
-
-
 def run_selftest(seed: int, iters: int, out=print) -> int:
+    # Imported here, so importing the CLI (as perfbench's tests do to
+    # corrupt the multiply) loads no case code.
+    from . import _cases
     config = mul_config_from_env()
     if iters == 0:
         out("selftest: 0 cases executed (trivially passing)")
         return 0
-    rng = random.Random(seed)
     try:
-        _selftest_bignat(rng, iters, config, out)
-        _selftest_digits(random.Random(f"digits-{seed}"), iters, out)
-        _selftest_reconstruct(rng, iters, out)
-        _selftest_pack(rng, iters, out)
-        _selftest_ksint(rng, iters, config, out)
-        _selftest_bipoly(rng, random.Random(f"bipoly-{seed}"), iters, config,
-                         out)
-        _selftest_modpoly(rng, max(1, iters // 5), config, out)
-    except _SelfTestFailure as exc:
+        for suite, case in _cases.SUITES.items():
+            rng = random.Random(f"{suite}-{seed}")
+            for _ in range(iters):
+                case(rng, config)
+            out(f"{suite}: ok ({iters} cases)")
+    except _cases.SelfTestFailure as exc:
         out(f"selftest FAILED (seed={seed}): {exc}")
         return 1
     out(f"selftest passed (seed={seed})")

@@ -264,16 +264,6 @@ def test_digit_errors():
         to_digits(2.0, 8, 1)
 
 
-def test_digit_round_trip_randomized():
-    rng = random.Random(6)
-    for _ in range(2000):
-        width = rng.randrange(1, 130)
-        count = rng.randrange(0, 50)
-        digits = [rng.randrange(1 << width) for _ in range(count)]
-        packed = from_digits(digits, width)
-        assert to_digits(packed, width, count) == digits
-
-
 def _reference_pack(digits, width):
     # Concatenated binary text, most significant digit first.
     text = "".join(format(d, f"0{width}b") for d in reversed(digits))

@@ -59,31 +59,6 @@ def test_constant_in_y_has_zero_odd_part():
     assert bks_four(f, g, Z).coeffs == want
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_randomized_over_z(variant):
-    rng = random.Random(11)
-    for _ in range(150):
-        lx = rng.randrange(1, 9)
-        ly = rng.randrange(1, 9)
-        f = random_bipoly(rng, lx, ly, lambda r: r.randrange(-99, 100))
-        g = random_bipoly(rng, lx, ly, lambda r: r.randrange(-99, 100))
-        want = schoolbook_bivar(f, g, Z, operator.mul).coeffs
-        assert variant(f, g, Z).coeffs == want
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_randomized_over_z7(variant):
-    rng = random.Random(12)
-    mul7 = uni_schoolbook(Z7, lambda a, b: (a * b) % 7)
-    for _ in range(150):
-        lx = rng.randrange(1, 9)
-        ly = rng.randrange(1, 9)
-        f = random_bipoly(rng, lx, ly, lambda r: r.randrange(7))
-        g = random_bipoly(rng, lx, ly, lambda r: r.randrange(7))
-        want = schoolbook_bivar(f, g, Z7, lambda a, b: (a * b) % 7).coeffs
-        assert variant(f, g, Z7, mul7).coeffs == want
-
-
 def test_exhaustive_small_z7_sampled():
     rng = random.Random(13)
     for _ in range(120):

@@ -1,13 +1,12 @@
-"""Property test: the digit blits against the binary-text reference.
+"""Property test: the digit blits against Horner's rule, one blit path per
+tier of the self-test's digit suite.
 
-Each blit path of ``_pack_ints`` and ``_unpack_ints`` has its own tier of
-draws, and every draw of a tier runs its path: plain shifts below the group
-cutoff; groups of eight at widths and counts short of any field or wide
-cutoff; strided fields at widths 8..64 from that width's field cutoff on
-(packing by fields where the width has a pack cutoff too); byte-string
-fields at widths above 64 from the wide cutoff on (packing by 64-bit fields
-where the width is divisible by 4 and every digit is below 2**64, by groups
-otherwise).
+Every draw of a tier runs its path: plain shifts below the group cutoff;
+groups of eight at widths and counts short of any field or wide cutoff;
+strided fields at widths 8..64 from that width's field cutoff on (packing by
+fields where the width has a pack cutoff too); byte-string fields at widths
+above 64 from the wide cutoff on (packing by 64-bit fields where the width
+is divisible by 4 and every digit is below 2**64, by groups otherwise).
 """
 
 import pytest
@@ -15,46 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kronmul import bignat  # noqa: E402
-from test_bignat import _reference_pack  # noqa: E402
-
-_GROUP = bignat._GROUP_MIN_DIGITS
-_FIELD = bignat._FIELD_UNPACK_MIN_DIGITS
-_WIDE = bignat._WIDE_MIN_DIGITS
-_MAX_COUNT = 800
-
-_WIDTHS = {
-    "shifts": range(1, 161),
-    "groups": [w for w in range(1, 161) if _FIELD.get(w, _WIDE) > _GROUP],
-    "fields": list(_FIELD),
-    "wide": range(65, 161),
-}
-
-
-def _counts(tier, width):
-    if tier == "shifts":
-        return 0, _GROUP - 1
-    if tier == "groups":
-        if width > 64:
-            return _GROUP, _WIDE - 1
-        return _GROUP, _FIELD.get(width, _MAX_COUNT + 1) - 1
-    if tier == "wide":
-        return _WIDE, _MAX_COUNT
-    return _FIELD[width], _MAX_COUNT
-
-
-@st.composite
-def _digit_vectors(draw, tier):
-    width = draw(st.sampled_from(_WIDTHS[tier]))
-    count = draw(st.integers(*_counts(tier, width)))
-    fill = draw(st.sampled_from(["random", "narrow", "top", "zero"]))
-    if fill in ("random", "narrow"):
-        rng = draw(st.randoms(use_true_random=False))
-        bits = min(width, 64) if fill == "narrow" else width
-        digits = [rng.getrandbits(bits) for _ in range(count)]
-    else:
-        digits = [(1 << width) - 1 if fill == "top" else 0] * count
-    return width, digits
+from kronmul import _cases, bignat  # noqa: E402
 
 
 def _split_levels(width):
@@ -62,7 +22,7 @@ def _split_levels(width):
     return 3 - min(3, (width & -width).bit_length() - 1)
 
 
-@pytest.mark.parametrize("tier", list(_WIDTHS))
+@pytest.mark.parametrize("tier", list(_cases.DIGIT_TIERS))
 def test_blits_match_reference(tier, monkeypatch):
     ran = []
 
@@ -82,14 +42,10 @@ def test_blits_match_reference(tier, monkeypatch):
 
     @settings(derandomize=True, max_examples=60, database=None,
               deadline=None)
-    @given(_digit_vectors(tier))
-    def check(case):
-        width, digits = case
-        value = _reference_pack(digits, width)
+    @given(st.randoms(note_method_calls=True, use_true_random=False))
+    def check(rng):
         ran.clear()
-        assert bignat._pack_ints(digits, width) == value
-        assert bignat._pack_ints(tuple(digits), width) == value
-        assert bignat._unpack_ints(value, width, len(digits)) == digits
+        _, width, digits = _cases.digits_case(rng, None, tier)
         if tier == "wide":
             packs = width % 4 == 0 and max(digits) < 1 << 64
             assert ran == (["_pack_fields"] * 2 * packs + ["_unpack_wide"]

@@ -6,12 +6,10 @@ import sys
 
 import pytest
 
-from kronmul import bignat, cli
+from kronmul import _cases, bignat, cli
 from kronmul.bignat import BigNat, MulConfig, MulStats, mul
 from kronmul.cli import (CSV_HEADER, JSON_DEGREES, CommandError,
-                         _bench_inputs, _check, _corrupted_multiply,
-                         _selftest_bipoly,
-                         _selftest_digits, _SelfTestFailure, main,
+                         _bench_inputs, _corrupted_multiply, main,
                          mul_config_from_env, parse_degree_grid,
                          read_poly_file, render_csv, run_bench, run_selftest,
                          write_poly_file)
@@ -223,7 +221,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--iters", "25"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed" in out
-    assert "overlap recovery round-trip and corruption: ok" in out
+    assert "reconstruct: ok (25 cases)" in out
 
 
 def test_selftest_catches_broken_recovery(monkeypatch):
@@ -267,49 +265,10 @@ def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
 
 def test_check_describes_cases_past_the_repr_limit():
     # repr of a 6,000-digit int raises ValueError under the default limit.
-    with pytest.raises(_SelfTestFailure,
+    with pytest.raises(_cases.SelfTestFailure,
                        match=r"^x: failing case \(20001-bit int, "
                              r"list of 5000\)$"):
-        _check(False, "x", (1 << 20000, [1] * 5000))
-
-
-def test_digit_selftest_reaches_every_blit_path(monkeypatch):
-    # The five cases unpack by plain shifts, by groups, by fields and twice
-    # by the wide path; of the last two, only the one with 64-bit digits can
-    # pack by fields, and does where its width is divisible by 4.
-    cases, fields, wide, packed = [], [], [], []
-
-    def recorder(name, log, key):
-        blit = getattr(bignat, name)
-
-        def recorded(*args):
-            out = blit(*args)
-            log.append(key(*args))
-            return out
-        monkeypatch.setattr(bignat, name, recorded)
-
-    recorder("from_digits", cases, lambda digits, width: (width, len(digits)))
-    recorder("_unpack_fields", fields, lambda value, width, count: count)
-    recorder("_unpack_wide", wide, lambda value, width, count: count)
-    recorder("_pack_fields", packed,
-             lambda values, width: (width, len(values)))
-    _selftest_digits(random.Random("digits-0"), 5, lambda *_: None)
-    (_, shifts), (_, groups), (_, field), (w3, wide3), (w4, wide4) = cases
-    assert shifts < bignat._GROUP_MIN_DIGITS <= groups
-    assert groups < bignat._WIDE_MIN_DIGITS <= min(wide3, wide4)
-    assert fields == [field]
-    assert wide3 in wide and wide4 in wide
-    assert (w3, wide3) not in packed
-    assert ((w4, wide4) in packed) == (w4 % 4 == 0)
-
-
-def test_bipoly_selftest_alone_catches_corrupted_multiply():
-    # The bivariate suite's 48-bit cases multiply through mod_mul, so the
-    # suite has teeth of its own.
-    with _corrupted_multiply(), pytest.raises(_SelfTestFailure,
-                                              match="bipoly"):
-        _selftest_bipoly(random.Random(0), random.Random("bipoly-0"), 25,
-                         MulConfig(), lambda *_: None)
+        _cases.check(False, "x", (1 << 20000, [1] * 5000))
 
 
 @pytest.mark.parametrize("limbs, config", [
@@ -362,8 +321,43 @@ def test_corrupted_multiply_replaces_only_native_mul():
     assert bignat._native_mul is native
 
 
-def test_selftest_runs_shared_rng_reproducibly(capsys):
-    assert run_selftest(seed=123, iters=10, out=lambda *_: None) == 0
+def test_selftest_runs_shared_rng_reproducibly(monkeypatch):
+    # One seed prints the same lines and draws the same cases, recorded as
+    # each suite returns them; another seed draws other cases.
+    drawn = []
+    for suite, case in list(_cases.SUITES.items()):
+        monkeypatch.setitem(_cases.SUITES, suite,
+                            lambda rng, config, case=case:
+                            drawn.append(case(rng, config)))
+
+    def run(seed):
+        lines = []
+        drawn.clear()
+        assert run_selftest(seed=seed, iters=10, out=lines.append) == 0
+        return lines, list(drawn)
+
+    lines, cases = run(123)
+    assert len(cases) == 10 * len(_cases.SUITES)
+    assert run(123) == (lines, cases)
+    other = run(124)[1]
+    assert all(cases[i:i + 10] != other[i:i + 10]
+               for i in range(0, len(cases), 10))
+
+
+def test_cli_import_loads_no_case_code():
+    # Importing the CLI (as perfbench's tests do) loads neither hypothesis,
+    # a test-only dependency, nor the case module, which the self-test
+    # loads.
+    code = ("import sys, kronmul, kronmul.cli as cli\n"
+            "names = ('hypothesis', 'kronmul._cases')\n"
+            "print([name in sys.modules for name in names])\n"
+            "cli.run_selftest(seed=0, iters=1, out=lambda line: None)\n"
+            "print([name in sys.modules for name in names])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[False, False]", "[False, True]"]
 
 
 def test_selftest_draws_unequal_lengths(monkeypatch):
@@ -375,7 +369,7 @@ def test_selftest_draws_unequal_lengths(monkeypatch):
         shapes.append((len(f), len(g)))
         return mod_mul(f, g, *args, **kwargs)
 
-    monkeypatch.setattr("kronmul.cli.mod_mul", recorded)
+    monkeypatch.setattr(_cases, "mod_mul", recorded)
     assert run_selftest(seed=0, iters=25, out=lambda *_: None) == 0
     assert any(len_f != len_g for len_f, len_g in shapes)
 

@@ -94,16 +94,6 @@ def test_output_coefficient_bound():
             assert c <= bound
 
 
-@pytest.mark.parametrize("variant", [ks2_mul, ks3_mul, ks4_mul])
-def test_variants_match_oracle_randomized(variant):
-    rng = random.Random(2)
-    for _ in range(250):
-        b = rng.randrange(1, 49)
-        f = random_vec(rng, rng.randrange(1, 40), b)
-        g = random_vec(rng, rng.randrange(1, 40), b)
-        assert variant(f, g).coeffs == schoolbook_z(f, g).coeffs
-
-
 def test_reconstruct_single_coefficient():
     d = OverlapDigits((5, 2), (2, 5), 3)
     assert reconstruct_overlapped(d).coeffs == (21,)

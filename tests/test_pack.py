@@ -89,24 +89,6 @@ def test_pack_negated_reversed_examples():
     assert 737 == 1 - 2 * 16 + 3 * 256
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8])
-def test_packs_match_direct_evaluation(length):
-    rng = random.Random(length)
-    for _ in range(300):
-        bound = rng.randrange(1, 40)
-        coeffs = tuple(rng.randrange(1 << bound) for _ in range(length))
-        v = CoeffVec(coeffs, bound)
-        width = rng.randrange((bound + 1) // 2, 2 * bound + 10)
-        x = 2**width
-        assert int(pack(v, width)) == eval_at(coeffs, x)
-        assert int(pack_reversed(v, width)) == eval_at(coeffs[::-1], x)
-        assert pack_negated(v, width) == eval_at(coeffs, -x)
-        # value at -1/x, normalized by x**(L-1)
-        want = sum(c * (-1) ** i * x ** (length - 1 - i)
-                   for i, c in enumerate(coeffs))
-        assert pack_negated_reversed(v, width) == want
-
-
 def test_round_trip_with_digits():
     rng = random.Random(17)
     for _ in range(400):
