@@ -3,7 +3,9 @@
 Each suite draws one case from a ``random.Random`` (the self-test's seeded
 one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
 checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
-and returns what it drew.  A mismatch raises ``SelfTestFailure``, naming
+and returns what it drew.  The multiplying suites check each product twice:
+counted into a ``MulStats``, which runs the configured recursion, and
+uncounted, which runs CPython's multiply (unless ``classical_only``).  A mismatch raises ``SelfTestFailure``, naming
 the suite and the case's sizes.  Draws favour the edges of each invariant:
 coefficient bounds 1, 2, 63, 64 and above 64, length 1, equal and unequal
 lengths, values at the overlap recovery's limit, and digit counts on both
@@ -12,10 +14,11 @@ sides of every blit cutoff.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import bignat, oracle
-from .bignat import LIMB_BITS
+from .bignat import LIMB_BITS, MulStats
 from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
                      bks_reciprocal, bks_standard, ring_z, ring_zmod)
 from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
@@ -83,14 +86,15 @@ def _raises(error, fn, *args) -> bool:
 
 
 def bignat_case(rng, config):
-    """Naturals of 1 to 64 limbs: classical, Karatsuba and ``mul`` products
-    against int multiply."""
+    """Naturals of 1 to 64 limbs: classical, Karatsuba and ``mul`` products,
+    counted and not, against int multiply."""
     bits = [LIMB_BITS * limbs - rng.randrange(LIMB_BITS)
             for limbs in _lengths(rng, 64)]
     a, b = ((1 << k) - 1 if rng.randrange(4) == 0 else rng.getrandbits(k)
             for k in bits)
     check(bignat.mul_classical(a, b) == a * b
           == bignat.mul_karatsuba(a, b, config=config)
+          == bignat.mul(a, b, MulStats(), config)
           == bignat.mul(a, b, config=config), "bignat-mul", (a, b))
     return a, b
 
@@ -182,34 +186,37 @@ def pack_case(rng, config):
 
 
 def ksint_case(rng, config):
-    """Vectors of up to 64 coefficients: ks1 to ks4 against schoolbook."""
+    """Vectors of up to 64 coefficients: ks1 to ks4, counted and not,
+    against schoolbook."""
     bound = _bound(rng)
     f, g = (CoeffVec(tuple(_values(rng, length, 1 << bound)), bound)
             for length in _lengths(rng, 64))
     want = oracle.schoolbook_z(f, g).coeffs
     for name, fn in (("ks1", ks1_mul), ("ks2", ks2_mul), ("ks3", ks3_mul),
                      ("ks4", ks4_mul)):
-        check(fn(f, g, config=config).coeffs == want, f"ksint-{name}",
-              (f.coeffs, g.coeffs, bound))
+        for stats in (MulStats(), None):
+            check(fn(f, g, stats=stats, config=config).coeffs == want,
+                  f"ksint-{name}", (f.coeffs, g.coeffs, bound))
     return f.coeffs, g.coeffs, bound
 
 
 def bipoly_case(rng, config):
-    """Operands up to 8 x 8 over Z, Z/7 or a 48-bit Z/n through ``mod_mul``:
-    the four reductions against schoolbook; at even n the two that halve
-    must refuse."""
+    """Operands up to 8 x 8 over Z, Z/7 or a 48-bit Z/n through ``mod_mul``,
+    counted and not: the four reductions against schoolbook; at even n the
+    two that halve must refuse."""
     kind = rng.randrange(4)
     if kind == 0:
-        ring, draw, uni = ring_z(), lambda: rng.randint(-99, 99), None
+        ring, draw, unis = ring_z(), lambda: rng.randint(-99, 99), (None,)
     elif kind == 1:
-        ring, draw, uni = ring_zmod(7), lambda: rng.randrange(7), None
+        ring, draw, unis = ring_zmod(7), lambda: rng.randrange(7), (None,)
     else:
         n = 2 * rng.randrange(1 << 46, 1 << 47) + (kind == 2)
         ring, draw = ring_zmod(n), lambda: rng.randrange(n)
 
-        def uni(a, b):
-            return mod_mul(ModPoly(a, n), ModPoly(b, n),
+        def uni(a, b, stats=None):
+            return mod_mul(ModPoly(a, n), ModPoly(b, n), stats=stats,
                            config=config).coeffs
+        unis = (functools.partial(uni, stats=MulStats()), uni)
     lx, ly = _pick(rng, (1,), 1, 8), _pick(rng, (1,), 1, 8)
     f, g = (BiPoly(tuple(tuple(draw() for _ in range(ly))
                          for _ in range(lx))) for _ in range(2))
@@ -218,27 +225,30 @@ def bipoly_case(rng, config):
     for name, fn in (("standard", bks_standard),
                      ("reciprocal", bks_reciprocal),
                      ("negated", bks_negated), ("four", bks_four)):
-        if ring.halve is None and fn in (bks_negated, bks_four):
-            ok = _raises(MissingHalveError, fn, f, g, ring, uni)
-        else:
-            ok = fn(f, g, ring, uni).coeffs == want
-        check(ok, f"bipoly-{name}", (f.coeffs, g.coeffs))
+        for uni in unis:
+            if ring.halve is None and fn in (bks_negated, bks_four):
+                ok = _raises(MissingHalveError, fn, f, g, ring, uni)
+            else:
+                ok = fn(f, g, ring, uni).coeffs == want
+            check(ok, f"bipoly-{name}", (f.coeffs, g.coeffs))
     return kind, f.coeffs, g.coeffs
 
 
 def modpoly_case(rng, config):
-    """Up to 60 terms mod n of 2 to 64 bits: every variant and AUTO against
-    the modular schoolbook, with the output's length and range."""
+    """Up to 60 terms mod n of 2 to 64 bits: every variant and AUTO, counted
+    and not, against the modular schoolbook, with the output's length and
+    range."""
     bits = _pick(rng, (2, 4, 16, 48, 64), 2, 64)
     n = rng.randrange(1 << (bits - 1), 1 << bits)
     f, g = (ModPoly(tuple(_values(rng, length, n)), n)
             for length in _lengths(rng, 60))
     want = oracle.schoolbook_mod(f, g).coeffs
     for variant in Variant:
-        got = mod_mul(f, g, variant, config=config).coeffs
-        check(got == want and len(got) == len(f) + len(g) - 1
-              and all(0 <= c < n for c in got), f"modpoly-{variant.value}",
-              (n, f.coeffs, g.coeffs))
+        for stats in (MulStats(), None):
+            got = mod_mul(f, g, variant, stats=stats, config=config).coeffs
+            check(got == want and len(got) == len(f) + len(g) - 1
+                  and all(0 <= c < n for c in got),
+                  f"modpoly-{variant.value}", (n, f.coeffs, g.coeffs))
     return n, f.coeffs, g.coeffs
 
 

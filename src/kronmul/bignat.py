@@ -1,21 +1,24 @@
-"""Counted multiplication of natural numbers on 64-bit limbs, classical and
-Karatsuba, over plain Python ints.
+"""Multiplication of natural numbers on 64-bit limbs over plain Python ints:
+CPython's own multiply, or when counted, classical and Karatsuba.
 
 An m-limb number is one whose bit length lies in (64(m-1), 64m]; the
 multiplies below count their work in those limbs, while the values
 themselves stay ordinary ints, so addition, shifting and byte-aligned
 digit packing run at C speed.
 
-Multiplication is not delegated wholesale.  ``mul_karatsuba`` runs the
-explicit three-product recursion in Python down to a configurable limb-count
-threshold, and every product it does not split, like every ``mul_classical``
-call, is a schoolbook leaf that counts exactly m*n word products for an
-m-limb by n-limb product (``MulStats``).  A leaf runs as native products,
-which CPython computes with the same quadratic algorithm in C while the
-smaller operand fits under its schoolbook cutoff (32 limbs at 30-bit
-digits).  A larger leaf cuts its smaller operand into blocks of that many
-limbs, one native product each, so the interpreter never applies its own
-Karatsuba inside a leaf.  A split whose half is shorter than both the
+A product that no one counts is delegated wholesale: ``mul`` and
+``mul_signed`` given no ``MulStats`` (and no ``classical_only``) make one
+native product, CPython's schoolbook or its own Karatsuba.  A counted
+product is not.  ``mul`` given a MulStats, like ``mul_karatsuba`` always,
+runs the explicit three-product recursion in Python down to a configurable
+limb-count threshold, and every product it does not split, like every
+``mul_classical`` call, is a schoolbook leaf that counts exactly m*n word
+products for an m-limb by n-limb product (``MulStats``).  A leaf runs as
+native products, which CPython computes with the same quadratic algorithm
+in C while the smaller operand fits under its schoolbook cutoff (32 limbs at
+30-bit digits).  A larger leaf cuts its smaller operand into blocks of that
+many limbs, one native product each, so the interpreter never applies its
+own Karatsuba inside a leaf.  A split whose half is shorter than both the
 threshold and that cutoff has only single-block leaves: it runs its three
 native products directly and takes their limb counts only when it is given
 a MulStats.  Any other split decides for each of its three sub-products
@@ -83,9 +86,11 @@ class MulConfig:
 
     ``karatsuba_threshold`` is the limb count (an integer >= 1) at or below
     which products run classically; a 1-limb operand cannot be split, so a
-    smaller threshold would recurse forever.  ``classical_only`` forces the
-    quadratic path regardless of size, which makes word-product counts
-    follow the m*n law exactly.
+    smaller threshold would recurse forever.  It shapes counted products
+    only: ``mul`` given no ``MulStats`` makes one native product whatever
+    the threshold (``mul_karatsuba`` recurses by it, counted or not).
+    ``classical_only`` forces the quadratic path regardless of size, counted
+    or not, which makes word-product counts follow the m*n law exactly.
     """
 
     karatsuba_threshold: int = 16
@@ -228,8 +233,12 @@ def _karatsuba_split(x: int, y: int, xl: int, yl: int,
 
 
 def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
+    # A product that no one counts is one native product: CPython's own
+    # multiply, Karatsuba included.  Counting runs the explicit recursion.
     if config.classical_only:
         return _classical_int(x, y, stats)
+    if stats is None:
+        return _native_mul(x, y)
     return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
 
 
@@ -242,8 +251,9 @@ def _naturals(a: int, b: int) -> tuple[int, int]:
 
 def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
-    """a * b for naturals, dispatching to the classical path at or below the
-    configured limb-count threshold and to Karatsuba above it."""
+    """a * b for naturals.  Uncounted, one native product; counted into
+    ``stats`` (or under ``classical_only``), the classical path at or below
+    the configured limb-count threshold and Karatsuba above it."""
     if config is None:
         config = DEFAULT_MUL_CONFIG
     return _mul_int(*_naturals(a, b), stats, config)
@@ -267,7 +277,7 @@ def mul_karatsuba(a: int, b: int, stats: MulStats | None = None,
 
 def mul_signed(a: int, b: int, stats: MulStats | None = None,
                config: MulConfig | None = None) -> int:
-    """a * b for signed ints: the sign times the counted product of the
+    """a * b for signed ints: the sign times ``mul``'s product of the
     magnitudes."""
     a, b = operator.index(a), operator.index(b)
     if config is None:

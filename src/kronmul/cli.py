@@ -7,7 +7,8 @@ length L, followed by L whitespace-separated decimal coefficients with the
 constant term first.
 
 The environment variable KRONMUL_KARATSUBA_THRESHOLD overrides the limb
-threshold at which products switch from classical to Karatsuba.
+threshold at which counted products switch from classical to Karatsuba; an
+uncounted product runs CPython's own multiply whatever the threshold.
 """
 
 from __future__ import annotations
@@ -210,14 +211,22 @@ def _bench_inputs(degrees, shapes, modulus_bits: int, seed: int):
     return modulus, [(draw(len_f), draw(len_g)) for len_f, len_g in cells]
 
 
+def timed_multiply(config: MulConfig) -> str:
+    """The multiply that an uncounted call under ``config`` runs: CPython's
+    own, or the classical blocks under ``classical_only``."""
+    return "counted-classical" if config.classical_only else "cpython-int"
+
+
 def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
               count_ops: bool = False, config: MulConfig | None = None,
               shapes=()):
     """Time every (cell, variant) on shared random inputs (cells as in
     ``_bench_inputs``).
 
-    Returns (comment_lines, rows).  In op-counting mode all products run
-    classically so the counters follow the deterministic m*n law.
+    Returns (comment_lines, rows).  The timed calls pass no ``MulStats``,
+    so they run CPython's multiply.  In op-counting mode all products run
+    classically, timed and counted, so the counters follow the
+    deterministic m*n law.
     """
     variants = [v if isinstance(v, Variant) else _parse_variant(v)
                 for v in variants]
@@ -230,7 +239,7 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
     comments = [f"# seed={seed} modulus={modulus} "
                 f"classical_only={config.classical_only} "
-                f"karatsuba_threshold={config.karatsuba_threshold}"]
+                f"timed_multiply={timed_multiply(config)}"]
     cells = _time_cells(inputs, variants, modulus_bits, reps, config,
                         count_ops)
     return comments, [row for cell in cells for row in cell]
@@ -279,16 +288,19 @@ def render_csv(comments, rows) -> str:
 
 # The bench file's grid: equal lengths from JSON_DEGREES, then these
 # shapes.  The long sides of zn-unbalanced against its short ones; the
-# short cells AUTO's ks1 band is read from; and the lengths of
+# short cells AUTO's ks1 band is read from, equal and with a side of 8,
+# where that band, keyed on the longer length, runs ks3; the lengths of
 # zn-bivariate's four-point products (520, 528, 544, 1024) with 600
-# between them, where the ks3 band ends.
+# between them; and 1800 and 2000, between the grid's 1587 and 2204, where
+# the ks3 band ends.
 JSON_DEGREES = "16:8192:log"
 JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                      for short in (16, 64, 256))
                + tuple((n, n) for n in (8, 12, 16, 20, 24, 28, 32, 40, 48,
                                         56, 64))
-               + ((8, 48), (16, 48), (8, 64))
-               + tuple((n, n) for n in (520, 528, 544, 600, 1024)))
+               + ((8, 24), (8, 32), (8, 40), (8, 48), (16, 48), (8, 64))
+               + tuple((n, n) for n in (520, 528, 544, 600, 1024, 1800,
+                                        2000)))
 _VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
 
 
@@ -305,8 +317,9 @@ def _git(*args) -> str | None:
 def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
                seed: int) -> dict:
     """The bench file's content: every variant timed under ``MulConfig()``
-    on each cell, with exact word products under ``MulConfig()`` and under
-    ``classical_only``, and AUTO's pick (not timed)."""
+    on each cell, which runs CPython's multiply, with exact word products
+    under ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
+    timed)."""
     config = MulConfig()
     classical = replace(config, classical_only=True)
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
@@ -338,6 +351,7 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
             "python": f"{platform.python_implementation()} "
                       f"{platform.python_version()}",
             "mul_config": asdict(config),
+            "timed_multiply": timed_multiply(config),
             "auto_thresholds": asdict(DEFAULT_THRESHOLDS),
             "seed": seed, "reps": reps, "modulus_bits": modulus_bits,
             "modulus": modulus, "cells": out}
@@ -411,15 +425,20 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
     if iters == 0:
         out("selftest: 0 cases executed (trivially passing)")
         return 0
-    try:
-        for suite, case in _cases.SUITES.items():
-            rng = random.Random(f"{suite}-{seed}")
+    for suite, case in _cases.SUITES.items():
+        rng = random.Random(f"{suite}-{seed}")
+        try:
             for _ in range(iters):
                 case(rng, config)
-            out(f"{suite}: ok ({iters} cases)")
-    except _cases.SelfTestFailure as exc:
-        out(f"selftest FAILED (seed={seed}): {exc}")
-        return 1
+        except _cases.SelfTestFailure as exc:
+            out(f"selftest FAILED (seed={seed}): {exc}")
+            return 1
+        except Exception as exc:
+            # A library error on a valid case fails the run like a mismatch.
+            out(f"selftest FAILED (seed={seed}): {suite}: "
+                f"{type(exc).__name__}: {exc}")
+            return 1
+        out(f"{suite}: ok ({iters} cases)")
     out(f"selftest passed (seed={seed})")
     return 0
 

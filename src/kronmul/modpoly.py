@@ -104,7 +104,7 @@ class AutoThresholds:
     """
 
     ks1_max_length: int = 20
-    ks3_max_length: int = 600
+    ks3_max_length: int = 1600
 
 
 DEFAULT_THRESHOLDS = AutoThresholds()

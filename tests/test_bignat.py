@@ -211,6 +211,29 @@ def test_classical_native_calls_per_block(monkeypatch, xl, yl, calls):
     assert made == calls
 
 
+@pytest.mark.parametrize("config", [MulConfig(), MulConfig(1),
+                                    MulConfig(40)], ids=["thr16", "thr1",
+                                                         "thr40"])
+@pytest.mark.parametrize("xl, yl", [(1, 1), (16, 17), (200, 200),
+                                    (33, 3200)])
+def test_uncounted_mul_is_one_native_product(monkeypatch, config, xl, yl):
+    # No MulStats, no classical_only: CPython's multiply, whatever the
+    # threshold, through the one name the self-test corrupts.
+    made = 0
+
+    def counted(x, y):
+        nonlocal made
+        made += 1
+        return x * y
+
+    monkeypatch.setattr(bignat, "_native_mul", counted)
+    rng = random.Random(xl * yl)
+    x, y = full_limbs(rng, xl), full_limbs(rng, yl)
+    assert mul(x, y, config=config) == x * y
+    assert mul_signed(-x, y, config=config) == -x * y
+    assert made == 2
+
+
 def test_ring_axioms_randomized():
     # the counted multiply against int addition, small enough to split
     rng = random.Random(5)

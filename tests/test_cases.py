@@ -4,7 +4,9 @@
 ``random.Random``; here the same functions draw from ``st.randoms``, so a
 failing case shrinks, and its report lists each draw, from which it can be
 written down as a fixed regression test.  The multiplying suites run
-classical-only and at Karatsuba thresholds 1, 16 and 40.  The digit suite's
+classical-only and at Karatsuba thresholds 1, 16 and 40; each suite counts
+its products once, so that the configured recursion runs, and multiplies
+once uncounted.  The digit suite's
 property test, which also checks that each tier runs its blit path, is in
 ``test_blit_properties.py``.
 """
@@ -16,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kronmul import _cases  # noqa: E402
+from kronmul import _cases, bignat  # noqa: E402
 from kronmul.bignat import MulConfig  # noqa: E402
 from kronmul.cli import _corrupted_multiply  # noqa: E402
 
@@ -57,3 +59,21 @@ def test_suite_catches_corrupted_multiply(suite, config):
                                               match=f"^{suite}-"):
         for _ in range(25):
             _cases.SUITES[suite](rng, config)
+
+
+def test_thr1_ksint_suite_splits(monkeypatch):
+    # An uncounted product is one native product, so only the suite's
+    # counted check reaches the Karatsuba recursion; at threshold 1 it must.
+    splits = 0
+    split = bignat._karatsuba_split
+
+    def counted(*args):
+        nonlocal splits
+        splits += 1
+        return split(*args)
+
+    monkeypatch.setattr(bignat, "_karatsuba_split", counted)
+    rng = random.Random("ksint-0")
+    for _ in range(10):
+        _cases.SUITES["ksint"](rng, CONFIGS["thr1"])
+    assert splits > 0

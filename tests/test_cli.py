@@ -139,8 +139,18 @@ def test_bench_count_ops_forces_classical():
     comments, rows = bench(MulConfig())
     _, classical = bench(MulConfig(classical_only=True))
     assert "classical_only=True" in comments[0]
+    assert "timed_multiply=counted-classical" in comments[0]
     assert [r.limb_products for r in rows] == \
         [r.limb_products for r in classical]
+
+
+def test_bench_names_the_timed_multiply():
+    # Uncounted calls run CPython's multiply: the threshold does not shape
+    # the timing, so the comment names the multiply instead.
+    comments, _ = run_bench([4], 8, ["ks1"], reps=1, seed=2,
+                            config=MulConfig(karatsuba_threshold=3))
+    assert "timed_multiply=cpython-int" in comments[0]
+    assert "karatsuba_threshold" not in comments[0]
 
 
 def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
@@ -155,6 +165,7 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
             "modulus"} <= set(grid)
     assert grid["mul_config"] == {"karatsuba_threshold": 16,
                                   "classical_only": False}
+    assert grid["timed_multiply"] == "cpython-int"
     cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
     assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
     modulus, inputs = _bench_inputs([4, 8], ((9, 3), (3, 9)), 48, 3)
@@ -240,6 +251,21 @@ def test_selftest_catches_broken_recovery(monkeypatch):
     assert "reconstruct" in lines[-1]
 
 
+def test_selftest_reports_a_raised_library_error(monkeypatch):
+    # A library error on a valid case fails the run with one line naming
+    # the suite and the error, not a traceback.
+    from kronmul.ksint import ReconstructionError
+
+    def raising(rng, config):
+        raise ReconstructionError("streams disagree")
+
+    monkeypatch.setitem(_cases.SUITES, "reconstruct", raising)
+    lines = []
+    assert run_selftest(seed=7, iters=3, out=lines.append) == 1
+    assert lines[-1] == ("selftest FAILED (seed=7): reconstruct: "
+                         "ReconstructionError: streams disagree")
+
+
 def test_selftest_zero_iters(capsys):
     assert main(["selftest", "--iters", "0"]) == 0
     assert "0 cases executed" in capsys.readouterr().out
@@ -250,12 +276,15 @@ def test_selftest_mutation_guard_fails(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("threshold", ["1", "16", "40"])
+@pytest.mark.parametrize("threshold", [None, "1", "16", "40"])
 def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
                                                  threshold):
     # The failing operands run to thousands of digits; the report gives
-    # their sizes and the suite instead.
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
+    # their sizes and the suite instead.  None is the default config.
+    if threshold is None:
+        monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD", raising=False)
+    else:
+        monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
     assert main(["selftest", "--seed", "0", "--iters", "20",
                  "--mutate"]) == 1
     line = capsys.readouterr().out.splitlines()[-1]
@@ -279,13 +308,15 @@ def test_check_describes_cases_past_the_repr_limit():
     (24, MulConfig()),                       # one all-leaf split
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
+    # Counted, so that the row's leaf path runs: an uncounted product is
+    # one native product.
     rng = random.Random(limbs)
     a = BigNat(rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1)))
     b = BigNat(rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1)))
-    good = mul(a, b, config=config)
+    good = mul(a, b, MulStats(), config)
     assert good == int(a) * int(b)
     with _corrupted_multiply():
-        assert mul(a, b, config=config) != good
+        assert mul(a, b, MulStats(), config) != good
 
 
 @pytest.mark.parametrize("limbs, config", [
@@ -296,7 +327,7 @@ def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     (24, MulConfig()),
 ])
 def test_every_product_path_calls_native_mul(monkeypatch, limbs, config):
-    # The leaf paths above all multiply through the one name that
+    # The leaf paths above, counted, all multiply through the one name that
     # _corrupted_multiply replaces.
     calls = 0
 
@@ -309,7 +340,7 @@ def test_every_product_path_calls_native_mul(monkeypatch, limbs, config):
     rng = random.Random(limbs)
     a = rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1))
     b = rng.getrandbits(limbs * 64) | (1 << (limbs * 64 - 1))
-    assert mul(a, b, config=config) == a * b
+    assert mul(a, b, MulStats(), config) == a * b
     assert calls > 0
 
 

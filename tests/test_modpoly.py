@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from kronmul import bignat, ksint
-from kronmul.bignat import BigNat, MulConfig
+from kronmul.bignat import BigNat, MulConfig, MulStats
 from kronmul.modpoly import (_VARIANT_FUNCS, AutoThresholds, ModPoly, Variant,
                              choose_variant, mod_mul)
 from kronmul.oracle import schoolbook_mod
@@ -190,13 +190,27 @@ def _check_auto_matches_every_explicit_variant(len_f, len_g):
         assert mod_mul(f, g, variant).coeffs == auto
 
 
+@pytest.mark.parametrize("bits", [1, 64])
+@pytest.mark.parametrize("len_f, len_g", [(1, 1), (1, 300), (37, 1),
+                                          (24, 700), (900, 650)])
+def test_counted_and_uncounted_outputs_agree(bits, len_f, len_g):
+    # A MulStats runs the counted recursion, none runs CPython's multiply;
+    # the outputs are the same for every variant.  n = 2 gives b = 1.
+    n = 2 if bits == 1 else (1 << 64) - 59
+    rng = random.Random(f"{bits}-{len_f}-{len_g}")
+    f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
+    for variant in EXPLICIT + [Variant.AUTO]:
+        counted = mod_mul(f, g, variant, stats=MulStats())
+        assert mod_mul(f, g, variant) == counted, variant
+
+
 def test_choose_variant_table():
     ks1, ks3, ks4 = Variant.KS1, Variant.KS3, Variant.KS4
     custom = AutoThresholds(ks1_max_length=2, ks3_max_length=4)
     rows = [
         ((1, 7), ks1), ((16, 4), ks1), ((20, 20), ks1), ((20, 8), ks1),
         ((21, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
-        ((4096, 600), ks3), ((4096, 601), ks4), ((1000, 1000), ks4),
+        ((4096, 1600), ks3), ((4096, 1601), ks4), ((2000, 2000), ks4),
         ((2, 2, custom), ks1), ((3, 1, custom), ks3),
         ((3, 10, custom), ks3), ((4, 1000, custom), ks3),
         ((5, 10, custom), ks4),
@@ -224,7 +238,7 @@ def test_auto_dispatch(monkeypatch):
     rng = random.Random(11)
     n = (1 << 48) - 59
     for len_f, len_g, want in ((300, 7, Variant.KS3), (7, 600, Variant.KS3),
-                               (20, 5, Variant.KS1), (601, 700, Variant.KS4)):
+                               (20, 5, Variant.KS1), (1601, 1700, Variant.KS4)):
         f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
         del ran[:]
         assert mod_mul(f, g).coeffs == schoolbook_mod(f, g).coeffs
