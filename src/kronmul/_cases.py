@@ -5,11 +5,11 @@ one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
 checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the configured recursion, and
-uncounted, which runs CPython's multiply (unless ``classical_only``).  A mismatch raises ``SelfTestFailure``, naming
-the suite and the case's sizes.  Draws favour the edges of each invariant:
-coefficient bounds 1, 2, 63, 64 and above 64, length 1, equal and unequal
-lengths, values at the overlap recovery's limit, and digit counts on both
-sides of every blit cutoff.
+uncounted, which runs CPython's multiply (unless ``classical_only``).  A
+mismatch raises ``SelfTestFailure``, naming the suite and the case's sizes.
+Draws favour the edges of each invariant: coefficient bounds 1, 2, 63, 64
+and above 64, length 1, equal and unequal lengths, values at the overlap
+recovery's limit, and digit counts on both sides of every blit cutoff.
 """
 
 from __future__ import annotations

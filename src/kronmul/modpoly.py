@@ -84,23 +84,26 @@ class AutoThresholds:
     scale with the output length, which the longer operand sets; a
     long-by-short product pays those linear stages for little saving.
 
-    The defaults are read from ``BENCH_ks3_mask.json`` (``kronmul bench
-    --json``: 48-bit modulus, ``MulConfig()``, median of 21 interleaved
-    repetitions, CPython 3.11 on a shared 2-core host):
+    The defaults are read from ``BENCH_native.json`` (``kronmul bench
+    --json``: 48-bit modulus, ``MulConfig()`` uncounted, so CPython's
+    multiply, median of 21 interleaved repetitions, CPython 3.11 on a shared
+    2-core host).  Counted calls use the same table, so counting never
+    changes the variant:
 
-    - ks1_max_length = 20: ks3/ks1 is 1.26 at 8x8, 1.09 at 12x12 and
-      17x17, 0.98 at 16x16 and 0.96 at 20x20 (ties within the cells'
-      spread), then 0.93 at 23x23, 0.88 at 24x24 and 32x32, 0.90 at 28x28.
-      With a short side it is 0.95 at 8x48 and 0.99 at 8x64.
-    - ks3_max_length = 600: ks3/ks4 is 0.96 at 520x520, 0.93 at 528x528,
-      0.84 at 544x544 (zn-bivariate's four-point products have these
-      lengths), 1.01 at 593x593 and 0.97 at 600x600, then 1.06 at
-      824x824 and 1.07 at 1024x1024.
+    - ks1_max_length = 20: ks3/ks1 is 1.21 at 8x8, 1.13 at 12x12, 1.00 at
+      16x16, 0.99 at 17x17 and 20x20 (ties within the cells' spread), then
+      0.96 at 23x23 and 0.98 at 24x24.  With a short side it is 0.97 at
+      8x48 and 8x64.
+    - ks3_max_length = 1600: ks3/ks4 is 0.79 to 0.88 at 520x520 to
+      600x600 (zn-bivariate's four-point products have these lengths), 0.92
+      at 824x824, 0.97 at 1024x1024 and 0.99 at 1143x1143, ties at 1.02
+      at 1587x1587, then 1.04 at 1800x1800, 2000x2000 and 2204x2204 and
+      1.11 at 3060x3060.
 
-    The crossovers depend on the machine and the multiply backend.  Each
-    band keys on one length, so no pair of constants fits every shape:
-    with a side of 8, ks3 overtakes ks1 only once the other side reaches
-    about 40.
+    The crossovers depend on the machine and on the multiply.  Each band
+    keys on one length, so no pair of constants fits every shape: with a
+    side of 8, ks3 overtakes ks1 only once the other side reaches about
+    48.
     """
 
     ks1_max_length: int = 20

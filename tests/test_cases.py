@@ -6,9 +6,8 @@ failing case shrinks, and its report lists each draw, from which it can be
 written down as a fixed regression test.  The multiplying suites run
 classical-only and at Karatsuba thresholds 1, 16 and 40; each suite counts
 its products once, so that the configured recursion runs, and multiplies
-once uncounted.  The digit suite's
-property test, which also checks that each tier runs its blit path, is in
-``test_blit_properties.py``.
+once uncounted.  The digit suite's property test, which also checks that
+each tier runs its blit path, is in ``test_blit_properties.py``.
 """
 
 import random
