@@ -2,8 +2,9 @@
 
 The integer path packs coefficient vectors into big integers at one, two or
 four carefully chosen evaluation points (powers and reciprocals of 2**N,
-with and without negation), multiplies those ints with a counted multiply,
-and unpacks; the narrower the packing, the less zero-padding is multiplied.
+with and without negation), multiplies those ints (CPython's multiply, or
+when word products are counted, Karatsuba over schoolbook leaves), and
+unpacks; the narrower the packing, the less zero-padding is multiplied.
 A ring-generic bivariate reduction, a (Z/nZ)[x] front end and a benchmark
 CLI sit on top.
 """

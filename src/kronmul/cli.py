@@ -6,9 +6,11 @@ Polynomial file format: line 1 is the decimal modulus, line 2 the decimal
 length L, followed by L whitespace-separated decimal coefficients with the
 constant term first.
 
-The environment variable KRONMUL_KARATSUBA_THRESHOLD overrides the limb
-threshold at which counted products switch from classical to Karatsuba; an
-uncounted product runs CPython's own multiply whatever the threshold.
+The environment variable KRONMUL_KARATSUBA_THRESHOLD sets the limb threshold
+at which the self-test's counted products switch from classical to
+Karatsuba.  ``mul`` and ``bench`` use the default config: they count
+nothing, or under ``--count-ops`` count classically, so no threshold could
+change what they compute or time.
 """
 
 from __future__ import annotations
@@ -111,8 +113,7 @@ def cmd_mul(args) -> int:
         raise CommandError(
             f"--modulus {args.modulus} does not match file modulus "
             f"{f.modulus}")
-    config = mul_config_from_env()
-    product = mod_mul(f, g, _parse_variant(args.variant), config=config)
+    product = mod_mul(f, g, _parse_variant(args.variant))
     if args.output:
         write_poly_file(args.output, product)
     else:
@@ -233,7 +234,7 @@ def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
     if any(v is Variant.AUTO for v in variants):
         raise CommandError("bench variants must be explicit (no auto)")
     if config is None:
-        config = mul_config_from_env()
+        config = DEFAULT_MUL_CONFIG
     if count_ops:
         config = replace(config, classical_only=True)
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
@@ -399,7 +400,7 @@ def cmd_bench(args) -> int:
 def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
-    # _native_mul, the split's leaves and _classical_int's blocks alike, so
+    # _native_mul, uncounted products and _classical_int's blocks alike, so
     # that one name reaches every path.  Used to verify the self-test has
     # teeth.
     original = bignat._native_mul

@@ -326,7 +326,7 @@ def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
 
 
 def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
-    # Pointwise products of the evaluations, through the counted multiply.
+    # Pointwise products of the evaluations, counted into stats if given.
     return [mul_signed(x, y, stats, config) for x, y in zip(f_vals, g_vals)]
 
 

@@ -135,8 +135,9 @@ def test_karatsuba_matches_reference_recursion(monkeypatch, threshold):
     # the sum child splits where its addends are leaves.
     ones = (1 << (2 * threshold * 64)) - 1
     pairs.append((ones, ones))
-    # Either side of the all-leaf node: half of 2*threshold - 2 limbs is
-    # below the threshold, half of 2*threshold - 1 is not.
+    # Either side of a split whose three children are all leaves: half of
+    # 2*threshold - 2 limbs is below the threshold, half of 2*threshold - 1
+    # is not.
     pairs += [(full_limbs(rng, n), full_limbs(rng, n))
               for n in (2 * threshold - 2, 2 * threshold - 1) if n > 0]
     limbs = []

@@ -64,14 +64,15 @@ def test_thr1_ksint_suite_splits(monkeypatch):
     # An uncounted product is one native product, so only the suite's
     # counted check reaches the Karatsuba recursion; at threshold 1 it must.
     splits = 0
-    split = bignat._karatsuba_split
+    karatsuba = bignat._karatsuba_int
 
-    def counted(*args):
+    def counted(x, y, stats, threshold):
         nonlocal splits
-        splits += 1
-        return split(*args)
+        if min(x.bit_length(), y.bit_length()) > 64 * threshold:
+            splits += 1
+        return karatsuba(x, y, stats, threshold)
 
-    monkeypatch.setattr(bignat, "_karatsuba_split", counted)
+    monkeypatch.setattr(bignat, "_karatsuba_int", counted)
     rng = random.Random("ksint-0")
     for _ in range(10):
         _cases.SUITES["ksint"](rng, CONFIGS["thr1"])

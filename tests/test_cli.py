@@ -184,6 +184,37 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
                 assert row[key] == stats.limb_products, (cell, variant, key)
 
 
+def test_committed_bench_grid_counts_match_the_code():
+    # The committed grid's word products are the counts this code takes on
+    # the file's own seeded inputs; cells longer than 1024 are skipped for
+    # time.
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "BENCH_native.json")
+    with open(path, encoding="ascii") as fh:
+        grid = json.load(fh)
+    # One cell's draws follow the previous one's, so the equal-length cells
+    # redraw as shapes.
+    shapes = [(c["len_f"], c["len_g"]) for c in grid["cells"]]
+    modulus, inputs = _bench_inputs([], shapes, grid["modulus_bits"],
+                                    grid["seed"])
+    assert modulus == grid["modulus"]
+    configs = {"word_products": MulConfig(),
+               "word_products_classical": MulConfig(classical_only=True)}
+    checked = 0
+    for cell, (f, g) in zip(grid["cells"], inputs):
+        if max(len(f), len(g)) > 1024:
+            continue
+        for variant, row in cell["variants"].items():
+            for key, config in configs.items():
+                stats = MulStats()
+                mod_mul(f, g, Variant(variant), stats=stats, config=config)
+                assert row[key] == stats.limb_products, (cell["len_f"],
+                                                         cell["len_g"],
+                                                         variant, key)
+        checked += 1
+    assert checked >= 30
+
+
 def test_bench_json_rejects_csv_options(tmp_path, capsys):
     out = str(tmp_path / "bench.json")
     for extra in (["--count-ops"], ["--variants", "ks1"], ["-o", out]):
@@ -305,7 +336,7 @@ def test_check_describes_cases_past_the_repr_limit():
     (64, MulConfig(classical_only=True)),    # one block-loop leaf
     (16, MulConfig()),                       # one top-level native leaf
     (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over block-loop leaves
-    (24, MulConfig()),                       # one all-leaf split
+    (24, MulConfig()),                       # one split, three native leaves
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     # Counted, so that the row's leaf path runs: an uncounted product is
@@ -416,6 +447,20 @@ def test_env_threshold_override(monkeypatch):
         mul_config_from_env()
     monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD")
     assert mul_config_from_env().karatsuba_threshold == 16
+
+
+@pytest.mark.parametrize("threshold", ["1", "zero"])
+def test_mul_ignores_the_threshold_variable(poly_files, tmp_path,
+                                            monkeypatch, threshold):
+    # mul counts nothing, so the threshold cannot change its product; the
+    # variable is not read at all.
+    f, g = poly_files
+    monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD", raising=False)
+    assert main(["mul", str(f), str(g), "-o", str(tmp_path / "a.txt")]) == 0
+    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
+    assert main(["mul", str(f), str(g), "-o", str(tmp_path / "b.txt")]) == 0
+    assert ((tmp_path / "a.txt").read_text()
+            == (tmp_path / "b.txt").read_text())
 
 
 def test_selftest_with_tiny_threshold(monkeypatch, capsys):

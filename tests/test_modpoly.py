@@ -263,7 +263,8 @@ def test_paper_cell_word_products():
     # L = 2048, 48-bit modulus, every coefficient n - 1: the cell where the
     # paper's classical ks1/ks4 ratio approaches 4.  Under the default
     # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208);
-    # at threshold 1, where no split is all-leaf, they are 1.031 and 1.743.
+    # at threshold 1, where the recursion runs down to 1-limb operands, they
+    # are 1.031 and 1.743.
     from kronmul.bignat import MulStats
     n = (1 << 48) - 59
     top = ModPoly((n - 1,) * 2048, n)
