@@ -5,11 +5,11 @@ one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
 checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the configured recursion, and
-uncounted, which runs CPython's multiply (unless ``classical_only``).  A
-mismatch raises ``SelfTestFailure``, naming the suite and the case's sizes.
-Draws favour the edges of each invariant: coefficient bounds 1, 2, 63, 64
-and above 64, length 1, equal and unequal lengths, values at the overlap
-recovery's limit, and digit counts on both sides of every blit cutoff.
+uncounted, which runs CPython's multiply.  A mismatch raises
+``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
+the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
+length 1, equal and unequal lengths, values at the overlap recovery's
+limit, and digit counts on both sides of every blit cutoff.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import operator
 
 from . import bignat, oracle
-from .bignat import LIMB_BITS, MulStats
+from .bignat import LIMB_BITS, MulConfig, MulStats
 from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
                      bks_reciprocal, bks_standard, ring_z, ring_zmod)
 from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
@@ -251,6 +251,13 @@ def modpoly_case(rng, config):
                   f"modpoly-{variant.value}", (n, f.coeffs, g.coeffs))
     return n, f.coeffs, g.coeffs
 
+
+# The configs the self-test and the property tests run the suites under:
+# classical leaves only, and Karatsuba thresholds 1 (the deepest
+# recursion), 16 (the default) and 40.
+CONFIGS = {"classical": MulConfig(classical_only=True),
+           "thr1": MulConfig(1), "thr16": MulConfig(16),
+           "thr40": MulConfig(40)}
 
 # In the self-test's order: a corrupted multiply fails bignat first.
 SUITES = {"bignat": bignat_case, "digits": digits_case,

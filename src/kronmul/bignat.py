@@ -7,15 +7,14 @@ themselves stay ordinary ints, so addition, shifting and byte-aligned
 digit packing run at C speed.
 
 A product that no one counts is one native product: ``mul`` and
-``mul_signed`` given no ``MulStats`` (and no ``classical_only``) run
-CPython's own multiply.  Counted, it is plain Karatsuba over
-``_classical_int`` leaves: ``mul`` given a MulStats, like ``mul_karatsuba``
-always, recurses by the three-product split down to a limb-count threshold,
-and every product it does not split, like every ``mul_classical`` call, is
-a schoolbook leaf that counts exactly m*n word products for an m-limb by
-n-limb product (``MulStats``).  A leaf runs as native products in blocks of
-the smaller operand that never exceed CPython's schoolbook cutoff, so it
-stays quadratic.  Every machine product is a call of ``_native_mul``.
+``mul_signed`` given no ``MulStats`` run CPython's own multiply, whatever
+the config.  Counted, it is plain Karatsuba over ``_classical_int`` leaves:
+``mul`` given a MulStats, like ``mul_karatsuba`` always, recurses by the
+three-product split down to a limb-count threshold, and every product it
+does not split, like every ``mul_classical`` call and every counted product
+under ``classical_only``, is a classical leaf that counts exactly m*n word
+products for an m-limb by n-limb product (``MulStats``) and makes one
+native product.  Every machine product is a call of ``_native_mul``.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -26,17 +25,11 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 LIMB_BITS = 64
 _LIMB_MASK = (1 << LIMB_BITS) - 1
-# CPython multiplies schoolbook in C (x_mul) while the smaller operand has at
-# most KARATSUBA_CUTOFF = 70 digits; this many 64-bit limbs always fit.
-_NATIVE_SCHOOLBOOK_LIMBS = 70 * sys.int_info.bits_per_digit // LIMB_BITS
-_BLOCK_BITS = _NATIVE_SCHOOLBOOK_LIMBS * LIMB_BITS
-_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 
 __all__ = [
     "LIMB_BITS",
@@ -74,11 +67,11 @@ class MulConfig:
     ``karatsuba_threshold`` is the limb count (an integer >= 1) at or below
     which the counted Karatsuba makes a product a classical leaf; a 1-limb
     operand cannot be split, so a smaller threshold would recurse forever.
-    It shapes counted products only: ``mul`` given no ``MulStats`` makes one
-    native product whatever the threshold (``mul_karatsuba`` recurses by
-    it, counted or not).
-    ``classical_only`` forces the quadratic path regardless of size, counted
-    or not, which makes word-product counts follow the m*n law exactly.
+    ``classical_only`` makes every counted product one classical leaf, so
+    word-product counts follow the m*n law exactly.  Both shape counted
+    products only: ``mul`` given no ``MulStats`` makes one native product
+    whatever the config (``mul_karatsuba`` recurses by the threshold,
+    counted or not).
     """
 
     karatsuba_threshold: int = 16
@@ -118,21 +111,14 @@ _native_mul = operator.mul
 
 
 def _classical_int(x: int, y: int, stats: MulStats | None = None) -> int:
-    # Schoolbook: an m x n product costs exactly m*n word products.  CPython
-    # runs this very algorithm in C for each block of the smaller operand,
-    # since a block never exceeds the native cutoff.
-    xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
-    yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+    # Schoolbook's cost: an m x n product counts exactly m*n word products.
+    # Nothing times a counted product, so the machine may compute it by any
+    # algorithm.
     if stats is not None:
+        xl = (x.bit_length() + LIMB_BITS - 1) // LIMB_BITS
+        yl = (y.bit_length() + LIMB_BITS - 1) // LIMB_BITS
         stats.limb_products += xl * yl
-    if xl > yl:
-        x, y, xl = y, x, yl
-    if xl <= _NATIVE_SCHOOLBOOK_LIMBS:
-        return _native_mul(x, y)
-    acc = 0
-    for shift in range(0, xl * LIMB_BITS, _BLOCK_BITS):
-        acc += _native_mul((x >> shift) & _BLOCK_MASK, y) << shift
-    return acc
+    return _native_mul(x, y)
 
 
 def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> int:
@@ -154,11 +140,12 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 
 def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
     # A product that no one counts is one native product: CPython's own
-    # multiply, Karatsuba included.  Counting runs the explicit recursion.
-    if config.classical_only:
-        return _classical_int(x, y, stats)
+    # multiply, Karatsuba included.  Counting runs the explicit recursion,
+    # or under classical_only one classical leaf.
     if stats is None:
         return _native_mul(x, y)
+    if config.classical_only:
+        return _classical_int(x, y, stats)
     return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
 
 
@@ -172,16 +159,17 @@ def _naturals(a: int, b: int) -> tuple[int, int]:
 def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
     """a * b for naturals.  Uncounted, one native product; counted into
-    ``stats`` (or under ``classical_only``), the classical path at or below
-    the configured limb-count threshold and Karatsuba above it."""
+    ``stats``, the classical path at or below the configured limb-count
+    threshold (or always, under ``classical_only``) and Karatsuba above
+    it."""
     if config is None:
         config = DEFAULT_MUL_CONFIG
     return _mul_int(*_naturals(a, b), stats, config)
 
 
 def mul_classical(a: int, b: int, stats: MulStats | None = None) -> int:
-    """Quadratic schoolbook product of naturals; counts exactly
-    limbs(a)*limbs(b)."""
+    """Product of naturals at schoolbook's cost: counts exactly
+    limbs(a)*limbs(b) word products, and makes one native product."""
     return _classical_int(*_naturals(a, b), stats)
 
 

@@ -1,16 +1,13 @@
 """Command-line front end: file-based modular polynomial multiplication, a
-benchmark harness comparing the substitution variants (CSV, or the
-north-star grid as JSON), and a seeded self-test.
+benchmark that writes the north-star grid as JSON, and a seeded self-test.
 
 Polynomial file format: line 1 is the decimal modulus, line 2 the decimal
 length L, followed by L whitespace-separated decimal coefficients with the
 constant term first.
 
-The environment variable KRONMUL_KARATSUBA_THRESHOLD sets the limb threshold
-at which the self-test's counted products switch from classical to
-Karatsuba.  ``mul`` and ``bench`` use the default config: they count
-nothing, or under ``--count-ops`` count classically, so no threshold could
-change what they compute or time.
+``mul`` and the bench's timed calls count nothing, so they run CPython's
+multiply whatever the config; the self-test runs every suite under each
+config of ``kronmul._cases.CONFIGS``.
 """
 
 from __future__ import annotations
@@ -25,32 +22,17 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bignat
-from .bignat import DEFAULT_MUL_CONFIG, MulConfig, MulStats
+from .bignat import MulConfig, MulStats
 from .modpoly import (DEFAULT_THRESHOLDS, ModPoly, Variant,
                       choose_variant, mod_mul)
-
-CSV_HEADER = "degree,length,modulus_bits,variant,wall_ns_median,limb_products,ratio_vs_ks1"
-
-ENV_THRESHOLD = "KRONMUL_KARATSUBA_THRESHOLD"
 
 
 class CommandError(Exception):
     """A user-facing failure; the message goes to stderr, exit status 1."""
-
-
-def mul_config_from_env() -> MulConfig:
-    raw = os.environ.get(ENV_THRESHOLD)
-    if raw is None:
-        return DEFAULT_MUL_CONFIG
-    try:
-        return MulConfig(int(raw))
-    except ValueError:
-        raise CommandError(f"{ENV_THRESHOLD} must be an integer >= 1, "
-                           f"got {raw!r}")
 
 
 # --- polynomial files --------------------------------------------------------
@@ -58,10 +40,14 @@ def mul_config_from_env() -> MulConfig:
 
 def read_poly_file(path: str) -> ModPoly:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            tokens = fh.read().split()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}")
+    try:
+        tokens = raw.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"{path}: byte {exc.start} is not ASCII")
     if len(tokens) < 2:
         raise CommandError(f"{path}: expected modulus and length")
     try:
@@ -149,27 +135,6 @@ def parse_degree_grid(grid: str) -> list[int]:
     raise CommandError(f"invalid degree grid {grid!r}")
 
 
-@dataclass
-class BenchRow:
-    degree: int
-    length: int
-    modulus_bits: int
-    variant: str
-    wall_ns_median: int
-    limb_products: int | None
-    ratio_vs_ks1: float | None
-    length_g: int | None = None  # the second operand's, when it differs
-    wall_ns_iqr: int = 0
-
-    def csv(self) -> str:
-        ops = "" if self.limb_products is None else str(self.limb_products)
-        ratio = "" if self.ratio_vs_ks1 is None else f"{self.ratio_vs_ks1:.4f}"
-        length = (self.length if self.length_g is None
-                  else f"{self.length}x{self.length_g}")
-        return (f"{self.degree},{length},{self.modulus_bits},"
-                f"{self.variant},{self.wall_ns_median},{ops},{ratio}")
-
-
 def _interleaved_samples(fns, reps: int) -> list[list[int]]:
     """ns per call of each of ``fns``, one sample per repetition.
 
@@ -212,88 +177,39 @@ def _bench_inputs(degrees, shapes, modulus_bits: int, seed: int):
     return modulus, [(draw(len_f), draw(len_g)) for len_f, len_g in cells]
 
 
-def timed_multiply(config: MulConfig) -> str:
-    """The multiply that an uncounted call under ``config`` runs: CPython's
-    own, or the classical blocks under ``classical_only``."""
-    return "counted-classical" if config.classical_only else "cpython-int"
-
-
-def run_bench(degrees, modulus_bits: int, variants, reps: int, seed: int,
-              count_ops: bool = False, config: MulConfig | None = None,
-              shapes=()):
-    """Time every (cell, variant) on shared random inputs (cells as in
-    ``_bench_inputs``).
-
-    Returns (comment_lines, rows).  The timed calls pass no ``MulStats``,
-    so they run CPython's multiply.  In op-counting mode all products run
-    classically, timed and counted, so the counters follow the
-    deterministic m*n law.
-    """
-    variants = [v if isinstance(v, Variant) else _parse_variant(v)
-                for v in variants]
-    if any(v is Variant.AUTO for v in variants):
-        raise CommandError("bench variants must be explicit (no auto)")
-    if config is None:
-        config = DEFAULT_MUL_CONFIG
-    if count_ops:
-        config = replace(config, classical_only=True)
-    modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
-    comments = [f"# seed={seed} modulus={modulus} "
-                f"classical_only={config.classical_only} "
-                f"timed_multiply={timed_multiply(config)}"]
-    cells = _time_cells(inputs, variants, modulus_bits, reps, config,
-                        count_ops)
-    return comments, [row for cell in cells for row in cell]
-
-
-def _time_cells(inputs, variants, modulus_bits: int, reps: int,
-                config: MulConfig, count_ops: bool = False):
-    """One list of rows per (f, g) in ``inputs``, a row per variant, timed
-    on those inputs."""
+def _time_cells(inputs, variants, reps: int) -> list[dict]:
+    """Per (f, g) in ``inputs``, each variant's median ns, the interquartile
+    range of its ``reps`` samples and its ratio to ks1's median, timed
+    uncounted, so on CPython's multiply.  ``variants`` must include ks1."""
     if reps < 1:
         raise CommandError("reps must be >= 1")
     cells = []
     for f, g in inputs:
-        calls = [lambda v=v: mod_mul(f, g, v, config=config)
-                 for v in variants]
-        cell = []
+        calls = [lambda v=v: mod_mul(f, g, v) for v in variants]
+        rows = {}
         for variant, samples in zip(variants,
                                     _interleaved_samples(calls, reps)):
-            ops = None
-            if count_ops:
-                stats = MulStats()
-                mod_mul(f, g, variant, config=config, stats=stats)
-                ops = stats.limb_products
             iqr = 0
             if reps > 1:
                 q1, _, q3 = statistics.quantiles(samples, n=4)
                 iqr = int(q3 - q1)
-            cell.append(BenchRow(
-                len(f) - 1, len(f), modulus_bits, variant.value,
-                int(statistics.median(samples)), ops, None,
-                len(g) if len(g) != len(f) else None, iqr))
-        base = next((r for r in cell if r.variant == "ks1"), None)
-        if base is not None and base.wall_ns_median > 0:
-            for row in cell:
-                row.ratio_vs_ks1 = row.wall_ns_median / base.wall_ns_median
-        cells.append(cell)
+            rows[variant.value] = {
+                "wall_ns_median": int(statistics.median(samples)),
+                "wall_ns_iqr": iqr}
+        base = rows[Variant.KS1.value]["wall_ns_median"]
+        for row in rows.values():
+            row["ratio_vs_ks1"] = round(row["wall_ns_median"] / base, 4)
+        cells.append(rows)
     return cells
 
 
-def render_csv(comments, rows) -> str:
-    lines = list(comments)
-    lines.append(CSV_HEADER)
-    lines.extend(row.csv() for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-# The bench file's grid: equal lengths from JSON_DEGREES, then these
-# shapes.  The long sides of zn-unbalanced against its short ones; the
-# short cells AUTO's ks1 band is read from, equal and with a side of 8,
-# where that band, keyed on the longer length, runs ks3; the lengths of
-# zn-bivariate's four-point products (520, 528, 544, 1024) with 600
-# between them; and 1800 and 2000, between the grid's 1587 and 2204, where
-# the ks3 band ends.
+# The bench file's grid: equal lengths from --degrees (by default
+# JSON_DEGREES), then these shapes.  The long sides of zn-unbalanced against
+# its short ones; the short cells AUTO's ks1 band is read from, equal and
+# with a side of 8, where that band, keyed on the longer length, runs ks3;
+# the lengths of zn-bivariate's four-point products (520, 528, 544, 1024)
+# with 600 between them; and 1800 and 2000, between the grid's 1587 and
+# 2204, where the ks3 band ends.
 JSON_DEGREES = "16:8192:log"
 JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                      for short in (16, 64, 256))
@@ -317,34 +233,27 @@ def _git(*args) -> str | None:
 
 def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
                seed: int) -> dict:
-    """The bench file's content: every variant timed under ``MulConfig()``
-    on each cell, which runs CPython's multiply, with exact word products
-    under ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
+    """The bench file's content: every variant timed uncounted on each
+    cell, which runs CPython's multiply, with exact word products under
+    ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
     timed)."""
     config = MulConfig()
-    classical = replace(config, classical_only=True)
+    counted = {"word_products": config,
+               "word_products_classical": MulConfig(classical_only=True)}
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
-    cells = _time_cells(inputs, _VARIANTS, modulus_bits, reps, config)
+    cells = _time_cells(inputs, _VARIANTS, reps)
     out = []
-    for (f, g), timed in zip(inputs, cells):
-        variants = {}
-        for variant, row in zip(_VARIANTS, timed):
-            counts = []
-            for cfg in (config, classical):
+    for (f, g), rows in zip(inputs, cells):
+        for variant in _VARIANTS:
+            for key, cfg in counted.items():
                 stats = MulStats()
                 mod_mul(f, g, variant, config=cfg, stats=stats)
-                counts.append(stats.limb_products)
-            variants[variant.value] = {
-                "wall_ns_median": row.wall_ns_median,
-                "wall_ns_iqr": row.wall_ns_iqr,
-                "ratio_vs_ks1": round(row.ratio_vs_ks1, 4),
-                "word_products": counts[0],
-                "word_products_classical": counts[1]}
+                rows[variant.value][key] = stats.limb_products
         out.append({"len_f": len(f), "len_g": len(g),
                     "auto": choose_variant(len(f), len(g)).value,
-                    "fastest": min(timed,
-                                   key=lambda r: r.wall_ns_median).variant,
-                    "variants": variants})
+                    "fastest": min(rows, key=lambda v:
+                                   rows[v]["wall_ns_median"]),
+                    "variants": rows})
     dirty = _git("status", "--porcelain", "--untracked-files=no")
     return {"commit": _git("rev-parse", "HEAD"),
             "dirty": None if dirty is None else bool(dirty),
@@ -352,44 +261,24 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
             "python": f"{platform.python_implementation()} "
                       f"{platform.python_version()}",
             "mul_config": asdict(config),
-            "timed_multiply": timed_multiply(config),
+            "timed_multiply": "cpython-int",
             "auto_thresholds": asdict(DEFAULT_THRESHOLDS),
             "seed": seed, "reps": reps, "modulus_bits": modulus_bits,
             "modulus": modulus, "cells": out}
 
 
 def cmd_bench(args) -> int:
-    if args.json:
-        if args.variants is not None or args.count_ops or args.output:
-            raise CommandError("--json times every variant and counts both "
-                               "ways; drop --variants, --count-ops and -o")
-        grid = bench_grid(parse_degree_grid(args.degrees or JSON_DEGREES),
-                          JSON_SHAPES, args.modulus_bits, args.reps,
-                          args.seed)
-        try:
-            with open(args.json, "w", encoding="ascii") as fh:
-                json.dump(grid, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise CommandError(f"cannot write {args.json}: {exc}")
-        return 0
-    degrees = parse_degree_grid(args.degrees or "100:5000:log")
-    variants = [v.strip() for v in (args.variants or "ks1,ks2,ks3,ks4")
-                .split(",") if v.strip()]
-    if not variants:
-        raise CommandError("no variants requested")
-    comments, rows = run_bench(degrees, args.modulus_bits, variants,
-                               args.reps, args.seed,
-                               count_ops=args.count_ops)
-    text = render_csv(comments, rows)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CommandError(f"cannot write {args.output}: {exc}")
-    else:
+    grid = bench_grid(parse_degree_grid(args.degrees), JSON_SHAPES,
+                      args.modulus_bits, args.reps, args.seed)
+    text = json.dumps(grid, indent=1) + "\n"
+    if args.json is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.json, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {args.json}: {exc}")
     return 0
 
 
@@ -400,7 +289,7 @@ def cmd_bench(args) -> int:
 def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
-    # _native_mul, uncounted products and _classical_int's blocks alike, so
+    # _native_mul, uncounted products and _classical_int's leaves alike, so
     # that one name reaches every path.  Used to verify the self-test has
     # teeth.
     original = bignat._native_mul
@@ -422,24 +311,27 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
     # Imported here, so importing the CLI (as perfbench's tests do to
     # corrupt the multiply) loads no case code.
     from . import _cases
-    config = mul_config_from_env()
     if iters == 0:
         out("selftest: 0 cases executed (trivially passing)")
         return 0
-    for suite, case in _cases.SUITES.items():
-        rng = random.Random(f"{suite}-{seed}")
-        try:
-            for _ in range(iters):
-                case(rng, config)
-        except _cases.SelfTestFailure as exc:
-            out(f"selftest FAILED (seed={seed}): {exc}")
-            return 1
-        except Exception as exc:
-            # A library error on a valid case fails the run like a mismatch.
-            out(f"selftest FAILED (seed={seed}): {suite}: "
-                f"{type(exc).__name__}: {exc}")
-            return 1
-        out(f"{suite}: ok ({iters} cases)")
+    # Every config draws the same cases from the seed.
+    for name, config in _cases.CONFIGS.items():
+        out(f"config {name}: {config}")
+        for suite, case in _cases.SUITES.items():
+            rng = random.Random(f"{suite}-{seed}")
+            try:
+                for _ in range(iters):
+                    case(rng, config)
+            except _cases.SelfTestFailure as exc:
+                out(f"selftest FAILED (seed={seed}): {exc}")
+                return 1
+            except Exception as exc:
+                # A library error on a valid case fails the run like a
+                # mismatch.
+                out(f"selftest FAILED (seed={seed}): {suite}: "
+                    f"{type(exc).__name__}: {exc}")
+                return 1
+            out(f"{suite}: ok ({iters} cases)")
     out(f"selftest passed (seed={seed})")
     return 0
 
@@ -475,23 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["ks1", "ks2", "ks3", "ks4", "auto"])
     p_mul.set_defaults(func=cmd_mul)
 
-    p_bench = sub.add_parser("bench", help="benchmark variants to CSV or JSON")
+    p_bench = sub.add_parser(
+        "bench", help="time every variant on the north-star grid, as JSON")
     p_bench.add_argument("--modulus-bits", type=int, default=48)
-    p_bench.add_argument("--degrees",
-                         help="grid: lo:hi:log or lo:hi:+step (default "
-                              f"100:5000:log, with --json {JSON_DEGREES})")
-    p_bench.add_argument("--variants", help="default ks1,ks2,ks3,ks4")
+    p_bench.add_argument("--degrees", default=JSON_DEGREES,
+                         help="equal-length cells: lo:hi:log or "
+                              "lo:hi:+step (default %(default)s)")
     p_bench.add_argument("--reps", type=int, default=5,
                          help="timed repetitions per cell (median taken)")
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--count-ops", action="store_true",
-                         help="also record word-product counts "
-                              "(forces classical multiplication)")
-    p_bench.add_argument("-o", "--output", help="CSV file (default stdout)")
     p_bench.add_argument("--json", metavar="PATH",
-                         help="write the north-star grid as JSON instead "
-                              "of CSV: every variant, both word-product "
-                              "counts and AUTO's pick per cell")
+                         help="write the grid here (default stdout): every "
+                              "variant, both word-product counts and "
+                              "AUTO's pick per cell")
     p_bench.set_defaults(func=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run the seeded self-test")

@@ -15,9 +15,10 @@ from kronmul.bignat import BigNat, MulConfig, MulStats, mul_classical, \
     mul_karatsuba
 from kronmul.bipoly import BiPoly, MissingHalveError, bks_four, bks_negated, \
     bks_reciprocal, bks_standard, ring_z, ring_zmod
-from kronmul.cli import run_bench
+from kronmul.cli import _bench_inputs, _time_cells
 from kronmul.ksint import (OverlapDigits, derive_params, ks1_mul, ks2_mul,
                            ks3_mul, ks4_mul, reconstruct_overlapped)
+from kronmul.modpoly import Variant
 from kronmul.oracle import schoolbook_bivar, schoolbook_z
 from kronmul.pack import CoeffVec, pack, pack_reversed
 
@@ -196,25 +197,25 @@ def test_work_ratio_classical_only():
 def test_wall_clock_shape():
     # One 5-rep draw swings widely on a shared host, so each degree's ratio
     # is the median over five repeated draws.
+    _, inputs = _bench_inputs([768, 1536], (), 48, 11)
     ratios = {768: [], 1536: []}
     for _ in range(5):
-        _, rows = run_bench([768, 1536], 48, ["ks1", "ks4"], reps=5, seed=11,
-                            config=MulConfig())
-        for r in rows:
-            if r.variant == "ks4":
-                ratios[r.degree].append(r.ratio_vs_ks1)
+        cells = _time_cells(inputs, [Variant.KS1, Variant.KS4], reps=5)
+        for degree, rows in zip(ratios, cells):
+            ratios[degree].append(rows["ks4"]["ratio_vs_ks1"])
     best = min(statistics.median(draws) for draws in ratios.values())
 
     # The variants differ by microseconds at these degrees, so each
     # variant's time is likewise its median over five draws.
     variants = ["ks1", "ks2", "ks3", "ks4"]
+    _, inputs = _bench_inputs([2, 4], (), 48, 12)
     small = {}
     for _ in range(5):
-        _, rows = run_bench([2, 4], 48, variants, reps=7, seed=12,
-                            config=MulConfig())
-        for r in rows:
-            small.setdefault((r.degree, r.variant), []).append(
-                r.wall_ns_median)
+        cells = _time_cells(inputs, [Variant(v) for v in variants], reps=7)
+        for degree, rows in zip((2, 4), cells):
+            for variant, row in rows.items():
+                small.setdefault((degree, variant), []).append(
+                    row["wall_ns_median"])
     small_ok = all(
         min(variants, key=lambda v: statistics.median(small[degree, v]))
         == "ks1" for degree in (2, 4))

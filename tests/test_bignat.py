@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -158,26 +157,16 @@ def test_karatsuba_matches_reference_recursion(monkeypatch, threshold):
         counted = leaves(x, y, got)
         assert _reference_karatsuba(x, y, want, threshold) == x * y
         assert got.limb_products == want.limb_products
-        # Counting does not change the tree or its leaves, and no machine
-        # product runs past CPython's schoolbook cutoff.
+        # Counting does not change the tree or its leaves.
         assert leaves(x, y, None) == counted
-        assert all(min(pair) <= bignat._NATIVE_SCHOOLBOOK_LIMBS
-                   for pair in counted)
-
-
-def test_native_schoolbook_cutoff():
-    if sys.int_info.bits_per_digit == 30:
-        assert bignat._NATIVE_SCHOOLBOOK_LIMBS == 32
-    assert bignat._NATIVE_SCHOOLBOOK_LIMBS * 64 <= \
-        70 * sys.int_info.bits_per_digit
 
 
 @pytest.mark.parametrize("xl, yl", [(32, 32), (32, 500), (33, 33), (40, 33),
                                     (7, 3200), (64, 64), (65, 65), (33, 3200),
                                     (0, 40)])
 def test_classical_leaf_value_and_count(xl, yl):
-    # either side of the native cutoff and of each block boundary: the
-    # product and the m*n count
+    # small, large and lopsided leaves, and a zero operand: the product and
+    # the m*n count
     rng = random.Random(xl * 1000 + yl)
     x = full_limbs(rng, xl) if xl else 0
     y = full_limbs(rng, yl)
@@ -194,32 +183,15 @@ def test_classical_only_row_loop():
     assert stats.limb_products == 200 * 200
 
 
-@pytest.mark.parametrize("xl, yl, calls", [(200, 200, 7), (16, 500, 1)])
-def test_classical_native_calls_per_block(monkeypatch, xl, yl, calls):
-    # The smaller operand goes to the machine in blocks of at most
-    # _NATIVE_SCHOOLBOOK_LIMBS limbs, one native product each.
-    made = 0
-
-    def counted(x, y):
-        nonlocal made
-        made += 1
-        return x * y
-
-    monkeypatch.setattr(bignat, "_native_mul", counted)
-    rng = random.Random(xl + yl)
-    x, y = full_limbs(rng, xl), full_limbs(rng, yl)
-    assert mul(x, y, config=MulConfig(classical_only=True)) == x * y
-    assert made == calls
-
-
 @pytest.mark.parametrize("config", [MulConfig(), MulConfig(1),
-                                    MulConfig(40)], ids=["thr16", "thr1",
-                                                         "thr40"])
+                                    MulConfig(40),
+                                    MulConfig(classical_only=True)],
+                         ids=["thr16", "thr1", "thr40", "classical"])
 @pytest.mark.parametrize("xl, yl", [(1, 1), (16, 17), (200, 200),
                                     (33, 3200)])
 def test_uncounted_mul_is_one_native_product(monkeypatch, config, xl, yl):
-    # No MulStats, no classical_only: CPython's multiply, whatever the
-    # threshold, through the one name the self-test corrupts.
+    # No MulStats: CPython's multiply, whatever the config, through the one
+    # name the self-test corrupts.
     made = 0
 
     def counted(x, y):

@@ -4,9 +4,9 @@
 ``random.Random``; here the same functions draw from ``st.randoms``, so a
 failing case shrinks, and its report lists each draw, from which it can be
 written down as a fixed regression test.  The multiplying suites run
-classical-only and at Karatsuba thresholds 1, 16 and 40; each suite counts
-its products once, so that the configured recursion runs, and multiplies
-once uncounted.  The digit suite's property test, which also checks that
+under each of ``CONFIGS``, as the self-test does: classical-only and at
+Karatsuba thresholds 1, 16 and 40; each suite counts its products once, so
+that the configured recursion runs, and multiplies once uncounted.  The digit suite's property test, which also checks that
 each tier runs its blit path, is in ``test_blit_properties.py``.
 """
 
@@ -18,12 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kronmul import _cases, bignat  # noqa: E402
+from kronmul._cases import CONFIGS  # noqa: E402
 from kronmul.bignat import MulConfig  # noqa: E402
 from kronmul.cli import _corrupted_multiply  # noqa: E402
 
-CONFIGS = {"classical": MulConfig(classical_only=True),
-           "thr1": MulConfig(1), "thr16": MulConfig(16),
-           "thr40": MulConfig(40)}
 MULTIPLYING = ("bignat", "ksint", "bipoly", "modpoly")
 
 

@@ -8,11 +8,9 @@ import pytest
 
 from kronmul import _cases, bignat, cli
 from kronmul.bignat import BigNat, MulConfig, MulStats, mul
-from kronmul.cli import (CSV_HEADER, JSON_DEGREES, CommandError,
-                         _bench_inputs, _corrupted_multiply, main,
-                         mul_config_from_env, parse_degree_grid,
-                         read_poly_file, render_csv, run_bench, run_selftest,
-                         write_poly_file)
+from kronmul.cli import (JSON_DEGREES, CommandError, _bench_inputs,
+                         _corrupted_multiply, main, parse_degree_grid,
+                         read_poly_file, run_selftest, write_poly_file)
 from kronmul.modpoly import ModPoly, Variant, choose_variant, mod_mul
 
 EXAMPLE_F = "1000003\n4\n274 610 887 621\n"
@@ -46,6 +44,19 @@ def test_poly_file_errors(tmp_path):
         read_poly_file(str(bad))
     with pytest.raises(CommandError):
         read_poly_file(str(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("content", [b"97\n1\n\xff\n",
+                                     "97\n1\n\uff15\n".encode("utf-8")])
+def test_mul_rejects_a_non_ascii_file(poly_files, tmp_path, capsys, content):
+    # A stray byte or a full-width digit is a diagnostic naming the file,
+    # not a UnicodeDecodeError traceback.
+    f, _ = poly_files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    assert main(["mul", str(f), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"kronmul: {bad}: byte 5 is not ASCII"]
 
 
 @pytest.mark.parametrize("variant", ["ks1", "ks2", "ks3", "ks4", "auto"])
@@ -96,63 +107,6 @@ def test_parse_degree_grid():
             parse_degree_grid(bad)
 
 
-def test_bench_csv_schema(tmp_path):
-    out = tmp_path / "bench.csv"
-    status = main(["bench", "--modulus-bits", "8", "--degrees", "2:6:+4",
-                   "--variants", "ks1,ks4", "--reps", "3", "--seed", "5",
-                   "--count-ops", "-o", str(out)])
-    assert status == 0
-    lines = out.read_text().splitlines()
-    comments = [l for l in lines if l.startswith("#")]
-    assert any("seed=5" in c for c in comments)
-    body = [l for l in lines if not l.startswith("#")]
-    assert body[0] == CSV_HEADER
-    rows = [l.split(",") for l in body[1:]]
-    assert len(rows) == 4  # 2 degrees x 2 variants
-    for degree, length, bits, variant, ns, ops, ratio in rows:
-        assert int(length) == int(degree) + 1
-        assert bits == "8"
-        assert variant in ("ks1", "ks4")
-        assert int(ns) > 0
-        assert int(ops) > 0  # counted because of --count-ops
-        if variant == "ks1":
-            assert float(ratio) == 1.0
-
-
-def test_bench_ratio_against_ks1_rows():
-    comments, rows = run_bench([4], 6, ["ks1", "ks2", "ks3"], reps=3, seed=2,
-                               count_ops=True)
-    by_variant = {r.variant: r for r in rows}
-    base = by_variant["ks1"].wall_ns_median
-    for r in rows:
-        assert r.ratio_vs_ks1 == pytest.approx(r.wall_ns_median / base)
-    text = render_csv(comments, rows)
-    assert text.splitlines()[1] == CSV_HEADER
-
-
-def test_bench_count_ops_forces_classical():
-    # --count-ops counts the m*n law even when handed a Karatsuba config.
-    def bench(config):
-        return run_bench([40], 48, ["ks1", "ks4"], reps=1, seed=3,
-                         count_ops=True, config=config)
-
-    comments, rows = bench(MulConfig())
-    _, classical = bench(MulConfig(classical_only=True))
-    assert "classical_only=True" in comments[0]
-    assert "timed_multiply=counted-classical" in comments[0]
-    assert [r.limb_products for r in rows] == \
-        [r.limb_products for r in classical]
-
-
-def test_bench_names_the_timed_multiply():
-    # Uncounted calls run CPython's multiply: the threshold does not shape
-    # the timing, so the comment names the multiply instead.
-    comments, _ = run_bench([4], 8, ["ks1"], reps=1, seed=2,
-                            config=MulConfig(karatsuba_threshold=3))
-    assert "timed_multiply=cpython-int" in comments[0]
-    assert "karatsuba_threshold" not in comments[0]
-
-
 def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
     # Every word-product cell of the file equals a MulStats count taken
     # here on the same seeded inputs, under MulConfig() and classically.
@@ -174,10 +128,13 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
                "word_products_classical": MulConfig(classical_only=True)}
     for cell, (f, g) in zip(grid["cells"], inputs):
         assert cell["auto"] == choose_variant(len(f), len(g)).value
+        base = cell["variants"]["ks1"]["wall_ns_median"]
         assert cell["variants"]["ks1"]["ratio_vs_ks1"] == 1.0
         for variant in ("ks1", "ks2", "ks3", "ks4"):
             row = cell["variants"][variant]
             assert row["wall_ns_median"] > 0
+            assert row["ratio_vs_ks1"] == round(row["wall_ns_median"] / base,
+                                                4)
             for key, config in configs.items():
                 stats = MulStats()
                 mod_mul(f, g, Variant(variant), stats=stats, config=config)
@@ -215,12 +172,32 @@ def test_committed_bench_grid_counts_match_the_code():
     assert checked >= 30
 
 
+def test_bench_prints_the_committed_schema(capsys, monkeypatch):
+    # Without --json the document goes to stdout, with the key sets of the
+    # committed grid at the top level, per cell and per variant row.
+    monkeypatch.setattr(cli, "JSON_SHAPES", ((3, 2),))
+    assert main(["bench", "--degrees", "4:4:+1", "--reps", "1"]) == 0
+    grid = json.loads(capsys.readouterr().out)
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "BENCH_native.json")
+    with open(path, encoding="ascii") as fh:
+        committed = json.load(fh)
+    assert set(grid) == set(committed)
+    for cell in grid["cells"]:
+        assert set(cell) == set(committed["cells"][0])
+        assert set(cell["variants"]) == set(committed["cells"][0]["variants"])
+        for row in cell["variants"].values():
+            assert set(row) == set(committed["cells"][0]["variants"]["ks1"])
+
+
 def test_bench_json_rejects_csv_options(tmp_path, capsys):
+    # One output, the JSON grid: the CSV mode's options are gone.
     out = str(tmp_path / "bench.json")
     for extra in (["--count-ops"], ["--variants", "ks1"], ["-o", out]):
-        assert main(["bench", "--json", out, "--degrees", "4:4:+1"]
-                    + extra) == 1
-        assert "--json" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--json", out, "--degrees", "4:4:+1"] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -255,7 +232,6 @@ def test_grid_classical_word_product_ratios():
 def test_bench_rejects_bad_grid(capsys):
     assert main(["bench", "--degrees", "nope"]) == 1
     assert "invalid degree grid" in capsys.readouterr().err
-    assert main(["bench", "--degrees", "1:4:+1", "--variants", "auto"]) == 1
     assert main(["bench", "--degrees", "1:4:+1", "--reps", "0"]) == 1
 
 
@@ -307,15 +283,9 @@ def test_selftest_mutation_guard_fails(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("threshold", [None, "1", "16", "40"])
-def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
-                                                 threshold):
+def test_mutated_selftest_names_the_case_briefly(capsys):
     # The failing operands run to thousands of digits; the report gives
-    # their sizes and the suite instead.  None is the default config.
-    if threshold is None:
-        monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD", raising=False)
-    else:
-        monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
+    # their sizes and the suite instead.
     assert main(["selftest", "--seed", "0", "--iters", "20",
                  "--mutate"]) == 1
     line = capsys.readouterr().out.splitlines()[-1]
@@ -332,11 +302,11 @@ def test_check_describes_cases_past_the_repr_limit():
 
 
 @pytest.mark.parametrize("limbs, config", [
-    (40, MulConfig()),                       # Karatsuba over native leaves
-    (64, MulConfig(classical_only=True)),    # one block-loop leaf
-    (16, MulConfig()),                       # one top-level native leaf
-    (70, MulConfig(karatsuba_threshold=40)),  # Karatsuba over block-loop leaves
-    (24, MulConfig()),                       # one split, three native leaves
+    (40, MulConfig()),                       # Karatsuba, two levels deep
+    (64, MulConfig(classical_only=True)),    # one classical leaf
+    (16, MulConfig()),                       # one top-level leaf
+    (70, MulConfig(karatsuba_threshold=40)),  # one split, 35-limb leaves
+    (24, MulConfig()),                       # one split, three leaves
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     # Counted, so that the row's leaf path runs: an uncounted product is
@@ -399,7 +369,7 @@ def test_selftest_runs_shared_rng_reproducibly(monkeypatch):
         return lines, list(drawn)
 
     lines, cases = run(123)
-    assert len(cases) == 10 * len(_cases.SUITES)
+    assert len(cases) == 10 * len(_cases.SUITES) * len(_cases.CONFIGS)
     assert run(123) == (lines, cases)
     other = run(124)[1]
     assert all(cases[i:i + 10] != other[i:i + 10]
@@ -434,39 +404,6 @@ def test_selftest_draws_unequal_lengths(monkeypatch):
     monkeypatch.setattr(_cases, "mod_mul", recorded)
     assert run_selftest(seed=0, iters=25, out=lambda *_: None) == 0
     assert any(len_f != len_g for len_f, len_g in shapes)
-
-
-def test_env_threshold_override(monkeypatch):
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", "7")
-    assert mul_config_from_env().karatsuba_threshold == 7
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", "zero")
-    with pytest.raises(CommandError):
-        mul_config_from_env()
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", "0")
-    with pytest.raises(CommandError):
-        mul_config_from_env()
-    monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD")
-    assert mul_config_from_env().karatsuba_threshold == 16
-
-
-@pytest.mark.parametrize("threshold", ["1", "zero"])
-def test_mul_ignores_the_threshold_variable(poly_files, tmp_path,
-                                            monkeypatch, threshold):
-    # mul counts nothing, so the threshold cannot change its product; the
-    # variable is not read at all.
-    f, g = poly_files
-    monkeypatch.delenv("KRONMUL_KARATSUBA_THRESHOLD", raising=False)
-    assert main(["mul", str(f), str(g), "-o", str(tmp_path / "a.txt")]) == 0
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", threshold)
-    assert main(["mul", str(f), str(g), "-o", str(tmp_path / "b.txt")]) == 0
-    assert ((tmp_path / "a.txt").read_text()
-            == (tmp_path / "b.txt").read_text())
-
-
-def test_selftest_with_tiny_threshold(monkeypatch, capsys):
-    # forces deep Karatsuba recursion everywhere and must still agree
-    monkeypatch.setenv("KRONMUL_KARATSUBA_THRESHOLD", "1")
-    assert main(["selftest", "--iters", "10"]) == 0
 
 
 def test_module_entry_point(poly_files, tmp_path):
