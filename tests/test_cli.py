@@ -283,9 +283,16 @@ def test_selftest_mutation_guard_fails(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-def test_mutated_selftest_names_the_case_briefly(capsys):
+@pytest.mark.parametrize("threshold", [None, 1, 16, 40])
+def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
+                                                 threshold):
     # The failing operands run to thousands of digits; the report gives
-    # their sizes and the suite instead.
+    # their sizes and the suite instead.  None is the self-test's own
+    # sweep, which fails under its first config; each threshold runs
+    # alone, so every config's mutated run is reported.
+    if threshold is not None:
+        monkeypatch.setattr(_cases, "CONFIGS",
+                            {f"thr{threshold}": MulConfig(threshold)})
     assert main(["selftest", "--seed", "0", "--iters", "20",
                  "--mutate"]) == 1
     line = capsys.readouterr().out.splitlines()[-1]
