@@ -5,11 +5,13 @@ one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
 checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the configured recursion, and
-uncounted, which runs CPython's multiply.  A mismatch raises
-``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
-the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
-length 1, equal and unequal lengths, values at the overlap recovery's
-limit, and digit counts on both sides of every blit cutoff.
+uncounted, which runs CPython's multiply or, on large balanced operands,
+the Toom-3 split over it.  A mismatch raises ``SelfTestFailure``, naming
+the suite and the case's sizes.  Draws favour the edges of each invariant:
+coefficient bounds 1, 2, 63, 64 and above 64, length 1, equal and unequal
+lengths, values at the overlap recovery's limit, digit counts on both sides
+of every blit cutoff, and operand bits on both sides of the Toom-3 split's
+gates.
 """
 
 from __future__ import annotations
@@ -85,9 +87,37 @@ def _raises(error, fn, *args) -> bool:
     return False
 
 
+def _toom_bits(rng):
+    # Operand bits about the uncounted Toom-3 split's gates: the shorter side
+    # just below the cutoff, at it, or up to three times it, where the split
+    # goes two levels deep; the longer one equal, anywhere inside the skew
+    # gate, or just inside or just outside it.
+    low = bignat._TOOM_MIN_BITS
+    short = rng.choice((low - 1, low, rng.randint(low, 3 * low), 3 * low))
+    top = bignat._TOOM_MAX_SKEW * short
+    long_ = rng.choice((short, rng.randint(short, top - 1), top - 1, top))
+    return [short, long_][::rng.choice((1, -1))]
+
+
+def bignat_toom_case(rng, config):
+    """A pair about the Toom-3 gates, full-length or all ones, multiplied
+    uncounted only (counted at threshold 1, one such product takes about
+    0.3 s) by ``mul`` and, with random signs, by ``mul_signed``."""
+    a, b = ((1 << k) - 1 if rng.randrange(4) == 0
+            else rng.getrandbits(k) | 1 << (k - 1) for k in _toom_bits(rng))
+    sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+    check(bignat.mul(a, b, config=config) == a * b
+          and bignat.mul_signed(sa * a, sb * b, config=config)
+          == sa * sb * a * b, "bignat-mul-toom", (a, b))
+    return a, b
+
+
 def bignat_case(rng, config):
     """Naturals of 1 to 64 limbs: classical, Karatsuba and ``mul`` products,
-    counted and not, against int multiply."""
+    counted and not, against int multiply; one draw in eight is instead
+    ``bignat_toom_case``'s."""
+    if rng.randrange(8) == 0:
+        return bignat_toom_case(rng, config)
     bits = [LIMB_BITS * limbs - rng.randrange(LIMB_BITS)
             for limbs in _lengths(rng, 64)]
     a, b = ((1 << k) - 1 if rng.randrange(4) == 0 else rng.getrandbits(k)
@@ -260,7 +290,9 @@ CONFIGS = {"classical": MulConfig(classical_only=True),
            "thr40": MulConfig(40)}
 
 # In the self-test's order: a corrupted multiply fails bignat first.
+# The multiplying suites run under every config, the others under one.
 SUITES = {"bignat": bignat_case, "digits": digits_case,
           "reconstruct": reconstruct_case, "pack": pack_case,
           "ksint": ksint_case, "bipoly": bipoly_case,
           "modpoly": modpoly_case}
+MULTIPLYING = ("bignat", "ksint", "bipoly", "modpoly")

@@ -1,20 +1,25 @@
 """Multiplication of natural numbers on 64-bit limbs over plain Python ints:
-CPython's own multiply, or when counted, classical and Karatsuba.
+CPython's own multiply, split by Toom-3 on large balanced operands, or when
+counted, classical and Karatsuba.
 
 An m-limb number is one whose bit length lies in (64(m-1), 64m]; the
 multiplies below count their work in those limbs, while the values
 themselves stay ordinary ints, so addition, shifting and byte-aligned
 digit packing run at C speed.
 
-A product that no one counts is one native product: ``mul`` and
-``mul_signed`` given no ``MulStats`` run CPython's own multiply, whatever
-the config.  Counted, it is plain Karatsuba over ``_classical_int`` leaves:
-``mul`` given a MulStats, like ``mul_karatsuba`` always, recurses by the
-three-product split down to a limb-count threshold, and every product it
-does not split, like every ``mul_classical`` call and every counted product
-under ``classical_only``, is a classical leaf that counts exactly m*n word
-products for an m-limb by n-limb product (``MulStats``) and makes one
-native product.  Every machine product is a call of ``_native_mul``.
+A product that no one counts runs CPython's own multiply, whatever the
+config: ``mul`` and ``mul_signed`` given no ``MulStats`` make one native
+product, unless both operands have at least ``_TOOM_MIN_BITS`` bits and
+the longer has fewer than ``_TOOM_MAX_SKEW`` times the shorter's.  Then
+Toom-3 splits it into five products of a third the size, recursively, down
+to native leaves.  Counted, it is plain Karatsuba over ``_classical_int``
+leaves: ``mul`` given a MulStats, like ``mul_karatsuba`` always, recurses
+by the three-product split down to a limb-count threshold, and every
+product it does not split, like every ``mul_classical`` call and every
+counted product under ``classical_only``, is a classical leaf that counts
+exactly m*n word products for an m-limb by n-limb product (``MulStats``)
+and makes one native product.  Every machine product is a call of
+``_native_mul``.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.
@@ -69,9 +74,9 @@ class MulConfig:
     operand cannot be split, so a smaller threshold would recurse forever.
     ``classical_only`` makes every counted product one classical leaf, so
     word-product counts follow the m*n law exactly.  Both shape counted
-    products only: ``mul`` given no ``MulStats`` makes one native product
-    whatever the config (``mul_karatsuba`` recurses by the threshold,
-    counted or not).
+    products only: ``mul`` given no ``MulStats`` runs the native multiply,
+    split by Toom-3 on large balanced operands, whatever the config
+    (``mul_karatsuba`` recurses by the threshold, counted or not).
     """
 
     karatsuba_threshold: int = 16
@@ -138,12 +143,77 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
     return z0 + (z1 << shift) + (z2 << (2 * shift))
 
 
-def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
-    # A product that no one counts is one native product: CPython's own
-    # multiply, Karatsuba included.  Counting runs the explicit recursion,
-    # or under classical_only one classical leaf.
-    if stats is None:
+# An uncounted product whose shorter operand has at least _TOOM_MIN_BITS
+# bits, and whose longer one has fewer than _TOOM_MAX_SKEW times as many,
+# splits by Toom-3 into five products of a third the size: n**1.465, where
+# CPython's own multiply is Karatsuba, n**1.585.  Any other product is one
+# native product; a lopsided one takes CPython's own lopsided path.  Time of
+# one split, with native leaves, over one native product (CPython 3.11,
+# interleaved medians of 41 runs; balanced operands of the given bits):
+#
+#   bits    20k  22k  23k  24k  25k  26k  27k  28k  29k  30k
+#   split  1.00 0.96 0.95 0.98 1.02 0.92 0.91 0.92 0.91 0.88
+#
+# Time of the whole recursion over one native product at ks3's and ks4's
+# product sizes for a 48-bit modulus and L = 1024 / 2048 / 4096, and at
+# twice the largest, two runs: 0.87-0.89 at 54k bits, 0.86-0.88 at 55k,
+# 0.83-0.85 at 110k and 0.81-0.83 at 221k (two levels deep from 78k bits).
+# With no skew gate, by the longer operand's bits over the shorter's, at a
+# shorter one of 30k / 55k / 110k bits (31 runs):
+#
+#   longer/shorter  1.0  1.5  1.75 2.0  2.25 2.5  3.0
+#   30k            0.99 0.91 0.95 1.06 1.03 1.21 1.29
+#   55k            0.89 0.80 0.93 1.00 1.04 1.09 1.28
+#   110k           0.77 0.80 0.85 1.04 0.92 1.02 1.20
+#
+# At 1.95 the gated split read 1.03-1.04, 0.96-0.97 and 0.90-0.93.  Cells
+# of a second run on the same shared 2-vCPU host moved by up to 0.05, so
+# both gates sit where the split stops losing.
+_TOOM_MIN_BITS = 26_000
+_TOOM_MAX_SKEW = 2
+
+
+def _toom3_int(x: int, y: int) -> int:
+    # Split both naturals at k = ceil(longer/3) bits, x = x0 + x1*B + x2*B^2
+    # with B = 2**k, evaluate at 0, 1, -1, -2 and infinity, multiply
+    # pointwise (recursively, magnitudes only) and interpolate by Bodrato's
+    # sequence: one exact division by 3, two by 2, shifts and adds.
+    xb, yb = x.bit_length(), y.bit_length()
+    short, long_ = (xb, yb) if xb <= yb else (yb, xb)
+    if short < _TOOM_MIN_BITS or long_ >= _TOOM_MAX_SKEW * short:
         return _native_mul(x, y)
+    k = (long_ + 2) // 3
+    mask = (1 << k) - 1
+    x0, x1, x2 = x & mask, x >> k & mask, x >> 2 * k
+    y0, y1, y2 = y & mask, y >> k & mask, y >> 2 * k
+    xs, ys = x0 + x2, y0 + y2
+    xm, ym = xs - x1, ys - y1
+    r0 = _toom3_int(x0, y0)
+    r1 = _toom3_int(xs + x1, ys + y1)
+    rm1 = _toom3_signed(xm, ym)
+    rm2 = _toom3_signed(((xm + x2) << 1) - x0, ((ym + y2) << 1) - y0)
+    rinf = _toom3_int(x2, y2)
+    r3 = (rm2 - r1) // 3
+    r1 = (r1 - rm1) >> 1
+    r2 = rm1 - r0
+    r3 = ((r2 - r3) >> 1) + (rinf << 1)
+    r2 += r1 - rinf
+    r1 -= r3
+    return r0 + (r1 << k) + (r2 << 2 * k) + (r3 << 3 * k) + (rinf << 4 * k)
+
+
+def _toom3_signed(x: int, y: int) -> int:
+    product = _toom3_int(abs(x), abs(y))
+    return -product if (x < 0) != (y < 0) else product
+
+
+def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
+    # A product that no one counts runs Toom-3 over native products, or for
+    # short or lopsided operands is one native product.  Counting runs the
+    # explicit Karatsuba recursion, or under classical_only one classical
+    # leaf.
+    if stats is None:
+        return _toom3_int(x, y)
     if config.classical_only:
         return _classical_int(x, y, stats)
     return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
@@ -158,10 +228,10 @@ def _naturals(a: int, b: int) -> tuple[int, int]:
 
 def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
-    """a * b for naturals.  Uncounted, one native product; counted into
-    ``stats``, the classical path at or below the configured limb-count
-    threshold (or always, under ``classical_only``) and Karatsuba above
-    it."""
+    """a * b for naturals.  Uncounted, one native product, or Toom-3 over
+    native products on large balanced operands; counted into ``stats``,
+    the classical path at or below the configured limb-count threshold (or
+    always, under ``classical_only``) and Karatsuba above it."""
     if config is None:
         config = DEFAULT_MUL_CONFIG
     return _mul_int(*_naturals(a, b), stats, config)

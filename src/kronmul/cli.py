@@ -5,9 +5,10 @@ Polynomial file format: line 1 is the decimal modulus, line 2 the decimal
 length L, followed by L whitespace-separated decimal coefficients with the
 constant term first.
 
-``mul`` and the bench's timed calls count nothing, so they run CPython's
-multiply whatever the config; the self-test runs every suite under each
-config of ``kronmul._cases.CONFIGS``.
+``mul`` and the bench's timed calls count nothing, so they run the
+uncounted multiply (CPython's, split by Toom-3 on large balanced operands)
+whatever the config; the self-test runs every multiplying suite under each
+config of ``kronmul._cases.CONFIGS``, and the others once.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _bench_inputs(degrees, shapes, modulus_bits: int, seed: int):
 def _time_cells(inputs, variants, reps: int) -> list[dict]:
     """Per (f, g) in ``inputs``, each variant's median ns, the interquartile
     range of its ``reps`` samples and its ratio to ks1's median, timed
-    uncounted, so on CPython's multiply.  ``variants`` must include ks1."""
+    uncounted, so on ``TIMED_MULTIPLY``.  ``variants`` must include ks1."""
     if reps < 1:
         raise CommandError("reps must be >= 1")
     cells = []
@@ -219,6 +220,9 @@ JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                + tuple((n, n) for n in (520, 528, 544, 600, 1024, 1800,
                                         2000)))
 _VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
+# The multiply that uncounted calls run, as the bench file names it.
+TIMED_MULTIPLY = (f"cpython-int, toom3 from {bignat._TOOM_MIN_BITS} bits "
+                  f"at skew below {bignat._TOOM_MAX_SKEW}")
 
 
 def _git(*args) -> str | None:
@@ -234,7 +238,7 @@ def _git(*args) -> str | None:
 def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
                seed: int) -> dict:
     """The bench file's content: every variant timed uncounted on each
-    cell, which runs CPython's multiply, with exact word products under
+    cell, which runs ``TIMED_MULTIPLY``, with exact word products under
     ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
     timed)."""
     config = MulConfig()
@@ -261,7 +265,7 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
             "python": f"{platform.python_implementation()} "
                       f"{platform.python_version()}",
             "mul_config": asdict(config),
-            "timed_multiply": "cpython-int",
+            "timed_multiply": TIMED_MULTIPLY,
             "auto_thresholds": asdict(DEFAULT_THRESHOLDS),
             "seed": seed, "reps": reps, "modulus_bits": modulus_bits,
             "modulus": modulus, "cells": out}
@@ -289,8 +293,8 @@ def cmd_bench(args) -> int:
 def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
-    # _native_mul, uncounted products and _classical_int's leaves alike, so
-    # that one name reaches every path.  Used to verify the self-test has
+    # _native_mul, uncounted products, the Toom-3 split's leaves and
+    # _classical_int's leaves alike, so that one name reaches every path.  Used to verify the self-test has
     # teeth.
     original = bignat._native_mul
 
@@ -314,10 +318,12 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
     if iters == 0:
         out("selftest: 0 cases executed (trivially passing)")
         return 0
-    # Every config draws the same cases from the seed.
+    # Every config draws the same cases from the seed.  Only the multiplying
+    # suites read the config, so the others run under the first one alone.
+    suites = _cases.SUITES
     for name, config in _cases.CONFIGS.items():
         out(f"config {name}: {config}")
-        for suite, case in _cases.SUITES.items():
+        for suite, case in suites.items():
             rng = random.Random(f"{suite}-{seed}")
             try:
                 for _ in range(iters):
@@ -332,6 +338,8 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
                     f"{type(exc).__name__}: {exc}")
                 return 1
             out(f"{suite}: ok ({iters} cases)")
+        suites = {suite: case for suite, case in suites.items()
+                  if suite in _cases.MULTIPLYING}
     out(f"selftest passed (seed={seed})")
     return 0
 
@@ -396,9 +404,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so that a reader gone early (``| head``) is seen
+        # below and not by the interpreter's flush at exit.
+        sys.stdout.flush()
+        return status
     except CommandError as exc:
         print(f"kronmul: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # As the Python docs advise: point stdout at devnull, so that the
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

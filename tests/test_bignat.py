@@ -207,6 +207,39 @@ def test_uncounted_mul_is_one_native_product(monkeypatch, config, xl, yl):
     assert made == 2
 
 
+TOOM = bignat._TOOM_MIN_BITS
+
+
+@pytest.mark.parametrize("xbits, ybits, calls", [
+    (TOOM - 1, TOOM - 1, 1),       # below the cutoff
+    (TOOM - 1, 3 * TOOM // 2, 1),  # the shorter side below it
+    (TOOM, TOOM, 5),               # at it: one split into native leaves
+    (2 * TOOM - 1, TOOM, 5),       # just inside the skew gate
+    (TOOM, 2 * TOOM, 1),           # just outside: CPython's lopsided path
+    (3 * TOOM, 3 * TOOM, 25),      # every part at the cutoff: two levels
+])
+def test_uncounted_toom3_native_products(monkeypatch, xbits, ybits, calls):
+    # All-ones operands, whose parts and evaluations are full-width and
+    # carry furthest: five native products per level of the split, one
+    # outside its gates, whatever the config; signs only flip the product.
+    made = 0
+
+    def counted(x, y):
+        nonlocal made
+        made += 1
+        return x * y
+
+    monkeypatch.setattr(bignat, "_native_mul", counted)
+    x, y = (1 << xbits) - 1, (1 << ybits) - 1
+    for config in (MulConfig(), MulConfig(1), MulConfig(classical_only=True)):
+        made = 0
+        assert mul(x, y, config=config) == x * y
+        assert made == calls
+        assert mul_signed(-x, y, config=config) == -x * y
+        assert mul_signed(-x, -y, config=config) == x * y
+        assert made == 3 * calls
+
+
 def test_ring_axioms_randomized():
     # the counted multiply against int addition, small enough to split
     rng = random.Random(5)

@@ -6,8 +6,9 @@ failing case shrinks, and its report lists each draw, from which it can be
 written down as a fixed regression test.  The multiplying suites run
 under each of ``CONFIGS``, as the self-test does: classical-only and at
 Karatsuba thresholds 1, 16 and 40; each suite counts its products once, so
-that the configured recursion runs, and multiplies once uncounted.  The digit suite's property test, which also checks that
-each tier runs its blit path, is in ``test_blit_properties.py``.
+that the configured recursion runs, and multiplies once uncounted.  The
+digit suite's property test, which also checks that each tier runs its blit
+path, is in ``test_blit_properties.py``.
 """
 
 import random
@@ -18,19 +19,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kronmul import _cases, bignat  # noqa: E402
-from kronmul._cases import CONFIGS  # noqa: E402
+from kronmul._cases import CONFIGS, MULTIPLYING  # noqa: E402
 from kronmul.bignat import MulConfig  # noqa: E402
 from kronmul.cli import _corrupted_multiply  # noqa: E402
 
-MULTIPLYING = ("bignat", "ksint", "bipoly", "modpoly")
 
-
-def _holds(suite, config):
+def _holds(case, config):
     @settings(derandomize=True, max_examples=40, database=None,
               deadline=None)
     @given(st.randoms(note_method_calls=True, use_true_random=False))
     def check(rng):
-        _cases.SUITES[suite](rng, config)
+        case(rng, config)
 
     check()
 
@@ -38,12 +37,12 @@ def _holds(suite, config):
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
 @pytest.mark.parametrize("suite", MULTIPLYING)
 def test_multiplying_suite_holds(suite, config):
-    _holds(suite, config)
+    _holds(_cases.SUITES[suite], config)
 
 
 @pytest.mark.parametrize("suite", ["reconstruct", "pack"])
 def test_suite_holds(suite):
-    _holds(suite, MulConfig())
+    _holds(_cases.SUITES[suite], MulConfig())
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
@@ -59,8 +58,8 @@ def test_suite_catches_corrupted_multiply(suite, config):
 
 
 def test_thr1_ksint_suite_splits(monkeypatch):
-    # An uncounted product is one native product, so only the suite's
-    # counted check reaches the Karatsuba recursion; at threshold 1 it must.
+    # An uncounted product never runs the Karatsuba recursion, so only the
+    # suite's counted check reaches it; at threshold 1 it must.
     splits = 0
     karatsuba = bignat._karatsuba_int
 
@@ -75,3 +74,25 @@ def test_thr1_ksint_suite_splits(monkeypatch):
     for _ in range(10):
         _cases.SUITES["ksint"](rng, CONFIGS["thr1"])
     assert splits > 0
+
+
+def test_bignat_suite_reaches_the_toom_split(monkeypatch):
+    # Uncounted products of the suite's large draws split by Toom-3: the
+    # self-test's seeded draws two levels deep in some, and hypothesis's
+    # draws of those pairs alone at least one level.  Each split evaluates
+    # two signed points.
+    signed = bignat._toom3_signed
+    splits = []
+
+    def recorded(x, y):
+        splits.append(max(abs(x), abs(y)).bit_length())
+        return signed(x, y)
+
+    monkeypatch.setattr(bignat, "_toom3_signed", recorded)
+    rng = random.Random("bignat-0")
+    for _ in range(100):
+        _cases.SUITES["bignat"](rng, MulConfig())
+    assert max(splits) >= bignat._TOOM_MIN_BITS
+    splits.clear()
+    _holds(_cases.bignat_toom_case, MulConfig())
+    assert splits

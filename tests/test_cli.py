@@ -119,7 +119,8 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
             "modulus"} <= set(grid)
     assert grid["mul_config"] == {"karatsuba_threshold": 16,
                                   "classical_only": False}
-    assert grid["timed_multiply"] == "cpython-int"
+    assert grid["timed_multiply"] == ("cpython-int, toom3 from 26000 bits "
+                                      "at skew below 2")
     cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
     assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
     modulus, inputs = _bench_inputs([4, 8], ((9, 3), (3, 9)), 48, 3)
@@ -273,6 +274,21 @@ def test_selftest_reports_a_raised_library_error(monkeypatch):
                          "ReconstructionError: streams disagree")
 
 
+def test_selftest_into_a_closed_pipe_exits_quietly():
+    # As in ``kronmul selftest | head``: the reader is gone before the
+    # first write reaches it.  The run ends with status 1 and no traceback.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "kronmul", "selftest",
+                             "--iters", "2"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_selftest_zero_iters(capsys):
     assert main(["selftest", "--iters", "0"]) == 0
     assert "0 cases executed" in capsys.readouterr().out
@@ -376,7 +392,10 @@ def test_selftest_runs_shared_rng_reproducibly(monkeypatch):
         return lines, list(drawn)
 
     lines, cases = run(123)
-    assert len(cases) == 10 * len(_cases.SUITES) * len(_cases.CONFIGS)
+    # The multiplying suites run under every config, the others once.
+    multiplying = len(_cases.MULTIPLYING)
+    assert len(cases) == 10 * (multiplying * len(_cases.CONFIGS)
+                               + len(_cases.SUITES) - multiplying)
     assert run(123) == (lines, cases)
     other = run(124)[1]
     assert all(cases[i:i + 10] != other[i:i + 10]
