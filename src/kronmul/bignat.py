@@ -179,10 +179,10 @@ def _toom3_int(x: int, y: int) -> int:
     # pointwise (recursively, magnitudes only) and interpolate by Bodrato's
     # sequence: one exact division by 3, two by 2, shifts and adds.
     xb, yb = x.bit_length(), y.bit_length()
-    short, long_ = (xb, yb) if xb <= yb else (yb, xb)
-    if short < _TOOM_MIN_BITS or long_ >= _TOOM_MAX_SKEW * short:
+    if (xb < _TOOM_MIN_BITS or yb < _TOOM_MIN_BITS
+            or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb):
         return _native_mul(x, y)
-    k = (long_ + 2) // 3
+    k = (max(xb, yb) + 2) // 3
     mask = (1 << k) - 1
     x0, x1, x2 = x & mask, x >> k & mask, x >> 2 * k
     y0, y1, y2 = y & mask, y >> k & mask, y >> 2 * k

@@ -294,8 +294,8 @@ def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
     # _native_mul, uncounted products, the Toom-3 split's leaves and
-    # _classical_int's leaves alike, so that one name reaches every path.  Used to verify the self-test has
-    # teeth.
+    # _classical_int's leaves alike, so that one name reaches every path.
+    # Used to verify the self-test has teeth.
     original = bignat._native_mul
 
     def flipped(x, y):

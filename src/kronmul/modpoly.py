@@ -84,13 +84,13 @@ class AutoThresholds:
     scale with the output length, which the longer operand sets; a
     long-by-short product pays those linear stages for little saving.
 
-    ``ks1_max_length`` is read from ``BENCH_native.json`` and
-    ``ks3_max_length`` from ``BENCH_toom3.json`` and two more runs of the
-    same grid (``kronmul bench --json``: 48-bit modulus, ``MulConfig()``
-    uncounted, so CPython's multiply, and from the latter file on split by
-    Toom-3 on large balanced products; median of 21 interleaved
-    repetitions, CPython 3.11 on a shared 2-core host).  Counted calls use
-    the same table, so counting never changes the variant:
+    ``ks1_max_length`` is read from ``BENCH_native.json``, on CPython's
+    multiply, and ``ks3_max_length`` from three runs of the same grid on
+    the Toom-3 split over it; ``BENCH_toom3.json`` is a fourth run, made
+    after the move (``kronmul bench --json``: 48-bit modulus,
+    ``MulConfig()`` uncounted, median of 21 interleaved repetitions,
+    CPython 3.11 on a shared 2-core host).  Counted calls use the same
+    table, so counting never changes the variant:
 
     - ks1_max_length = 20: ks3/ks1 is 1.21 at 8x8, 1.13 at 12x12, 1.00 at
       16x16, 0.99 at 17x17 and 20x20 (ties within the cells' spread), then
@@ -99,7 +99,7 @@ class AutoThresholds:
     - ks3_max_length = 1800: over three grid runs, ks3/ks4 is 0.75 to 0.87
       at 520x520 to 600x600 (zn-bivariate's four-point products have these
       lengths), 0.88 to 0.96 from 824x824 to 1587x1587 and 0.92 to 0.98 at
-      1800x1800, so ks3 is fastest there in every run.  It is 0.98 to 1.03
+      1800x1800, so ks3 is fastest there in every run.  It is 0.98 to 1.06
       at 2000x2000 and 2204x2204, where ks4 is at most 3% slower than ks3
       in every run, and 1.00 to 1.11 at 3060x3060.
 

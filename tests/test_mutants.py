@@ -32,8 +32,9 @@ MUTANTS = {
     # Splits lopsided products and not balanced ones: every output stays
     # right, only the count of native products shows it.
     "toom3-skew-gate-inverted": (
-        "bignat.py", "long_ >= _TOOM_MAX_SKEW * short",
-        "long_ < _TOOM_MAX_SKEW * short",
+        "bignat.py",
+        "or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb",
+        "or (xb < _TOOM_MAX_SKEW * yb and yb < _TOOM_MAX_SKEW * xb)",
         "tests/test_bignat.py::test_uncounted_toom3_native_products"),
     # ks3's odd-slot mask stops doubling one step early, so it misses the
     # top odd slots.  (A mask short by exactly one slot is an equivalent
