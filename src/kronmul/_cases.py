@@ -6,17 +6,18 @@ checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the configured recursion, and
 uncounted, which runs CPython's multiply or, on large balanced operands,
-the Toom-3 split over it.  A mismatch raises ``SelfTestFailure``, naming
-the suite and the case's sizes.  Draws favour the edges of each invariant:
-coefficient bounds 1, 2, 63, 64 and above 64, length 1, equal and unequal
-lengths, values at the overlap recovery's limit, digit counts on both sides
-of every blit cutoff, and operand bits on both sides of the Toom-3 split's
-gates.
+the Toom-3 or Toom-4 split over it.  A mismatch raises
+``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
+the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
+length 1, equal and unequal lengths, values at the overlap recovery's
+limit, digit counts on both sides of every blit cutoff, and operand bits on
+both sides of the Toom splits' gates.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 from . import bignat, oracle
@@ -88,27 +89,33 @@ def _raises(error, fn, *args) -> bool:
 
 
 def _toom_bits(rng):
-    # Operand bits about the uncounted Toom-3 split's gates: the shorter side
-    # just below the cutoff, at it, or up to three times it, where the split
-    # goes two levels deep; the longer one equal, anywhere inside the skew
-    # gate, or just inside or just outside it.
-    low = bignat._TOOM_MIN_BITS
-    short = rng.choice((low - 1, low, rng.randint(low, 3 * low), 3 * low))
-    top = bignat._TOOM_MAX_SKEW * short
+    # Operand bits about the gates of the uncounted Toom-3 split or, half
+    # the time, of the Toom-4 split: the shorter side just below the
+    # cutoff, at it, or up to three (Toom-3) or four (Toom-4) times it,
+    # where the split goes two levels deep; the longer one equal, anywhere
+    # inside the skew gate, or just inside or just outside it.
+    if rng.randrange(2):
+        low, skew, depth = bignat._TOOM_MIN_BITS, bignat._TOOM_MAX_SKEW, 3
+    else:
+        low, skew, depth = bignat._TOOM4_MIN_BITS, bignat._TOOM4_MAX_SKEW, 4
+    short = rng.choice((low - 1, low, rng.randint(low, depth * low),
+                        depth * low))
+    top = math.ceil(skew * short)  # the first longer side outside the gate
     long_ = rng.choice((short, rng.randint(short, top - 1), top - 1, top))
     return [short, long_][::rng.choice((1, -1))]
 
 
 def bignat_toom_case(rng, config):
-    """A pair about the Toom-3 gates, full-length or all ones, multiplied
+    """A pair about the Toom gates, full-length or all ones, multiplied
     uncounted only (counted at threshold 1, one such product takes about
     0.3 s) by ``mul`` and, with random signs, by ``mul_signed``."""
     a, b = ((1 << k) - 1 if rng.randrange(4) == 0
             else rng.getrandbits(k) | 1 << (k - 1) for k in _toom_bits(rng))
     sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
-    check(bignat.mul(a, b, config=config) == a * b
+    want = a * b
+    check(bignat.mul(a, b, config=config) == want
           and bignat.mul_signed(sa * a, sb * b, config=config)
-          == sa * sb * a * b, "bignat-mul-toom", (a, b))
+          == sa * sb * want, "bignat-mul-toom", (a, b))
     return a, b
 
 

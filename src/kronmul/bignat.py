@@ -1,6 +1,6 @@
 """Multiplication of natural numbers on 64-bit limbs over plain Python ints:
-CPython's own multiply, split by Toom-3 on large balanced operands, or when
-counted, classical and Karatsuba.
+CPython's own multiply, split by Toom-3 or Toom-4 on large balanced
+operands, or when counted, classical and Karatsuba.
 
 An m-limb number is one whose bit length lies in (64(m-1), 64m]; the
 multiplies below count their work in those limbs, while the values
@@ -11,14 +11,17 @@ A product that no one counts runs CPython's own multiply, whatever the
 config: ``mul`` and ``mul_signed`` given no ``MulStats`` make one native
 product, unless both operands have at least ``_TOOM_MIN_BITS`` bits and
 the longer has fewer than ``_TOOM_MAX_SKEW`` times the shorter's.  Then
-Toom-3 splits it into five products of a third the size, recursively, down
-to native leaves.  Counted, it is plain Karatsuba over ``_classical_int``
-leaves: ``mul`` given a MulStats, like ``mul_karatsuba`` always, recurses
-by the three-product split down to a limb-count threshold, and every
-product it does not split, like every ``mul_classical`` call and every
-counted product under ``classical_only``, is a classical leaf that counts
-exactly m*n word products for an m-limb by n-limb product (``MulStats``)
-and makes one native product.  Every machine product is a call of
+Toom-3 splits it into five products of a third the size, or, from
+``_TOOM4_MIN_BITS`` on the shorter side and below ``_TOOM4_MAX_SKEW``
+times it on the longer, Toom-4 into seven of a quarter the size; each
+part takes the same choice again, down to native leaves.  Counted, it is
+plain Karatsuba over ``_classical_int`` leaves: ``mul`` given a MulStats,
+like ``mul_karatsuba`` always, recurses by the three-product split down to
+a limb-count threshold, and every product it does not split, like every
+``mul_classical`` call and every counted product under
+``classical_only``, is a classical leaf that counts exactly m*n word
+products for an m-limb by n-limb product (``MulStats``) and makes one
+native product.  Every machine product is a call of
 ``_native_mul``.
 
 All functions are pure, except that a multiply adds its word products to
@@ -75,7 +78,7 @@ class MulConfig:
     ``classical_only`` makes every counted product one classical leaf, so
     word-product counts follow the m*n law exactly.  Both shape counted
     products only: ``mul`` given no ``MulStats`` runs the native multiply,
-    split by Toom-3 on large balanced operands, whatever the config
+    split by Toom-3 or Toom-4 on large balanced operands, whatever the config
     (``mul_karatsuba`` recurses by the threshold, counted or not).
     """
 
@@ -169,30 +172,78 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 # At 1.95 the gated split read 1.03-1.04, 0.96-0.97 and 0.90-0.93.  Cells
 # of a second run on the same shared 2-vCPU host moved by up to 0.05, so
 # both gates sit where the split stops losing.
+#
+# Above Toom-3, a product whose shorter operand has at least _TOOM4_MIN_BITS
+# bits, and whose longer one has fewer than _TOOM4_MAX_SKEW times as many,
+# splits by Toom-4 into seven products of a quarter the size, n**1.404; its
+# parts take the ladder again, so at ks4's 110.6k-bit products of L = 4096
+# they split by Toom-3 over native leaves.  Time over one native product of
+# the Toom-3 ladder alone and of one Toom-4 split on top of it, balanced
+# operands of the given bits (interleaved medians of 31 runs, two runs):
+#
+#   bits      60k  70k  80k  90k  100k 111k 150k 221k 442k
+#   Toom-3   0.94 1.00 0.88 0.82 0.89 0.84 0.94 0.82 0.72
+#            0.87 0.94 0.90 0.85 0.83 0.82 0.91 0.80 0.83
+#   Toom-4   0.88 0.88 0.81 0.78 0.87 0.75 0.75 0.68 0.59
+#            0.86 0.85 0.85 0.85 0.83 0.76 0.75 0.74 0.68
+#
+# The whole ladder with these constants read 0.76-0.77 at 111k, 0.69 at
+# 221k and 0.54-0.61 at 442k.  Toom-4 wins from 60k on, and at 54k-55k
+# it is about even with Toom-3.  The cutoff sits at 80k, above three times
+# Toom-3's cutoff, so every product that Toom-3 split two levels deep
+# still does; no product of ks3 or ks4 at a 48-bit modulus lies between
+# 55k bits (L = 2048) and 110k (L = 4096).  Time of Toom-4 over Toom-3
+# with no Toom-4 skew gate, by the longer operand's bits over the
+# shorter's, two runs:
+#
+#   longer/shorter  1.0  1.25 1.4  1.5  1.6  1.75 1.95
+#   80k            0.91 0.98 0.88 1.00 1.04 0.78 1.02
+#                  0.89 0.95 0.93 1.02 1.06 0.87 1.02
+#   111k           0.95 1.01 0.88 1.01 1.00 1.01 0.94
+#                  0.98 0.98 0.90 1.00 1.05 1.01 0.91
+#
+# Toom-4 stops winning at 1.5, so products from there to Toom-3's gate
+# keep Toom-3.
 _TOOM_MIN_BITS = 26_000
 _TOOM_MAX_SKEW = 2
+_TOOM4_MIN_BITS = 80_000
+_TOOM4_MAX_SKEW = 1.5
 
 
-def _toom3_int(x: int, y: int) -> int:
-    # Split both naturals at k = ceil(longer/3) bits, x = x0 + x1*B + x2*B^2
-    # with B = 2**k, evaluate at 0, 1, -1, -2 and infinity, multiply
-    # pointwise (recursively, magnitudes only) and interpolate by Bodrato's
-    # sequence: one exact division by 3, two by 2, shifts and adds.
+def _toom_int(x: int, y: int) -> int:
+    # The ladder: Toom-4 on the largest balanced products, Toom-3 on the
+    # other large balanced ones, one native product on the rest.  A product
+    # below the Toom-3 cutoff returns after one compare.
     xb, yb = x.bit_length(), y.bit_length()
     if (xb < _TOOM_MIN_BITS or yb < _TOOM_MIN_BITS
             or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb):
         return _native_mul(x, y)
-    k = (max(xb, yb) + 2) // 3
+    if (xb >= _TOOM4_MIN_BITS and yb >= _TOOM4_MIN_BITS
+            and xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb):
+        return _toom4_int(x, y, (max(xb, yb) + 3) // 4)
+    return _toom3_int(x, y, (max(xb, yb) + 2) // 3)
+
+
+def _toom_signed(x: int, y: int) -> int:
+    product = _toom_int(abs(x), abs(y))
+    return -product if (x < 0) != (y < 0) else product
+
+
+def _toom3_int(x: int, y: int, k: int) -> int:
+    # Split both naturals at k bits, x = x0 + x1*B + x2*B^2 with B = 2**k,
+    # evaluate at 0, 1, -1, -2 and infinity, multiply pointwise through the
+    # ladder (magnitudes only) and interpolate by Bodrato's sequence: one
+    # exact division by 3, two by 2, shifts and adds.
     mask = (1 << k) - 1
     x0, x1, x2 = x & mask, x >> k & mask, x >> 2 * k
     y0, y1, y2 = y & mask, y >> k & mask, y >> 2 * k
     xs, ys = x0 + x2, y0 + y2
     xm, ym = xs - x1, ys - y1
-    r0 = _toom3_int(x0, y0)
-    r1 = _toom3_int(xs + x1, ys + y1)
-    rm1 = _toom3_signed(xm, ym)
-    rm2 = _toom3_signed(((xm + x2) << 1) - x0, ((ym + y2) << 1) - y0)
-    rinf = _toom3_int(x2, y2)
+    r0 = _toom_int(x0, y0)
+    r1 = _toom_int(xs + x1, ys + y1)
+    rm1 = _toom_signed(xm, ym)
+    rm2 = _toom_signed(((xm + x2) << 1) - x0, ((ym + y2) << 1) - y0)
+    rinf = _toom_int(x2, y2)
     r3 = (rm2 - r1) // 3
     r1 = (r1 - rm1) >> 1
     r2 = rm1 - r0
@@ -202,18 +253,56 @@ def _toom3_int(x: int, y: int) -> int:
     return r0 + (r1 << k) + (r2 << 2 * k) + (r3 << 3 * k) + (rinf << 4 * k)
 
 
-def _toom3_signed(x: int, y: int) -> int:
-    product = _toom3_int(abs(x), abs(y))
-    return -product if (x < 0) != (y < 0) else product
+def _toom4_int(x: int, y: int, k: int) -> int:
+    # Split both naturals at k bits into four parts, x = x0 + x1*B + x2*B^2
+    # + x3*B^3 with B = 2**k, evaluate at 0, 1, -1, 2, -2, 1/2 (scaled by 8,
+    # so the product's value there is scaled by 64) and infinity, multiply
+    # pointwise through the ladder (magnitudes only) and interpolate by
+    # Bodrato's sequence for these points, as in GMP's
+    # mpn_toom_interpolate_7pts: exact divisions by 2, 4, 3, 9 and 15, small
+    # multiples, shifts and adds.  On entry w1 .. w5 hold the values at -2,
+    # 1, -1, 2 and 1/2; on exit each wi is the coefficient of B**i.
+    mask = (1 << k) - 1
+    x0, x1, x2, x3 = x & mask, x >> k & mask, x >> 2 * k & mask, x >> 3 * k
+    y0, y1, y2, y3 = y & mask, y >> k & mask, y >> 2 * k & mask, y >> 3 * k
+    xe, xo, ye, yo = x0 + x2, x1 + x3, y0 + y2, y1 + y3
+    xe2, xo2 = x0 + (x2 << 2), (x1 + (x3 << 2)) << 1
+    ye2, yo2 = y0 + (y2 << 2), (y1 + (y3 << 2)) << 1
+    w0 = _toom_int(x0, y0)
+    w1 = _toom_signed(xe2 - xo2, ye2 - yo2)
+    w2 = _toom_int(xe + xo, ye + yo)
+    w3 = _toom_signed(xe - xo, ye - yo)
+    w4 = _toom_int(xe2 + xo2, ye2 + yo2)
+    w5 = _toom_int((x0 << 3) + (x1 << 2) + (x2 << 1) + x3,
+                   (y0 << 3) + (y1 << 2) + (y2 << 1) + y3)
+    w6 = _toom_int(x3, y3)
+    w5 += w4
+    w1 = (w4 - w1) >> 1
+    w4 -= w0
+    w4 = ((w4 - w1) >> 2) - (w6 << 4)
+    w3 = (w2 - w3) >> 1
+    w2 -= w3
+    w5 -= 65 * w2
+    w2 -= w6 + w0
+    w5 = (w5 + 45 * w2) >> 1
+    w4 = (w4 - w2) // 3
+    w2 -= w4
+    w1 = w5 - w1
+    w5 = (w5 - (w3 << 3)) // 9
+    w3 -= w5
+    w1 = (w1 // 15 + w5) >> 1
+    w5 -= w1
+    return (w0 + (w1 << k) + (w2 << 2 * k) + (w3 << 3 * k) + (w4 << 4 * k)
+            + (w5 << 5 * k) + (w6 << 6 * k))
 
 
 def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
-    # A product that no one counts runs Toom-3 over native products, or for
-    # short or lopsided operands is one native product.  Counting runs the
-    # explicit Karatsuba recursion, or under classical_only one classical
-    # leaf.
+    # A product that no one counts runs the Toom ladder over native
+    # products, or for short or lopsided operands is one native product.
+    # Counting runs the explicit Karatsuba recursion, or under
+    # classical_only one classical leaf.
     if stats is None:
-        return _toom3_int(x, y)
+        return _toom_int(x, y)
     if config.classical_only:
         return _classical_int(x, y, stats)
     return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
@@ -228,10 +317,11 @@ def _naturals(a: int, b: int) -> tuple[int, int]:
 
 def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
-    """a * b for naturals.  Uncounted, one native product, or Toom-3 over
-    native products on large balanced operands; counted into ``stats``,
-    the classical path at or below the configured limb-count threshold (or
-    always, under ``classical_only``) and Karatsuba above it."""
+    """a * b for naturals.  Uncounted, one native product, or Toom-3 or
+    Toom-4 over native products on large balanced operands; counted into
+    ``stats``, the classical path at or below the configured limb-count
+    threshold (or always, under ``classical_only``) and Karatsuba above
+    it."""
     if config is None:
         config = DEFAULT_MUL_CONFIG
     return _mul_int(*_naturals(a, b), stats, config)

@@ -6,9 +6,9 @@ length L, followed by L whitespace-separated decimal coefficients with the
 constant term first.
 
 ``mul`` and the bench's timed calls count nothing, so they run the
-uncounted multiply (CPython's, split by Toom-3 on large balanced operands)
-whatever the config; the self-test runs every multiplying suite under each
-config of ``kronmul._cases.CONFIGS``, and the others once.
+uncounted multiply (CPython's, split by Toom-3 or Toom-4 on large balanced
+operands) whatever the config; the self-test runs every multiplying suite
+under each config of ``kronmul._cases.CONFIGS``, and the others once.
 """
 
 from __future__ import annotations
@@ -222,7 +222,9 @@ JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
 _VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
 # The multiply that uncounted calls run, as the bench file names it.
 TIMED_MULTIPLY = (f"cpython-int, toom3 from {bignat._TOOM_MIN_BITS} bits "
-                  f"at skew below {bignat._TOOM_MAX_SKEW}")
+                  f"at skew below {bignat._TOOM_MAX_SKEW}, toom4 from "
+                  f"{bignat._TOOM4_MIN_BITS} bits at skew below "
+                  f"{bignat._TOOM4_MAX_SKEW}")
 
 
 def _git(*args) -> str | None:
@@ -293,7 +295,7 @@ def cmd_bench(args) -> int:
 def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
-    # _native_mul, uncounted products, the Toom-3 split's leaves and
+    # _native_mul, uncounted products, the Toom splits' leaves and
     # _classical_int's leaves alike, so that one name reaches every path.
     # Used to verify the self-test has teeth.
     original = bignat._native_mul

@@ -77,22 +77,28 @@ def test_thr1_ksint_suite_splits(monkeypatch):
 
 
 def test_bignat_suite_reaches_the_toom_split(monkeypatch):
-    # Uncounted products of the suite's large draws split by Toom-3: the
-    # self-test's seeded draws two levels deep in some, and hypothesis's
-    # draws of those pairs alone at least one level.  Each split evaluates
-    # two signed points.
-    signed = bignat._toom3_signed
-    splits = []
+    # Uncounted products of the suite's large draws split by Toom-3 and
+    # Toom-4: the self-test's seeded draws two levels deep in some, and
+    # by Toom-4 in some, and hypothesis's draws of those pairs alone at
+    # least one level.  Each split evaluates two signed points.
+    signed, toom4 = bignat._toom_signed, bignat._toom4_int
+    splits, toom4_splits = [], []
 
     def recorded(x, y):
         splits.append(max(abs(x), abs(y)).bit_length())
         return signed(x, y)
 
-    monkeypatch.setattr(bignat, "_toom3_signed", recorded)
+    def recorded4(x, y, k):
+        toom4_splits.append(k)
+        return toom4(x, y, k)
+
+    monkeypatch.setattr(bignat, "_toom_signed", recorded)
+    monkeypatch.setattr(bignat, "_toom4_int", recorded4)
     rng = random.Random("bignat-0")
     for _ in range(100):
         _cases.SUITES["bignat"](rng, MulConfig())
     assert max(splits) >= bignat._TOOM_MIN_BITS
+    assert toom4_splits
     splits.clear()
     _holds(_cases.bignat_toom_case, MulConfig())
     assert splits

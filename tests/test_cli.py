@@ -120,7 +120,8 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
     assert grid["mul_config"] == {"karatsuba_threshold": 16,
                                   "classical_only": False}
     assert grid["timed_multiply"] == ("cpython-int, toom3 from 26000 bits "
-                                      "at skew below 2")
+                                      "at skew below 2, toom4 from 80000 "
+                                      "bits at skew below 1.5")
     cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
     assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
     modulus, inputs = _bench_inputs([4, 8], ((9, 3), (3, 9)), 48, 3)

@@ -36,6 +36,36 @@ MUTANTS = {
         "or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb",
         "or (xb < _TOOM_MAX_SKEW * yb and yb < _TOOM_MAX_SKEW * xb)",
         "tests/test_bignat.py::test_uncounted_toom3_native_products"),
+    # Toom-4's interpolation: the exact division by 9 done as one by 8.
+    "toom4-ninth-as-eighth": ("bignat.py", "(w5 - (w3 << 3)) // 9",
+                              "(w5 - (w3 << 3)) // 8", "selftest"),
+    # Splits the products just outside Toom-4's skew gate by Toom-4 and
+    # those inside it by Toom-3: only the count of native products shows it.
+    "toom4-skew-gate-inverted": (
+        "bignat.py",
+        "and xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb",
+        "and not (xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb)",
+        "tests/test_bignat.py::test_uncounted_toom3_native_products"),
+    # The counted Karatsuba splits at half the longer operand's limbs
+    # rounded down, and makes a leaf only when both operands are at most
+    # the threshold: outputs stay right, word products move.
+    "karatsuba-split-floor": (
+        "bignat.py", "shift = (max(xl, yl) + 1) // 2 * LIMB_BITS",
+        "shift = max(xl, yl) // 2 * LIMB_BITS",
+        "tests/test_bignat.py::test_mul_word_products_pinned"),
+    "karatsuba-leaf-and": (
+        "bignat.py", "if xl <= threshold or yl <= threshold:",
+        "if xl <= threshold and yl <= threshold:",
+        "tests/test_bignat.py::test_mul_word_products_pinned"),
+    # The overlap recovery accepts digit streams that disagree.
+    "overlap-unpack-no-remainder-check": (
+        "ksint.py", "    if rem:\n        raise ReconstructionError(\"digit "
+        "streams disagree\")\n", "", "selftest"),
+    # The overlap's guard bits from half the shorter length, one short
+    # at some lengths.
+    "derive-params-e-from-half": (
+        "ksint.py", "e = (min(len_f, len_g) - 1).bit_length()",
+        "e = (min(len_f, len_g) // 2).bit_length()", "selftest"),
     # ks3's odd-slot mask stops doubling one step early, so it misses the
     # top odd slots.  (A mask short by exactly one slot is an equivalent
     # mutant: it spans a power of two of slots, so the slot it drops is
@@ -64,10 +94,12 @@ def _run_catcher(package_parent, catcher):
     if catcher == "selftest":
         cmd = [sys.executable, "-m", "kronmul", "selftest", "--iters", "20"]
     else:
-        # The ini's pythonpath would put the clean src/ first.
+        # The ini's pythonpath would put the clean src/ first.  Hypothesis's
+        # plugin would add about a second of start-up to each run, and no
+        # catcher needs it.
         cmd = [sys.executable, "-m", "pytest", "-q", "-x",
-               "-p", "no:cacheprovider", "-o", f"pythonpath={package_parent}",
-               str(ROOT / catcher)]
+               "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+               "-o", f"pythonpath={package_parent}", str(ROOT / catcher)]
     return subprocess.run(cmd, cwd=package_parent, env=env,
                           capture_output=True, text=True, timeout=300)
 
