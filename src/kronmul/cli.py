@@ -210,7 +210,8 @@ def _time_cells(inputs, variants, reps: int) -> list[dict]:
 # with a side of 8, where that band, keyed on the longer length, runs ks3;
 # the lengths of zn-bivariate's four-point products (520, 528, 544, 1024)
 # with 600 between them; and 1800 and 2000, between the grid's 1587 and
-# 2204, where the ks3 band ends.
+# 2204, where the ks3 band ended on the Toom-3 multiply (it now ends
+# between 2204 and 3060; the cells stay, so grids compare across files).
 JSON_DEGREES = "16:8192:log"
 JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                      for short in (16, 64, 256))

@@ -85,23 +85,28 @@ class AutoThresholds:
     long-by-short product pays those linear stages for little saving.
 
     ``ks1_max_length`` is read from ``BENCH_native.json``, on CPython's
-    multiply, and ``ks3_max_length`` from three runs of the same grid on
-    the Toom-3 split over it; ``BENCH_toom3.json`` is a fourth run, made
-    after the move (``kronmul bench --json``: 48-bit modulus,
-    ``MulConfig()`` uncounted, median of 21 interleaved repetitions,
-    CPython 3.11 on a shared 2-core host).  Counted calls use the same
+    multiply, and ``ks3_max_length`` from three runs of the same grid and
+    three of a denser one (lengths 2100 to 3200 in steps of 100) on the
+    Toom-4 and Toom-3 splits over it; ``BENCH_toom4.json`` is a fourth run
+    of the grid, made after the move (``kronmul bench --json``: 48-bit
+    modulus, ``MulConfig()`` uncounted, median of 21 interleaved
+    repetitions, CPython 3.11 on a shared 2-core host).  Counted calls use the same
     table, so counting never changes the variant:
 
     - ks1_max_length = 20: ks3/ks1 is 1.21 at 8x8, 1.13 at 12x12, 1.00 at
       16x16, 0.99 at 17x17 and 20x20 (ties within the cells' spread), then
       0.96 at 23x23 and 0.98 at 24x24.  With a short side it is 0.97 at
       8x48 and 8x64.
-    - ks3_max_length = 1800: over three grid runs, ks3/ks4 is 0.75 to 0.87
-      at 520x520 to 600x600 (zn-bivariate's four-point products have these
-      lengths), 0.88 to 0.96 from 824x824 to 1587x1587 and 0.92 to 0.98 at
-      1800x1800, so ks3 is fastest there in every run.  It is 0.98 to 1.06
-      at 2000x2000 and 2204x2204, where ks4 is at most 3% slower than ks3
-      in every run, and 1.00 to 1.11 at 3060x3060.
+    - ks3_max_length = 2800: ks3's products reach the Toom-4 cutoff from
+      about 1,510 terms, ks4's only from about 2,960, so ks3 wins well
+      past 1800.  Over three grid runs, ks3/ks4 is 0.90 to 0.95 from
+      1024x1024 to 1800x1800 and 0.92 to 0.94 at 2000x2000 and 2204x2204,
+      so ks3 is fastest there in every run.  Over the three dense runs it
+      is 0.87 to 1.00 from 2100 to 2500 (ks3 fastest in every run), 0.96
+      to 1.02 at 2600, 0.91 to 1.05 at 2700 and 0.96 to 0.98 at 2800 (ks3
+      fastest in every run); from 2900 to 3200 it reads 0.93 to 1.13,
+      ks4 fastest in six of twelve cells.  In the grid runs it is 1.01 to
+      1.03 at 3060x3060 and 1.07 to 1.13 at 4249x4249.
 
     The crossovers depend on the machine and on the multiply.  Each band
     keys on one length, so no pair of constants fits every shape: with a
@@ -110,7 +115,7 @@ class AutoThresholds:
     """
 
     ks1_max_length: int = 20
-    ks3_max_length: int = 1800
+    ks3_max_length: int = 2800
 
 
 DEFAULT_THRESHOLDS = AutoThresholds()

@@ -210,7 +210,7 @@ def test_choose_variant_table():
     rows = [
         ((1, 7), ks1), ((16, 4), ks1), ((20, 20), ks1), ((20, 8), ks1),
         ((21, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
-        ((4096, 1800), ks3), ((4096, 1801), ks4), ((2000, 2000), ks4),
+        ((4096, 2800), ks3), ((4096, 2801), ks4), ((3000, 3000), ks4),
         ((2, 2, custom), ks1), ((3, 1, custom), ks3),
         ((3, 10, custom), ks3), ((4, 1000, custom), ks3),
         ((5, 10, custom), ks4),
@@ -238,7 +238,7 @@ def test_auto_dispatch(monkeypatch):
     rng = random.Random(11)
     n = (1 << 48) - 59
     for len_f, len_g, want in ((300, 7, Variant.KS3), (7, 600, Variant.KS3),
-                               (20, 5, Variant.KS1), (1801, 1900, Variant.KS4)):
+                               (20, 5, Variant.KS1), (2801, 2900, Variant.KS4)):
         f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
         del ran[:]
         assert mod_mul(f, g).coeffs == schoolbook_mod(f, g).coeffs
