@@ -191,8 +191,8 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 # 221k and 0.54-0.61 at 442k.  Toom-4 wins from 60k on, and at 54k-55k
 # it is about even with Toom-3.  The cutoff sits at 80k, above three times
 # Toom-3's cutoff, so every product that Toom-3 split two levels deep
-# still does; no product of ks3 or ks4 at a 48-bit modulus lies between
-# 55k bits (L = 2048) and 110k (L = 4096).  Time of Toom-4 over Toom-3
+# still does; no product of the benchmark's workloads lies between 55k
+# bits and ks3's 108.6k at L = 2048.  Time of Toom-4 over Toom-3
 # with no Toom-4 skew gate, by the longer operand's bits over the
 # shorter's, two runs:
 #
