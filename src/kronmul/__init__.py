@@ -18,12 +18,10 @@ from .bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
 from .ksint import (KsParams, OverlapDigits, ReconstructionError,
                     derive_params, ks1_mul, ks2_mul, ks3_mul, ks4_mul,
                     reconstruct_overlapped)
-from .modpoly import (AutoThresholds, DEFAULT_THRESHOLDS, ModPoly, Variant,
-                      choose_variant, mod_mul)
+from .modpoly import ModPoly, Variant, choose_variant, mod_mul
 from .oracle import schoolbook_bivar, schoolbook_mod, schoolbook_z, \
     uni_schoolbook
-from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
-                   pack_reversed)
+from .pack import CoeffVec
 
 __version__ = "0.1.0"
 
@@ -31,14 +29,12 @@ __all__ = [
     "BigNat", "MulStats", "MulConfig", "DEFAULT_MUL_CONFIG", "LIMB_BITS",
     "mul", "mul_classical", "mul_karatsuba", "mul_signed", "to_digits",
     "from_digits",
-    "CoeffVec", "pack", "pack_reversed", "pack_negated",
-    "pack_negated_reversed",
+    "CoeffVec",
     "KsParams", "OverlapDigits", "ReconstructionError", "derive_params",
     "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul", "reconstruct_overlapped",
     "BiPoly", "RingOps", "MissingHalveError", "ring_z", "ring_zmod",
     "bks_standard", "bks_reciprocal", "bks_negated", "bks_four",
-    "ModPoly", "Variant", "AutoThresholds", "DEFAULT_THRESHOLDS", "mod_mul",
-    "choose_variant",
+    "ModPoly", "Variant", "mod_mul", "choose_variant",
     "schoolbook_z", "schoolbook_bivar", "schoolbook_mod", "uni_schoolbook",
     "__version__",
 ]

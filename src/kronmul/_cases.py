@@ -204,11 +204,12 @@ def reconstruct_case(rng, config):
 
 
 def pack_case(rng, config):
-    """Up to 40 coefficients at the four packs, from half their bound up,
-    against Horner's rule."""
+    """Up to 40 coefficients at the four packs, from half their bound up
+    (exactly that edge a quarter of the time), against Horner's rule."""
     bound = _bound(rng)
     coeffs = _values(rng, _pick(rng, (1,), 1, 40), 1 << bound)
-    width = rng.randint((bound + 1) // 2, 2 * bound + 9)
+    half = (bound + 1) // 2
+    width = _pick(rng, (half,), half, 2 * bound + 9)
     v = CoeffVec(tuple(coeffs), bound)
     x = 1 << width
     alternating = [(-c if i % 2 else c) for i, c in enumerate(coeffs)]

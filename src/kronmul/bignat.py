@@ -58,14 +58,11 @@ __all__ = [
 class MulStats:
     """Counter of single-word x single-word products performed.
 
-    Monotonically non-decreasing while in use; ``reset`` between
-    measurements.
+    Monotonically non-decreasing while in use; pass a fresh one per
+    measurement.
     """
 
     limb_products: int = 0
-
-    def reset(self) -> None:
-        self.limb_products = 0
 
 
 @dataclass(frozen=True)

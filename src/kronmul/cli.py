@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import bignat
 from .bignat import MulConfig, MulStats
-from .modpoly import (DEFAULT_THRESHOLDS, ModPoly, Variant,
+from .modpoly import (_KS1_MAX_LENGTH, _KS3_MAX_LENGTH, ModPoly, Variant,
                       choose_variant, mod_mul)
 
 
@@ -269,7 +269,8 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
                       f"{platform.python_version()}",
             "mul_config": asdict(config),
             "timed_multiply": TIMED_MULTIPLY,
-            "auto_thresholds": asdict(DEFAULT_THRESHOLDS),
+            "auto_thresholds": {"ks1_max_length": _KS1_MAX_LENGTH,
+                                "ks3_max_length": _KS3_MAX_LENGTH},
             "seed": seed, "reps": reps, "modulus_bits": modulus_bits,
             "modulus": modulus, "cells": out}
 

@@ -7,8 +7,8 @@ import pytest
 
 from kronmul import bignat, ksint
 from kronmul.bignat import BigNat, MulConfig, MulStats
-from kronmul.modpoly import (_VARIANT_FUNCS, AutoThresholds, ModPoly, Variant,
-                             choose_variant, mod_mul)
+from kronmul.modpoly import (_VARIANT_FUNCS, ModPoly, Variant, choose_variant,
+                             mod_mul)
 from kronmul.oracle import schoolbook_mod
 from kronmul.pack import CoeffVec
 
@@ -206,19 +206,15 @@ def test_counted_and_uncounted_outputs_agree(bits, len_f, len_g):
 
 def test_choose_variant_table():
     ks1, ks3, ks4 = Variant.KS1, Variant.KS3, Variant.KS4
-    custom = AutoThresholds(ks1_max_length=2, ks3_max_length=4)
     rows = [
         ((1, 7), ks1), ((16, 4), ks1), ((20, 20), ks1), ((20, 8), ks1),
         ((21, 8), ks3), ((64, 8), ks3), ((8192, 16), ks3),
         ((4096, 2800), ks3), ((4096, 2801), ks4), ((3000, 3000), ks4),
-        ((2, 2, custom), ks1), ((3, 1, custom), ks3),
-        ((3, 10, custom), ks3), ((4, 1000, custom), ks3),
-        ((5, 10, custom), ks4),
     ]
-    for (len_f, len_g, *thresholds), want in rows:
+    for (len_f, len_g), want in rows:
         # The decision depends on the two lengths, not on their order.
-        assert choose_variant(len_f, len_g, *thresholds) is want
-        assert choose_variant(len_g, len_f, *thresholds) is want
+        assert choose_variant(len_f, len_g) is want
+        assert choose_variant(len_g, len_f) is want
     with pytest.raises(ValueError):
         choose_variant(0, 3)
     with pytest.raises(ValueError):

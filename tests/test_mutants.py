@@ -84,6 +84,32 @@ MUTANTS = {
     "unpack-fields-phase-r-1": ("bignat.py", "(value >> r * width) & mask",
                                 "(value >> (r - 1) * width) & mask",
                                 "selftest"),
+    # The byte-string unpack at an odd width keeps a pair's top bit in its
+    # odd digit.
+    "unpack-wide-odd-shift-short": (
+        "bignat.py", "repeat(width)", "repeat(width - 1)", "selftest"),
+    # The overlap recovery rejects a quotient of exactly width*count bits,
+    # which the all-maximal values at its limit reach.
+    "overlap-unpack-q-bound-off-by-one": (
+        "ksint.py", "q.bit_length() > width * count",
+        "q.bit_length() >= width * count", "selftest"),
+    # The bivariate overlap recovery peels one entry short.
+    "bipoly-overlap-recover-short": ("bipoly.py", "for t in range(over):",
+                                     "for t in range(over - 1):",
+                                     "selftest"),
+    # The coefficient bound one bit short unless n is a power of two.
+    "mod-mul-coeff-bits-short": (
+        "modpoly.py", "max(1, (n - 1).bit_length())",
+        "max(1, n.bit_length() - 1)", "selftest"),
+    # The packs reject a chunk width of exactly half an even bound.
+    "check-width-rejects-half": (
+        "pack.py", "2 * width_bits < v.width_bound_bits",
+        "2 * width_bits <= v.width_bound_bits", "selftest"),
+    # AUTO's ks3 band one length longer: every output stays right, only the
+    # pick moves.
+    "ks3-band-one-longer": (
+        "modpoly.py", "_KS3_MAX_LENGTH = 2800", "_KS3_MAX_LENGTH = 2801",
+        "tests/test_modpoly.py::test_choose_variant_table"),
 }
 
 
