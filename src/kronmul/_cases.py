@@ -4,7 +4,7 @@ Each suite draws one case from a ``random.Random`` (the self-test's seeded
 one, or hypothesis's ``st.randoms``, under which a failing case shrinks),
 checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
-counted into a ``MulStats``, which runs the configured recursion, and
+counted into a ``MulStats``, which runs the config's counted multiply, and
 uncounted, which runs CPython's multiply or, on large balanced operands,
 the Toom-3 or Toom-4 split over it.  A mismatch raises
 ``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
@@ -107,8 +107,9 @@ def _toom_bits(rng):
 
 def bignat_toom_case(rng, config):
     """A pair about the Toom gates, full-length or all ones, multiplied
-    uncounted only (counted at threshold 1, one such product takes about
-    0.3 s) by ``mul`` and, with random signs, by ``mul_signed``."""
+    uncounted only (counted, the Karatsuba recursion over one such product
+    takes up to about 0.1 s) by ``mul`` and, with random signs, by
+    ``mul_signed``."""
     a, b = ((1 << k) - 1 if rng.randrange(4) == 0
             else rng.getrandbits(k) | 1 << (k - 1) for k in _toom_bits(rng))
     sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
@@ -130,7 +131,7 @@ def bignat_case(rng, config):
     a, b = ((1 << k) - 1 if rng.randrange(4) == 0 else rng.getrandbits(k)
             for k in bits)
     check(bignat.mul_classical(a, b) == a * b
-          == bignat.mul_karatsuba(a, b, config=config)
+          == bignat.mul_karatsuba(a, b)
           == bignat.mul(a, b, MulStats(), config)
           == bignat.mul(a, b, config=config), "bignat-mul", (a, b))
     return a, b
@@ -290,12 +291,10 @@ def modpoly_case(rng, config):
     return n, f.coeffs, g.coeffs
 
 
-# The configs the self-test and the property tests run the suites under:
-# classical leaves only, and Karatsuba thresholds 1 (the deepest
-# recursion), 16 (the default) and 40.
+# The configs the self-test runs the multiplying suites under: classical
+# leaves only, and the default, Karatsuba down to 16 limbs.
 CONFIGS = {"classical": MulConfig(classical_only=True),
-           "thr1": MulConfig(1), "thr16": MulConfig(16),
-           "thr40": MulConfig(40)}
+           "thr16": MulConfig()}
 
 # In the self-test's order: a corrupted multiply fails bignat first.
 # The multiplying suites run under every config, the others under one.

@@ -16,12 +16,12 @@ Toom-3 splits it into five products of a third the size, or, from
 times it on the longer, Toom-4 into seven of a quarter the size; each
 part takes the same choice again, down to native leaves.  Counted, it is
 plain Karatsuba over ``_classical_int`` leaves: ``mul`` given a MulStats,
-like ``mul_karatsuba`` always, recurses by the three-product split down to
-a limb-count threshold, and every product it does not split, like every
-``mul_classical`` call and every counted product under
-``classical_only``, is a classical leaf that counts exactly m*n word
-products for an m-limb by n-limb product (``MulStats``) and makes one
-native product.  Every machine product is a call of
+like ``mul_karatsuba`` always, recurses by the three-product split until
+an operand has at most ``_KARATSUBA_THRESHOLD`` (16) limbs, and every
+product it does not split, like every ``mul_classical`` call and every
+counted product under ``classical_only``, is a classical leaf that counts
+exactly m*n word products for an m-limb by n-limb product (``MulStats``)
+and makes one native product.  Every machine product is a call of
 ``_native_mul``.
 
 All functions are pure, except that a multiply adds its word products to
@@ -35,6 +35,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import ClassVar
 
 LIMB_BITS = 64
 _LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -65,28 +66,22 @@ class MulStats:
     limb_products: int = 0
 
 
-@dataclass(frozen=True)
+# Karatsuba's leaves: a product with an operand of at most this many limbs.
+_KARATSUBA_THRESHOLD = 16
+
+
+@dataclass(frozen=True, kw_only=True)
 class MulConfig:
     """Multiplication dispatch policy.
 
-    ``karatsuba_threshold`` is the limb count (an integer >= 1) at or below
-    which the counted Karatsuba makes a product a classical leaf; a 1-limb
-    operand cannot be split, so a smaller threshold would recurse forever.
     ``classical_only`` makes every counted product one classical leaf, so
-    word-product counts follow the m*n law exactly.  Both shape counted
-    products only: ``mul`` given no ``MulStats`` runs the native multiply,
-    split by Toom-3 or Toom-4 on large balanced operands, whatever the config
-    (``mul_karatsuba`` recurses by the threshold, counted or not).
+    word-product counts follow the m*n law exactly; otherwise a counted
+    product runs Karatsuba down to the constant ``karatsuba_threshold``
+    limbs.  Uncounted products ignore the config.
     """
 
-    karatsuba_threshold: int = 16
+    karatsuba_threshold: ClassVar[int] = _KARATSUBA_THRESHOLD
     classical_only: bool = False
-
-    def __post_init__(self):
-        threshold = operator.index(self.karatsuba_threshold)
-        if threshold < 1:
-            raise ValueError("karatsuba_threshold must be >= 1")
-        object.__setattr__(self, "karatsuba_threshold", threshold)
 
 
 DEFAULT_MUL_CONFIG = MulConfig()
@@ -293,16 +288,17 @@ def _toom4_int(x: int, y: int, k: int) -> int:
             + (w5 << 5 * k) + (w6 << 6 * k))
 
 
-def _mul_int(x: int, y: int, stats: MulStats | None, config: MulConfig) -> int:
+def _mul_int(x: int, y: int, stats: MulStats | None,
+             config: MulConfig | None) -> int:
     # A product that no one counts runs the Toom ladder over native
     # products, or for short or lopsided operands is one native product.
     # Counting runs the explicit Karatsuba recursion, or under
-    # classical_only one classical leaf.
+    # classical_only one classical leaf.  No config means the default.
     if stats is None:
         return _toom_int(x, y)
-    if config.classical_only:
+    if config is not None and config.classical_only:
         return _classical_int(x, y, stats)
-    return _karatsuba_int(x, y, stats, config.karatsuba_threshold)
+    return _karatsuba_int(x, y, stats, _KARATSUBA_THRESHOLD)
 
 
 def _naturals(a: int, b: int) -> tuple[int, int]:
@@ -316,11 +312,8 @@ def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
     """a * b for naturals.  Uncounted, one native product, or Toom-3 or
     Toom-4 over native products on large balanced operands; counted into
-    ``stats``, the classical path at or below the configured limb-count
-    threshold (or always, under ``classical_only``) and Karatsuba above
-    it."""
-    if config is None:
-        config = DEFAULT_MUL_CONFIG
+    ``stats``, the classical path at or below ``_KARATSUBA_THRESHOLD`` limbs
+    (or always, under ``classical_only``) and Karatsuba above it."""
     return _mul_int(*_naturals(a, b), stats, config)
 
 
@@ -330,14 +323,10 @@ def mul_classical(a: int, b: int, stats: MulStats | None = None) -> int:
     return _classical_int(*_naturals(a, b), stats)
 
 
-def mul_karatsuba(a: int, b: int, stats: MulStats | None = None,
-                  config: MulConfig | None = None) -> int:
+def mul_karatsuba(a: int, b: int, stats: MulStats | None = None) -> int:
     """Three-product recursion on naturals; a product with an operand of at
-    most the threshold's limbs is a classical leaf."""
-    if config is None:
-        config = DEFAULT_MUL_CONFIG
-    return _karatsuba_int(*_naturals(a, b), stats,
-                          config.karatsuba_threshold)
+    most ``_KARATSUBA_THRESHOLD`` (16) limbs is a classical leaf."""
+    return _karatsuba_int(*_naturals(a, b), stats, _KARATSUBA_THRESHOLD)
 
 
 def mul_signed(a: int, b: int, stats: MulStats | None = None,
@@ -345,8 +334,6 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
     """a * b for signed ints: the sign times ``mul``'s product of the
     magnitudes."""
     a, b = operator.index(a), operator.index(b)
-    if config is None:
-        config = DEFAULT_MUL_CONFIG
     product = _mul_int(abs(a), abs(b), stats, config)
     return -product if (a < 0) != (b < 0) else product
 

@@ -8,7 +8,8 @@ constant term first.
 ``mul`` and the bench's timed calls count nothing, so they run the
 uncounted multiply (CPython's, split by Toom-3 or Toom-4 on large balanced
 operands) whatever the config; the self-test runs every multiplying suite
-under each config of ``kronmul._cases.CONFIGS``, and the others once.
+under both configs of ``kronmul._cases.CONFIGS`` (classical leaves, and
+Karatsuba down to 16 limbs), and the others once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import bignat
@@ -244,8 +244,7 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
     cell, which runs ``TIMED_MULTIPLY``, with exact word products under
     ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
     timed)."""
-    config = MulConfig()
-    counted = {"word_products": config,
+    counted = {"word_products": MulConfig(),
                "word_products_classical": MulConfig(classical_only=True)}
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)
     cells = _time_cells(inputs, _VARIANTS, reps)
@@ -267,7 +266,9 @@ def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
             "nproc": os.cpu_count(),
             "python": f"{platform.python_implementation()} "
                       f"{platform.python_version()}",
-            "mul_config": asdict(config),
+            "mul_config": {"karatsuba_threshold":
+                           MulConfig.karatsuba_threshold,
+                           "classical_only": False},
             "timed_multiply": TIMED_MULTIPLY,
             "auto_thresholds": {"ks1_max_length": _KS1_MAX_LENGTH,
                                 "ks3_max_length": _KS3_MAX_LENGTH},

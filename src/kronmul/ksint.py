@@ -338,6 +338,14 @@ def _shr_exact(v: int, k: int) -> int:
     return v >> k
 
 
+def _even_odd(plus: int, minus: int, even_shift: int,
+              odd_shift: int) -> tuple[int, int]:
+    # E and O from v(X) = E + X*O and v(-X), X = 2**n: the half-sum and the
+    # half-difference, each shifted down further, by n for the part X up.
+    return (_shr_exact(plus + minus, 1 + even_shift),
+            _shr_exact(plus - minus, 1 + odd_shift))
+
+
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None) -> CoeffVec:
     """Negated variant: products at +-2**N; the half-sum holds the even-index
@@ -347,8 +355,9 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     pos, neg = _signed_products(_plus_minus(f, n), _plus_minus(g, n),
                                 stats, config)
     k = p.out_len
-    even = _unpack_ints(_shr_exact(pos + neg, 1), 2 * n, (k + 1) // 2)
-    odd = _unpack_ints(_shr_exact(pos - neg, n + 1), 2 * n, k // 2)
+    even, odd = _even_odd(pos, neg, 0, n)
+    even = _unpack_ints(even, 2 * n, (k + 1) // 2)
+    odd = _unpack_ints(odd, 2 * n, k // 2)
     return CoeffVec(_interleave(even, odd), p.out_bound_bits)
 
 
@@ -380,11 +389,9 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     # with the reversed packings of the even/odd output parts (normalized by
     # 2**(2n*(part_len-1))) leaves one stray factor 2**n on the part whose
     # length rounds down.
+    even, odd = _even_odd(fwd, neg, 0, n)
+    even_rev, odd_rev = _even_odd(rev, nrev, n * (1 - k % 2), n * (k % 2))
     w = 2 * n
-    even = _overlap_unpack(_shr_exact(fwd + neg, 1),
-                           _shr_exact(rev + nrev, 1 + n * (1 - k % 2)),
-                           w, (k + 1) // 2)
-    odd = _overlap_unpack(_shr_exact(fwd - neg, n + 1),
-                          _shr_exact(rev - nrev, 1 + n * (k % 2)),
-                          w, k // 2)
+    even = _overlap_unpack(even, even_rev, w, (k + 1) // 2)
+    odd = _overlap_unpack(odd, odd_rev, w, k // 2)
     return CoeffVec(_interleave(even, odd), p.out_bound_bits)

@@ -142,9 +142,13 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     coeff_bits = max(1, (n - 1).bit_length())
     if variant is Variant.AUTO:
         variant = choose_variant(len(f), len(g))
+    try:
+        multiply = _VARIANT_FUNCS[variant]
+    except KeyError:
+        raise TypeError(f"variant must be a Variant, not {variant!r}") from None
     # 0 <= c < n gives c.bit_length() <= (n - 1).bit_length() = coeff_bits.
-    product = _VARIANT_FUNCS[variant](_validated(f.coeffs, coeff_bits),
-                                      _validated(g.coeffs, coeff_bits),
-                                      stats=stats, config=config)
+    product = multiply(_validated(f.coeffs, coeff_bits),
+                       _validated(g.coeffs, coeff_bits),
+                       stats=stats, config=config)
     return _reduced(tuple(map(operator.mod, product.coeffs, repeat(n))),
                     n)

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from kronmul import bignat
-from kronmul.bignat import (BigNat, MulConfig, MulStats, from_digits, mul,
-                            mul_classical, mul_karatsuba, mul_signed,
-                            to_digits)
+from kronmul.bignat import (DEFAULT_MUL_CONFIG, BigNat, MulConfig, MulStats,
+                            from_digits, mul, mul_classical, mul_karatsuba,
+                            mul_signed, to_digits)
 
 
 def test_mul_example():
@@ -37,12 +38,13 @@ def test_classical_count_is_m_times_n():
 
 
 def test_karatsuba_equals_classical():
+    # at threshold 2, through the recursion's private argument
     rng = random.Random(1)
-    cfg = MulConfig(karatsuba_threshold=2)
     for _ in range(1000):
         a = rng.getrandbits(rng.randrange(1, 64 * 64))
         b = rng.getrandbits(rng.randrange(1, 64 * 64))
-        assert mul_karatsuba(a, b, config=cfg) == mul_classical(a, b) == a * b
+        assert (bignat._karatsuba_int(a, b, None, 2) == mul_classical(a, b)
+                == a * b)
 
 
 def test_karatsuba_hundred_limb_pair():
@@ -70,7 +72,7 @@ def test_mul_dispatch_threshold():
     mul(a, b, forced, MulConfig(classical_only=True))
     assert forced.limb_products == 40 * 40
     split = MulStats()
-    mul(a, b, split, MulConfig(karatsuba_threshold=16))
+    mul(a, b, split, MulConfig())
     assert split.limb_products < forced.limb_products
 
 
@@ -183,15 +185,19 @@ def test_classical_only_row_loop():
     assert stats.limb_products == 200 * 200
 
 
-@pytest.mark.parametrize("config", [MulConfig(), MulConfig(1),
-                                    MulConfig(40),
-                                    MulConfig(classical_only=True)],
-                         ids=["thr16", "thr1", "thr40", "classical"])
+@pytest.mark.parametrize("config, threshold", [
+    (MulConfig(), None), (MulConfig(), 1), (MulConfig(), 40),
+    (MulConfig(classical_only=True), None)],
+    ids=["thr16", "thr1", "thr40", "classical"])
 @pytest.mark.parametrize("xl, yl", [(1, 1), (16, 17), (200, 200),
                                     (33, 3200)])
-def test_uncounted_mul_is_one_native_product(monkeypatch, config, xl, yl):
-    # No MulStats: CPython's multiply, whatever the config, through the one
+def test_uncounted_mul_is_one_native_product(monkeypatch, config, threshold,
+                                             xl, yl):
+    # No MulStats: CPython's multiply, whatever the config or the Karatsuba
+    # threshold (patched here, since no caller can set it), through the one
     # name the self-test corrupts.
+    if threshold is not None:
+        monkeypatch.setattr(bignat, "_KARATSUBA_THRESHOLD", threshold)
     made = 0
 
     def counted(x, y):
@@ -240,7 +246,7 @@ def test_uncounted_toom3_native_products(monkeypatch, xbits, ybits, calls):
 
     monkeypatch.setattr(bignat, "_native_mul", counted)
     x, y = (1 << xbits) - 1, (1 << ybits) - 1
-    for config in (MulConfig(), MulConfig(1), MulConfig(classical_only=True)):
+    for config in (MulConfig(), MulConfig(classical_only=True)):
         made = 0
         assert mul(x, y, config=config) == x * y
         assert made == calls
@@ -250,18 +256,20 @@ def test_uncounted_toom3_native_products(monkeypatch, xbits, ybits, calls):
 
 
 def test_ring_axioms_randomized():
-    # the counted multiply against int addition, small enough to split
+    # the Karatsuba recursion at threshold 1 against int addition, on
+    # operands small enough to split
     rng = random.Random(5)
-    cfg = MulConfig(karatsuba_threshold=1)
+
+    def kmul(x, y):
+        return bignat._karatsuba_int(x, y, None, 1)
+
     for _ in range(10_000):
         a = rng.getrandbits(rng.randrange(1, 512))
         b = rng.getrandbits(rng.randrange(1, 512))
         c = rng.getrandbits(rng.randrange(1, 512))
-        assert mul(a, b, config=cfg) == mul(b, a, config=cfg)
-        assert mul(mul(a, b, config=cfg), c, config=cfg) == \
-            mul(a, mul(b, c, config=cfg), config=cfg)
-        assert mul(a, b + c, config=cfg) == \
-            mul(a, b, config=cfg) + mul(a, c, config=cfg)
+        assert kmul(a, b) == kmul(b, a)
+        assert kmul(kmul(a, b), c) == kmul(a, kmul(b, c))
+        assert kmul(a, b + c) == kmul(a, b) + kmul(a, c)
 
 
 def test_results_are_normalized():
@@ -426,13 +434,13 @@ def test_naturals_only():
             fn(2.0, 3)
 
 
-def test_mul_config_validates_threshold():
-    # a threshold below 1 never stops splitting 1-limb operands
-    for threshold in (0, -1):
-        with pytest.raises(ValueError):
-            MulConfig(karatsuba_threshold=threshold)
-    for threshold in (1.5, "16"):
+def test_mul_config_has_one_keyword_field():
+    # The Karatsuba threshold is a constant: a config that tries to set it,
+    # or passes classical_only by position, is refused.
+    assert [f.name for f in dataclasses.fields(MulConfig)] == [
+        "classical_only"]
+    for args, kwargs in (((40,), {}), ((), {"karatsuba_threshold": 40})):
         with pytest.raises(TypeError):
-            MulConfig(karatsuba_threshold=threshold)
-    config = MulConfig(karatsuba_threshold=BigNat(3))
-    assert type(config.karatsuba_threshold) is int
+            MulConfig(*args, **kwargs)
+    assert DEFAULT_MUL_CONFIG.karatsuba_threshold == 16
+    assert MulConfig(classical_only=True).classical_only

@@ -4,9 +4,10 @@
 ``random.Random``; here the same functions draw from ``st.randoms``, so a
 failing case shrinks, and its report lists each draw, from which it can be
 written down as a fixed regression test.  The multiplying suites run
-under each of ``CONFIGS``, as the self-test does: classical-only and at
-Karatsuba thresholds 1, 16 and 40; each suite counts its products once, so
-that the configured recursion runs, and multiplies once uncounted.  The
+under both of ``CONFIGS``, as the self-test does: classical-only and
+Karatsuba down to 16 limbs; and here also with the Karatsuba threshold, a
+private constant, patched to 1 and to 40.  Each suite counts its products
+once, so that the counted recursion runs, and multiplies once uncounted.  The
 digit suite's property test, which also checks that each tier runs its blit
 path, is in ``test_blit_properties.py``.
 """
@@ -24,6 +25,22 @@ from kronmul.bignat import MulConfig  # noqa: E402
 from kronmul.cli import _corrupted_multiply  # noqa: E402
 
 
+# The self-test's configs, and its Karatsuba config with the recursion run
+# down to 1-limb operands (its deepest) or stopped at 40 limbs: (config,
+# threshold to patch in, or None).
+RUNS = {"classical": (CONFIGS["classical"], None),
+        "thr1": (CONFIGS["thr16"], 1),
+        "thr16": (CONFIGS["thr16"], None),
+        "thr40": (CONFIGS["thr16"], 40)}
+
+
+def _patched(monkeypatch, run):
+    config, threshold = run
+    if threshold is not None:
+        monkeypatch.setattr(bignat, "_KARATSUBA_THRESHOLD", threshold)
+    return config
+
+
 def _holds(case, config):
     @settings(derandomize=True, max_examples=40, database=None,
               deadline=None)
@@ -34,10 +51,10 @@ def _holds(case, config):
     check()
 
 
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
 @pytest.mark.parametrize("suite", MULTIPLYING)
-def test_multiplying_suite_holds(suite, config):
-    _holds(_cases.SUITES[suite], config)
+def test_multiplying_suite_holds(monkeypatch, suite, run):
+    _holds(_cases.SUITES[suite], _patched(monkeypatch, run))
 
 
 @pytest.mark.parametrize("suite", ["reconstruct", "pack"])
@@ -45,11 +62,12 @@ def test_suite_holds(suite):
     _holds(_cases.SUITES[suite], MulConfig())
 
 
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
 @pytest.mark.parametrize("suite", MULTIPLYING)
-def test_suite_catches_corrupted_multiply(suite, config):
-    # Each multiplying suite has teeth of its own under every config, on
-    # the self-test's own draws for seed 0.
+def test_suite_catches_corrupted_multiply(monkeypatch, suite, run):
+    # Each multiplying suite has teeth of its own under every run, on the
+    # self-test's own draws for seed 0.
+    config = _patched(monkeypatch, run)
     rng = random.Random(f"{suite}-0")
     with _corrupted_multiply(), pytest.raises(_cases.SelfTestFailure,
                                               match=f"^{suite}-"):
@@ -70,9 +88,10 @@ def test_thr1_ksint_suite_splits(monkeypatch):
         return karatsuba(x, y, stats, threshold)
 
     monkeypatch.setattr(bignat, "_karatsuba_int", counted)
+    config = _patched(monkeypatch, RUNS["thr1"])
     rng = random.Random("ksint-0")
     for _ in range(10):
-        _cases.SUITES["ksint"](rng, CONFIGS["thr1"])
+        _cases.SUITES["ksint"](rng, config)
     assert splits > 0
 
 

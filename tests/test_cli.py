@@ -305,11 +305,13 @@ def test_mutated_selftest_names_the_case_briefly(monkeypatch, capsys,
                                                  threshold):
     # The failing operands run to thousands of digits; the report gives
     # their sizes and the suite instead.  None is the self-test's own
-    # sweep, which fails under its first config; each threshold runs
-    # alone, so every config's mutated run is reported.
+    # sweep, which fails under its first config; each Karatsuba threshold
+    # runs alone, set through the private constant, so every recursion
+    # depth's mutated run is reported.
     if threshold is not None:
         monkeypatch.setattr(_cases, "CONFIGS",
-                            {f"thr{threshold}": MulConfig(threshold)})
+                            {f"thr{threshold}": MulConfig()})
+        monkeypatch.setattr(bignat, "_KARATSUBA_THRESHOLD", threshold)
     assert main(["selftest", "--seed", "0", "--iters", "20",
                  "--mutate"]) == 1
     line = capsys.readouterr().out.splitlines()[-1]
@@ -326,11 +328,11 @@ def test_check_describes_cases_past_the_repr_limit():
 
 
 @pytest.mark.parametrize("limbs, config", [
-    (40, MulConfig()),                       # Karatsuba, two levels deep
-    (64, MulConfig(classical_only=True)),    # one classical leaf
-    (16, MulConfig()),                       # one top-level leaf
-    (70, MulConfig(karatsuba_threshold=40)),  # one split, 35-limb leaves
-    (24, MulConfig()),                       # one split, three leaves
+    (40, MulConfig()),                     # Karatsuba, two levels deep
+    (64, MulConfig(classical_only=True)),  # one classical leaf
+    (16, MulConfig()),                     # one top-level leaf
+    (70, MulConfig()),                     # three levels, odd halves
+    (24, MulConfig()),                     # one split, three leaves
 ])
 def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     # Counted, so that the row's leaf path runs: an uncounted product is
@@ -348,7 +350,7 @@ def test_corrupted_multiply_reaches_every_leaf_path(limbs, config):
     (40, MulConfig()),
     (64, MulConfig(classical_only=True)),
     (16, MulConfig()),
-    (70, MulConfig(karatsuba_threshold=40)),
+    (70, MulConfig()),
     (24, MulConfig()),
 ])
 def test_every_product_path_calls_native_mul(monkeypatch, limbs, config):

@@ -136,6 +136,13 @@ def test_modulus_mismatch():
         mod_mul(ModPoly((1,), 5), ModPoly((1,), 7))
 
 
+@pytest.mark.parametrize("variant", ["ks3", None, 3])
+def test_mod_mul_rejects_a_non_variant(variant):
+    f = ModPoly((1, 2, 3), 97)
+    with pytest.raises(TypeError, match="must be a Variant"):
+        mod_mul(f, f, variant)
+
+
 @pytest.mark.parametrize("len_f, len_g", [(1500, 200), (600, 500)])
 def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
                                                    len_g):
@@ -258,18 +265,14 @@ def test_variant_dispatch_visible_in_op_counts():
 def test_paper_cell_word_products():
     # L = 2048, 48-bit modulus, every coefficient n - 1: the cell where the
     # paper's classical ks1/ks4 ratio approaches 4.  Under the default
-    # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208);
-    # at threshold 1, where the recursion runs down to 1-limb operands, they
-    # are 1.031 and 1.743.
+    # Karatsuba config the ratios follow n**0.585 instead (1.500 and 2.208).
     from kronmul.bignat import MulStats
     n = (1 << 48) - 59
     top = ModPoly((n - 1,) * 2048, n)
     want = {"default": (1_226_907, 817_938, 817_938, 555_728),
-            "classical": (11_723_776, 5_971_968, 5_971_968, 2_992_900),
-            "threshold 1": (565_115, 547_962, 533_254, 324_186)}
+            "classical": (11_723_776, 5_971_968, 5_971_968, 2_992_900)}
     configs = {"default": MulConfig(),
-               "classical": MulConfig(classical_only=True),
-               "threshold 1": MulConfig(1)}
+               "classical": MulConfig(classical_only=True)}
     for name, config in configs.items():
         counts = []
         for variant in EXPLICIT:
@@ -277,7 +280,5 @@ def test_paper_cell_word_products():
             mod_mul(top, top, variant, stats=stats, config=config)
             counts.append(stats.limb_products)
         assert tuple(counts) == want[name], name
-    for name, ratios in (("default", (1.5, 2.208)),
-                         ("threshold 1", (1.031, 1.743))):
-        ks1, ks2, _, ks4 = want[name]
-        assert (round(ks1 / ks2, 3), round(ks1 / ks4, 3)) == ratios, name
+    ks1, ks2, _, ks4 = want["default"]
+    assert (round(ks1 / ks2, 3), round(ks1 / ks4, 3)) == (1.5, 2.208)

@@ -57,6 +57,10 @@ MUTANTS = {
         "bignat.py", "if xl <= threshold or yl <= threshold:",
         "if xl <= threshold and yl <= threshold:",
         "tests/test_bignat.py::test_mul_word_products_pinned"),
+    # The counted Karatsuba's leaf size one limb larger.
+    "karatsuba-threshold-17": (
+        "bignat.py", "_KARATSUBA_THRESHOLD = 16", "_KARATSUBA_THRESHOLD = 17",
+        "tests/test_bignat.py::test_mul_word_products_pinned"),
     # The overlap recovery accepts digit streams that disagree.
     "overlap-unpack-no-remainder-check": (
         "ksint.py", "    if rem:\n        raise ReconstructionError(\"digit "
