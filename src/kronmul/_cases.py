@@ -9,9 +9,10 @@ uncounted, which runs CPython's multiply or, on large balanced operands,
 the Toom-3 or Toom-4 split over it.  A mismatch raises
 ``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
 the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
-length 1, equal and unequal lengths, values at the overlap recovery's
-limit, digit counts on both sides of every blit cutoff, and operand bits on
-both sides of the Toom splits' gates.
+ks4's quarter width just below the bound, length 1, equal and unequal
+lengths, values at the overlap recovery's limit, digit counts on both sides
+of every blit cutoff, and operand bits on both sides of the Toom splits'
+gates.
 """
 
 from __future__ import annotations
@@ -224,12 +225,26 @@ def pack_case(rng, config):
     return coeffs, width
 
 
+# Bound -> the shorter lengths at which ks4's quarter width
+# ceil((2b+e)/4) is b - 1 (2b-8 < e <= 2b-4): the widest evaluation whose
+# slots overlap.
+_KS4_OVERLAP_LENGTHS = {3: (1, 4), 4: (2, 16), 5: (5, 64)}
+
+
 def ksint_case(rng, config):
     """Vectors of up to 64 coefficients: ks1 to ks4, counted and not,
-    against schoolbook."""
-    bound = _bound(rng)
+    against schoolbook.  One draw in four puts ks4's quarter width one bit
+    below the bound."""
+    if rng.randrange(4) == 0:
+        bound = rng.choice(tuple(_KS4_OVERLAP_LENGTHS))
+        short = rng.randint(*_KS4_OVERLAP_LENGTHS[bound])
+        lengths = (short, rng.choice((short, rng.randint(short, 64))))
+        lengths = lengths[::rng.choice((1, -1))]
+    else:
+        bound = _bound(rng)
+        lengths = _lengths(rng, 64)
     f, g = (CoeffVec(tuple(_values(rng, length, 1 << bound)), bound)
-            for length in _lengths(rng, 64))
+            for length in lengths)
     want = oracle.schoolbook_z(f, g).coeffs
     for name, fn in (("ks1", ks1_mul), ("ks2", ks2_mul), ("ks3", ks3_mul),
                      ("ks4", ks4_mul)):

@@ -83,13 +83,6 @@ def write_poly_file(path: str, p: ModPoly) -> None:
 # --- mul ---------------------------------------------------------------------
 
 
-def _parse_variant(name: str) -> Variant:
-    try:
-        return Variant(name.lower())
-    except ValueError:
-        raise CommandError(f"unknown variant {name!r}")
-
-
 def cmd_mul(args) -> int:
     f = read_poly_file(args.poly_f)
     g = read_poly_file(args.poly_g)
@@ -100,7 +93,7 @@ def cmd_mul(args) -> int:
         raise CommandError(
             f"--modulus {args.modulus} does not match file modulus "
             f"{f.modulus}")
-    product = mod_mul(f, g, _parse_variant(args.variant))
+    product = mod_mul(f, g, Variant(args.variant))
     if args.output:
         write_poly_file(args.output, product)
     else:

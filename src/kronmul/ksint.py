@@ -23,12 +23,15 @@ reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
 h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
 is 0): no carry is chased digit by digit.
 
-ks3 blits each operand once, at N >= b, where its slots cannot overlap:
-masking the odd slots of x = v(2**N) gives the odd terms' sum, so
-v(-2**N) = x - 2*(x & mask), with one cached mask per width.  ks4's
-quarter width lies below b whenever e < 2b, and then its slots overlap; it
-blits the even and odd parts at 2N instead, v(+-X) = E(X**2) +- X*O(X**2),
-forward and reversed.
+ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
+the slots cannot overlap and one blit does: masking the odd slots of
+x = v(2**N) gives the odd terms' sum, so v(-2**N) = x - 2*(x & mask), with
+one cached mask per width.  That is always ks3's case, and ks4's when
+e >= 2b-3.  Below b the slots overlap, and the even and odd parts are
+blitted at 2N instead: v(+-X) = E(X**2) +- X*O(X**2).  ks4 evaluates and
+splits the reversed operands the same way: they multiply to the reversed
+product, so no sign fix-up is needed, and for an even output length its
+even and odd parts trade places.
 
 The two (or four) inner products of ks2/ks3/ks4 run one after another
 and add their word products straight into the caller's ``stats``.
@@ -42,11 +45,11 @@ from dataclasses import dataclass
 
 from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints, mul,
                      mul_signed)
-# ks3 packs each operand through pack, ks4 its even/odd parts through pack
-# and pack_reversed.  perfbench's tracer wraps all four pack names in this
-# namespace, so the negated ones stay imported.
-from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
-                   pack_reversed)
+# ks3 and ks4 blit through pack, ks2 also through pack_reversed.
+# perfbench's tracer wraps all four pack names in this namespace, so the
+# negated ones stay imported.
+from .pack import (CoeffVec, _validated, pack, pack_negated,
+                   pack_negated_reversed, pack_reversed)
 
 __all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
            "derive_params", "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",
@@ -79,11 +82,6 @@ class KsParams:
     @property
     def out_len(self) -> int:
         return self.len_f + self.len_g - 1
-
-    @property
-    def out_bound_bits(self) -> int:
-        # every output coefficient is < 2**(2b+e)
-        return self.width_full
 
     def coeff_product_bound(self) -> int:
         """Largest possible output coefficient: min(L) * (2**b - 1)**2."""
@@ -239,7 +237,7 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     n = p.width_full
     prod = mul(pack(f, n), pack(g, n), stats, config)
     coeffs = _unpack_ints(prod, n, p.out_len)
-    return CoeffVec(tuple(coeffs), p.out_bound_bits)
+    return CoeffVec(tuple(coeffs), p.width_full)
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -251,7 +249,7 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
     coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len)
-    return CoeffVec(tuple(coeffs), p.out_bound_bits)
+    return CoeffVec(tuple(coeffs), p.width_full)
 
 
 def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
@@ -261,35 +259,14 @@ def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _evaluations(v: CoeffVec, n: int) -> list[int]:
-    """v at 2**n, -2**n, 2**(-n) and -2**(-n) (the last two normalized by
-    2**(n*(L-1))), from one blit per even/odd part and point.
-
-    With E and O the even and odd parts, v(+-X) = E(X**2) +- X*O(X**2).
-    Reversing puts the part holding v's last coefficient at the bottom and
-    leaves the other one factor X up.
-    """
-    even, odd = v.even_odd()
-    w = 2 * n
-    e = pack(even, w)
-    o = pack(odd, w) << n if odd is not None else 0
-    values = [e + o, e - o]
-    e = pack_reversed(even, w)
-    o = pack_reversed(odd, w) if odd is not None else 0
-    if len(v) % 2:
-        o <<= n
-    else:
-        e <<= n
-    return values + [e + o, e - o]
-
-
 # Odd-slot masks by slot width: width -> (slots, mask), where the mask has
 # all `width` bits of every odd slot below `slots` set.  A longer request
 # replaces its width's entry, a new width past _MASK_WIDTHS empties the
 # cache first, and masks above _MASK_MAX_BITS are built per call and not
 # kept.  So the cache holds at most 16 masks of 128 KB: 2 MB.  The bit
 # bound keeps every operand of up to 8192 coefficients at widths up to 128;
-# ks3's width there is at most 71, for 64-bit coefficients.
+# ks3's width there is at most 71, for 64-bit coefficients, and ks4 takes a
+# mask only at small b, at widths of at most 8.
 _MASK_WIDTHS = 16
 _MASK_MAX_BITS = 1 << 20
 _odd_masks: dict[int, tuple[int, int]] = {}
@@ -314,20 +291,20 @@ def _odd_slot_mask(width: int, count: int) -> int:
 
 
 def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
-    """v at 2**n and -2**n from one blit.
+    """v at 2**n and -2**n.
 
-    With n >= v's bound the slots of x = v(2**n) never overlap, so
-    x & mask over the odd slots is the odd terms' sum, and
-    v(-2**n) = x - 2*(x & mask).
+    With n >= v's bound the slots of x = v(2**n) never overlap, so one blit
+    does: x & mask over the odd slots is the odd terms' sum, and
+    v(-2**n) = x - 2*(x & mask).  Below the bound the even and odd parts E
+    and O are blitted at 2n instead: v(+-X) = E(X**2) +- X*O(X**2).
     """
-    assert n >= v.width_bound_bits
-    x = pack(v, n)
-    return x, x - ((x & _odd_slot_mask(n, len(v))) << 1)
-
-
-def _signed_products(f_vals, g_vals, stats, config) -> list[int]:
-    # Pointwise products of the evaluations, counted into stats if given.
-    return [mul_signed(x, y, stats, config) for x, y in zip(f_vals, g_vals)]
+    if n >= v.width_bound_bits:
+        x = pack(v, n)
+        return x, x - ((x & _odd_slot_mask(n, len(v))) << 1)
+    even, odd = v.even_odd()
+    e = pack(even, 2 * n)
+    o = pack(odd, 2 * n) << n if odd is not None else 0
+    return e + o, e - o
 
 
 def _shr_exact(v: int, k: int) -> int:
@@ -338,12 +315,19 @@ def _shr_exact(v: int, k: int) -> int:
     return v >> k
 
 
-def _even_odd(plus: int, minus: int, even_shift: int,
-              odd_shift: int) -> tuple[int, int]:
-    # E and O from v(X) = E + X*O and v(-X), X = 2**n: the half-sum and the
-    # half-difference, each shifted down further, by n for the part X up.
-    return (_shr_exact(plus + minus, 1 + even_shift),
-            _shr_exact(plus - minus, 1 + odd_shift))
+def _even_odd(plus: int, minus: int, n: int) -> tuple[int, int]:
+    # E and O from v(X) = E + X*O and v(-X), X = 2**n: the half-sum, and the
+    # half-difference shifted down by n more.
+    return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
+
+
+def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
+                   config) -> tuple[int, int]:
+    # The even- and odd-index parts of f*g at 2**(2n), from its values at
+    # +-2**n, with both products counted into stats if given.
+    (f_pos, f_neg), (g_pos, g_neg) = _plus_minus(f, n), _plus_minus(g, n)
+    return _even_odd(mul_signed(f_pos, g_pos, stats, config),
+                     mul_signed(f_neg, g_neg, stats, config), n)
 
 
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -351,14 +335,12 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     """Negated variant: products at +-2**N; the half-sum holds the even-index
     output coefficients and the half-difference the odd ones."""
     p = _params_for(f, g)
-    n = p.width_half  # b + ceil(e/2) >= b, as _plus_minus needs
-    pos, neg = _signed_products(_plus_minus(f, n), _plus_minus(g, n),
-                                stats, config)
+    n = p.width_half  # b + ceil(e/2) >= b: _plus_minus's one blit
+    even, odd = _half_products(f, g, n, stats, config)
     k = p.out_len
-    even, odd = _even_odd(pos, neg, 0, n)
     even = _unpack_ints(even, 2 * n, (k + 1) // 2)
     odd = _unpack_ints(odd, 2 * n, k // 2)
-    return CoeffVec(_interleave(even, odd), p.out_bound_bits)
+    return CoeffVec(_interleave(even, odd), p.width_full)
 
 
 def _four_point_safe(p: KsParams) -> bool:
@@ -372,26 +354,31 @@ def _four_point_safe(p: KsParams) -> bool:
     return p.coeff_product_bound() < (1 << w) * ((1 << w) - 1)
 
 
+def _reversed(v: CoeffVec) -> CoeffVec:
+    return _validated(v.coeffs[::-1], v.width_bound_bits)
+
+
 def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None) -> CoeffVec:
-    """Four-point variant: quarter-width products at +-2**N and +-2**(-N),
-    even/odd split by half-sums, then one overlap reconstruction per part."""
+    """Four-point variant: ks3's half-sum split at quarter width N, on the
+    operands and on their reversals (their values at +-2**(-N)), then ks2's
+    overlap reconstruction on the even part and on the odd part."""
     p = _params_for(f, g)
     assert _four_point_safe(p)
     if p.out_len == 1:
         prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
-        return CoeffVec((prod,), p.out_bound_bits)
+        return CoeffVec((prod,), p.width_full)
     n = p.width_quarter
-    fwd, neg, rev, nrev = _signed_products(_evaluations(f, n),
-                                           _evaluations(g, n), stats, config)
     k = p.out_len
-    # The reversed half-sums are normalized by 2**(n*(k-1)); aligning them
-    # with the reversed packings of the even/odd output parts (normalized by
-    # 2**(2n*(part_len-1))) leaves one stray factor 2**n on the part whose
-    # length rounds down.
-    even, odd = _even_odd(fwd, neg, 0, n)
-    even_rev, odd_rev = _even_odd(rev, nrev, n * (1 - k % 2), n * (k % 2))
+    even, odd = _half_products(f, g, n, stats, config)
+    # The reversed operands multiply to the reversed product.  Its even part
+    # is the reversed even part of f*g for odd k, and the reversed odd part
+    # for even k.
+    even_rev, odd_rev = _half_products(_reversed(f), _reversed(g), n, stats,
+                                       config)
+    if k % 2 == 0:
+        even_rev, odd_rev = odd_rev, even_rev
     w = 2 * n
     even = _overlap_unpack(even, even_rev, w, (k + 1) // 2)
     odd = _overlap_unpack(odd, odd_rev, w, k // 2)
-    return CoeffVec(_interleave(even, odd), p.out_bound_bits)
+    return CoeffVec(_interleave(even, odd), p.width_full)

@@ -69,6 +69,17 @@ def test_mul_command(poly_files, tmp_path, variant):
     assert read_poly_file(str(out)).coeffs == EXAMPLE_H
 
 
+@pytest.mark.parametrize("variant", ["KS3", "ks5"])
+def test_mul_rejects_an_unknown_variant(poly_files, capsys, variant):
+    # argparse's choices are the lowercase names, checked before any file
+    # is read.
+    f, g = poly_files
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--variant", variant, str(f), str(g)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_mul_zero_polynomial(tmp_path):
     f = tmp_path / "f.txt"
     g = tmp_path / "g.txt"

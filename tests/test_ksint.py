@@ -5,10 +5,11 @@ import pytest
 from kronmul import ksint
 from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
                             MulStats)
-from kronmul.ksint import (OverlapDigits, ReconstructionError, _evaluations,
+from kronmul.ksint import (OverlapDigits, ReconstructionError,
                            _four_point_safe, _odd_slot_mask, _overlap_unpack,
-                           _plus_minus, _shr_exact, derive_params, ks1_mul,
-                           ks2_mul, ks3_mul, ks4_mul, reconstruct_overlapped)
+                           _plus_minus, _reversed, _shr_exact, derive_params,
+                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
+                           reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
@@ -294,11 +295,21 @@ def test_four_point_bound_always_holds():
                     assert _four_point_safe(p), (b, len_f, len_g)
 
 
+def _assert_plus_minus_packs(v, n):
+    # v and its reversal at +-2**n against the whole-vector packs; the
+    # reversal at -2**n is the negated reversed pack up to (-1)**(L-1).
+    sign = -1 if len(v) % 2 == 0 else 1
+    assert _plus_minus(v, n) == (pack(v, n), pack_negated(v, n))
+    assert _plus_minus(_reversed(v), n) == (
+        pack_reversed(v, n), sign * pack_negated_reversed(v, n))
+
+
 @pytest.mark.parametrize("b", [1, 4, 48, 64])
 def test_split_evaluations_match_whole_vector_packs(b):
-    # ks4's even/odd split and ks3's one blit with its odd-slot mask must
-    # reproduce every whole-vector pack, for odd and even lengths and beside
-    # an operand of length 1
+    # The evaluations of ks4 (the quarter width, below the bound or not)
+    # and of ks3 (the half width, never below it) must reproduce every
+    # whole-vector pack, for odd and even lengths and beside an operand of
+    # length 1
     rng = random.Random(b)
     top = (1 << b) - 1
     for length in range(1, 10):
@@ -307,21 +318,18 @@ def test_split_evaluations_match_whole_vector_packs(b):
             for coeffs in ((top,) * length,
                            tuple(rng.randrange(top + 1) for _ in range(length))):
                 v = CoeffVec(coeffs, b)
-                nq, nh = p.width_quarter, p.width_half
-                assert _evaluations(v, nq) == [
-                    pack(v, nq), pack_negated(v, nq), pack_reversed(v, nq),
-                    pack_negated_reversed(v, nq)]
-                assert nh >= b
-                assert list(_plus_minus(v, nh)) == [
-                    pack(v, nh), pack_negated(v, nh)]
+                assert p.width_half >= b
+                for n in (p.width_quarter, p.width_half):
+                    _assert_plus_minus_packs(v, n)
 
 
-def test_plus_minus_needs_non_overlapping_slots():
-    # Below the bound, slots overlap and the mask would cut coefficients.
-    v = CoeffVec((5, 7, 6), 3)
-    assert _plus_minus(v, 3) == (pack(v, 3), pack_negated(v, 3))
-    with pytest.raises(AssertionError):
-        _plus_minus(v, 2)
+def test_plus_minus_on_both_sides_of_the_bound():
+    # One blit with the odd-slot mask from the bound up, the even/odd split
+    # below it, down to half the bound.
+    for coeffs in ((5, 7, 6), (7, 7, 7, 7), (6,)):
+        v = CoeffVec(coeffs, 3)
+        for n in (2, 3, 4):
+            _assert_plus_minus_packs(v, n)
 
 
 def test_odd_slot_mask_cache(monkeypatch):

@@ -81,9 +81,17 @@ MUTANTS = {
     "shr-exact-no-parity": (
         "ksint.py", "if v < 0 or v & ((1 << k) - 1):", "if v < 0:",
         "tests/test_ksint.py::test_shr_exact_rejects_inexact_half_sums"),
-    # ks4's stray factor 2**n taken off the wrong reversed half-sum.
-    "ks4-reversed-shift-flipped": ("ksint.py", "n * (1 - k % 2)",
-                                   "n * (k % 2)", "selftest"),
+    # ks4 leaves the reversed product's even and odd parts in place at even
+    # output lengths, where they trade places.
+    "ks4-reversed-parts-unswapped": ("ksint.py", "if k % 2 == 0:",
+                                     "if k % 2:", "selftest"),
+    # The one-blit evaluation with its odd-slot mask one bit below the
+    # bound, where slots overlap: only ks4 evaluates there, at small b.
+    # (">" for ">=" is an equivalent mutant: at n = b both branches are
+    # right.)
+    "plus-minus-mask-below-bound": (
+        "ksint.py", "if n >= v.width_bound_bits:",
+        "if n >= v.width_bound_bits - 1:", "selftest"),
     # The strided-field unpack reads phase r at phase r - 1's offset.
     "unpack-fields-phase-r-1": ("bignat.py", "(value >> r * width) & mask",
                                 "(value >> (r - 1) * width) & mask",
