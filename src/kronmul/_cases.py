@@ -6,12 +6,12 @@ checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the config's counted multiply, and
 uncounted, which runs CPython's multiply or, on large balanced operands,
-the Toom-3 or Toom-4 split over it.  A mismatch raises
+the Toom-4 split over it.  A mismatch raises
 ``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
 the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
 ks4's quarter width just below the bound, length 1, equal and unequal
 lengths, values at the overlap recovery's limit, digit counts on both sides
-of every blit cutoff, and operand bits on both sides of the Toom splits'
+of every blit cutoff, and operand bits on both sides of the Toom split's
 gates.
 """
 
@@ -90,17 +90,12 @@ def _raises(error, fn, *args) -> bool:
 
 
 def _toom_bits(rng):
-    # Operand bits about the gates of the uncounted Toom-3 split or, half
-    # the time, of the Toom-4 split: the shorter side just below the
-    # cutoff, at it, or up to three (Toom-3) or four (Toom-4) times it,
-    # where the split goes two levels deep; the longer one equal, anywhere
-    # inside the skew gate, or just inside or just outside it.
-    if rng.randrange(2):
-        low, skew, depth = bignat._TOOM_MIN_BITS, bignat._TOOM_MAX_SKEW, 3
-    else:
-        low, skew, depth = bignat._TOOM4_MIN_BITS, bignat._TOOM4_MAX_SKEW, 4
-    short = rng.choice((low - 1, low, rng.randint(low, depth * low),
-                        depth * low))
+    # Operand bits about the gates of the uncounted Toom-4 split: the shorter
+    # side just below the cutoff, at it, or up to four times it, where the
+    # split goes two levels deep; the longer one equal, anywhere inside the
+    # skew gate, or just inside or just outside it.
+    low, skew = bignat._TOOM_MIN_BITS, bignat._TOOM_MAX_SKEW
+    short = rng.choice((low - 1, low, rng.randint(low, 4 * low), 4 * low))
     top = math.ceil(skew * short)  # the first longer side outside the gate
     long_ = rng.choice((short, rng.randint(short, top - 1), top - 1, top))
     return [short, long_][::rng.choice((1, -1))]

@@ -1,6 +1,6 @@
 """Multiplication of natural numbers on 64-bit limbs over plain Python ints:
-CPython's own multiply, split by Toom-3 or Toom-4 on large balanced
-operands, or when counted, classical and Karatsuba.
+CPython's own multiply, split by Toom-4 on large balanced operands, or when
+counted, classical and Karatsuba.
 
 An m-limb number is one whose bit length lies in (64(m-1), 64m]; the
 multiplies below count their work in those limbs, while the values
@@ -11,10 +11,8 @@ A product that no one counts runs CPython's own multiply, whatever the
 config: ``mul`` and ``mul_signed`` given no ``MulStats`` make one native
 product, unless both operands have at least ``_TOOM_MIN_BITS`` bits and
 the longer has fewer than ``_TOOM_MAX_SKEW`` times the shorter's.  Then
-Toom-3 splits it into five products of a third the size, or, from
-``_TOOM4_MIN_BITS`` on the shorter side and below ``_TOOM4_MAX_SKEW``
-times it on the longer, Toom-4 into seven of a quarter the size; each
-part takes the same choice again, down to native leaves.  Counted, it is
+Toom-4 splits it into seven products of a quarter the size, and each part
+takes the same choice again, down to native leaves.  Counted, it is
 plain Karatsuba over ``_classical_int`` leaves: ``mul`` given a MulStats,
 like ``mul_karatsuba`` always, recurses by the three-product split until
 an operand has at most ``_KARATSUBA_THRESHOLD`` (16) limbs, and every
@@ -138,82 +136,52 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
     return z0 + (z1 << shift) + (z2 << (2 * shift))
 
 
-# An uncounted product whose shorter operand has at least _TOOM_MIN_BITS
-# bits, and whose longer one has fewer than _TOOM_MAX_SKEW times as many,
-# splits by Toom-3 into five products of a third the size: n**1.465, where
-# CPython's own multiply is Karatsuba, n**1.585.  Any other product is one
-# native product; a lopsided one takes CPython's own lopsided path.  Time of
-# one split, with native leaves, over one native product (CPython 3.11,
-# interleaved medians of 41 runs; balanced operands of the given bits):
+# An uncounted product whose operands both have at least _TOOM_MIN_BITS
+# bits, and whose longer one has fewer than _TOOM_MAX_SKEW times the
+# shorter's, splits by Toom-4 into seven products of a quarter the size:
+# n**1.404, where CPython's own multiply is Karatsuba, n**1.585.  Any other
+# product is one native product; a lopsided one takes CPython's own lopsided
+# path.  Time of one split, its parts through the gates below, over one
+# native product (CPython 3.11, interleaved medians of 61, three runs;
+# balanced operands of the given bits):
 #
-#   bits    20k  22k  23k  24k  25k  26k  27k  28k  29k  30k
-#   split  1.00 0.96 0.95 0.98 1.02 0.92 0.91 0.92 0.91 0.88
+#   bits   14k  16k  18k  20k  22k  23k  24k  25k  26k  27k  28k  29k  30k  32k
+#   split 0.99 1.00 0.99 0.96 0.95 0.95 0.94 0.91 0.89 0.93 0.92 0.91 0.89 0.86
+#         1.03 0.99 1.02 0.98 0.94 0.94 0.91 0.93 0.94 0.95 0.91 0.85 0.94 0.89
+#         1.01 0.99 0.98 0.95 0.94 0.94 0.94 0.87 0.95 0.91 0.91 0.92 0.91 0.94
 #
-# Time of the whole recursion over one native product at ks3's and ks4's
-# product sizes for a 48-bit modulus and L = 1024 / 2048 / 4096, and at
-# twice the largest, two runs: 0.87-0.89 at 54k bits, 0.86-0.88 at 55k,
-# 0.83-0.85 at 110k and 0.81-0.83 at 221k (two levels deep from 78k bits).
-# With no skew gate, by the longer operand's bits over the shorter's, at a
-# shorter one of 30k / 55k / 110k bits (31 runs):
+# The split is even up to 18k, wins by 5-9% at 22k-24k and by 5-15% from
+# 25k.  The cutoff sits at 26k, where the split wins in every run and where
+# the Toom-3 split's cutoff sat, so no product that was native became split.
+# By the longer operand's bits over the shorter's, at a shorter one of 30k /
+# 55k / 110k bits (medians of 41, two runs):
 #
-#   longer/shorter  1.0  1.5  1.75 2.0  2.25 2.5  3.0
-#   30k            0.99 0.91 0.95 1.06 1.03 1.21 1.29
-#   55k            0.89 0.80 0.93 1.00 1.04 1.09 1.28
-#   110k           0.77 0.80 0.85 1.04 0.92 1.02 1.20
+#   longer/shorter  1.0  1.25 1.5  1.75 1.95 2.0  2.25 2.5
+#   30k            0.90 0.86 0.90 1.03 1.06 1.10 1.06 1.11
+#                  0.90 0.87 0.90 0.95 1.05 1.09 1.05 1.11
+#   55k            0.86 0.83 0.84 0.91 0.95 0.98 1.07 1.00
+#                  0.86 0.83 0.85 0.93 0.93 0.97 1.01 0.98
+#   110k           0.77 0.73 0.74 0.82 0.86 0.88 0.92 0.87
+#                  0.75 0.72 0.73 0.78 0.85 0.89 0.93 0.92
 #
-# At 1.95 the gated split read 1.03-1.04, 0.96-0.97 and 0.90-0.93.  Cells
-# of a second run on the same shared 2-vCPU host moved by up to 0.05, so
-# both gates sit where the split stops losing.
-#
-# Above Toom-3, a product whose shorter operand has at least _TOOM4_MIN_BITS
-# bits, and whose longer one has fewer than _TOOM4_MAX_SKEW times as many,
-# splits by Toom-4 into seven products of a quarter the size, n**1.404; its
-# parts take the ladder again, so at ks4's 110.6k-bit products of L = 4096
-# they split by Toom-3 over native leaves.  Time over one native product of
-# the Toom-3 ladder alone and of one Toom-4 split on top of it, balanced
-# operands of the given bits (interleaved medians of 31 runs, two runs):
-#
-#   bits      60k  70k  80k  90k  100k 111k 150k 221k 442k
-#   Toom-3   0.94 1.00 0.88 0.82 0.89 0.84 0.94 0.82 0.72
-#            0.87 0.94 0.90 0.85 0.83 0.82 0.91 0.80 0.83
-#   Toom-4   0.88 0.88 0.81 0.78 0.87 0.75 0.75 0.68 0.59
-#            0.86 0.85 0.85 0.85 0.83 0.76 0.75 0.74 0.68
-#
-# The whole ladder with these constants read 0.76-0.77 at 111k, 0.69 at
-# 221k and 0.54-0.61 at 442k.  Toom-4 wins from 60k on, and at 54k-55k
-# it is about even with Toom-3.  The cutoff sits at 80k, above three times
-# Toom-3's cutoff, so every product that Toom-3 split two levels deep
-# still does; no product of the benchmark's workloads lies between 55k
-# bits and ks3's 108.6k at L = 2048.  Time of Toom-4 over Toom-3
-# with no Toom-4 skew gate, by the longer operand's bits over the
-# shorter's, two runs:
-#
-#   longer/shorter  1.0  1.25 1.4  1.5  1.6  1.75 1.95
-#   80k            0.91 0.98 0.88 1.00 1.04 0.78 1.02
-#                  0.89 0.95 0.93 1.02 1.06 0.87 1.02
-#   111k           0.95 1.01 0.88 1.01 1.00 1.01 0.94
-#                  0.98 0.98 0.90 1.00 1.05 1.01 0.91
-#
-# Toom-4 stops winning at 1.5, so products from there to Toom-3's gate
-# keep Toom-3.
+# The skew gate sits at 2, where the split stops winning at 55k.  Near the
+# cutoff it loses by up to 6% from 1.75, and at 110k it still wins at 2.5;
+# one gate for every size sits between them.  At the workloads' balanced
+# product sizes the whole recursion read 0.91 at 28.5k bits, 0.88-0.89 at
+# 41.5k, 0.86-0.87 at 55k, 0.74-0.77 at 110.6k (two levels deep from 104k)
+# and 0.69-0.72 at 221k.
 _TOOM_MIN_BITS = 26_000
 _TOOM_MAX_SKEW = 2
-_TOOM4_MIN_BITS = 80_000
-_TOOM4_MAX_SKEW = 1.5
 
 
 def _toom_int(x: int, y: int) -> int:
-    # The ladder: Toom-4 on the largest balanced products, Toom-3 on the
-    # other large balanced ones, one native product on the rest.  A product
-    # below the Toom-3 cutoff returns after one compare.
+    # Toom-4 on large balanced products, one native product on the rest.  A
+    # product below the cutoff returns after one compare.
     xb, yb = x.bit_length(), y.bit_length()
     if (xb < _TOOM_MIN_BITS or yb < _TOOM_MIN_BITS
             or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb):
         return _native_mul(x, y)
-    if (xb >= _TOOM4_MIN_BITS and yb >= _TOOM4_MIN_BITS
-            and xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb):
-        return _toom4_int(x, y, (max(xb, yb) + 3) // 4)
-    return _toom3_int(x, y, (max(xb, yb) + 2) // 3)
+    return _toom4_int(x, y, (max(xb, yb) + 3) // 4)
 
 
 def _toom_signed(x: int, y: int) -> int:
@@ -221,35 +189,11 @@ def _toom_signed(x: int, y: int) -> int:
     return -product if (x < 0) != (y < 0) else product
 
 
-def _toom3_int(x: int, y: int, k: int) -> int:
-    # Split both naturals at k bits, x = x0 + x1*B + x2*B^2 with B = 2**k,
-    # evaluate at 0, 1, -1, -2 and infinity, multiply pointwise through the
-    # ladder (magnitudes only) and interpolate by Bodrato's sequence: one
-    # exact division by 3, two by 2, shifts and adds.
-    mask = (1 << k) - 1
-    x0, x1, x2 = x & mask, x >> k & mask, x >> 2 * k
-    y0, y1, y2 = y & mask, y >> k & mask, y >> 2 * k
-    xs, ys = x0 + x2, y0 + y2
-    xm, ym = xs - x1, ys - y1
-    r0 = _toom_int(x0, y0)
-    r1 = _toom_int(xs + x1, ys + y1)
-    rm1 = _toom_signed(xm, ym)
-    rm2 = _toom_signed(((xm + x2) << 1) - x0, ((ym + y2) << 1) - y0)
-    rinf = _toom_int(x2, y2)
-    r3 = (rm2 - r1) // 3
-    r1 = (r1 - rm1) >> 1
-    r2 = rm1 - r0
-    r3 = ((r2 - r3) >> 1) + (rinf << 1)
-    r2 += r1 - rinf
-    r1 -= r3
-    return r0 + (r1 << k) + (r2 << 2 * k) + (r3 << 3 * k) + (rinf << 4 * k)
-
-
 def _toom4_int(x: int, y: int, k: int) -> int:
     # Split both naturals at k bits into four parts, x = x0 + x1*B + x2*B^2
     # + x3*B^3 with B = 2**k, evaluate at 0, 1, -1, 2, -2, 1/2 (scaled by 8,
     # so the product's value there is scaled by 64) and infinity, multiply
-    # pointwise through the ladder (magnitudes only) and interpolate by
+    # pointwise through ``_toom_int`` (magnitudes only) and interpolate by
     # Bodrato's sequence for these points, as in GMP's
     # mpn_toom_interpolate_7pts: exact divisions by 2, 4, 3, 9 and 15, small
     # multiples, shifts and adds.  On entry w1 .. w5 hold the values at -2,
@@ -290,7 +234,7 @@ def _toom4_int(x: int, y: int, k: int) -> int:
 
 def _mul_int(x: int, y: int, stats: MulStats | None,
              config: MulConfig | None) -> int:
-    # A product that no one counts runs the Toom ladder over native
+    # A product that no one counts runs the Toom-4 split over native
     # products, or for short or lopsided operands is one native product.
     # Counting runs the explicit Karatsuba recursion, or under
     # classical_only one classical leaf.  No config means the default.
@@ -310,8 +254,8 @@ def _naturals(a: int, b: int) -> tuple[int, int]:
 
 def mul(a: int, b: int, stats: MulStats | None = None,
         config: MulConfig | None = None) -> int:
-    """a * b for naturals.  Uncounted, one native product, or Toom-3 or
-    Toom-4 over native products on large balanced operands; counted into
+    """a * b for naturals.  Uncounted, one native product, or Toom-4 over
+    native products on large balanced operands; counted into
     ``stats``, the classical path at or below ``_KARATSUBA_THRESHOLD`` limbs
     (or always, under ``classical_only``) and Karatsuba above it."""
     return _mul_int(*_naturals(a, b), stats, config)

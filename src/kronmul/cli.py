@@ -3,13 +3,14 @@ benchmark that writes the north-star grid as JSON, and a seeded self-test.
 
 Polynomial file format: line 1 is the decimal modulus, line 2 the decimal
 length L, followed by L whitespace-separated decimal coefficients with the
-constant term first.
+constant term first.  Every number is plain ASCII digits: no sign, no
+underscore.
 
 ``mul`` and the bench's timed calls count nothing, so they run the
-uncounted multiply (CPython's, split by Toom-3 or Toom-4 on large balanced
-operands) whatever the config; the self-test runs every multiplying suite
-under both configs of ``kronmul._cases.CONFIGS`` (classical leaves, and
-Karatsuba down to 16 limbs), and the others once.
+uncounted multiply (CPython's, split by Toom-4 on large balanced operands)
+whatever the config; the self-test runs every multiplying suite under both
+configs of ``kronmul._cases.CONFIGS`` (classical leaves, and Karatsuba down
+to 16 limbs), and the others once.
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ def read_poly_file(path: str) -> ModPoly:
         raise CommandError(f"{path}: byte {exc.start} is not ASCII")
     if len(tokens) < 2:
         raise CommandError(f"{path}: expected modulus and length")
+    # int() alone would also take "+5" and "1_0".  The text is ASCII, so
+    # isdigit() accepts exactly 0-9.
+    bad = next((t for t in tokens if not t.isdigit()), None)
+    if bad is not None:
+        raise CommandError(f"{path}: {bad!r} is not a plain decimal number")
     try:
-        modulus = int(tokens[0])
-        length = int(tokens[1])
-        coeffs = [int(t) for t in tokens[2:]]
-    except ValueError as exc:
+        modulus, length, *coeffs = map(int, tokens)
+    except ValueError as exc:  # past int()'s limit on digits
         raise CommandError(f"{path}: {exc}")
     if length != len(coeffs):
         raise CommandError(
@@ -215,10 +219,8 @@ JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                                         2000)))
 _VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
 # The multiply that uncounted calls run, as the bench file names it.
-TIMED_MULTIPLY = (f"cpython-int, toom3 from {bignat._TOOM_MIN_BITS} bits "
-                  f"at skew below {bignat._TOOM_MAX_SKEW}, toom4 from "
-                  f"{bignat._TOOM4_MIN_BITS} bits at skew below "
-                  f"{bignat._TOOM4_MAX_SKEW}")
+TIMED_MULTIPLY = (f"cpython-int, toom4 from {bignat._TOOM_MIN_BITS} bits "
+                  f"at skew below {bignat._TOOM_MAX_SKEW}")
 
 
 def _git(*args) -> str | None:
@@ -291,7 +293,7 @@ def cmd_bench(args) -> int:
 def _corrupted_multiply():
     # Deliberate fault injection: every product with a multi-limb operand
     # comes back wrong.  bignat runs each machine product through
-    # _native_mul, uncounted products, the Toom splits' leaves and
+    # _native_mul, uncounted products, the Toom split's leaves and
     # _classical_int's leaves alike, so that one name reaches every path.
     # Used to verify the self-test has teeth.
     original = bignat._native_mul

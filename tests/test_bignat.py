@@ -214,28 +214,23 @@ def test_uncounted_mul_is_one_native_product(monkeypatch, config, threshold,
 
 
 TOOM = bignat._TOOM_MIN_BITS
-TOOM4 = bignat._TOOM4_MIN_BITS
 
 
 @pytest.mark.parametrize("xbits, ybits, calls", [
     (TOOM - 1, TOOM - 1, 1),       # below the cutoff
     (TOOM - 1, 3 * TOOM // 2, 1),  # the shorter side below it
-    (TOOM, TOOM, 5),               # at it: one split into native leaves
-    (2 * TOOM - 1, TOOM, 5),       # just inside the skew gate
+    (TOOM, TOOM, 7),               # at it: one split into native leaves
+    (2 * TOOM - 1, TOOM, 7),       # just inside the skew gate
     (TOOM, 2 * TOOM, 1),           # just outside: CPython's lopsided path
-    (3 * TOOM, 3 * TOOM, 25),      # every part at the cutoff: two levels
-    # The Toom-4 gates.  An all-ones x has x(-1) = 0 under Toom-4, a
-    # product below every cutoff, and its other points split again.
-    (TOOM4 - 1, TOOM4, 21),        # the shorter side below: Toom-3
-    (TOOM4, TOOM4, 7),             # at it: one split into native leaves
-    (TOOM4, 3 * TOOM4 // 2 - 1, 27),  # just inside the skew gate
-    (3 * TOOM4 // 2, TOOM4, 17),   # at the skew bound: Toom-3
-    (4 * TOOM4, 4 * TOOM4, 43),    # every part at the cutoff: 6 * 7 + 1
+    (3 * TOOM, 3 * TOOM, 7),       # parts of 3/4 the cutoff: one level
+    # Parts at the cutoff split again, except x(-1), which is 0 for an
+    # all-ones x: a product below every cutoff.
+    (4 * TOOM, 4 * TOOM, 43),      # 6 * 7 + 1
 ])
-def test_uncounted_toom3_native_products(monkeypatch, xbits, ybits, calls):
+def test_uncounted_toom_native_products(monkeypatch, xbits, ybits, calls):
     # All-ones operands, whose parts and evaluations are full-width and
-    # carry furthest: five native products per level of a Toom-3 split and
-    # seven of a Toom-4 one, one outside their gates, whatever the config;
+    # carry furthest: seven native products per level of the Toom-4 split,
+    # one outside its gates, whatever the config;
     # signs only flip the product.
     made = 0
 

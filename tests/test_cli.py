@@ -42,6 +42,13 @@ def test_poly_file_errors(tmp_path):
     bad.write_text("97\nx\n")
     with pytest.raises(CommandError):
         read_poly_file(str(bad))
+    # Plain ASCII digits only: int() would read "1_0" as 10 and "+5" as 5.
+    for token in ("1_0", "+5", "-5"):
+        bad.write_text(f"97\n2\n{token} 1\n")
+        with pytest.raises(CommandError) as exc:
+            read_poly_file(str(bad))
+        assert str(exc.value) == (f"{bad}: '{token}' is not a plain decimal "
+                                  f"number")
     with pytest.raises(CommandError):
         read_poly_file(str(tmp_path / "missing.txt"))
 
@@ -130,9 +137,8 @@ def test_bench_json_matches_direct_counts(tmp_path, monkeypatch):
             "modulus"} <= set(grid)
     assert grid["mul_config"] == {"karatsuba_threshold": 16,
                                   "classical_only": False}
-    assert grid["timed_multiply"] == ("cpython-int, toom3 from 26000 bits "
-                                      "at skew below 2, toom4 from 80000 "
-                                      "bits at skew below 1.5")
+    assert grid["timed_multiply"] == ("cpython-int, toom4 from 26000 bits "
+                                      "at skew below 2")
     cells = [(5, 5), (9, 9), (9, 3), (3, 9)]
     assert [(c["len_f"], c["len_g"]) for c in grid["cells"]] == cells
     modulus, inputs = _bench_inputs([4, 8], ((9, 3), (3, 9)), 48, 3)

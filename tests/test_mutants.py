@@ -24,28 +24,24 @@ PACKAGE = ROOT / "src" / "kronmul"
 
 # id: (file under src/kronmul, snippet, replacement, catcher)
 MUTANTS = {
-    # Toom-3's interpolation: the one exact division by 3 done as a halving,
-    # and the 2*r(inf) term of the cubic coefficient dropped.
-    "toom3-third-as-half": ("bignat.py", "r3 = (rm2 - r1) // 3",
-                            "r3 = (rm2 - r1) >> 1", "selftest"),
-    "toom3-no-rinf-term": ("bignat.py", " + (rinf << 1)", "", "selftest"),
-    # Splits lopsided products and not balanced ones: every output stays
-    # right, only the count of native products shows it.
-    "toom3-skew-gate-inverted": (
+    # Toom-4's interpolation: the exact divisions by 9 and 15 done as ones
+    # by 8 and 16.
+    "toom4-ninth-as-eighth": ("bignat.py", "(w5 - (w3 << 3)) // 9",
+                              "(w5 - (w3 << 3)) // 8", "selftest"),
+    "toom4-fifteenth-as-sixteenth": ("bignat.py", "w1 // 15", "w1 // 16",
+                                     "selftest"),
+    # Leaves products of exactly the cutoff's bits unsplit, and in the
+    # other mutant splits lopsided products and not balanced ones: every
+    # output stays right, only the count of native products shows it.
+    "toom-cutoff-inclusive": (
+        "bignat.py", "if (xb < _TOOM_MIN_BITS or yb < _TOOM_MIN_BITS",
+        "if (xb <= _TOOM_MIN_BITS or yb <= _TOOM_MIN_BITS",
+        "tests/test_bignat.py::test_uncounted_toom_native_products"),
+    "toom-skew-gate-inverted": (
         "bignat.py",
         "or xb >= _TOOM_MAX_SKEW * yb or yb >= _TOOM_MAX_SKEW * xb",
         "or (xb < _TOOM_MAX_SKEW * yb and yb < _TOOM_MAX_SKEW * xb)",
-        "tests/test_bignat.py::test_uncounted_toom3_native_products"),
-    # Toom-4's interpolation: the exact division by 9 done as one by 8.
-    "toom4-ninth-as-eighth": ("bignat.py", "(w5 - (w3 << 3)) // 9",
-                              "(w5 - (w3 << 3)) // 8", "selftest"),
-    # Splits the products just outside Toom-4's skew gate by Toom-4 and
-    # those inside it by Toom-3: only the count of native products shows it.
-    "toom4-skew-gate-inverted": (
-        "bignat.py",
-        "and xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb",
-        "and not (xb < _TOOM4_MAX_SKEW * yb and yb < _TOOM4_MAX_SKEW * xb)",
-        "tests/test_bignat.py::test_uncounted_toom3_native_products"),
+        "tests/test_bignat.py::test_uncounted_toom_native_products"),
     # The counted Karatsuba splits at half the longer operand's limbs
     # rounded down, and makes a leaf only when both operands are at most
     # the threshold: outputs stay right, word products move.
