@@ -6,13 +6,12 @@ checks it against ``oracle`` or a direct evaluation under a ``MulConfig``,
 and returns what it drew.  The multiplying suites check each product twice:
 counted into a ``MulStats``, which runs the config's counted multiply, and
 uncounted, which runs CPython's multiply or, on large balanced operands,
-the Toom-4 split over it.  A mismatch raises
-``SelfTestFailure``, naming the suite and the case's sizes.  Draws favour
-the edges of each invariant: coefficient bounds 1, 2, 63, 64 and above 64,
-ks4's quarter width just below the bound, length 1, equal and unequal
-lengths, values at the overlap recovery's limit, digit counts on both sides
-of every blit cutoff, and operand bits on both sides of the Toom split's
-gates.
+the Toom-4 split over it.  A mismatch raises ``SelfTestFailure``, naming
+the suite and the case's sizes.  Draws favour the edges of each invariant:
+coefficient bounds 1, 2, 63, 64 and above 64, ks4's quarter width just
+below the bound, length 1, equal and unequal lengths, values at the overlap
+recovery's limit, digit counts on both sides of every blit cutoff, and
+operand bits on both sides of the Toom split's gates.
 """
 
 from __future__ import annotations

@@ -151,8 +151,7 @@ def _karatsuba_int(x: int, y: int, stats: MulStats | None, threshold: int) -> in
 #         1.01 0.99 0.98 0.95 0.94 0.94 0.94 0.87 0.95 0.91 0.91 0.92 0.91 0.94
 #
 # The split is even up to 18k, wins by 5-9% at 22k-24k and by 5-15% from
-# 25k.  The cutoff sits at 26k, where the split wins in every run and where
-# the Toom-3 split's cutoff sat, so no product that was native became split.
+# 25k.  The cutoff sits at 26k, from where the split wins in every run.
 # By the longer operand's bits over the shorter's, at a shorter one of 30k /
 # 55k / 110k bits (medians of 41, two runs):
 #

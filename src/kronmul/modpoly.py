@@ -82,8 +82,9 @@ class ModPoly:
 #
 # _KS1_MAX_LENGTH is read from BENCH_native.json, on CPython's multiply, and
 # _KS3_MAX_LENGTH from three runs of the same grid and three of a denser one
-# (lengths 2100 to 3200 in steps of 100) on the Toom-4 and Toom-3 splits
-# over it; BENCH_toom4.json is a fourth run of the grid, made after the move
+# (lengths 2100 to 3200 in steps of 100) on an earlier ladder of Toom-3
+# from 26k bits and Toom-4 from 80k bits over it; BENCH_toom4.json is a
+# fourth run of the grid on that ladder, made after the move
 # (``kronmul bench --json``: 48-bit modulus, ``MulConfig()`` uncounted,
 # median of 21 interleaved repetitions, CPython 3.11 on a shared 2-core
 # host).  Counted calls use the same bands, so counting never changes the
@@ -92,15 +93,21 @@ class ModPoly:
 # - 20: ks3/ks1 is 1.21 at 8x8, 1.13 at 12x12, 1.00 at 16x16, 0.99 at 17x17
 #   and 20x20 (ties within the cells' spread), then 0.96 at 23x23 and 0.98
 #   at 24x24.  With a short side it is 0.97 at 8x48 and 8x64.
-# - 2800: ks3's products reach the Toom-4 cutoff from about 1,510 terms,
-#   ks4's only from about 2,960, so ks3 wins well past 1800.  Over three
-#   grid runs, ks3/ks4 is 0.90 to 0.95 from 1024x1024 to 1800x1800 and 0.92
-#   to 0.94 at 2000x2000 and 2204x2204, so ks3 is fastest there in every
-#   run.  Over the three dense runs it is 0.87 to 1.00 from 2100 to 2500
-#   (ks3 fastest in every run), 0.96 to 1.02 at 2600, 0.91 to 1.05 at 2700
-#   and 0.96 to 0.98 at 2800 (ks3 fastest in every run); from 2900 to 3200
-#   it reads 0.93 to 1.13, ks4 fastest in six of twelve cells.  In the grid
-#   runs it is 1.01 to 1.03 at 3060x3060 and 1.07 to 1.13 at 4249x4249.
+# - 2800: on the ladder, ks3's products reached the Toom-4 cutoff from
+#   about 1,510 terms, ks4's only from about 2,960, so ks3 won well past
+#   1800.  Over three grid runs, ks3/ks4 is 0.90 to 0.95 from 1024x1024 to
+#   1800x1800 and 0.92 to 0.94 at 2000x2000 and 2204x2204, so ks3 is
+#   fastest there in every run.  Over the three dense runs it is 0.87 to
+#   1.00 from 2100 to 2500 (ks3 fastest in every run), 0.96 to 1.02 at
+#   2600, 0.91 to 1.05 at 2700 and 0.96 to 0.98 at 2800 (ks3 fastest in
+#   every run); from 2900 to 3200 it reads 0.93 to 1.13, ks4 fastest in six
+#   of twelve cells.  In the grid runs it is 1.01 to 1.03 at 3060x3060 and
+#   1.07 to 1.13 at 4249x4249.  On today's single Toom-4 split from 26k
+#   bits, ks3's products reach the cutoff from about 490 terms and ks4's
+#   from about 960.  In BENCH_toom4_only.json, one grid run on it, ks3/ks4
+#   is 0.77 to 0.98 from 520x520 to 1587x1587, 1.01 to 1.02 at 1800x1800
+#   and 2000x2000, 0.93 at 2204x2204, 0.97 at 3060x3060 and 1.08 at
+#   4249x4249; the band was not re-read on it.
 #
 # The crossovers depend on the machine and on the multiply.  Each band keys
 # on one length, so no pair of constants fits every shape: with a side of 8,

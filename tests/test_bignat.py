@@ -230,8 +230,8 @@ TOOM = bignat._TOOM_MIN_BITS
 def test_uncounted_toom_native_products(monkeypatch, xbits, ybits, calls):
     # All-ones operands, whose parts and evaluations are full-width and
     # carry furthest: seven native products per level of the Toom-4 split,
-    # one outside its gates, whatever the config;
-    # signs only flip the product.
+    # one outside its gates, whatever the config; signs only flip the
+    # product.
     made = 0
 
     def counted(x, y):
