@@ -433,11 +433,29 @@ def _pack_fields(values, width: int) -> int:
     return acc
 
 
+# Phase masks by (width, groups), as _unpack_fields reads them: the
+# width-bit mask repeated every gap bytes, `groups` times.  Building one
+# costs a from_bytes of the whole vector's bytes (about 36 us for ks4's
+# 27.6 KB at L = 4096), once per call without the cache.  Only masks of at
+# most _PHASE_MASK_MAX_BYTES are kept, 32 of them: at most 4 MB.  That
+# covers every unpack of up to 8192 coefficients at ks2's and ks4's widths.
+_PHASE_MASK_MAX_BYTES = 1 << 17
+
+
+@functools.lru_cache(maxsize=32)
+def _phase_mask(width: int, groups: int) -> int:
+    gap = _FIELD_LAYOUTS[width][1]
+    return int.from_bytes(((1 << width) - 1).to_bytes(gap, "little")
+                          * groups, "little")
+
+
 def _unpack_fields(value: int, width: int, count: int) -> list[int]:
     d, gap = _FIELD_LAYOUTS[width]
     n = -(-count // d)
-    mask = int.from_bytes(((1 << width) - 1).to_bytes(gap, "little") * n,
-                          "little")
+    if n * gap <= _PHASE_MASK_MAX_BYTES:
+        mask = _phase_mask(width, n)
+    else:
+        mask = _phase_mask.__wrapped__(width, n)
     out = [0] * (n * d)
     for r in range(d):
         raw = ((value >> r * width) & mask).to_bytes(n * gap, "little")

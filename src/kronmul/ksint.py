@@ -21,7 +21,9 @@ the digits of an integer R~, and X*F - R~ = (X**2 - 1) * Q exactly, where
 Q's base-X digits q_i are each h_i's high digit plus one carry bit of the
 reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
 h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
-is 0): no carry is chased digit by digit.
+is 0): no carry is chased digit by digit.  Its one range check also takes
+the caller's output bound: ks2 and ks4 pass 2**(2b+e), so their output is
+checked there, once, and ks1 and ks3 check theirs as a product CoeffVec.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -147,11 +149,16 @@ class OverlapDigits:
         return len(self.forward_digits) - 1
 
 
-def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
-    """The `count` values h_j < X*(X-1), X = 2**width, whose forward packing
-    at `width` is ``fwd`` and whose reversed packing is ``rev``; each packing
-    spans count + 1 digits.  Raises ReconstructionError when no such values
-    exist (ValueError when ``rev`` does not fit in count + 1 digits).
+def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
+                    bound: int) -> list[int]:
+    """The `count` values h_j < min(X*(X-1), bound), X = 2**width, whose
+    forward packing at `width` is ``fwd`` and whose reversed packing is
+    ``rev``; each packing spans count + 1 digits.  Raises
+    ReconstructionError when no such values exist (ValueError when ``rev``
+    does not fit in count + 1 digits).  The caller passes its own output
+    bound (ks2 and ks4: 2**width_full), so this range check is the only
+    check of the output; any bound >= X*(X-1) checks the recovery's range
+    alone.
     """
     # Let r be rev's digits, most significant first, and R~ = sum(r_j X**j).
     # Packing h_j = lo_j + X*hi_j (lo_j < X, hi_j <= X-2) in reverse makes
@@ -171,7 +178,8 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
     # lo_j + q_{j+1} = X*(q_j - hi_j) + r_{j+1}, so its digit is r_{j+1}
     # (0 <= r_{j+1} < X) and it carries g'_j = q_j - hi_j.  At j = 0 the top
     # digit is q_0 = r_0 < X, so nothing carries past it and the reversed
-    # packing is rev.
+    # packing is rev.  The check below accepts a subset of [0, X*(X-1)), so
+    # all of this holds for it.
     base = 1 << width
     r = _unpack_ints(rev, width, count + 1)
     r.reverse()
@@ -183,7 +191,7 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int) -> list[int]:
     q = _unpack_ints(q, width, count)
     q.append(0)
     h = [(a << width) + b - c for a, b, c in zip(q, r[1:], q[1:])]
-    if min(h) < 0 or max(h) >= base * (base - 1):
+    if min(h) < 0 or max(h) >= min(base * (base - 1), bound):
         raise ReconstructionError("coefficient out of range")
     return h
 
@@ -200,7 +208,7 @@ def reconstruct_overlapped(d: OverlapDigits, *, with_carries: bool = False):
     w = d.width_bits
     coeffs = _overlap_unpack(_pack_ints(d.forward_digits, w),
                              _pack_ints(d.reversed_digits[::-1], w), w,
-                             d.coeff_count)
+                             d.coeff_count, 1 << 2 * w)
     out = CoeffVec(tuple(coeffs), 2 * w)
     if not with_carries:
         return out
@@ -248,8 +256,9 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     n = p.width_half
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
-    coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len)
-    return CoeffVec(tuple(coeffs), p.width_full)
+    coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len,
+                             1 << p.width_full)
+    return _validated(tuple(coeffs), p.width_full)
 
 
 def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
@@ -378,7 +387,7 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
                                        config)
     if k % 2 == 0:
         even_rev, odd_rev = odd_rev, even_rev
-    w = 2 * n
-    even = _overlap_unpack(even, even_rev, w, (k + 1) // 2)
-    odd = _overlap_unpack(odd, odd_rev, w, k // 2)
-    return CoeffVec(_interleave(even, odd), p.width_full)
+    w, top = 2 * n, 1 << p.width_full
+    even = _overlap_unpack(even, even_rev, w, (k + 1) // 2, top)
+    odd = _overlap_unpack(odd, odd_rev, w, k // 2, top)
+    return _validated(_interleave(even, odd), p.width_full)

@@ -397,6 +397,26 @@ def test_field_layouts():
         assert d == 1 or (d // 2 * width) % 8 or d // 2 * width < 64
 
 
+def test_phase_mask_cache():
+    # The strided unpack keeps its phase masks by width and group count, at
+    # most 4 MB of them: one width at a short count, then a longer one, then
+    # the short one again (the one hit) all read right, and a mask just past
+    # the byte bound is built for its call and not kept.
+    bignat._phase_mask.cache_clear()
+    info = bignat._phase_mask.cache_info()
+    assert info.maxsize * bignat._PHASE_MASK_MAX_BYTES <= 4 << 20
+    width = 54
+    d, gap = bignat._FIELD_LAYOUTS[width]
+    past = (bignat._PHASE_MASK_MAX_BYTES // gap + 1) * d
+    rng = random.Random(width)
+    for count in (48, 4097, 48, past):
+        digits = [rng.getrandbits(width) for _ in range(count)]
+        value = _reference_pack(digits, width)
+        assert bignat._unpack_ints(value, width, count) == digits
+    info = bignat._phase_mask.cache_info()
+    assert (info.hits, info.currsize) == (1, 2)
+
+
 def test_decimal_round_trip():
     text = "123456789012345678901234567890"
     assert str(BigNat(int(text))) == text

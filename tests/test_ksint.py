@@ -213,7 +213,7 @@ def test_overlap_unpack_single_bit_flips():
                        [0] * count, [top - 1] * count):
             packed = (shift_pack(values, width),
                       shift_pack(values[::-1], width))
-            assert _overlap_unpack(*packed, width, count) == values
+            assert _overlap_unpack(*packed, width, count, top) == values
             for side in (0, 1):
                 for bit in bits:
                     pair = list(packed)
@@ -221,7 +221,75 @@ def test_overlap_unpack_single_bit_flips():
                     past = side == 1 and bit >= nbits
                     with pytest.raises(ValueError if past
                                        else ReconstructionError):
-                        _overlap_unpack(*pair, width, count)
+                        _overlap_unpack(*pair, width, count, top)
+
+
+def test_overlap_unpack_caller_bound():
+    # The caller's bound folds into the range check: a largest value of
+    # bound - 1 comes back, exactly bound raises.  A bound past X*(X-1)
+    # leaves the recovery's own limit.
+    for width, count in ((3, 1), (9, 5), (27, 4), (54, _FIELD_COUNT)):
+        limit = (1 << width) * ((1 << width) - 1)
+        for bound in (1, 1 << (2 * width - 1), limit - 1):
+            for top in (bound - 1, bound):
+                values = [0] * count
+                values[count // 2] = top
+                packed = (shift_pack(values, width),
+                          shift_pack(values[::-1], width))
+                if top < bound:
+                    assert _overlap_unpack(*packed, width, count,
+                                           bound) == values
+                else:
+                    with pytest.raises(ReconstructionError,
+                                       match="out of range"):
+                        _overlap_unpack(*packed, width, count, bound)
+        values = [limit - 1] * count
+        packed = shift_pack(values, width), shift_pack(values[::-1], width)
+        assert _overlap_unpack(*packed, width, count, limit << 1) == values
+
+
+def _corrupted(monkeypatch, name, products):
+    # ksint's multiply `name` returns the given products in turn.
+    queue = iter(products)
+    monkeypatch.setattr(ksint, name, lambda *args: next(queue))
+
+
+def test_ks2_ks4_reject_products_past_the_output_bound(monkeypatch):
+    # Products whose streams agree but spell an output coefficient in
+    # [2**width_full, X*(X-1)) must raise, not return: the bound that ks2
+    # and ks4 pass to the overlap recovery is their only output check.  At
+    # lengths 2 and b = 4, width_full = 9 and the recoveries' X*(X-1) is
+    # 32*31 (ks2) and 64*63 (ks4).
+    f = g = CoeffVec((15, 15), 4)
+    p = derive_params(2, 2, 4)
+    assert p.width_full == 9
+    for middle in (2**9 - 1, 2**9):
+        h = [5, middle, 7]
+        # ks2: the products at 2**N and at 2**(-N) pack h and reversed h.
+        n = p.width_half
+        assert 2**9 < (1 << n) * ((1 << n) - 1)
+        _corrupted(monkeypatch, "mul",
+                   [shift_pack(h, n), shift_pack(h[::-1], n)])
+        # ks4: the signed products at +-2**N, then those of the reversed
+        # operands, hold the even part E and the odd part O at 2**(2N):
+        # v(+-2**N) = E +- 2**N * O.
+        n = p.width_quarter
+        w = 2 * n
+        assert 2**9 < (1 << w) * ((1 << w) - 1)
+        even, odd = shift_pack(h[0::2], w), shift_pack(h[1::2], w)
+        even_rev = shift_pack(h[0::2][::-1], w)
+        ks4_products = [even + (odd << n), even - (odd << n),
+                        even_rev + (odd << n), even_rev - (odd << n)]
+        if middle < 2**9:
+            assert ks2_mul(f, g).coeffs == tuple(h)
+            _corrupted(monkeypatch, "mul_signed", ks4_products)
+            assert ks4_mul(f, g).coeffs == tuple(h)
+        else:
+            with pytest.raises(ReconstructionError, match="out of range"):
+                ks2_mul(f, g)
+            _corrupted(monkeypatch, "mul_signed", ks4_products)
+            with pytest.raises(ReconstructionError, match="out of range"):
+                ks4_mul(f, g)
 
 
 def test_shr_exact_rejects_inexact_half_sums():

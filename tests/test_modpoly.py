@@ -66,18 +66,37 @@ def _counting(monkeypatch, cls):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_one_check_per_direction(monkeypatch, variant):
-    # ModPoly checks the inputs and the variant's product CoeffVec the
-    # outputs; mod_mul itself lifts and reduces without checking again.
+    # ModPoly checks the inputs.  Each output coefficient is checked once:
+    # by the variant's product CoeffVec (ks1, ks3 and ks4's 1x1 case), or
+    # by the bound 2**width_full that ks2 and ks4 pass to the overlap
+    # recovery (once for ks2, once per even and odd part for ks4).  mod_mul
+    # itself lifts and reduces without checking again.
     rng = random.Random(5)
     n = (1 << 48) - 59
     cases = [(random_modpoly(rng, lf, n), random_modpoly(rng, lg, n))
              for lf, lg in ((1, 1), (7, 7), (3, 60), (600, 600))]
     coeff_vecs = _counting(monkeypatch, CoeffVec)
     mod_polys = _counting(monkeypatch, ModPoly)
+    recoveries = []
+    original = ksint._overlap_unpack
+
+    def recovery(fwd, rev, width, count, bound):
+        recoveries.append((count, bound))
+        return original(fwd, rev, width, count, bound)
+
+    monkeypatch.setattr(ksint, "_overlap_unpack", recovery)
     for f, g in cases:
-        del coeff_vecs[:], mod_polys[:]
+        del coeff_vecs[:], mod_polys[:], recoveries[:]
         h = mod_mul(f, g, variant)
-        assert (len(coeff_vecs), len(mod_polys)) == (1, 0)
+        out_len = len(f) + len(g) - 1
+        parts = {Variant.KS2: 1,
+                 Variant.KS4: 2 if out_len > 1 else 0}.get(variant, 0)
+        assert (len(coeff_vecs), len(recoveries), len(mod_polys)) == (
+            0 if parts else 1, parts, 0)
+        if parts:
+            top = 1 << ksint.derive_params(len(f), len(g), 48).width_full
+            assert sum(count for count, _ in recoveries) == out_len
+            assert {bound for _, bound in recoveries} == {top}
         assert h.coeffs == schoolbook_mod(f, g).coeffs
         checked = ModPoly(h.coeffs, n)
         assert h == checked and hash(h) == hash(checked)

@@ -101,6 +101,28 @@ MUTANTS = {
     "overlap-unpack-q-bound-off-by-one": (
         "ksint.py", "q.bit_length() > width * count",
         "q.bit_length() >= width * count", "selftest"),
+    # The overlap recovery's folded output bound, ks2's and ks4's only
+    # output check: off by one, it lets a value of exactly the bound
+    # through; dropped, only X*(X-1) is left, which ks2 and ks4 reach past
+    # 2**width_full.  Valid products never reach either, so only corrupted
+    # streams show it.
+    "overlap-unpack-bound-off-by-one": (
+        "ksint.py", "max(h) >= min(base * (base - 1), bound)",
+        "max(h) > min(base * (base - 1), bound)",
+        "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
+    "overlap-unpack-bound-ignored": (
+        "ksint.py", "min(base * (base - 1), bound)", "base * (base - 1)",
+        "tests/test_ksint.py::"
+        "test_ks2_ks4_reject_products_past_the_output_bound"),
+    # The strided unpack's phase-mask cache keyed on width alone, so a
+    # longer vector at a width seen before reads a mask that is too short.
+    "phase-mask-cache-width-only": (
+        "bignat.py", "@functools.lru_cache(maxsize=32)\ndef _phase_mask(",
+        "@lambda f: functools.lru_cache(maxsize=32)(\n"
+        "    lambda width, groups, c={}:\n"
+        "        c.setdefault(width, f(width, groups)))\n"
+        "def _phase_mask(",
+        "tests/test_bignat.py::test_phase_mask_cache"),
     # The bivariate overlap recovery peels one entry short.
     "bipoly-overlap-recover-short": ("bipoly.py", "for t in range(over):",
                                      "for t in range(over - 1):",
