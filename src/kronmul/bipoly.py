@@ -130,10 +130,18 @@ def _place(chunks, spacing, length, zero):
 
 
 def _evaluations(chunks, spacing, ring):
-    # The chunk sequence at y = +-x**spacing as E(y**2) +- y*O(y**2), with E
-    # and O the even and odd chunks: E is plain placement at 2*spacing, and
-    # only adding and subtracting the shifted odd chunks costs ring calls.
+    # The chunk sequence at y = +-x**spacing.  Where chunks cannot touch,
+    # both are placements, with the odd chunks negated at -y.  Otherwise
+    # they are E(y**2) +- y*O(y**2), with E and O the even and odd chunks: E
+    # is plain placement at 2*spacing, and only adding and subtracting the
+    # shifted odd chunks costs ring calls.
     length = spacing * (len(chunks) - 1) + len(chunks[0])
+    if spacing >= len(chunks[0]):
+        sub, zero = ring.sub, ring.zero
+        signed = [[sub(zero, c) for c in chunk] if k % 2 else chunk
+                  for k, chunk in enumerate(chunks)]
+        return (_place(chunks, spacing, length, zero),
+                _place(signed, spacing, length, zero))
     pos = _place(chunks[0::2], 2 * spacing, length, ring.zero)
     neg = list(pos)
     for k in range(1, len(chunks), 2):
@@ -144,13 +152,15 @@ def _evaluations(chunks, spacing, ring):
 
 
 def _sign_split(pos, neg, shift, ring):
-    # The products at +y and -y give the even-index chunks as their half-sum
-    # and the odd-index ones as their half-difference over y; its first
-    # ``shift`` entries are zero.
-    halve, add, sub = ring.halve, ring.add, ring.sub
+    # The products a at +y and b at -y give the even-index chunks as their
+    # half-sum and the odd-index ones as their half-difference over y, whose
+    # first ``shift`` entries are zero.  With exact halving
+    # (a-b)/2 = (a+b)/2 - b, one call per entry; over Z, a+b and a-b have
+    # the same parity, so halving the sum rejects what halving the
+    # difference would.
+    halve, add = ring.halve, ring.add
     even = [halve(add(a, b)) for a, b in zip(pos, neg)]
-    odd = [halve(sub(a, b)) for a, b in zip(pos[shift:], neg[shift:])]
-    return even, odd
+    return even, list(map(ring.sub, even[shift:], neg[shift:]))
 
 
 def _split_chunks(vec, spacing, chunk_len, count):
@@ -221,8 +231,8 @@ def bks_negated(f: BiPoly, g: BiPoly, ring: RingOps,
                 mul: UniMul | None = None) -> BiPoly:
     """Two univariate products of length Lx*Ly, at y = x**Lx and y = -x**Lx;
     one sign split gives the even output chunks from their half-sum and the
-    odd ones from their half-difference.  Only the odd operand chunks and
-    the split cost ring calls."""
+    odd ones from their half-difference.  Operand chunks do not touch, so
+    only negating the odd ones and the split cost ring calls."""
     mul = _checked_mul(f, g, ring, mul)
     _require_halve(ring)
     lx, ly = f.lx, f.ly
@@ -240,8 +250,9 @@ def bks_four(f: BiPoly, g: BiPoly, ring: RingOps,
     y = +-x**N and, through the reversed chunk order, y = +-x**(-N), with
     N = ceil(Lx/2); reversed operands multiply to the reversed product, so
     no sign fix-up is needed.  A sign split per direction and an overlap
-    recovery per part give the output chunks.  Chunks overlap already in
-    the operands, so adding the odd chunks costs ring calls."""
+    recovery per part give the output chunks.  From Lx = 2 on, chunks
+    overlap already in the operands, so adding the odd chunks costs ring
+    calls."""
     mul = _checked_mul(f, g, ring, mul)
     _require_halve(ring)
     lx, ly = f.lx, f.ly

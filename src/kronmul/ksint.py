@@ -23,7 +23,9 @@ reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
 h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
 is 0): no carry is chased digit by digit.  Its one range check also takes
 the caller's output bound: ks2 and ks4 pass 2**(2b+e), so their output is
-checked there, once, and ks1 and ks3 check theirs as a product CoeffVec.
+checked there, once.  ks1 checks its output as a product CoeffVec, and so
+does ks3 at odd e; at even e ks3 unpacks at 2N = 2b+e bits, the bound
+itself, so its digits need no check.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -347,9 +349,13 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     n = p.width_half  # b + ceil(e/2) >= b: _plus_minus's one blit
     even, odd = _half_products(f, g, n, stats, config)
     k = p.out_len
-    even = _unpack_ints(even, 2 * n, (k + 1) // 2)
-    odd = _unpack_ints(odd, 2 * n, k // 2)
-    return CoeffVec(_interleave(even, odd), p.width_full)
+    coeffs = _interleave(_unpack_ints(even, 2 * n, (k + 1) // 2),
+                         _unpack_ints(odd, 2 * n, k // 2))
+    # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that
+    # is the output bound 2**(2b+e) itself, so only odd e checks.
+    if 2 * n > p.width_full:
+        return CoeffVec(coeffs, p.width_full)
+    return _validated(coeffs, p.width_full)
 
 
 def _four_point_safe(p: KsParams) -> bool:

@@ -10,8 +10,10 @@ through two fixed length bands measured on the bench grid.
 Each coefficient is checked once per direction: on the way in when the
 caller builds a ``ModPoly``, and on the way out in the variant, when ks1 or
 ks3 builds its product ``CoeffVec`` or inside ks2's and ks4's overlap
-recovery, against the same bound.  ``mod_mul`` lifts and reduces without
-checking again, since both steps keep the values in range by construction.
+recovery, against the same bound.  ks3 builds that ``CoeffVec`` only at
+odd e; at even e it unpacks at the bound's own width, so no digit can pass
+it.  ``mod_mul`` lifts and reduces without checking again, since both
+steps keep the values in range by construction.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -170,16 +171,17 @@ def test_four_point_ring_multiplication_budget():
 
 
 def counting_ring():
-    """Z with a counter of its add, sub and halve calls."""
-    calls = [0]
+    """Z with a counter of its add, sub and halve calls, by kind."""
+    calls = Counter()
 
-    def counted(op):
+    def counted(kind, op):
         def call(*args):
-            calls[0] += 1
+            calls[kind] += 1
             return op(*args)
         return call
 
-    return RingOps(0, counted(Z.add), counted(Z.sub), counted(Z.halve)), calls
+    return RingOps(0, counted("add", Z.add), counted("sub", Z.sub),
+                   counted("halve", Z.halve)), calls
 
 
 def shape_only(a, b):
@@ -187,25 +189,50 @@ def shape_only(a, b):
 
 
 # Ring calls per reduction (standard, reciprocal, negated, four) with the
-# univariate products excluded.  Placing chunks that cannot touch is free;
-# the reciprocal peel subtracts 2*(Lx-1) entries per output chunk after the
-# first; the negated and four-point variants pay for their odd operand
-# chunks and their sign splits.
+# univariate products excluded.  With P = Lx*Ly, H = floor(Ly/2) odd chunks,
+# four-point width n = ceil(Lx/2), its product length K = 2*(n*(Ly-1)+Lx)-1
+# and its peel overlap v = 2*floor(Lx/2) - 1:
+# - standard: 0, chunks that cannot touch are placed;
+# - reciprocal: 4*(Lx-1)*(Ly-1) subs, 2*(Lx-1) per output chunk after the
+#   first;
+# - negated: 2*Lx*H subs negating the odd operand chunks, which touch no
+#   other, then a split of 2P-1 adds, 2P-1 halves and 2P-1-Lx subs
+#   ((a-b)/2 taken as (a+b)/2 - b): 2*Lx*H + 3*(2P-1) - Lx in all;
+# - four: at Lx >= 2 chunks overlap, so each of its four evaluations adds
+#   and subtracts Lx*H entries, 8*Lx*H calls (at Lx = 1 they only negate,
+#   4*H subs); two splits of 3K - n calls; its two peels, 2*v*(2Ly-3)
+#   subs at Lx, Ly >= 2.
 RING_CALLS = {
     (1, 1): (0, 0, 2, 4),
-    (1, 4): (0, 0, 34, 68),
-    (3, 2): (0, 8, 50, 90),
-    (4, 4): (0, 36, 148, 238),
-    (32, 32): (0, 3844, 10172, 16254),
+    (1, 4): (0, 0, 24, 48),
+    (3, 2): (0, 8, 36, 76),
+    (4, 4): (0, 36, 105, 204),
+    (5, 7): (0, 96, 232, 450),
+    (32, 32): (0, 3844, 7133, 14176),
 }
+
+
+def ring_call_kinds(lx, ly):
+    # The closed forms above, per variant, as Counters of add, sub, halve.
+    p, h, n = lx * ly, ly // 2, (lx + 1) // 2
+    k = 2 * (n * (ly - 1) + lx) - 1
+    evals = 4 * lx * h if lx >= 2 else 0    # adds, and as many subs
+    peel = 2 * (2 * (lx // 2) - 1) * (2 * ly - 3) if min(lx, ly) >= 2 else 0
+    return (Counter(),
+            Counter(sub=4 * (lx - 1) * (ly - 1)),
+            Counter(add=2 * p - 1, halve=2 * p - 1,
+                    sub=2 * lx * h + 2 * p - 1 - lx),
+            Counter(add=evals + 2 * k, halve=2 * k,
+                    sub=(evals if lx >= 2 else 4 * h) + 2 * (k - n) + peel))
 
 
 @pytest.mark.parametrize("lx,ly", sorted(RING_CALLS))
 def test_ring_calls_per_reduction(lx, ly):
     p = BiPoly(((0,) * ly,) * lx)
     calls = []
-    for variant in ALL_VARIANTS:
+    for variant, want in zip(ALL_VARIANTS, ring_call_kinds(lx, ly)):
         ring, count = counting_ring()
         variant(p, p, ring, shape_only)
-        calls.append(count[0])
+        assert count == want, variant.__name__
+        calls.append(count.total())
     assert tuple(calls) == RING_CALLS[lx, ly]

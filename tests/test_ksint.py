@@ -292,6 +292,45 @@ def test_ks2_ks4_reject_products_past_the_output_bound(monkeypatch):
                 ks4_mul(f, g)
 
 
+def test_ks3_rejects_digits_past_the_output_bound(monkeypatch):
+    # ks3 unpacks at 2*width_half = 2b + 2*ceil(e/2) bits.  At odd e that is
+    # one bit past width_full, so exact half-sums can still spell a digit
+    # of 2**width_full, and its product CoeffVec must raise.  At even e the
+    # unpack width is width_full itself: such a digit carries into the next
+    # one, and at the top it does not fit, so the unpack raises.
+    def products(h, n):
+        # v(+-2**n) = E +- 2**n * O, with E and O the even and odd parts
+        # of h packed at 2n bits: both halvings are exact.
+        even, odd = shift_pack(h[0::2], 2 * n), shift_pack(h[1::2], 2 * n)
+        return [even + (odd << n), even - (odd << n)]
+
+    f = g = CoeffVec((15, 15), 4)    # e = 1
+    p = derive_params(2, 2, 4)
+    assert (p.width_full, 2 * p.width_half) == (9, 10)
+    for middle in (2**9 - 1, 2**9):
+        h = [5, middle, 7]
+        _corrupted(monkeypatch, "mul_signed", products(h, p.width_half))
+        if middle < 2**9:
+            assert ks3_mul(f, g).coeffs == tuple(h)
+        else:
+            with pytest.raises(ValueError, match=r"outside \[0, 2\*\*9\)"):
+                ks3_mul(f, g)
+    f = g = CoeffVec((15, 15, 15), 4)    # e = 2
+    p = derive_params(3, 3, 4)
+    assert (p.width_full, 2 * p.width_half) == (10, 10)
+    for top in (2**10 - 1, 2**10):
+        h = [5, 6, 7, 8, top]
+        _corrupted(monkeypatch, "mul_signed", products(h, p.width_half))
+        if top < 2**10:
+            assert ks3_mul(f, g).coeffs == tuple(h)
+        else:
+            with pytest.raises(ValueError, match="does not fit"):
+                ks3_mul(f, g)
+    _corrupted(monkeypatch, "mul_signed",
+               products([5, 6, 2**10, 8, 9], p.width_half))
+    assert ks3_mul(f, g).coeffs == (5, 6, 0, 8, 10)
+
+
 def test_shr_exact_rejects_inexact_half_sums():
     # A corrupted ks3/ks4 product leaves an odd or a negative half-sum.  It
     # must raise, under python -O too, rather than truncate.

@@ -66,15 +66,20 @@ def _counting(monkeypatch, cls):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_one_check_per_direction(monkeypatch, variant):
-    # ModPoly checks the inputs.  Each output coefficient is checked once:
-    # by the variant's product CoeffVec (ks1, ks3 and ks4's 1x1 case), or
-    # by the bound 2**width_full that ks2 and ks4 pass to the overlap
-    # recovery (once for ks2, once per even and odd part for ks4).  mod_mul
-    # itself lifts and reduces without checking again.
+    # ModPoly checks the inputs.  Each output coefficient is checked at most
+    # once: by the variant's product CoeffVec (ks1, ks3 at odd e and ks4's
+    # 1x1 case), or by the bound 2**width_full that ks2 and ks4 pass to the
+    # overlap recovery (once for ks2, once per even and odd part for ks4).
+    # At even e ks3 unpacks at 2*width_half = width_full bits, the bound
+    # itself, and checks nothing.  mod_mul itself lifts and reduces without
+    # checking again.
     rng = random.Random(5)
     n = (1 << 48) - 59
     cases = [(random_modpoly(rng, lf, n), random_modpoly(rng, lg, n))
              for lf, lg in ((1, 1), (7, 7), (3, 60), (600, 600))]
+    # e = 0, 3, 2 and 10: ks3 (AUTO's pick at 3x60 and 600x600) checks
+    # only at 7x7.
+    ks3_checks = {(1, 1): 0, (7, 7): 1, (3, 60): 0, (600, 600): 0}
     coeff_vecs = _counting(monkeypatch, CoeffVec)
     mod_polys = _counting(monkeypatch, ModPoly)
     recoveries = []
@@ -91,8 +96,12 @@ def test_one_check_per_direction(monkeypatch, variant):
         out_len = len(f) + len(g) - 1
         parts = {Variant.KS2: 1,
                  Variant.KS4: 2 if out_len > 1 else 0}.get(variant, 0)
+        ran = (choose_variant(len(f), len(g)) if variant is Variant.AUTO
+               else variant)
+        checks = (ks3_checks[len(f), len(g)] if ran is Variant.KS3
+                  else int(not parts))
         assert (len(coeff_vecs), len(recoveries), len(mod_polys)) == (
-            0 if parts else 1, parts, 0)
+            checks, parts, 0)
         if parts:
             top = 1 << ksint.derive_params(len(f), len(g), 48).width_full
             assert sum(count for count, _ in recoveries) == out_len

@@ -123,6 +123,27 @@ MUTANTS = {
         "        c.setdefault(width, f(width, groups)))\n"
         "def _phase_mask(",
         "tests/test_bignat.py::test_phase_mask_cache"),
+    # ks3's product check at even e too: every output stays right, only the
+    # check count moves.
+    "ks3-check-guard-inclusive": (
+        "ksint.py", "if 2 * n > p.width_full:", "if 2 * n >= p.width_full:",
+        "tests/test_modpoly.py::test_one_check_per_direction"),
+    # ks3 without its product check at odd e, where the unpack width is
+    # one bit past the output bound: only corrupted products show it.
+    "ks3-odd-e-check-dropped": (
+        "ksint.py", "return CoeffVec(coeffs, p.width_full)",
+        "return _validated(coeffs, p.width_full)",
+        "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
+    # The bivariate sign split's odd half as (a+b)/2 + b.
+    "bipoly-odd-half-as-sum": (
+        "bipoly.py", "list(map(ring.sub, even[shift:], neg[shift:]))",
+        "list(map(ring.add, even[shift:], neg[shift:]))", "selftest"),
+    # Chunks that exactly fill their spacing evaluated as overlapping: every
+    # output stays right, only the ring calls show it.
+    "bipoly-no-overlap-gate-exclusive": (
+        "bipoly.py", "if spacing >= len(chunks[0]):",
+        "if spacing > len(chunks[0]):",
+        "tests/test_bipoly.py::test_ring_calls_per_reduction"),
     # The bivariate overlap recovery peels one entry short.
     "bipoly-overlap-recover-short": ("bipoly.py", "for t in range(over):",
                                      "for t in range(over - 1):",
