@@ -10,8 +10,9 @@ the Toom-4 split over it.  A mismatch raises ``SelfTestFailure``, naming
 the suite and the case's sizes.  Draws favour the edges of each invariant:
 coefficient bounds 1, 2, 63, 64 and above 64, ks4's quarter width just
 below the bound, length 1, equal and unequal lengths, values at the overlap
-recovery's limit, digit counts on both sides of every blit cutoff, and
-operand bits on both sides of the Toom split's gates.
+recovery's limit, digit counts on both sides of every blit cutoff,
+operand bits on both sides of the Toom split's gates, and ks3's packed
+reduction mod n at power-of-two and small moduli.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import operator
 
-from . import bignat, oracle
+from . import bignat, ksint, oracle
 from .bignat import LIMB_BITS, MulConfig, MulStats
 from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
                      bks_reciprocal, bks_standard, ring_z, ring_zmod)
@@ -282,14 +283,25 @@ def bipoly_case(rng, config):
     return kind, f.coeffs, g.coeffs
 
 
+_PACKED = ksint._PACKED_MOD_MIN_COEFFS
+
+
 def modpoly_case(rng, config):
-    """Up to 60 terms mod n of 2 to 64 bits: every variant and AUTO, counted
-    and not, against the modular schoolbook, with the output's length and
-    range."""
-    bits = _pick(rng, (2, 4, 16, 48, 64), 2, 64)
-    n = rng.randrange(1 << (bits - 1), 1 << bits)
+    """Up to 60 terms mod n of 2 to 64 bits, a power of two a quarter of the
+    time: every variant and AUTO, counted and not, against the modular
+    schoolbook, with the output's length and range.  One draw in four has
+    ks3 reduce packed: e even and the output past its cutoff."""
+    bits = _pick(rng, (2, 4, 8, 16, 48, 64), 2, 64)
+    n = (1 << (bits - 1) if rng.randrange(4) == 0
+         else rng.randrange(1 << (bits - 1), 1 << bits))
+    if rng.randrange(4) == 0:
+        # The shorter length at e = 4 or 6, the output past ks3's cutoff.
+        short = rng.choice((rng.randint(9, 16), rng.randint(33, 60)))
+        lengths = (short, rng.randint(max(short, _PACKED + 1 - short), 60))
+    else:
+        lengths = _lengths(rng, 60)
     f, g = (ModPoly(tuple(_values(rng, length, n)), n)
-            for length in _lengths(rng, 60))
+            for length in lengths[::rng.choice((1, -1))])
     want = oracle.schoolbook_mod(f, g).coeffs
     for variant in Variant:
         for stats in (MulStats(), None):

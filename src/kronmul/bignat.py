@@ -537,6 +537,135 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
     return out
 
 
+# --- digits reduced mod n ---------------------------------------------------
+#
+# _unpack_mod returns the digits of a packed vector reduced mod n, with a
+# fixed number of C-level big-int operations per vector in place of one
+# Python `%` per digit, which for a divisor of two CPython digits (over 30
+# bits) runs CPython's general long division, about 110 ns each.  The
+# unreduced digits are never built.  With W the width and b = n.bit_length(),
+# so 2**(b-1) <= n < 2**b:
+#
+# 1. One mask and one shift split the even- and odd-index digits into two
+#    sub-vectors of W-bit fields at stride 2W.  The steps below run on
+#    each.
+# 2. Barrett: with m = 2**W // n, each field A < 2**W gets the estimate
+#    q' = (A*m) >> W of q = A // n.  A*m < 2**(2W) / n <= 2**(2W-b+1)
+#    <= 2**(2W), so the products of all fields come from one packed
+#    multiply by m without reaching the next field, and q' < 2**(W-b+1)
+#    is read with qmask, W-b+1 bits per field.  A*m/2**W lies in
+#    (A/n - 1, A/n], so q' is q-1 or q, and A - q'*n lies in [0, 2n): one
+#    packed multiply by n and one subtraction, with no borrow between
+#    fields.
+# 3. One conditional subtraction for all fields: adding 2**b - n to a
+#    field r < 2n gives less than n + 2**b <= 2**(b+1), with bit b set
+#    exactly when r >= n; that bit, times n, is subtracted.
+# 4. The fields, now below n < 2**64, are read in order by one pass of
+#    little-endian `Q` pairs: the odd sub-vector is shifted up by 64 bits
+#    only and or-ed onto the even one, so each field of 2W >= 128 bits
+#    holds an even digit in its low 64 bits and the next odd digit in the
+#    64 above.  The pairs sit gap = d*2W/8 bytes apart, in d phases with d
+#    the smallest power of two that makes d*2W a whole number of bytes: one
+#    at W = 0 (mod 4), two at W = 2 (mod 4), where phase r is the vector
+#    shifted down by r*2W.  Below W = 64 the two sub-vectors are or-ed
+#    back at stride W and go by _unpack_ints, as their digits are below n
+#    <= 2**W.
+#
+# That is about a dozen linear big-int operations, plus d to_bytes and
+# struct passes, against _unpack_ints and a `%` per digit.  ks3's output
+# length from which it wins, ksint._PACKED_MOD_MIN_COEFFS = 40, was read
+# from ks3 `mod_mul` calls at a 48-bit modulus, the new path over the old
+# (medians of 15 interleaved batches, CPython 3.11, shared 2-core host;
+# two phases at e = 2 and 6, one at e = 4):
+#
+#   shape    3x3  9x9 16x16 9x32 16x32 4x40 4x64 33x33 48x48 64x64
+#   e         2    4    4    4    4     2    2    6     6     6
+#   k         5   17   31   40   47    43   67   65    95   127
+#   new/old 1.40 1.05 0.95 0.92 0.89  0.99 0.89 0.91  0.87  0.85
+#
+# One phase wins from about 30 coefficients, two from about 45; the cutoff
+# sits between them, and ks3 at odd e never takes this path.  Cells move by
+# about 0.05 between runs.
+#
+# The masks are cached by (W, n) with their field count, grown by doubling
+# like ksint's odd-slot masks: a longer request replaces its key's entry, a
+# new key past _MOD_MASK_KEYS empties the cache first, and entries whose
+# masks exceed _MOD_MASK_MAX_BITS are built per call and not kept.  So the
+# cache holds at most 8 entries of four 128 KB masks: 4 MB.  The bit bound
+# keeps 4096 fields at widths up to 128: ks3's halves of outputs of up to
+# 16,384 coefficients at moduli of up to 57 bits.
+_MOD_MASK_KEYS = 8
+_MOD_MASK_MAX_BITS = 1 << 20
+_mod_masks: dict[tuple[int, int], tuple] = {}
+
+
+def _mod_fields(width: int, n: int, fields: int) -> tuple:
+    """(slots, d, mask, qmask, fix, ones, m) for at least `fields` fields
+    of stride 2*width, as _unpack_mod reads them."""
+    entry = _mod_masks.get((width, n))
+    if entry is not None and entry[0] >= fields:
+        return entry
+    stride = 2 * width
+    ones, slots = 1, 1
+    while slots < fields:
+        ones |= ones << (slots * stride)
+        slots *= 2
+    d = 1
+    while d * stride % 8:
+        d *= 2
+    b = n.bit_length()
+    entry = (slots, d, ones * ((1 << width) - 1),
+             ones * ((1 << (width - b + 1)) - 1), ones * ((1 << b) - n),
+             ones, (1 << width) // n)
+    if slots * stride <= _MOD_MASK_MAX_BITS:
+        if (width, n) not in _mod_masks and len(_mod_masks) >= _MOD_MASK_KEYS:
+            _mod_masks.clear()
+        _mod_masks[width, n] = entry
+    return entry
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_fields(gap: int, n: int) -> struct.Struct:
+    # n pairs of little-endian 64-bit fields, each pair followed by gap - 16
+    # pad bytes.
+    return struct.Struct("<" + f"QQ{gap - 16}x" * n)
+
+
+def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
+    """The `count` base-2**width digits of ``value``, each reduced mod n,
+    for 2 <= n < 2**64 and n.bit_length() <= width; raises ValueError as
+    _unpack_ints does when ``value`` is negative or does not fit."""
+    if value < 0:
+        raise ValueError("cannot split a negative value into digits")
+    if value.bit_length() > width * count:
+        raise ValueError(f"value does not fit in {count} digits of {width} bits")
+    stride = 2 * width
+    fields = (count + 1) // 2
+    slots, d, mask, qmask, fix, ones, m = _mod_fields(width, n, fields)
+    # The masks are only and-ed, which costs the shorter operand's size;
+    # fix is added, so it drops its surplus fields first.
+    fix >>= (slots - fields) * stride
+    b = n.bit_length()
+    even, odd = value & mask, value >> width & mask
+    even -= (even * m >> width & qmask) * n
+    odd -= (odd * m >> width & qmask) * n
+    even -= (even + fix >> b & ones) * n
+    odd -= (odd + fix >> b & ones) * n
+    if width < 64:
+        return _unpack_ints(even | odd << width, width, count)
+    c = even | odd << 64
+    groups = -(-fields // d)
+    gap = d * stride // 8
+    out = [0] * (2 * d * groups)
+    for r in range(d):
+        raw = (c >> r * stride).to_bytes(groups * gap, "little")
+        pairs = tuple(_field_digits(raw, gap, groups, _pair_fields))
+        out[2 * r::2 * d] = pairs[0::2]
+        out[2 * r + 1::2 * d] = pairs[1::2]
+    del out[count:]
+    return out
+
+
 def to_digits(a: int, width_bits: int, count: int) -> list[int]:
     """Split a natural into `count` base-2^width digits, least significant
     first.

@@ -27,6 +27,15 @@ checked there, once.  ks1 checks its output as a product CoeffVec, and so
 does ks3 at odd e; at even e ks3 unpacks at 2N = 2b+e bits, the bound
 itself, so its digits need no check.
 
+Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
+passes), every variant returns its coefficients reduced by it.  ks1, ks2,
+ks4 and ks3 at odd e reduce their finished, checked coefficients one `%`
+at a time.  ks3 at even e, where no digit needs a check, reads its
+half-sum and half-difference reduced while they are still packed
+(``bignat._unpack_mod``), once the output has ``_PACKED_MOD_MIN_COEFFS``
+coefficients; at odd e its digits must first be checked against the bound,
+one bit below their width, so it keeps the checked unpack.
+
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
 x = v(2**N) gives the odd terms' sum, so v(-2**N) = x - 2*(x & mask), with
@@ -46,9 +55,10 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
-from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints, mul,
-                     mul_signed)
+from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints,
+                     _unpack_mod, mul, mul_signed)
 # ks3 and ks4 blit through pack, ks2 also through pack_reversed.
 # perfbench's tracer wraps all four pack names in this namespace, so the
 # negated ones stay imported.
@@ -240,18 +250,28 @@ def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
                           max(f.width_bound_bits, g.width_bound_bits))
 
 
+def _mod(v: CoeffVec, modulus: int | None) -> CoeffVec:
+    # v's coefficients reduced mod `modulus`, when one is given.
+    if modulus is None:
+        return v
+    return _validated(tuple(map(operator.mod, v.coeffs, repeat(modulus))),
+                      v.width_bound_bits)
+
+
 def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None) -> CoeffVec:
+            config: MulConfig | None = None,
+            _modulus: int | None = None) -> CoeffVec:
     """Standard substitution: one full-width product, direct unpack."""
     p = _params_for(f, g)
     n = p.width_full
     prod = mul(pack(f, n), pack(g, n), stats, config)
     coeffs = _unpack_ints(prod, n, p.out_len)
-    return CoeffVec(tuple(coeffs), p.width_full)
+    return _mod(CoeffVec(tuple(coeffs), p.width_full), _modulus)
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None) -> CoeffVec:
+            config: MulConfig | None = None,
+            _modulus: int | None = None) -> CoeffVec:
     """Reciprocal variant: forward and reversed half-width products, then
     the overlap recovery of the output chunks."""
     p = _params_for(f, g)
@@ -260,7 +280,7 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
     coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len,
                              1 << p.width_full)
-    return _validated(tuple(coeffs), p.width_full)
+    return _mod(_validated(tuple(coeffs), p.width_full), _modulus)
 
 
 def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
@@ -341,21 +361,40 @@ def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
                      mul_signed(f_neg, g_neg, stats, config), n)
 
 
+# ks3's output length from which, at even e and given a modulus, it reads
+# its half-sum and half-difference reduced mod n by bignat._unpack_mod in
+# place of _unpack_ints and a `%` per coefficient (bignat's comment above
+# _unpack_mod has the measurements).  Outputs of 5 and 9 coefficients,
+# degrees 2 and 4, stay below it.
+_PACKED_MOD_MIN_COEFFS = 40
+
+
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None) -> CoeffVec:
+            config: MulConfig | None = None,
+            _modulus: int | None = None) -> CoeffVec:
     """Negated variant: products at +-2**N; the half-sum holds the even-index
-    output coefficients and the half-difference the odd ones."""
+    output coefficients and the half-difference the odd ones.  Given a
+    modulus, the coefficients come back reduced by it; at even e and from
+    ``_PACKED_MOD_MIN_COEFFS`` coefficients they are reduced while still
+    packed."""
     p = _params_for(f, g)
     n = p.width_half  # b + ceil(e/2) >= b: _plus_minus's one blit
     even, odd = _half_products(f, g, n, stats, config)
     k = p.out_len
+    # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that
+    # is the output bound 2**(2b+e) itself, so no digit can fail it and the
+    # packed halves may be read reduced.  At odd e the digits are checked
+    # against the bound before they are reduced.
+    if (2 * n == p.width_full and _modulus is not None
+            and k >= _PACKED_MOD_MIN_COEFFS):
+        return _validated(_interleave(
+            _unpack_mod(even, 2 * n, (k + 1) // 2, _modulus),
+            _unpack_mod(odd, 2 * n, k // 2, _modulus)), p.width_full)
     coeffs = _interleave(_unpack_ints(even, 2 * n, (k + 1) // 2),
                          _unpack_ints(odd, 2 * n, k // 2))
-    # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that
-    # is the output bound 2**(2b+e) itself, so only odd e checks.
     if 2 * n > p.width_full:
-        return CoeffVec(coeffs, p.width_full)
-    return _validated(coeffs, p.width_full)
+        return _mod(CoeffVec(coeffs, p.width_full), _modulus)
+    return _mod(_validated(coeffs, p.width_full), _modulus)
 
 
 def _four_point_safe(p: KsParams) -> bool:
@@ -374,7 +413,8 @@ def _reversed(v: CoeffVec) -> CoeffVec:
 
 
 def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
-            config: MulConfig | None = None) -> CoeffVec:
+            config: MulConfig | None = None,
+            _modulus: int | None = None) -> CoeffVec:
     """Four-point variant: ks3's half-sum split at quarter width N, on the
     operands and on their reversals (their values at +-2**(-N)), then ks2's
     overlap reconstruction on the even part and on the odd part."""
@@ -382,7 +422,7 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     assert _four_point_safe(p)
     if p.out_len == 1:
         prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
-        return CoeffVec((prod,), p.width_full)
+        return _mod(CoeffVec((prod,), p.width_full), _modulus)
     n = p.width_quarter
     k = p.out_len
     even, odd = _half_products(f, g, n, stats, config)
@@ -396,4 +436,4 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     w, top = 2 * n, 1 << p.width_full
     even = _overlap_unpack(even, even_rev, w, (k + 1) // 2, top)
     odd = _overlap_unpack(odd, odd_rev, w, k // 2, top)
-    return _validated(_interleave(even, odd), p.width_full)
+    return _mod(_validated(_interleave(even, odd), p.width_full), _modulus)

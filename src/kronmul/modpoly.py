@@ -1,7 +1,11 @@
 """Multiplication in (Z/nZ)[x] for word-sized n.
 
-Inputs are lifted to integer polynomials, multiplied with one of the
-Kronecker substitution variants, and reduced coefficient by coefficient.
+Inputs are lifted to integer polynomials and multiplied with one of the
+Kronecker substitution variants, which ``mod_mul`` passes the modulus as a
+private keyword, so the variant returns the product reduced mod n: ks1,
+ks2, ks4 and ks3 at odd e reduce their finished coefficients one `%` at a
+time, and ks3 at even e, from ``ksint._PACKED_MOD_MIN_COEFFS`` output
+coefficients, reads its two halves reduced while still packed.
 The coefficient bit bound is taken from the modulus (bit length of n - 1),
 not from the actual coefficients, so the packed widths depend only on
 (lengths, modulus) and AUTO's variant choice only on the two lengths,
@@ -12,8 +16,8 @@ caller builds a ``ModPoly``, and on the way out in the variant, when ks1 or
 ks3 builds its product ``CoeffVec`` or inside ks2's and ks4's overlap
 recovery, against the same bound.  ks3 builds that ``CoeffVec`` only at
 odd e; at even e it unpacks at the bound's own width, so no digit can pass
-it.  ``mod_mul`` lifts and reduces without checking again, since both
-steps keep the values in range by construction.
+it.  The lift and the reduction check nothing again, since both keep
+the values in range by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .bignat import MulConfig, MulStats
 from .ksint import ks1_mul, ks2_mul, ks3_mul, ks4_mul
@@ -159,6 +162,5 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     # 0 <= c < n gives c.bit_length() <= (n - 1).bit_length() = coeff_bits.
     product = multiply(_validated(f.coeffs, coeff_bits),
                        _validated(g.coeffs, coeff_bits),
-                       stats=stats, config=config)
-    return _reduced(tuple(map(operator.mod, product.coeffs, repeat(n))),
-                    n)
+                       stats=stats, config=config, _modulus=n)
+    return _reduced(product.coeffs, n)

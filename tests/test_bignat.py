@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kronmul import bignat
+from kronmul import bignat, ksint
 from kronmul.bignat import (DEFAULT_MUL_CONFIG, BigNat, MulConfig, MulStats,
                             from_digits, mul, mul_classical, mul_karatsuba,
                             mul_signed, to_digits)
@@ -416,6 +416,104 @@ def test_phase_mask_cache():
     info = bignat._phase_mask.cache_info()
     assert (info.hits, info.currsize) == (1, 2)
 
+
+
+# Moduli for the packed reduction: 2 and 3, every power of two (whose
+# bit_length is one past its coefficient bound), 2**(b-1) + 1 (Barrett's
+# largest estimates for its bit length) and 2**b - 1 for b = 1..64, and
+# 2**64 - 59.
+MOD_MODULI = sorted({2, 3, 2**64 - 59}
+                    | {m for b in range(1, 65)
+                       for m in (2**b, 2**(b - 1) + 1, 2**b - 1)
+                       if 2 <= m < 2**64})
+
+
+def _mod_widths(n):
+    # The least width of each residue 0 and 2 (mod 4) that holds n, the
+    # first of each from 64 on (the paired struct read), and 2W < 64.
+    low = n.bit_length()
+    widths = {low + (-low) % 4, low + (2 - low) % 4,
+              max(64, low + (-low) % 4), max(66, low + (2 - low) % 4)}
+    if low < 32:
+        widths.add(max(low, 30))
+    return sorted(widths)
+
+
+def _mod_digits(rng, n, width, count):
+    # Digits 0, n-1, n, exact multiples k*n (Barrett's estimate is one short
+    # on some, so the correction runs), 2**width - 1, and random ones.
+    top = (1 << width) - 1
+    edges = [0, n - 1, n, top // n * n, n * (top // n // 2 + 1), top]
+    return [edges[i % 6] if i % 7 else rng.randrange(top + 1)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("n", MOD_MODULI)
+def test_unpack_mod_matches_reduced_digits(n):
+    rng = random.Random(n)
+    cutoff = ksint._PACKED_MOD_MIN_COEFFS
+    for width in _mod_widths(n):
+        for count in (1, 2, 7, cutoff - 1, cutoff, cutoff + 1):
+            digits = _mod_digits(rng, n, width, count)
+            value = _reference_pack(digits, width)
+            assert bignat._unpack_mod(value, width, count, n) == [
+                d % n for d in bignat._unpack_ints(value, width, count)], (
+                    width, count)
+
+
+@pytest.mark.parametrize("n, width", [
+    (n, width) for n in (2, 3, 2**20 + 1, 2**47 + 1, 2**64 - 59)
+    for width in (30, 64, 66, 100, 102, 136) if n.bit_length() <= width])
+def test_unpack_mod_long_vectors(n, width):
+    # Counts about the struct block of 1024 fields or pairs, at one and two
+    # phases.
+    rng = random.Random(width)
+    for count in (1023, 1024, 1025, 2049, 4097):
+        digits = _mod_digits(rng, n, width, count)
+        value = _reference_pack(digits, width)
+        assert bignat._unpack_mod(value, width, count, n) == [
+            d % n for d in digits], count
+
+
+@pytest.mark.parametrize("width, count", [(30, 3), (100, 40), (102, 41),
+                                          (136, 1025)])
+def test_unpack_mod_rejects_what_unpack_rejects(width, count):
+    n = 2**29 - 3
+    for value in (-1, -(1 << width), 1 << width * count):
+        with pytest.raises(ValueError):
+            bignat._unpack_ints(value, width, count)
+        with pytest.raises(ValueError):
+            bignat._unpack_mod(value, width, count, n)
+    top = (1 << width * count) - 1
+    assert bignat._unpack_mod(top, width, count, n) == [
+        ((1 << width) - 1) % n] * count
+
+
+def test_mod_mask_cache():
+    # The masks grow by doubling per (width, n); a short call after a long
+    # one reads right through the longer masks, a new key past the key
+    # limit empties the cache, and masks past the bit bound are not kept.
+    bignat._mod_masks.clear()
+    n, width = 2**47 + 1, 102
+    rng = random.Random(7)
+    for count in (40, 1025, 3):
+        digits = _mod_digits(rng, n, width, count)
+        assert bignat._unpack_mod(_reference_pack(digits, width), width,
+                                  count, n) == [d % n for d in digits]
+    assert list(bignat._mod_masks) == [(width, n)]
+    assert bignat._mod_masks[width, n][0] == 1024  # 513 fields
+    for key in range(bignat._MOD_MASK_KEYS - 1):
+        assert bignat._unpack_mod(5, 100, 1, 3 + key) == [5 % (3 + key)]
+    assert len(bignat._mod_masks) == bignat._MOD_MASK_KEYS
+    bignat._unpack_mod(1, 100, 1, 97)
+    assert list(bignat._mod_masks) == [(100, 97)]
+    past = bignat._MOD_MASK_MAX_BITS // (2 * width) + 1
+    digits = _mod_digits(rng, n, width, 2 * past)
+    assert bignat._unpack_mod(_reference_pack(digits, width), width,
+                              2 * past, n) == [d % n for d in digits]
+    assert (width, n) not in bignat._mod_masks
+    assert (bignat._MOD_MASK_KEYS * 4 * bignat._MOD_MASK_MAX_BITS // 8
+            <= 4 << 20)
 
 def test_decimal_round_trip():
     text = "123456789012345678901234567890"

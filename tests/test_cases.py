@@ -19,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kronmul import _cases, bignat  # noqa: E402
+from kronmul import _cases, bignat, ksint  # noqa: E402
 from kronmul._cases import CONFIGS, MULTIPLYING  # noqa: E402
 from kronmul.bignat import MulConfig  # noqa: E402
 from kronmul.cli import _corrupted_multiply  # noqa: E402
@@ -115,3 +115,24 @@ def test_bignat_suite_reaches_the_toom_split(monkeypatch):
     splits.clear()
     _holds(_cases.bignat_toom_case, MulConfig())
     assert splits
+
+
+def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
+    # The self-test's seeded draws run ks3's packed reduction at one and at
+    # two phases, below width 64, and at a power-of-two modulus.
+    calls = []
+    unpack_mod = ksint._unpack_mod
+
+    def recorded(value, width, count, n):
+        calls.append((width, n))
+        return unpack_mod(value, width, count, n)
+
+    monkeypatch.setattr(ksint, "_unpack_mod", recorded)
+    rng = random.Random("modpoly-0")
+    for _ in range(20):
+        _cases.SUITES["modpoly"](rng, MulConfig())
+    widths = {width for width, _ in calls}
+    assert any(w >= 64 and w % 4 == 0 for w in widths)
+    assert any(w >= 64 and w % 4 == 2 for w in widths)
+    assert any(w < 32 for w in widths)
+    assert any(n & (n - 1) == 0 for _, n in calls)

@@ -171,29 +171,66 @@ def test_mod_mul_rejects_a_non_variant(variant):
         mod_mul(f, f, variant)
 
 
+def _recording(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(value, width, *args):
+        calls.append(width)
+        return original(value, width, *args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("len_f, len_g", [(1500, 200), (600, 500)])
 def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
                                                    len_g):
     # At n = 2**64 - 59 every variant unpacks digits wider than 64 bits by
-    # the wide path: ks1 at width 136 and ks3 at 2*68 for (1500, 200), 137
-    # and 2*69 for (600, 500); ks2 and ks4 in their overlap recovery.
+    # the wide path, except ks3 at even e: ks1 at width 136 for (1500, 200)
+    # and 137 for (600, 500), ks3 at 2*69 for (600, 500) (e = 9), and ks2
+    # and ks4 in their overlap recovery.  ks3 and AUTO at (1500, 200), e = 8,
+    # read their two halves reduced at 2*68 bits by the packed path instead.
     modulus = 2**64 - 59
     rng = random.Random(len_f)
     f = random_modpoly(rng, len_f, modulus)
     g = random_modpoly(rng, len_g, modulus)
     want = schoolbook_mod(f, g).coeffs
-    wide = []
-    unpack_wide = bignat._unpack_wide
-
-    def recorded(value, width, count):
-        wide.append(width)
-        return unpack_wide(value, width, count)
-
-    monkeypatch.setattr(bignat, "_unpack_wide", recorded)
+    wide = _recording(monkeypatch, bignat, "_unpack_wide")
+    packed = _recording(monkeypatch, ksint, "_unpack_mod")
     for variant in EXPLICIT + [Variant.AUTO]:
-        wide.clear()
+        del wide[:], packed[:]
         assert mod_mul(f, g, variant).coeffs == want
-        assert wide, variant
+        if len_f == 1500 and variant in (Variant.KS3, Variant.AUTO):
+            assert packed == [136, 136], variant
+        else:
+            assert wide and not packed, variant
+
+
+# Shape -> the packed reductions ks3 makes: two from the cutoff at even e
+# (e = 2, 3, 4, 4, 4, 5, 6, 8), none below it, at odd e, or for ks1, ks2
+# and ks4.  Lengths 3 and 5 are test_wall_clock_shape's small degrees.
+PACKED_CALLS = {(3, 3): 0, (5, 5): 0, (16, 16): 0, (16, 24): 0, (25, 16): 2,
+                (17, 40): 0, (33, 33): 2, (200, 300): 2}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_packed_reduction_calls(monkeypatch, variant):
+    assert ksint._PACKED_MOD_MIN_COEFFS == 40
+    packed = _recording(monkeypatch, ksint, "_unpack_mod")
+    rng = random.Random(13)
+    for (len_f, len_g), calls in PACKED_CALLS.items():
+        for n in (2**48 - 59, 2**8, 251):
+            f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
+            del packed[:]
+            assert mod_mul(f, g, variant).coeffs == schoolbook_mod(f, g).coeffs
+            ran = (choose_variant(len_f, len_g) if variant is Variant.AUTO
+                   else variant)
+            want = calls if ran is Variant.KS3 else 0
+            assert len(packed) == want, (variant, len_f, len_g, n)
+            width = ksint.derive_params(len_f, len_g,
+                                        (n - 1).bit_length()).width_full
+            assert set(packed) <= {width}
 
 
 def test_even_modulus_all_variants_agree():

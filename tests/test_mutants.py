@@ -131,9 +131,34 @@ MUTANTS = {
     # ks3 without its product check at odd e, where the unpack width is
     # one bit past the output bound: only corrupted products show it.
     "ks3-odd-e-check-dropped": (
-        "ksint.py", "return CoeffVec(coeffs, p.width_full)",
-        "return _validated(coeffs, p.width_full)",
+        "ksint.py", "return _mod(CoeffVec(coeffs, p.width_full), _modulus)",
+        "return _mod(_validated(coeffs, p.width_full), _modulus)",
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
+    # The packed reduction mod n: without its conditional subtraction,
+    # which Barrett's estimate one short needs; with the estimate shifted
+    # one bit short, or read one bit narrow; and reading the second phase
+    # of a width of 2 (mod 4) at the first phase's place.
+    "unpack-mod-correction-dropped": (
+        "bignat.py", "    even -= (even + fix >> b & ones) * n\n"
+        "    odd -= (odd + fix >> b & ones) * n\n", "",
+        "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
+    "unpack-mod-barrett-shift-short": (
+        "bignat.py", "even -= (even * m >> width & qmask) * n",
+        "even -= (even * m >> width - 1 & qmask) * n",
+        "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
+    "unpack-mod-qmask-narrow": (
+        "bignat.py", "ones * ((1 << (width - b + 1)) - 1)",
+        "ones * ((1 << (width - b)) - 1)",
+        "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
+    "unpack-mod-second-phase-unshifted": (
+        "bignat.py", "(c >> r * stride).to_bytes", "c.to_bytes",
+        "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
+    # ks3 reduces packed at odd e and not at even e: every output stays
+    # right, only the count of packed reductions shows it.
+    "ks3-packed-mod-parity-inverted": (
+        "ksint.py", "if (2 * n == p.width_full and _modulus is not None",
+        "if (2 * n > p.width_full and _modulus is not None",
+        "tests/test_modpoly.py::test_packed_reduction_calls"),
     # The bivariate sign split's odd half as (a+b)/2 + b.
     "bipoly-odd-half-as-sum": (
         "bipoly.py", "list(map(ring.sub, even[shift:], neg[shift:]))",
