@@ -283,9 +283,6 @@ def bipoly_case(rng, config):
     return kind, f.coeffs, g.coeffs
 
 
-_PACKED = ksint._PACKED_MOD_MIN_COEFFS
-
-
 def modpoly_case(rng, config):
     """Up to 60 terms mod n of 2 to 64 bits, a power of two a quarter of the
     time: every variant and AUTO, counted and not, against the modular
@@ -297,7 +294,8 @@ def modpoly_case(rng, config):
     if rng.randrange(4) == 0:
         # The shorter length at e = 4 or 6, the output past ks3's cutoff.
         short = rng.choice((rng.randint(9, 16), rng.randint(33, 60)))
-        lengths = (short, rng.randint(max(short, _PACKED + 1 - short), 60))
+        cutoff = ksint._PACKED_MOD_MIN_COEFFS
+        lengths = (short, rng.randint(max(short, cutoff + 1 - short), 60))
     else:
         lengths = _lengths(rng, 60)
     f, g = (ModPoly(tuple(_values(rng, length, n)), n)

@@ -583,9 +583,9 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #   k         5   17   31   40   47    43   67   65    95   127
 #   new/old 1.40 1.05 0.95 0.92 0.89  0.99 0.89 0.91  0.87  0.85
 #
-# One phase wins from about 30 coefficients, two from about 45; the cutoff
-# sits between them, and ks3 at odd e never takes this path.  Cells move by
-# about 0.05 between runs.
+# One phase wins from about 30 coefficients; two are even at about 43 and
+# win from about 65.  The cutoff sits between them, and ks3 at odd e never
+# takes this path.  Cells move by about 0.05 between runs.
 #
 # The masks are cached by (W, n) with their field count, grown by doubling
 # like ksint's odd-slot masks: a longer request replaces its key's entry, a
