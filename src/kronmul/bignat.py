@@ -281,6 +281,50 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
     return -product if (a < 0) != (b < 0) else product
 
 
+# --- repeated-field masks ---------------------------------------------------
+#
+# ks3's and ks4's odd slots at +-2**N, a phase of the strided unpack and the
+# packed reduction's fields are each masked by a W-bit field repeated every
+# s bits.  One store keeps them by (builder, *its arguments), so two kinds
+# never collide.  An entry holds a power-of-two count of fields and serves
+# any shorter request, as every caller only ANDs with a mask or first cuts
+# the one it adds; a longer request replaces it.  A new key past _MASK_KEYS
+# empties the store, and an entry whose first, widest mask has more than
+# _MASK_MAX_BITS bits is built for its call and not kept: at worst 32
+# entries of two 128 KB masks, 8 MB.  That keeps every mask of up to 8192
+# coefficients at a 48-bit modulus (ks3 at 8192x256: 4096 x 208 bits).
+_MASK_KEYS = 32
+_MASK_MAX_BITS = 1 << 20
+_masks: dict[tuple, tuple] = {}
+
+
+def _masks_for(key: tuple, fields: int) -> tuple:
+    """(count, *key[0](count, *key[1:])), count a power of two >= fields."""
+    entry = _masks.get(key)
+    if entry is not None and entry[0] >= fields:
+        return entry
+    count = 1 << (fields - 1).bit_length()
+    entry = count, *key[0](count, *key[1:])
+    if entry[1].bit_length() <= _MASK_MAX_BITS:
+        if key not in _masks and len(_masks) >= _MASK_KEYS:
+            _masks.clear()
+        _masks[key] = entry
+    return entry
+
+
+def _repeated(field: int, stride: int, count: int) -> int:
+    # `field` in each of `count` (a power of two) slots `stride` bits apart.
+    for _ in range(count.bit_length() - 1):
+        field |= field << stride
+        stride *= 2
+    return field
+
+
+def _odd_slots(count: int, width: int) -> tuple[int]:
+    # Every odd slot of `width` bits among 2*count.
+    return _repeated(((1 << width) - 1) << width, 2 * width, count),
+
+
 # --- base-2^N digit packing -------------------------------------------------
 #
 # A digit vector of k digits takes one of four paths.
@@ -433,29 +477,15 @@ def _pack_fields(values, width: int) -> int:
     return acc
 
 
-# Phase masks by (width, groups), as _unpack_fields reads them: the
-# width-bit mask repeated every gap bytes, `groups` times.  Building one
-# costs a from_bytes of the whole vector's bytes (about 36 us for ks4's
-# 27.6 KB at L = 4096), once per call without the cache.  Only masks of at
-# most _PHASE_MASK_MAX_BYTES are kept, 32 of them: at most 4 MB.  That
-# covers every unpack of up to 8192 coefficients at ks2's and ks4's widths.
-_PHASE_MASK_MAX_BYTES = 1 << 17
-
-
-@functools.lru_cache(maxsize=32)
-def _phase_mask(width: int, groups: int) -> int:
-    gap = _FIELD_LAYOUTS[width][1]
-    return int.from_bytes(((1 << width) - 1).to_bytes(gap, "little")
-                          * groups, "little")
+def _phase_masks(count: int, width: int) -> tuple[int]:
+    # A phase of _unpack_fields: `width` bits in each of `count` gaps.
+    return _repeated((1 << width) - 1, 8 * _FIELD_LAYOUTS[width][1], count),
 
 
 def _unpack_fields(value: int, width: int, count: int) -> list[int]:
     d, gap = _FIELD_LAYOUTS[width]
     n = -(-count // d)
-    if n * gap <= _PHASE_MASK_MAX_BYTES:
-        mask = _phase_mask(width, n)
-    else:
-        mask = _phase_mask.__wrapped__(width, n)
+    _, mask = _masks_for((_phase_masks, width), n)
     out = [0] * (n * d)
     for r in range(d):
         raw = ((value >> r * width) & mask).to_bytes(n * gap, "little")
@@ -553,23 +583,23 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #    q' = (A*m) >> W of q = A // n.  A*m < 2**(2W) / n <= 2**(2W-b+1)
 #    <= 2**(2W), so the products of all fields come from one packed
 #    multiply by m without reaching the next field, and q' < 2**(W-b+1)
-#    is read with qmask, W-b+1 bits per field.  A*m/2**W lies in
-#    (A/n - 1, A/n], so q' is q-1 or q, and A - q'*n lies in [0, 2n): one
-#    packed multiply by n and one subtraction, with no borrow between
-#    fields.
+#    <= 2**W is read with step 1's mask: the next field's product starts at
+#    bit W.  A*m/2**W lies in (A/n - 1, A/n], so q' is q-1 or q, and
+#    A - q'*n lies in [0, 2n): one packed multiply by n and one
+#    subtraction, with no borrow between fields.
 # 3. One conditional subtraction for all fields: adding 2**b - n to a
 #    field r < 2n gives less than n + 2**b <= 2**(b+1), with bit b set
-#    exactly when r >= n; that bit, times n, is subtracted.
+#    exactly when r >= n; that bit, times n, is subtracted.  After >> b it
+#    is bit 0, and the next field starts at 2W-b >= W, so the mask reads it.
 # 4. The fields, now below n < 2**64, are read in order by one pass of
 #    little-endian `Q` pairs: the odd sub-vector is shifted up by 64 bits
 #    only and or-ed onto the even one, so each field of 2W >= 128 bits
 #    holds an even digit in its low 64 bits and the next odd digit in the
-#    64 above.  The pairs sit gap = d*2W/8 bytes apart, in d phases with d
-#    the smallest power of two that makes d*2W a whole number of bytes: one
-#    at W = 0 (mod 4), two at W = 2 (mod 4), where phase r is the vector
-#    shifted down by r*2W.  Below W = 64 the two sub-vectors are or-ed
-#    back at stride W and go by _unpack_ints, as their digits are below n
-#    <= 2**W.
+#    64 above.  The pairs sit gap bytes apart in d phases, (d, gap) =
+#    _field_layout(2W): one at W = 0 (mod 4), two at W = 2 (mod 4), four
+#    at odd W; phase r is the vector shifted down by r*2W.  Below W = 64
+#    the two sub-vectors are or-ed back at stride W and go by _unpack_ints,
+#    as their digits are below n <= 2**W.
 #
 # That is about a dozen linear big-int operations, plus d to_bytes and
 # struct passes, against _unpack_ints and a `%` per digit.  ks3's output
@@ -586,42 +616,13 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 # One phase wins from about 30 coefficients; two are even at about 43 and
 # win from about 65.  The cutoff sits between them, and ks3 at odd e never
 # takes this path.  Cells move by about 0.05 between runs.
-#
-# The masks are cached by (W, n) with their field count, grown by doubling
-# like ksint's odd-slot masks: a longer request replaces its key's entry, a
-# new key past _MOD_MASK_KEYS empties the cache first, and entries whose
-# masks exceed _MOD_MASK_MAX_BITS are built per call and not kept.  So the
-# cache holds at most 8 entries of four 128 KB masks: 4 MB.  The bit bound
-# keeps 4096 fields at widths up to 128: ks3's halves of outputs of up to
-# 16,384 coefficients at moduli of up to 57 bits.
-_MOD_MASK_KEYS = 8
-_MOD_MASK_MAX_BITS = 1 << 20
-_mod_masks: dict[tuple[int, int], tuple] = {}
 
 
-def _mod_fields(width: int, n: int, fields: int) -> tuple:
-    """(slots, d, mask, qmask, fix, ones, m) for at least `fields` fields
-    of stride 2*width, as _unpack_mod reads them."""
-    entry = _mod_masks.get((width, n))
-    if entry is not None and entry[0] >= fields:
-        return entry
-    stride = 2 * width
-    ones, slots = 1, 1
-    while slots < fields:
-        ones |= ones << (slots * stride)
-        slots *= 2
-    d = 1
-    while d * stride % 8:
-        d *= 2
-    b = n.bit_length()
-    entry = (slots, d, ones * ((1 << width) - 1),
-             ones * ((1 << (width - b + 1)) - 1), ones * ((1 << b) - n),
-             ones, (1 << width) // n)
-    if slots * stride <= _MOD_MASK_MAX_BITS:
-        if (width, n) not in _mod_masks and len(_mod_masks) >= _MOD_MASK_KEYS:
-            _mod_masks.clear()
-        _mod_masks[width, n] = entry
-    return entry
+def _mod_masks(count: int, width: int, n: int) -> tuple[int, int, int]:
+    # (mask, fix, m) for `count` fields, as _unpack_mod reads them.
+    ones = _repeated(1, 2 * width, count)
+    return (ones * ((1 << width) - 1), ones * ((1 << n.bit_length()) - n),
+            (1 << width) // n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -641,21 +642,20 @@ def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
     stride = 2 * width
     fields = (count + 1) // 2
-    slots, d, mask, qmask, fix, ones, m = _mod_fields(width, n, fields)
-    # The masks are only and-ed, which costs the shorter operand's size;
+    slots, mask, fix, m = _masks_for((_mod_masks, width, n), fields)
     # fix is added, so it drops its surplus fields first.
     fix >>= (slots - fields) * stride
     b = n.bit_length()
     even, odd = value & mask, value >> width & mask
-    even -= (even * m >> width & qmask) * n
-    odd -= (odd * m >> width & qmask) * n
-    even -= (even + fix >> b & ones) * n
-    odd -= (odd + fix >> b & ones) * n
+    even -= (even * m >> width & mask) * n
+    odd -= (odd * m >> width & mask) * n
+    even -= (even + fix >> b & mask) * n
+    odd -= (odd + fix >> b & mask) * n
     if width < 64:
         return _unpack_ints(even | odd << width, width, count)
     c = even | odd << 64
+    d, gap = _field_layout(stride)
     groups = -(-fields // d)
-    gap = d * stride // 8
     out = [0] * (2 * d * groups)
     for r in range(d):
         raw = (c >> r * stride).to_bytes(groups * gap, "little")

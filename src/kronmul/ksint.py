@@ -39,7 +39,7 @@ one bit below their width, so it keeps the checked unpack.
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
 x = v(2**N) gives the odd terms' sum, so v(-2**N) = x - 2*(x & mask), with
-one cached mask per width.  That is always ks3's case, and ks4's when
+the mask from bignat's store.  That is always ks3's case, and ks4's when
 e >= 2b-3.  Below b the slots overlap, and the even and odd parts are
 blitted at 2N instead: v(+-X) = E(X**2) +- X*O(X**2).  ks4 evaluates and
 splits the reversed operands the same way: they multiply to the reversed
@@ -57,8 +57,8 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bignat import (MulConfig, MulStats, _pack_ints, _unpack_ints,
-                     _unpack_mod, mul, mul_signed)
+from .bignat import (MulConfig, MulStats, _masks_for, _odd_slots, _pack_ints,
+                     _unpack_ints, _unpack_mod, mul, mul_signed)
 # ks3 and ks4 blit through pack, ks2 also through pack_reversed.
 # perfbench's tracer wraps all four pack names in this namespace, so the
 # negated ones stay imported.
@@ -290,37 +290,6 @@ def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Odd-slot masks by slot width: width -> (slots, mask), where the mask has
-# all `width` bits of every odd slot below `slots` set.  A longer request
-# replaces its width's entry, a new width past _MASK_WIDTHS empties the
-# cache first, and masks above _MASK_MAX_BITS are built per call and not
-# kept.  So the cache holds at most 16 masks of 128 KB: 2 MB.  The bit
-# bound keeps every operand of up to 8192 coefficients at widths up to 128;
-# ks3's width there is at most 71, for 64-bit coefficients, and ks4 takes a
-# mask only at small b, at widths of at most 8.
-_MASK_WIDTHS = 16
-_MASK_MAX_BITS = 1 << 20
-_odd_masks: dict[int, tuple[int, int]] = {}
-
-
-def _odd_slot_mask(width: int, count: int) -> int:
-    """A mask of every odd slot of `width` bits among at least `count`."""
-    slots, mask = _odd_masks.get(width, (0, 0))
-    if slots >= count:
-        return mask
-    # Slot 1 set, then doubled until the mask spans `count` slots.
-    mask = ((1 << width) - 1) << width
-    slots = 2
-    while slots < count:
-        mask |= mask << (slots * width)
-        slots *= 2
-    if slots * width <= _MASK_MAX_BITS:
-        if width not in _odd_masks and len(_odd_masks) >= _MASK_WIDTHS:
-            _odd_masks.clear()
-        _odd_masks[width] = slots, mask
-    return mask
-
-
 def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
     """v at 2**n and -2**n.
 
@@ -331,7 +300,8 @@ def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
     """
     if n >= v.width_bound_bits:
         x = pack(v, n)
-        return x, x - ((x & _odd_slot_mask(n, len(v))) << 1)
+        _, mask = _masks_for((_odd_slots, n), len(v) // 2)
+        return x, x - ((x & mask) << 1)
     even, odd = v.even_odd()
     e = pack(even, 2 * n)
     o = pack(odd, 2 * n) << n if odd is not None else 0

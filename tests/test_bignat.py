@@ -7,6 +7,7 @@ from kronmul import bignat, ksint
 from kronmul.bignat import (DEFAULT_MUL_CONFIG, BigNat, MulConfig, MulStats,
                             from_digits, mul, mul_classical, mul_karatsuba,
                             mul_signed, to_digits)
+from kronmul.pack import CoeffVec, pack, pack_negated
 
 
 def test_mul_example():
@@ -397,27 +398,6 @@ def test_field_layouts():
         assert d == 1 or (d // 2 * width) % 8 or d // 2 * width < 64
 
 
-def test_phase_mask_cache():
-    # The strided unpack keeps its phase masks by width and group count, at
-    # most 4 MB of them: one width at a short count, then a longer one, then
-    # the short one again (the one hit) all read right, and a mask just past
-    # the byte bound is built for its call and not kept.
-    bignat._phase_mask.cache_clear()
-    info = bignat._phase_mask.cache_info()
-    assert info.maxsize * bignat._PHASE_MASK_MAX_BYTES <= 4 << 20
-    width = 54
-    d, gap = bignat._FIELD_LAYOUTS[width]
-    past = (bignat._PHASE_MASK_MAX_BYTES // gap + 1) * d
-    rng = random.Random(width)
-    for count in (48, 4097, 48, past):
-        digits = [rng.getrandbits(width) for _ in range(count)]
-        value = _reference_pack(digits, width)
-        assert bignat._unpack_ints(value, width, count) == digits
-    info = bignat._phase_mask.cache_info()
-    assert (info.hits, info.currsize) == (1, 2)
-
-
-
 # Moduli for the packed reduction: 2 and 3, every power of two (whose
 # bit_length is one past its coefficient bound), 2**(b-1) + 1 (Barrett's
 # largest estimates for its bit length) and 2**b - 1 for b = 1..64, and
@@ -429,10 +409,13 @@ MOD_MODULI = sorted({2, 3, 2**64 - 59}
 
 
 def _mod_widths(n):
-    # The least width of each residue 0 and 2 (mod 4) that holds n, the
-    # first of each from 64 on (the paired struct read), and 2W < 64.
+    # W = n.bit_length(), where the reduction's one W-bit mask has no bit
+    # to spare (over MOD_MODULI, at every residue mod 4); the least width
+    # of each residue 0 and 2 (mod 4) that holds n; the first of each
+    # residue from 64 on (the paired struct read: one phase at 0, two at 2,
+    # four at odd widths); and 2W < 64.
     low = n.bit_length()
-    widths = {low + (-low) % 4, low + (2 - low) % 4,
+    widths = {low, low + (-low) % 4, low + (2 - low) % 4, 65, 67,
               max(64, low + (-low) % 4), max(66, low + (2 - low) % 4)}
     if low < 32:
         widths.add(max(low, 30))
@@ -463,10 +446,11 @@ def test_unpack_mod_matches_reduced_digits(n):
 
 @pytest.mark.parametrize("n, width", [
     (n, width) for n in (2, 3, 2**20 + 1, 2**47 + 1, 2**64 - 59)
-    for width in (30, 64, 66, 100, 102, 136) if n.bit_length() <= width])
+    for width in (30, 64, 65, 66, 100, 102, 136)
+    if n.bit_length() <= width])
 def test_unpack_mod_long_vectors(n, width):
-    # Counts about the struct block of 1024 fields or pairs, at one and two
-    # phases.
+    # Counts about the struct block of 1024 fields or pairs, at one, two
+    # and four phases.
     rng = random.Random(width)
     for count in (1023, 1024, 1025, 2049, 4097):
         digits = _mod_digits(rng, n, width, count)
@@ -489,31 +473,52 @@ def test_unpack_mod_rejects_what_unpack_rejects(width, count):
         ((1 << width) - 1) % n] * count
 
 
-def test_mod_mask_cache():
-    # The masks grow by doubling per (width, n); a short call after a long
-    # one reads right through the longer masks, a new key past the key
-    # limit empties the cache, and masks past the bit bound are not kept.
-    bignat._mod_masks.clear()
-    n, width = 2**47 + 1, 102
+def test_mask_store():
+    # One store keeps the masks of ks3's and ks4's odd slots, the strided
+    # unpack's phases and the packed reduction's fields.  At each call site
+    # a short request, a longer one and the short one again read right, the
+    # last through the longer entry; a new key past the key limit empties
+    # the store, and a mask past the bit bound is built for its call and
+    # not kept.  At worst every key holds two masks at the bit bound.
+    assert bignat._MASK_KEYS * 2 * bignat._MASK_MAX_BITS // 8 <= 8 << 20
     rng = random.Random(7)
-    for count in (40, 1025, 3):
-        digits = _mod_digits(rng, n, width, count)
-        assert bignat._unpack_mod(_reference_pack(digits, width), width,
-                                  count, n) == [d % n for d in digits]
-    assert list(bignat._mod_masks) == [(width, n)]
-    assert bignat._mod_masks[width, n][0] == 1024  # 513 fields
-    for key in range(bignat._MOD_MASK_KEYS - 1):
-        assert bignat._unpack_mod(5, 100, 1, 3 + key) == [5 % (3 + key)]
-    assert len(bignat._mod_masks) == bignat._MOD_MASK_KEYS
-    bignat._unpack_mod(1, 100, 1, 97)
-    assert list(bignat._mod_masks) == [(100, 97)]
-    past = bignat._MOD_MASK_MAX_BITS // (2 * width) + 1
-    digits = _mod_digits(rng, n, width, 2 * past)
-    assert bignat._unpack_mod(_reference_pack(digits, width), width,
-                              2 * past, n) == [d % n for d in digits]
-    assert (width, n) not in bignat._mod_masks
-    assert (bignat._MOD_MASK_KEYS * 4 * bignat._MOD_MASK_MAX_BITS // 8
-            <= 4 << 20)
+    n = 2**47 + 1
+
+    def odd_slots(count):
+        v = CoeffVec(tuple(rng.getrandbits(61) for _ in range(count)), 61)
+        assert ksint._plus_minus(v, 61) == (pack(v, 61), pack_negated(v, 61))
+
+    def phases(count):
+        digits = [rng.getrandbits(54) for _ in range(count)]
+        assert bignat._unpack_ints(_reference_pack(digits, 54), 54,
+                                   count) == digits
+
+    def reduced(count):
+        digits = _mod_digits(rng, n, 102, count)
+        assert bignat._unpack_mod(_reference_pack(digits, 102), 102, count,
+                                  n) == [d % n for d in digits]
+
+    # (call, its key, field stride in bits, items per field, counts)
+    sites = [(odd_slots, (bignat._odd_slots, 61), 122, 2, (3, 40)),
+             (phases, (bignat._phase_masks, 54), 216, 4, (48, 4097)),
+             (reduced, (bignat._mod_masks, 102, n), 204, 2, (40, 1025))]
+    for call, key, stride, per_field, (short, longer) in sites:
+        bignat._masks.clear()
+        call(short)
+        call(longer)
+        entry = bignat._masks[key]
+        assert entry[0] * per_field >= longer
+        call(short)
+        assert bignat._masks[key] is entry and len(bignat._masks) == 1
+        bignat._masks.clear()
+        for width in range(1000, 1000 + bignat._MASK_KEYS):
+            bignat._masks_for((bignat._odd_slots, width), 1)
+        call(short)
+        assert list(bignat._masks) == [key]
+        past = (bignat._MASK_MAX_BITS // stride + 1) * per_field
+        call(past)
+        assert bignat._masks[key][0] * stride <= bignat._MASK_MAX_BITS
+
 
 def test_decimal_round_trip():
     text = "123456789012345678901234567890"

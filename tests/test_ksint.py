@@ -6,10 +6,9 @@ from kronmul import ksint
 from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
                             MulStats)
 from kronmul.ksint import (OverlapDigits, ReconstructionError,
-                           _four_point_safe, _odd_slot_mask, _overlap_unpack,
-                           _plus_minus, _reversed, _shr_exact, derive_params,
-                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
-                           reconstruct_overlapped)
+                           _four_point_safe, _overlap_unpack, _plus_minus,
+                           _reversed, _shr_exact, derive_params, ks1_mul,
+                           ks2_mul, ks3_mul, ks4_mul, reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
@@ -437,42 +436,6 @@ def test_plus_minus_on_both_sides_of_the_bound():
         v = CoeffVec(coeffs, 3)
         for n in (2, 3, 4):
             _assert_plus_minus_packs(v, n)
-
-
-def test_odd_slot_mask_cache(monkeypatch):
-    # At one width: a short mask, then a longer one that replaces it, then
-    # the short request again, which reads the longer mask.
-    monkeypatch.setattr(ksint, "_odd_masks", {})
-
-    def covers(mask, width, count):
-        ones = (1 << width) - 1
-        odd = sum(ones << (i * width) for i in range(1, count, 2))
-        return mask & ((1 << (count * width)) - 1) == odd
-
-    width = 7
-    short = _odd_slot_mask(width, 3)
-    assert covers(short, width, 3)
-    longer = _odd_slot_mask(width, 40)
-    assert covers(longer, width, 40)
-    assert ksint._odd_masks[width][0] >= 40
-    again = _odd_slot_mask(width, 3)
-    assert again == longer and covers(again, width, 3)
-    v = CoeffVec(tuple(range(100, 103)), width)
-    assert _plus_minus(v, width) == (pack(v, width), pack_negated(v, width))
-    # A mask past the bit bound is built for the call and not kept.
-    assert _odd_slot_mask(8, 2) == 0xff00
-    count = ksint._MASK_MAX_BITS // 8 + 3
-    odd_bytes = (b"\0\xff" * count)[:count]
-    mask = _odd_slot_mask(8, count)
-    assert mask & ((1 << (8 * count)) - 1) == int.from_bytes(odd_bytes,
-                                                             "little")
-    assert ksint._odd_masks[8] == (2, 0xff00)
-    # A new width past the bound empties the cache first.
-    for w in range(9, 7 + ksint._MASK_WIDTHS):
-        _odd_slot_mask(w, 2)
-    assert len(ksint._odd_masks) == ksint._MASK_WIDTHS
-    _odd_slot_mask(7 + ksint._MASK_WIDTHS, 2)
-    assert list(ksint._odd_masks) == [7 + ksint._MASK_WIDTHS]
 
 
 @pytest.mark.parametrize("b,len_f,len_g", [

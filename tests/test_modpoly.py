@@ -135,8 +135,8 @@ def test_caches_keep_type_checks():
 
 def test_import_builds_no_cache():
     # Nothing is built at import, so setup time does not grow.
-    code = ("import kronmul.ksint as k; "
-            "print(len(k._odd_masks), k._cached_params.cache_info().currsize)")
+    code = ("import kronmul.ksint as k, kronmul.bignat as b; "
+            "print(len(b._masks), k._cached_params.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(ksint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -66,12 +66,10 @@ MUTANTS = {
     "derive-params-e-from-half": (
         "ksint.py", "e = (min(len_f, len_g) - 1).bit_length()",
         "e = (min(len_f, len_g) // 2).bit_length()", "selftest"),
-    # ks3's odd-slot mask stops doubling one step early, so it misses the
-    # top odd slots.  (A mask short by exactly one slot is an equivalent
-    # mutant: it spans a power of two of slots, so the slot it drops is
-    # even.)
-    "odd-slot-mask-short": ("ksint.py", "while slots < count:",
-                            "while 2 * slots < count:", "selftest"),
+    # ks3's odd-slot mask built one doubling short, so it misses the top
+    # odd slots.
+    "odd-slot-mask-short": ("bignat.py", "<< width, 2 * width, count)",
+                            "<< width, 2 * width, count // 2)", "selftest"),
     # Truncates an odd half-sum, as a corrupted product makes, instead of
     # rejecting it; valid products are always exact, so no output shows it.
     "shr-exact-no-parity": (
@@ -114,15 +112,11 @@ MUTANTS = {
         "ksint.py", "min(base * (base - 1), bound)", "base * (base - 1)",
         "tests/test_ksint.py::"
         "test_ks2_ks4_reject_products_past_the_output_bound"),
-    # The strided unpack's phase-mask cache keyed on width alone, so a
-    # longer vector at a width seen before reads a mask that is too short.
-    "phase-mask-cache-width-only": (
-        "bignat.py", "@functools.lru_cache(maxsize=32)\ndef _phase_mask(",
-        "@lambda f: functools.lru_cache(maxsize=32)(\n"
-        "    lambda width, groups, c={}:\n"
-        "        c.setdefault(width, f(width, groups)))\n"
-        "def _phase_mask(",
-        "tests/test_bignat.py::test_phase_mask_cache"),
+    # The mask store serves an entry shorter than the request, so a longer
+    # vector at a key seen before reads a mask that is too short.
+    "mask-store-serves-shorter": (
+        "bignat.py", "if entry is not None and entry[0] >= fields:",
+        "if entry is not None:", "tests/test_bignat.py::test_mask_store"),
     # ks3's product check at even e too: every output stays right, only the
     # check count moves.
     "ks3-check-guard-inclusive": (
@@ -136,19 +130,20 @@ MUTANTS = {
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
     # The packed reduction mod n: without its conditional subtraction,
     # which Barrett's estimate one short needs; with the estimate shifted
-    # one bit short, or read one bit narrow; and reading the second phase
-    # of a width of 2 (mod 4) at the first phase's place.
+    # one bit short; with the subtraction's flag read one bit low; and
+    # reading the second phase of a width of 2 (mod 4) at the first phase's
+    # place.
     "unpack-mod-correction-dropped": (
-        "bignat.py", "    even -= (even + fix >> b & ones) * n\n"
-        "    odd -= (odd + fix >> b & ones) * n\n", "",
+        "bignat.py", "    even -= (even + fix >> b & mask) * n\n"
+        "    odd -= (odd + fix >> b & mask) * n\n", "",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-barrett-shift-short": (
-        "bignat.py", "even -= (even * m >> width & qmask) * n",
-        "even -= (even * m >> width - 1 & qmask) * n",
+        "bignat.py", "even -= (even * m >> width & mask) * n",
+        "even -= (even * m >> width - 1 & mask) * n",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
-    "unpack-mod-qmask-narrow": (
-        "bignat.py", "ones * ((1 << (width - b + 1)) - 1)",
-        "ones * ((1 << (width - b)) - 1)",
+    "unpack-mod-flag-bit-low": (
+        "bignat.py", "even -= (even + fix >> b & mask) * n",
+        "even -= (even + fix >> b - 1 & mask) * n",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-second-phase-unshifted": (
         "bignat.py", "(c >> r * stride).to_bytes", "c.to_bytes",
