@@ -7,7 +7,6 @@ from kronmul import bignat, ksint
 from kronmul.bignat import (DEFAULT_MUL_CONFIG, BigNat, MulConfig, MulStats,
                             from_digits, mul, mul_classical, mul_karatsuba,
                             mul_signed, to_digits)
-from kronmul.pack import CoeffVec, pack, pack_negated
 
 
 def test_mul_example():
@@ -473,51 +472,57 @@ def test_unpack_mod_rejects_what_unpack_rejects(width, count):
         ((1 << width) - 1) % n] * count
 
 
-def test_mask_store():
-    # One store keeps the masks of ks3's and ks4's odd slots, the strided
-    # unpack's phases and the packed reduction's fields.  At each call site
-    # a short request, a longer one and the short one again read right, the
-    # last through the longer entry; a new key past the key limit empties
-    # the store, and a mask past the bit bound is built for its call and
-    # not kept.  At worst every key holds two masks at the bit bound.
-    assert bignat._MASK_KEYS * 2 * bignat._MASK_MAX_BITS // 8 <= 8 << 20
-    rng = random.Random(7)
-    n = 2**47 + 1
+def _assert_mask_store_site(call, key, stride, per_field, short, longer):
+    # At one call site of the mask store: a short request, a longer one and
+    # the short one again read right, the last through the longer entry; a
+    # new key past the key limit empties the store, and a mask past the bit
+    # bound is built for its call and not kept.
+    bignat._masks.clear()
+    call(short)
+    call(longer)
+    entry = bignat._masks[key]
+    assert entry[0] * per_field >= longer
+    call(short)
+    assert bignat._masks[key] is entry and len(bignat._masks) == 1
+    bignat._masks.clear()
+    for width in range(1000, 1000 + bignat._MASK_KEYS):
+        bignat._masks_for((bignat._odd_slots, width), 1)
+    call(short)
+    assert list(bignat._masks) == [key]
+    past = (bignat._MASK_MAX_BITS // stride + 1) * per_field
+    call(past)
+    assert bignat._masks[key][0] * stride <= bignat._MASK_MAX_BITS
 
-    def odd_slots(count):
-        v = CoeffVec(tuple(rng.getrandbits(61) for _ in range(count)), 61)
-        assert ksint._plus_minus(v, 61) == (pack(v, 61), pack_negated(v, 61))
+
+def test_phase_mask_cache():
+    # The strided unpack's phase masks live in the one mask store, keyed on
+    # width, which holds at worst two masks at the bit bound per key.
+    assert bignat._MASK_KEYS * 2 * bignat._MASK_MAX_BITS // 8 <= 8 << 20
+    rng = random.Random(54)
 
     def phases(count):
         digits = [rng.getrandbits(54) for _ in range(count)]
         assert bignat._unpack_ints(_reference_pack(digits, 54), 54,
                                    count) == digits
 
+    # 54-bit digits: four to a 216-bit field.
+    _assert_mask_store_site(phases, (bignat._phase_masks, 54), 216, 4,
+                            48, 4097)
+
+
+def test_mod_mask_cache():
+    # The packed reduction's masks live in the mask store per (width, n).
+    rng = random.Random(7)
+    n = 2**47 + 1
+
     def reduced(count):
         digits = _mod_digits(rng, n, 102, count)
         assert bignat._unpack_mod(_reference_pack(digits, 102), 102, count,
                                   n) == [d % n for d in digits]
 
-    # (call, its key, field stride in bits, items per field, counts)
-    sites = [(odd_slots, (bignat._odd_slots, 61), 122, 2, (3, 40)),
-             (phases, (bignat._phase_masks, 54), 216, 4, (48, 4097)),
-             (reduced, (bignat._mod_masks, 102, n), 204, 2, (40, 1025))]
-    for call, key, stride, per_field, (short, longer) in sites:
-        bignat._masks.clear()
-        call(short)
-        call(longer)
-        entry = bignat._masks[key]
-        assert entry[0] * per_field >= longer
-        call(short)
-        assert bignat._masks[key] is entry and len(bignat._masks) == 1
-        bignat._masks.clear()
-        for width in range(1000, 1000 + bignat._MASK_KEYS):
-            bignat._masks_for((bignat._odd_slots, width), 1)
-        call(short)
-        assert list(bignat._masks) == [key]
-        past = (bignat._MASK_MAX_BITS // stride + 1) * per_field
-        call(past)
-        assert bignat._masks[key][0] * stride <= bignat._MASK_MAX_BITS
+    # 102-bit digits: two to a 204-bit field.
+    _assert_mask_store_site(reduced, (bignat._mod_masks, 102, n), 204, 2,
+                            40, 1025)
 
 
 def test_decimal_round_trip():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kronmul import ksint
+from kronmul import bignat, ksint
 from kronmul.bignat import (_FIELD_UNPACK_MIN_DIGITS, BigNat, MulConfig,
                             MulStats)
 from kronmul.ksint import (OverlapDigits, ReconstructionError,
@@ -436,6 +436,35 @@ def test_plus_minus_on_both_sides_of_the_bound():
         v = CoeffVec(coeffs, 3)
         for n in (2, 3, 4):
             _assert_plus_minus_packs(v, n)
+
+
+def test_odd_slot_mask_cache():
+    # ks3's and ks4's odd-slot masks live in bignat's one mask store, keyed
+    # on width: a short mask, then a longer one that replaces it, then the
+    # short request again, which reads the longer entry.
+    bignat._masks.clear()
+    rng = random.Random(61)
+    key = (bignat._odd_slots, 61)
+
+    def odd_slots(count):
+        v = CoeffVec(tuple(rng.getrandbits(61) for _ in range(count)), 61)
+        assert _plus_minus(v, 61) == (pack(v, 61), pack_negated(v, 61))
+
+    odd_slots(3)
+    odd_slots(40)
+    entry = bignat._masks[key]
+    assert entry[0] * 2 >= 40
+    odd_slots(3)
+    assert bignat._masks[key] is entry and list(bignat._masks) == [key]
+    # A new key past the key limit empties the store first.
+    bignat._masks.clear()
+    for width in range(1000, 1000 + bignat._MASK_KEYS):
+        bignat._masks_for((bignat._odd_slots, width), 1)
+    odd_slots(3)
+    assert list(bignat._masks) == [key]
+    # A mask past the bit bound is built for the call and not kept.
+    odd_slots((bignat._MASK_MAX_BITS // 122 + 1) * 2)
+    assert bignat._masks[key][0] * 122 <= bignat._MASK_MAX_BITS
 
 
 @pytest.mark.parametrize("b,len_f,len_g", [

@@ -116,7 +116,8 @@ MUTANTS = {
     # vector at a key seen before reads a mask that is too short.
     "mask-store-serves-shorter": (
         "bignat.py", "if entry is not None and entry[0] >= fields:",
-        "if entry is not None:", "tests/test_bignat.py::test_mask_store"),
+        "if entry is not None:",
+        "tests/test_bignat.py::test_phase_mask_cache"),
     # ks3's product check at even e too: every output stays right, only the
     # check count moves.
     "ks3-check-guard-inclusive": (
