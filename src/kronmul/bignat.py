@@ -596,10 +596,10 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #    only and or-ed onto the even one, so each field of 2W >= 128 bits
 #    holds an even digit in its low 64 bits and the next odd digit in the
 #    64 above.  The pairs sit gap bytes apart in d phases, (d, gap) =
-#    _field_layout(2W): one at W = 0 (mod 4), two at W = 2 (mod 4), four
-#    at odd W; phase r is the vector shifted down by r*2W.  Below W = 64
-#    the two sub-vectors are or-ed back at stride W and go by _unpack_ints,
-#    as their digits are below n <= 2**W.
+#    _field_layout(2W), kept with the masks: one at W = 0 (mod 4), two at
+#    W = 2 (mod 4), four at odd W; phase r is the vector shifted down by
+#    r*2W.  Below W = 64 the two sub-vectors are or-ed back at stride W and
+#    go by _unpack_ints, as their digits are below n <= 2**W.
 #
 # That is about a dozen linear big-int operations, plus d to_bytes and
 # struct passes, against _unpack_ints and a `%` per digit.  ks3's output
@@ -618,11 +618,11 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 # takes this path.  Cells move by about 0.05 between runs.
 
 
-def _mod_masks(count: int, width: int, n: int) -> tuple[int, int, int]:
-    # (mask, fix, m) for `count` fields, as _unpack_mod reads them.
+def _mod_masks(count: int, width: int, n: int) -> tuple:
+    # (mask, fix, m, (d, gap)) for `count` fields, as _unpack_mod reads them.
     ones = _repeated(1, 2 * width, count)
     return (ones * ((1 << width) - 1), ones * ((1 << n.bit_length()) - n),
-            (1 << width) // n)
+            (1 << width) // n, _field_layout(2 * width))
 
 
 @functools.lru_cache(maxsize=64)
@@ -642,7 +642,8 @@ def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
     stride = 2 * width
     fields = (count + 1) // 2
-    slots, mask, fix, m = _masks_for((_mod_masks, width, n), fields)
+    slots, mask, fix, m, (d, gap) = _masks_for((_mod_masks, width, n),
+                                               fields)
     # fix is added, so it drops its surplus fields first.
     fix >>= (slots - fields) * stride
     b = n.bit_length()
@@ -654,7 +655,6 @@ def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
     if width < 64:
         return _unpack_ints(even | odd << width, width, count)
     c = even | odd << 64
-    d, gap = _field_layout(stride)
     groups = -(-fields // d)
     out = [0] * (2 * d * groups)
     for r in range(d):

@@ -40,8 +40,9 @@ ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
 x = v(2**N) gives the odd terms' sum, so v(-2**N) = x - 2*(x & mask), with
 the mask from bignat's store.  That is always ks3's case, and ks4's when
-e >= 2b-3.  Below b the slots overlap, and the even and odd parts are
-blitted at 2N instead: v(+-X) = E(X**2) +- X*O(X**2).  ks4 evaluates and
+e >= 2b-3.  Below b the slots overlap, and pack._even_odd_at blits the
+even and odd parts at 2N instead, v(+-X) = E(X**2) +- X*O(X**2); their
+digits fit, as ks4's quarter width has 2N >= b + e/2.  ks4 evaluates and
 splits the reversed operands the same way: they multiply to the reversed
 product, so no sign fix-up is needed, and for an even output length its
 even and odd parts trade places.
@@ -59,10 +60,11 @@ from itertools import repeat
 
 from .bignat import (MulConfig, MulStats, _masks_for, _odd_slots, _pack_ints,
                      _unpack_ints, _unpack_mod, mul, mul_signed)
-# ks3 and ks4 blit through pack, ks2 also through pack_reversed.
-# perfbench's tracer wraps all four pack names in this namespace, so the
-# negated ones stay imported.
-from .pack import (CoeffVec, _validated, pack, pack_negated,
+# ks3 and ks4 blit through pack from the bound up and through pack's one
+# even/odd blit below it; ks2 also through pack_reversed.  perfbench's
+# tracer wraps all four pack names in this namespace, so the negated ones
+# stay imported.
+from .pack import (CoeffVec, _even_odd_at, _validated, pack, pack_negated,
                    pack_negated_reversed, pack_reversed)
 
 __all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
@@ -295,17 +297,16 @@ def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
 
     With n >= v's bound the slots of x = v(2**n) never overlap, so one blit
     does: x & mask over the odd slots is the odd terms' sum, and
-    v(-2**n) = x - 2*(x & mask).  Below the bound the even and odd parts E
-    and O are blitted at 2n instead: v(+-X) = E(X**2) +- X*O(X**2).
+    v(-2**n) = x - 2*(x & mask).  Below the bound pack's even/odd blit
+    gives E(X**2) and X*O(X**2), X = 2**n, whose sum and difference are
+    v(+-X); its precondition 2n >= the bound holds at ks4's quarter width.
     """
     if n >= v.width_bound_bits:
         x = pack(v, n)
         _, mask = _masks_for((_odd_slots, n), len(v) // 2)
         return x, x - ((x & mask) << 1)
-    even, odd = v.even_odd()
-    e = pack(even, 2 * n)
-    o = pack(odd, 2 * n) << n if odd is not None else 0
-    return e + o, e - o
+    even, odd = _even_odd_at(v.coeffs, n)
+    return even + odd, even - odd
 
 
 def _shr_exact(v: int, k: int) -> int:
@@ -316,19 +317,15 @@ def _shr_exact(v: int, k: int) -> int:
     return v >> k
 
 
-def _even_odd(plus: int, minus: int, n: int) -> tuple[int, int]:
-    # E and O from v(X) = E + X*O and v(-X), X = 2**n: the half-sum, and the
-    # half-difference shifted down by n more.
-    return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
-
-
 def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
                    config) -> tuple[int, int]:
-    # The even- and odd-index parts of f*g at 2**(2n), from its values at
-    # +-2**n, with both products counted into stats if given.
+    # The even- and odd-index parts E and O of f*g at 2**(2n), from its
+    # values E +- X*O at +-X = +-2**n: the half-sum, and the half-difference
+    # shifted down by n more.  Both products are counted into stats if given.
     (f_pos, f_neg), (g_pos, g_neg) = _plus_minus(f, n), _plus_minus(g, n)
-    return _even_odd(mul_signed(f_pos, g_pos, stats, config),
-                     mul_signed(f_neg, g_neg, stats, config), n)
+    plus = mul_signed(f_pos, g_pos, stats, config)
+    minus = mul_signed(f_neg, g_neg, stats, config)
+    return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
 
 
 # ks3's output length from which, at even e and given a modulus, it reads

@@ -6,13 +6,14 @@ pack(v, N) is v's value at 2**N, pack_reversed the normalized value at
 
 Packing is byte-blitting, not repeated shift-and-add, so it runs in time
 linear in the output size.  Chunk widths below the coefficient bound are
-allowed down to half the bound: the vector is split into even- and
-odd-index parts, each blitted at width 2N, and combined with one addition
-or subtraction.  For N >= b the positive packs fit in the nominal
-N*(L-1)+b bits, and all-max inputs fill them exactly.  In the overlapped
-regime N < b they carry at most one bit past that span, and all-max inputs
-with L >= 2 carry exactly one: their value V = (2**b-1) * sum(2**(iN))
-satisfies
+allowed down to half the bound.  There, and for the negated packs, one
+blit (_even_odd_at, which ksint's ks4 also calls) writes the even- and
+odd-index parts at width 2N, where every digit fits as 2N >= b, and the
+value at +-X, X = 2**N, is E(X**2) +- X*O(X**2).  For N >= b the positive
+packs fit in the nominal N*(L-1)+b bits, and all-max inputs fill them
+exactly.  In the overlapped regime N < b they carry at most one bit past
+that span, and all-max inputs with L >= 2 carry exactly one: their value
+V = (2**b-1) * sum(2**(iN)) satisfies
     V >= (2**b-1) * 2**(N(L-2)) * (2**N+1) >= 2**(N(L-1)+b)   (as b > N)
     V <  2**(N(L-1)+b) / (1 - 2**-N)       <= 2**(N(L-1)+b+1)
 and the upper bound holds for every input.
@@ -57,18 +58,6 @@ class CoeffVec:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def even_odd(self) -> "tuple[CoeffVec, CoeffVec | None]":
-        """The even-index and odd-index parts, constant term first, under
-        this vector's bound; the odd part is None for a single coefficient.
-
-        The parts are not validated again: their coefficients were checked
-        when this vector was built.
-        """
-        bound = self.width_bound_bits
-        odd = self.coeffs[1::2]
-        return (_validated(self.coeffs[0::2], bound),
-                _validated(odd, bound) if odd else None)
-
 
 def _validated(coeffs: tuple[int, ...], bound: int) -> CoeffVec:
     # A CoeffVec over coefficients already known to satisfy the invariant.
@@ -85,21 +74,21 @@ def _check_width(v: CoeffVec, width_bits: int) -> None:
             f"{v.width_bound_bits}")
 
 
+def _even_odd_at(coeffs, width_bits: int) -> tuple[int, int]:
+    # E(X**2) and X*O(X**2), X = 2**width_bits, for E and O the even- and
+    # odd-index parts of coeffs, so that the value at +-X is their sum or
+    # difference.  Precondition: 2*width_bits >= the coefficient bound, so
+    # every digit fits its double-width slot.
+    return (_pack_ints(coeffs[0::2], 2 * width_bits),
+            _pack_ints(coeffs[1::2], 2 * width_bits) << width_bits)
+
+
 def _value_at_pow2(coeffs, width_bits: int, bound: int) -> int:
-    # sum(c_i * 2**(i*width)); a single blit when chunks cannot overlap,
-    # otherwise two half-rate blits at double width plus one add.
+    # sum(c_i * 2**(i*width)); a single blit when chunks cannot overlap.
     if width_bits >= bound:
         return _pack_ints(coeffs, width_bits)
-    even = _pack_ints(coeffs[0::2], 2 * width_bits)
-    odd = _pack_ints(coeffs[1::2], 2 * width_bits)
-    return even + (odd << width_bits)
-
-
-def _value_at_neg_pow2(coeffs, width_bits: int) -> int:
-    # sum((-1)**i * c_i * 2**(i*width)) via the even/odd split.
-    even = _pack_ints(coeffs[0::2], 2 * width_bits)
-    odd = _pack_ints(coeffs[1::2], 2 * width_bits)
-    return even - (odd << width_bits)
+    even, odd = _even_odd_at(coeffs, width_bits)
+    return even + odd
 
 
 def pack(v: CoeffVec, width_bits: int) -> int:
@@ -118,7 +107,8 @@ def pack_reversed(v: CoeffVec, width_bits: int) -> int:
 def pack_negated(v: CoeffVec, width_bits: int) -> int:
     """Value of v at -2**width_bits: even part minus shifted odd part."""
     _check_width(v, width_bits)
-    return _value_at_neg_pow2(v.coeffs, width_bits)
+    even, odd = _even_odd_at(v.coeffs, width_bits)
+    return even - odd
 
 
 def pack_negated_reversed(v: CoeffVec, width_bits: int) -> int:
@@ -129,7 +119,5 @@ def pack_negated_reversed(v: CoeffVec, width_bits: int) -> int:
     flips sign for even lengths.
     """
     _check_width(v, width_bits)
-    value = _value_at_neg_pow2(v.coeffs[::-1], width_bits)
-    if len(v.coeffs) % 2 == 0:
-        value = -value
-    return value
+    even, odd = _even_odd_at(v.coeffs[::-1], width_bits)
+    return even - odd if len(v.coeffs) % 2 else odd - even

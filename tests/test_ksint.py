@@ -401,10 +401,22 @@ def test_four_point_bound_always_holds():
                     assert _four_point_safe(p), (b, len_f, len_g)
 
 
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _assert_plus_minus_packs(v, n):
-    # v and its reversal at +-2**n against the whole-vector packs; the
-    # reversal at -2**n is the negated reversed pack up to (-1)**(L-1).
+    # v and its reversal at +-2**n against Horner's rule and against the
+    # whole-vector packs, which share the even/odd blit below the bound;
+    # the reversal at -2**n is the negated reversed pack up to (-1)**(L-1).
     sign = -1 if len(v) % 2 == 0 else 1
+    x = 1 << n
+    for w in (v, _reversed(v)):
+        assert _plus_minus(w, n) == (_horner(w.coeffs, x),
+                                     _horner(w.coeffs, -x))
     assert _plus_minus(v, n) == (pack(v, n), pack_negated(v, n))
     assert _plus_minus(_reversed(v), n) == (
         pack_reversed(v, n), sign * pack_negated_reversed(v, n))

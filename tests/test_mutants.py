@@ -86,6 +86,13 @@ MUTANTS = {
     "plus-minus-mask-below-bound": (
         "ksint.py", "if n >= v.width_bound_bits:",
         "if n >= v.width_bound_bits - 1:", "selftest"),
+    # pack's even/odd blit, shared by the packs below the bound, the
+    # negated packs and ks4's evaluation, with the odd part one slot too
+    # high.
+    "even-odd-blit-odd-shift-doubled": (
+        "pack.py", "_pack_ints(coeffs[1::2], 2 * width_bits) << width_bits",
+        "_pack_ints(coeffs[1::2], 2 * width_bits) << 2 * width_bits",
+        "selftest"),
     # The strided-field unpack reads phase r at phase r - 1's offset.
     "unpack-fields-phase-r-1": ("bignat.py", "(value >> r * width) & mask",
                                 "(value >> (r - 1) * width) & mask",

@@ -37,15 +37,6 @@ def test_coeffvec_validation():
     assert type(CoeffVec((1,), BigNat(2)).width_bound_bits) is int
 
 
-def test_even_odd_parts():
-    even, odd = CoeffVec((3, 2, 1), 4).even_odd()
-    assert even == CoeffVec((3, 1), 4)
-    assert odd == CoeffVec((2,), 4)
-    even, odd = CoeffVec((11,), 4).even_odd()
-    assert even == CoeffVec((11,), 4)
-    assert odd is None
-
-
 def test_pack_examples():
     assert pack(CoeffVec((0,), 4), 9) == 0
     assert pack(CoeffVec((1, 2, 3), 8), 8) == 197121
