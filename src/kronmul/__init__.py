@@ -9,9 +9,9 @@ A ring-generic bivariate reduction, a (Z/nZ)[x] front end and a benchmark
 CLI sit on top.
 """
 
-from .bignat import (BigNat, DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig,
-                     MulStats, from_digits, mul, mul_classical,
-                     mul_karatsuba, mul_signed, to_digits)
+from .bignat import (DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig, MulStats,
+                     from_digits, mul, mul_classical, mul_karatsuba,
+                     mul_signed, to_digits)
 from .bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
                      bks_negated, bks_reciprocal, bks_standard, ring_z,
                      ring_zmod)
@@ -26,7 +26,7 @@ from .pack import CoeffVec
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigNat", "MulStats", "MulConfig", "DEFAULT_MUL_CONFIG", "LIMB_BITS",
+    "MulStats", "MulConfig", "DEFAULT_MUL_CONFIG", "LIMB_BITS",
     "mul", "mul_classical", "mul_karatsuba", "mul_signed", "to_digits",
     "from_digits",
     "CoeffVec",

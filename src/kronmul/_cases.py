@@ -250,14 +250,15 @@ def ksint_case(rng, config):
 
 
 def bipoly_case(rng, config):
-    """Operands up to 8 x 8 over Z, Z/7 or a 48-bit Z/n through ``mod_mul``,
-    counted and not: the four reductions against schoolbook; at even n the
-    two that halve must refuse."""
+    """Operands up to 8 x 8 over Z or Z/7 through ``oracle.uni_schoolbook``,
+    or over a 48-bit Z/n through ``mod_mul``, counted and not: the four
+    reductions against schoolbook; at even n the two that halve must
+    refuse."""
     kind = rng.randrange(4)
     if kind == 0:
-        ring, draw, unis = ring_z(), lambda: rng.randint(-99, 99), (None,)
+        ring, draw = ring_z(), lambda: rng.randint(-99, 99)
     elif kind == 1:
-        ring, draw, unis = ring_zmod(7), lambda: rng.randrange(7), (None,)
+        ring, draw = ring_zmod(7), lambda: rng.randrange(7)
     else:
         n = 2 * rng.randrange(1 << 46, 1 << 47) + (kind == 2)
         ring, draw = ring_zmod(n), lambda: rng.randrange(n)
@@ -266,6 +267,8 @@ def bipoly_case(rng, config):
             return mod_mul(ModPoly(a, n), ModPoly(b, n), stats=stats,
                            config=config).coeffs
         unis = (functools.partial(uni, stats=MulStats()), uni)
+    if kind < 2:
+        unis = (oracle.uni_schoolbook(ring, operator.mul),)
     lx, ly = _pick(rng, (1,), 1, 8), _pick(rng, (1,), 1, 8)
     f, g = (BiPoly(tuple(tuple(draw() for _ in range(ly))
                          for _ in range(lx))) for _ in range(2))

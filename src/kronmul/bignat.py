@@ -40,7 +40,6 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 
 __all__ = [
     "LIMB_BITS",
-    "BigNat",
     "MulStats",
     "MulConfig",
     "DEFAULT_MUL_CONFIG",
@@ -83,21 +82,6 @@ class MulConfig:
 
 
 DEFAULT_MUL_CONFIG = MulConfig()
-
-
-class BigNat(int):
-    """A natural number: an ``int`` that refuses negatives and non-integers.
-
-    It adds no arithmetic of its own; operators return plain ints.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int = 0):
-        value = operator.index(value)
-        if value < 0:
-            raise ValueError("BigNat cannot be negative")
-        return super().__new__(cls, value)
 
 
 # --- multiplication ---------------------------------------------------------

@@ -8,7 +8,9 @@ with N half as wide and peels overlapping output chunks apart; the negated
 variant adds y = -x**N and splits even from odd output chunks by a half-sum
 and half-difference (this needs exact halving in the ring); the four-point
 variant combines both at a quarter of the width.  The univariate product
-is a callback: any R[x] product that agrees with schoolbook convolution.
+is a required callback: any R[x] product that agrees with schoolbook
+convolution, such as the reference ``oracle.uni_schoolbook(ring,
+operator.mul)``.
 """
 
 from __future__ import annotations
@@ -103,16 +105,9 @@ def _from_ychunks(chunks) -> BiPoly:
     return BiPoly(tuple(zip(*chunks)))
 
 
-def _checked_mul(f: BiPoly, g: BiPoly, ring: RingOps,
-                 mul: UniMul | None) -> UniMul:
-    # Operands of unequal shape are rejected; the default univariate
-    # product is schoolbook.
+def _check_shapes(f: BiPoly, g: BiPoly) -> None:
     if f.lx != g.lx or f.ly != g.ly:
         raise ValueError("inputs must share both lengths")
-    if mul is not None:
-        return mul
-    from .oracle import uni_schoolbook
-    return uni_schoolbook(ring, operator.mul)
 
 
 def _require_halve(ring: RingOps) -> None:
@@ -199,10 +194,10 @@ def _overlap_recover(fwd, rev, count, spacing, chunk_len, ring):
 
 
 def bks_standard(f: BiPoly, g: BiPoly, ring: RingOps,
-                 mul: UniMul | None = None) -> BiPoly:
+                 mul: UniMul) -> BiPoly:
     """One univariate product of length 2*Lx*Ly - Lx - Ly + 1; operand and
     output chunks land in disjoint windows, so no ring call is made."""
-    mul = _checked_mul(f, g, ring, mul)
+    _check_shapes(f, g)
     lx, ly = f.lx, f.ly
     spacing = 2 * lx - 1
     length = spacing * (ly - 1) + lx
@@ -212,11 +207,11 @@ def bks_standard(f: BiPoly, g: BiPoly, ring: RingOps,
 
 
 def bks_reciprocal(f: BiPoly, g: BiPoly, ring: RingOps,
-                   mul: UniMul | None = None) -> BiPoly:
+                   mul: UniMul) -> BiPoly:
     """Two univariate products of length Lx*Ly, of the chunks in forward and
     in reversed order, then the overlap recovery: 2*(Lx-1) subtractions per
     output chunk after the first."""
-    mul = _checked_mul(f, g, ring, mul)
+    _check_shapes(f, g)
     lx, ly = f.lx, f.ly
     chunks_f, chunks_g = _ychunks(f), _ychunks(g)
     prod_fwd = mul(_place(chunks_f, lx, lx * ly, ring.zero),
@@ -228,12 +223,12 @@ def bks_reciprocal(f: BiPoly, g: BiPoly, ring: RingOps,
 
 
 def bks_negated(f: BiPoly, g: BiPoly, ring: RingOps,
-                mul: UniMul | None = None) -> BiPoly:
+                mul: UniMul) -> BiPoly:
     """Two univariate products of length Lx*Ly, at y = x**Lx and y = -x**Lx;
     one sign split gives the even output chunks from their half-sum and the
     odd ones from their half-difference.  Operand chunks do not touch, so
     only negating the odd ones and the split cost ring calls."""
-    mul = _checked_mul(f, g, ring, mul)
+    _check_shapes(f, g)
     _require_halve(ring)
     lx, ly = f.lx, f.ly
     pos_f, neg_f = _evaluations(_ychunks(f), lx, ring)
@@ -245,7 +240,7 @@ def bks_negated(f: BiPoly, g: BiPoly, ring: RingOps,
 
 
 def bks_four(f: BiPoly, g: BiPoly, ring: RingOps,
-             mul: UniMul | None = None) -> BiPoly:
+             mul: UniMul) -> BiPoly:
     """Four univariate products of length ceil(Lx/2)*(Ly-1) + Lx, at
     y = +-x**N and, through the reversed chunk order, y = +-x**(-N), with
     N = ceil(Lx/2); reversed operands multiply to the reversed product, so
@@ -253,7 +248,7 @@ def bks_four(f: BiPoly, g: BiPoly, ring: RingOps,
     recovery per part give the output chunks.  From Lx = 2 on, chunks
     overlap already in the operands, so adding the odd chunks costs ring
     calls."""
-    mul = _checked_mul(f, g, ring, mul)
+    _check_shapes(f, g)
     _require_halve(ring)
     lx, ly = f.lx, f.ly
     n = (lx + 1) // 2

@@ -217,7 +217,7 @@ JSON_SHAPES = (tuple((long, short) for long in (4096, 8192)
                + ((8, 24), (8, 32), (8, 40), (8, 48), (16, 48), (8, 64))
                + tuple((n, n) for n in (520, 528, 544, 600, 1024, 1800,
                                         2000)))
-_VARIANTS = (Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4)
+_VARIANTS = tuple(v for v in Variant if v is not Variant.AUTO)
 # The multiply that uncounted calls run, as the bench file names it.
 TIMED_MULTIPLY = (f"cpython-int, toom4 from {bignat._TOOM_MIN_BITS} bits "
                   f"at skew below {bignat._TOOM_MAX_SKEW}")
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("--modulus", type=int,
                        help="expected modulus; must match the input files")
     p_mul.add_argument("--variant", default="auto",
-                       choices=["ks1", "ks2", "ks3", "ks4", "auto"])
+                       choices=[v.value for v in Variant])
     p_mul.set_defaults(func=cmd_mul)
 
     p_bench = sub.add_parser(

@@ -210,32 +210,17 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
     return h
 
 
-def reconstruct_overlapped(d: OverlapDigits, *, with_carries: bool = False):
-    """Recover the coefficients behind two overlapped packings.
-
-    With ``with_carries`` also returns each stream's carries:
-    ``fwd_carries[i]`` leaves forward digit i (i = 0..count) and
-    ``rev_carries[j]`` enters reversed position j from position j+1
-    (j = 0..count-1).  All are 0 or 1 and each list ends in 0.
-    Inconsistent streams raise ReconstructionError.
-    """
+def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
+    """Recover the coefficients behind two overlapped packings, each below
+    X*(X-1), X = 2**width_bits.  Inconsistent streams raise
+    ReconstructionError."""
+    # _overlap_unpack bounds every value below X*(X-1) < 2**(2w), the
+    # CoeffVec's bound.
     w = d.width_bits
     coeffs = _overlap_unpack(_pack_ints(d.forward_digits, w),
                              _pack_ints(d.reversed_digits[::-1], w), w,
                              d.coeff_count, 1 << 2 * w)
-    out = CoeffVec(tuple(coeffs), 2 * w)
-    if not with_carries:
-        return out
-    # Each carry follows from the digits around it: forward digit i+1 is
-    # lo_{i+1} + hi_i + carry (mod X), and reversed position j+1 holds
-    # lo_j + q_{j+1} - X*g_j with q_{j+1} < X, so g_j = 1 exactly when
-    # lo_j exceeds that digit.
-    mask = (1 << w) - 1
-    lo = [h & mask for h in coeffs]
-    fwd_carries = [(f - l - (h >> w)) & mask for f, l, h in
-                   zip(d.forward_digits[1:], lo[1:] + [0], coeffs)]
-    rev_carries = [int(l > r) for l, r in zip(lo, d.reversed_digits[1:])]
-    return out, fwd_carries + [0], rev_carries
+    return _validated(tuple(coeffs), 2 * w)
 
 
 # Keyed on plain ints (lengths and a CoeffVec's checked bound), so a hit

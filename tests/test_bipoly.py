@@ -11,6 +11,10 @@ from kronmul.oracle import schoolbook_bivar, uni_schoolbook
 
 Z = ring_z()
 Z7 = ring_zmod(7)
+# The reference univariate products: each ring's add reduces the plain
+# element products.
+Z_MUL = uni_schoolbook(Z, operator.mul)
+Z7_MUL = uni_schoolbook(Z7, operator.mul)
 
 ALL_VARIANTS = [bks_standard, bks_reciprocal, bks_negated, bks_four]
 
@@ -38,13 +42,13 @@ def test_bipoly_validation():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_single_cell(variant):
-    h = variant(BiPoly(((3,),)), BiPoly(((5,),)), Z)
+    h = variant(BiPoly(((3,),)), BiPoly(((5,),)), Z, Z_MUL)
     assert h.coeffs == ((15,),)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_integer_example(variant):
-    assert variant(F_EXAMPLE, G_EXAMPLE, Z).coeffs == H_EXAMPLE
+    assert variant(F_EXAMPLE, G_EXAMPLE, Z, Z_MUL).coeffs == H_EXAMPLE
 
 
 def test_example_against_oracle():
@@ -56,8 +60,8 @@ def test_constant_in_y_has_zero_odd_part():
     f = BiPoly(((2,), (3,), (4,)))
     g = BiPoly(((1,), (5,), (9,)))
     want = schoolbook_bivar(f, g, Z, operator.mul).coeffs
-    assert bks_negated(f, g, Z).coeffs == want
-    assert bks_four(f, g, Z).coeffs == want
+    assert bks_negated(f, g, Z, Z_MUL).coeffs == want
+    assert bks_four(f, g, Z, Z_MUL).coeffs == want
 
 
 def test_exhaustive_small_z7_sampled():
@@ -69,7 +73,7 @@ def test_exhaustive_small_z7_sampled():
         g = random_bipoly(rng, lx, ly, lambda r: r.randrange(7))
         want = schoolbook_bivar(f, g, Z7, lambda a, b: (a * b) % 7).coeffs
         for variant in ALL_VARIANTS:
-            assert variant(f, g, Z7).coeffs == want
+            assert variant(f, g, Z7, Z7_MUL).coeffs == want
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -77,9 +81,17 @@ def test_unequal_shapes_rejected(variant):
     # The reductions take operands of one shape; others are refused.
     p = BiPoly(((1, 2), (3, 4)))
     with pytest.raises(ValueError):
-        variant(p, BiPoly(((1, 2), (3, 4), (5, 6))), Z)   # unequal lx
+        variant(p, BiPoly(((1, 2), (3, 4), (5, 6))), Z, Z_MUL)  # unequal lx
     with pytest.raises(ValueError):
-        variant(p, BiPoly(((1, 2, 3), (4, 5, 6))), Z)     # unequal ly
+        variant(p, BiPoly(((1, 2, 3), (4, 5, 6))), Z, Z_MUL)    # unequal ly
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_univariate_product_is_required(variant):
+    # No default product: a call without one must not fall back on the
+    # schoolbook reference.
+    with pytest.raises(TypeError):
+        variant(F_EXAMPLE, G_EXAMPLE, Z)
 
 
 @pytest.mark.parametrize("variant", [bks_negated, bks_four])
@@ -88,7 +100,7 @@ def test_missing_halve_error(variant, modulus):
     ring = ring_zmod(modulus)
     p = BiPoly(((1, 1), (1, 1)))
     with pytest.raises(MissingHalveError):
-        variant(p, p, ring)
+        variant(p, p, ring, uni_schoolbook(ring, operator.mul))
 
 
 def test_ring_zmod_validation():
