@@ -10,9 +10,9 @@ the Toom-4 split over it.  A mismatch raises ``SelfTestFailure``, naming
 the suite and the case's sizes.  Draws favour the edges of each invariant:
 coefficient bounds 1, 2, 63, 64 and above 64, ks4's quarter width just
 below the bound, length 1, equal and unequal lengths, values at the overlap
-recovery's limit, digit counts on both sides of every blit cutoff,
-operand bits on both sides of the Toom split's gates, and ks3's packed
-reduction mod n at power-of-two and small moduli.
+recovery's limit and at its caller's bound, digit counts on both sides of
+every blit cutoff, operand bits on both sides of the Toom split's gates,
+and the packed reduction mod n at power-of-two and small moduli.
 """
 
 from __future__ import annotations
@@ -183,19 +183,39 @@ def _overlap_streams(values, width):
 
 def reconstruct_case(rng, config):
     """Values below X(X-1), X = 2**width, recovered from their overlapped
-    digit streams; one flipped bit must be rejected."""
+    digit streams, and recovered as ks2 and ks4 do it: reduced mod n, with
+    the bound 2**t of the values' bit length (below X(X-1) when t < 2*width)
+    or one bit less, which must raise unless all values are 0.  One flipped
+    bit must be rejected on both paths."""
     width = _pick(rng, (1, 2, 63, 64), 1, 64)
     count = _pick(rng, (1,), 1, _MAX_DIGITS)
     values = _values(rng, count, (1 << width) * ((1 << width) - 1))
     streams = _overlap_streams(values, width)
     got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
     check(list(got) == values, "reconstruct", (width, values))
+    bits = max(values).bit_length()
+    t = bits - (bits > 0 and rng.randrange(2))
+    top = 1 << min(64, 2 * width)
+    n = _pick(rng, (2, 3, top - 1), 2, top - 1)
+
+    def packed(fwd, rev):
+        return ksint._overlap_unpack(_at(fwd, 1 << width),
+                                     _at(rev[::-1], 1 << width), width,
+                                     count, t, n)
+    if t == bits:
+        check(packed(*streams) == [[v % n for v in values[0::2]],
+                                   [v % n for v in values[1::2]]],
+              "reconstruct-packed", (width, values, n))
+    else:
+        check(_raises(ReconstructionError, packed, *streams),
+              "reconstruct-packed-bound", (width, values))
     # One flipped bit in one stream moves X*F - R~ by a power of two, which
     # the odd X**2 - 1 never divides: the streams must be rejected.
     side = streams[rng.randrange(2)]
     side[rng.randrange(count + 1)] ^= 1 << rng.randrange(width)
     check(_raises(ReconstructionError, reconstruct_overlapped,
-                  OverlapDigits(*streams, width)),
+                  OverlapDigits(*streams, width))
+          and _raises(ReconstructionError, packed, *streams),
           "reconstruct-corrupted", (width, values))
     return width, values
 
@@ -289,13 +309,14 @@ def bipoly_case(rng, config):
 def modpoly_case(rng, config):
     """Up to 60 terms mod n of 2 to 64 bits, a power of two a quarter of the
     time: every variant and AUTO, counted and not, against the modular
-    schoolbook, with the output's length and range.  One draw in four has
-    ks3 reduce packed: e even and the output past its cutoff."""
+    schoolbook, with the output's length and range.  One draw in four puts
+    the output past the packed reduction's cutoff at e = 4 or 6, where ks2,
+    ks3 and ks4 reduce packed; other draws pass it too."""
     bits = _pick(rng, (2, 4, 8, 16, 48, 64), 2, 64)
     n = (1 << (bits - 1) if rng.randrange(4) == 0
          else rng.randrange(1 << (bits - 1), 1 << bits))
     if rng.randrange(4) == 0:
-        # The shorter length at e = 4 or 6, the output past ks3's cutoff.
+        # The shorter length at e = 4 or 6, the output past the cutoff.
         short = rng.choice((rng.randint(9, 16), rng.randint(33, 60)))
         cutoff = ksint._PACKED_MOD_MIN_COEFFS
         lengths = (short, rng.randint(max(short, cutoff + 1 - short), 60))

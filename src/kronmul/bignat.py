@@ -267,9 +267,9 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 
 # --- repeated-field masks ---------------------------------------------------
 #
-# ks3's and ks4's odd slots at +-2**N, a phase of the strided unpack and the
-# packed reduction's fields are each masked by a W-bit field repeated every
-# s bits.  One store keeps them by (builder, *its arguments), so two kinds
+# ks3's and ks4's odd slots at +-2**N, a phase of the strided unpack, the
+# overlap recovery's fields and range check, and the packed reduction's
+# fields are each masked by a W-bit field repeated every s bits.  One store keeps them by (builder, *its arguments), so two kinds
 # never collide.  An entry holds a power-of-two count of fields and serves
 # any shorter request, as every caller only ANDs with a mask or first cuts
 # the one it adds; a longer request replaces it.  A new key past _MASK_KEYS
@@ -307,6 +307,17 @@ def _repeated(field: int, stride: int, count: int) -> int:
 def _odd_slots(count: int, width: int) -> tuple[int]:
     # Every odd slot of `width` bits among 2*count.
     return _repeated(((1 << width) - 1) << width, 2 * width, count),
+
+
+def _overlap_masks(count: int, width: int, bound_bits: int) -> tuple[int, int]:
+    # For `count` fields of 2*width bits, as the overlap recovery reads them:
+    # each field's low half, and its check mask, which holds each field's
+    # bits from bound_bits up when bound_bits < 2*width and each field's
+    # bit 0 otherwise.
+    ones = _repeated(1, 2 * width, count)
+    check = (ones * ((1 << 2 * width) - (1 << bound_bits))
+             if bound_bits < 2 * width else ones)
+    return ones * ((1 << width) - 1), check
 
 
 # --- base-2^N digit packing -------------------------------------------------

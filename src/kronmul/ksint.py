@@ -58,8 +58,9 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bignat import (MulConfig, MulStats, _masks_for, _odd_slots, _pack_ints,
-                     _unpack_ints, _unpack_mod, mul, mul_signed)
+from .bignat import (MulConfig, MulStats, _masks_for, _odd_slots,
+                     _overlap_masks, _pack_ints, _unpack_ints, _unpack_mod,
+                     mul, mul_signed)
 # ks3 and ks4 blit through pack from the bound up and through pack's one
 # even/odd blit below it; ks2 also through pack_reversed.  perfbench's
 # tracer wraps all four pack names in this namespace, so the negated ones
@@ -164,14 +165,16 @@ class OverlapDigits:
 
 
 def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
-                    bound: int) -> list[int]:
-    """The `count` values h_j < min(X*(X-1), bound), X = 2**width, whose
-    forward packing at `width` is ``fwd`` and whose reversed packing is
-    ``rev``; each packing spans count + 1 digits.  Raises
+                    bound_bits: int, modulus: int | None) -> list[list[int]]:
+    """The `count` values h_j < min(X*(X-1), 2**bound_bits), X = 2**width,
+    whose forward packing at `width` is ``fwd`` and whose reversed packing
+    is ``rev``, each packing spanning count + 1 digits, as two lists: the
+    h_j at even j and those at odd j.  Given a modulus (2 <= modulus <
+    2**64, of at most 2*width bits), each comes back reduced by it.  Raises
     ReconstructionError when no such values exist (ValueError when ``rev``
     does not fit in count + 1 digits).  The caller passes its own output
-    bound (ks2 and ks4: 2**width_full), so this range check is the only
-    check of the output; any bound >= X*(X-1) checks the recovery's range
+    bound (ks2 and ks4: width_full), so this range check is the only check
+    of the output; any bound_bits >= 2*width checks the recovery's range
     alone.
     """
     # Let r be rev's digits, most significant first, and R~ = sum(r_j X**j).
@@ -194,20 +197,45 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
     # digit is q_0 = r_0 < X, so nothing carries past it and the reversed
     # packing is rev.  The check below accepts a subset of [0, X*(X-1)), so
     # all of this holds for it.
-    base = 1 << width
+    #
+    # The h_j of one parity of j are computed at once, as the 2w-bit fields
+    # (w = width) of S = A - C: A's field is A_j = X*q_j + r_{j+1} < X**2
+    # and C's is C_j = q_{j+1} < X, each cut from Q and R~ by the mask of
+    # every field's low half.  Where no field borrows, each field of S is
+    # exactly h_j.  The lowest field that borrows has A_j < C_j and holds
+    # 2**(2w) + A_j - C_j >= X**2 - X + 1, so its high half is X-1: it is
+    # at least X*(X-1), and a borrow out of the top field also makes S
+    # negative.  So S >= 0 with no field at or past min(X*(X-1),
+    # 2**bound_bits) holds exactly when every h_j lies in range.  The masks
+    # hold count // 2 + 1 fields or more, so that r_count, which the last
+    # odd j reads at even count, is cut; past the count, A and C are 0.
     r = _unpack_ints(rev, width, count + 1)
     r.reverse()
-    q, rem = divmod((fwd << width) - _pack_ints(r, width), base * base - 1)
+    r = _pack_ints(r, width)
+    q, rem = divmod((fwd << width) - r, (1 << 2 * width) - 1)
     if rem:
         raise ReconstructionError("digit streams disagree")
     if q < 0 or q.bit_length() > width * count:
         raise ReconstructionError("high digits out of range")
-    q = _unpack_ints(q, width, count)
-    q.append(0)
-    h = [(a << width) + b - c for a, b, c in zip(q, r[1:], q[1:])]
-    if min(h) < 0 or max(h) >= min(base * (base - 1), bound):
-        raise ReconstructionError("coefficient out of range")
-    return h
+    t = min(bound_bits, 2 * width)
+    _, low, check = _masks_for((_overlap_masks, width, t), count // 2 + 1)
+    q_even, q_odd = q & low, q >> width & low
+    r_even, r_odd = r & low, r >> width & low
+    parts = ((q_even << width) + r_odd - q_odd,
+             (q_odd << width) + (r_even >> 2 * width)
+             - (q_even >> 2 * width))
+    for s in parts:
+        # Below 2*width bits the bound is 2**t: no field has a bit from t
+        # up.  Otherwise it is X*(X-1): no field's high half is X-1, that
+        # is, adding 1 to it carries into bit w.
+        if s < 0 or (s & check if t < 2 * width
+                     else (s >> width & low) + check >> width & check):
+            raise ReconstructionError("coefficient out of range")
+    sizes = (count + 1) // 2, count // 2
+    if modulus is None:
+        return [_unpack_ints(s, 2 * width, k) for s, k in zip(parts, sizes)]
+    return [_unpack_mod(s, 2 * width, k, modulus)
+            for s, k in zip(parts, sizes)]
 
 
 def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
@@ -217,10 +245,10 @@ def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
     # _overlap_unpack bounds every value below X*(X-1) < 2**(2w), the
     # CoeffVec's bound.
     w = d.width_bits
-    coeffs = _overlap_unpack(_pack_ints(d.forward_digits, w),
-                             _pack_ints(d.reversed_digits[::-1], w), w,
-                             d.coeff_count, 1 << 2 * w)
-    return _validated(tuple(coeffs), 2 * w)
+    return _validated(_interleave(*_overlap_unpack(
+        _pack_ints(d.forward_digits, w),
+        _pack_ints(d.reversed_digits[::-1], w), w, d.coeff_count, 2 * w,
+        None)), 2 * w)
 
 
 # Keyed on plain ints (lengths and a CoeffVec's checked bound), so a hit
@@ -245,6 +273,14 @@ def _mod(v: CoeffVec, modulus: int | None) -> CoeffVec:
                       v.width_bound_bits)
 
 
+# The output length from which, given a modulus, ks2, ks4 and ks3 at even e
+# read their coefficients reduced mod n by bignat._unpack_mod in place of
+# _unpack_ints and a `%` per coefficient (bignat's comment above
+# _unpack_mod has the measurements for ks3).  Outputs of 5 and 9
+# coefficients, degrees 2 and 4, stay below it.
+_PACKED_MOD_MIN_COEFFS = 40
+
+
 def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
@@ -260,20 +296,24 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Reciprocal variant: forward and reversed half-width products, then
-    the overlap recovery of the output chunks."""
+    the overlap recovery of the output chunks, read reduced while packed
+    when given a modulus and from ``_PACKED_MOD_MIN_COEFFS`` coefficients."""
     p = _params_for(f, g)
     n = p.width_half
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
-    coeffs = _overlap_unpack(prod_fwd, prod_rev, n, p.out_len,
-                             1 << p.width_full)
-    return _mod(_validated(tuple(coeffs), p.width_full), _modulus)
+    k = p.out_len
+    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
+    v = _validated(_interleave(*_overlap_unpack(
+        prod_fwd, prod_rev, n, k, p.width_full, packed)), p.width_full)
+    return v if packed else _mod(v, _modulus)
 
 
-def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
-    out = [0] * (len(even) + len(odd))
-    out[0::2] = even
-    out[1::2] = odd
+def _interleave(*parts: list[int]) -> tuple[int, ...]:
+    # parts[i] holds the coefficients at indices i (mod len(parts)).
+    out = [0] * sum(map(len, parts))
+    for i, part in enumerate(parts):
+        out[i::len(parts)] = part
     return tuple(out)
 
 
@@ -311,14 +351,6 @@ def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
     plus = mul_signed(f_pos, g_pos, stats, config)
     minus = mul_signed(f_neg, g_neg, stats, config)
     return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
-
-
-# ks3's output length from which, at even e and given a modulus, it reads
-# its half-sum and half-difference reduced mod n by bignat._unpack_mod in
-# place of _unpack_ints and a `%` per coefficient (bignat's comment above
-# _unpack_mod has the measurements).  Outputs of 5 and 9 coefficients,
-# degrees 2 and 4, stay below it.
-_PACKED_MOD_MIN_COEFFS = 40
 
 
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -369,7 +401,8 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Four-point variant: ks3's half-sum split at quarter width N, on the
     operands and on their reversals (their values at +-2**(-N)), then ks2's
-    overlap reconstruction on the even part and on the odd part."""
+    overlap reconstruction on the even part and on the odd part, read
+    reduced as ks2's is."""
     p = _params_for(f, g)
     assert _four_point_safe(p)
     if p.out_len == 1:
@@ -385,7 +418,12 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
                                        config)
     if k % 2 == 0:
         even_rev, odd_rev = odd_rev, even_rev
-    w, top = 2 * n, 1 << p.width_full
-    even = _overlap_unpack(even, even_rev, w, (k + 1) // 2, top)
-    odd = _overlap_unpack(odd, odd_rev, w, k // 2, top)
-    return _mod(_validated(_interleave(even, odd), p.width_full), _modulus)
+    # Each part's recovery splits it by parity again: the even part's into
+    # the coefficients at 0 and 2 (mod 4), the odd part's at 1 and 3.
+    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
+    (e0, e2), (o1, o3) = (
+        _overlap_unpack(part, part_rev, 2 * n, count, p.width_full, packed)
+        for part, part_rev, count in ((even, even_rev, (k + 1) // 2),
+                                      (odd, odd_rev, k // 2)))
+    v = _validated(_interleave(e0, o1, e2, o3), p.width_full)
+    return v if packed else _mod(v, _modulus)

@@ -118,16 +118,24 @@ def test_bignat_suite_reaches_the_toom_split(monkeypatch):
 
 
 def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
-    # The self-test's seeded draws run ks3's packed reduction at one and at
-    # two phases, below width 64, and at a power-of-two modulus.
-    calls = []
-    unpack_mod = ksint._unpack_mod
+    # The self-test's seeded draws run the packed reduction at one and at
+    # two phases, below width 64, and at a power-of-two modulus, and ks2's
+    # and ks4's packed recovery with a modulus on both sides of its range
+    # check: a bound below 2*width bits and one at it.
+    calls, recoveries = [], []
+    unpack_mod, overlap_unpack = ksint._unpack_mod, ksint._overlap_unpack
 
     def recorded(value, width, count, n):
         calls.append((width, n))
         return unpack_mod(value, width, count, n)
 
+    def recovery(fwd, rev, width, count, bound_bits, modulus):
+        if modulus is not None:
+            recoveries.append(bound_bits < 2 * width)
+        return overlap_unpack(fwd, rev, width, count, bound_bits, modulus)
+
     monkeypatch.setattr(ksint, "_unpack_mod", recorded)
+    monkeypatch.setattr(ksint, "_overlap_unpack", recovery)
     rng = random.Random("modpoly-0")
     for _ in range(20):
         _cases.SUITES["modpoly"](rng, MulConfig())
@@ -136,3 +144,4 @@ def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
     assert any(w >= 64 and w % 4 == 2 for w in widths)
     assert any(w < 32 for w in widths)
     assert any(n & (n - 1) == 0 for _, n in calls)
+    assert set(recoveries) == {True, False}

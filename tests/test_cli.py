@@ -267,9 +267,9 @@ def test_selftest_catches_broken_recovery(monkeypatch):
     original = ksint._overlap_unpack
 
     def off_by_one(*args):
-        values = original(*args)
-        values[-1] ^= 1
-        return values
+        even, odd = original(*args)
+        even[-1] ^= 1
+        return even, odd
 
     monkeypatch.setattr(ksint, "_overlap_unpack", off_by_one)
     lines = []

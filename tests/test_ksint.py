@@ -125,6 +125,14 @@ def make_overlap_digits(values, width):
     return OverlapDigits(tuple(fwd), tuple(rev), width)
 
 
+def recover(fwd, rev, width, count, bound_bits, modulus=None):
+    # _overlap_unpack's two parity classes put back in order.
+    out = [0] * count
+    out[0::2], out[1::2] = _overlap_unpack(fwd, rev, width, count,
+                                           bound_bits, modulus)
+    return out
+
+
 def test_reconstruct_round_trip_randomized():
     rng = random.Random(5)
     for _ in range(2000):
@@ -185,7 +193,7 @@ def test_overlap_unpack_single_bit_flips():
                        [0] * count, [top - 1] * count):
             packed = (shift_pack(values, width),
                       shift_pack(values[::-1], width))
-            assert _overlap_unpack(*packed, width, count, top) == values
+            assert recover(*packed, width, count, 2 * width) == values
             for side in (0, 1):
                 for bit in bits:
                     pair = list(packed)
@@ -193,31 +201,98 @@ def test_overlap_unpack_single_bit_flips():
                     past = side == 1 and bit >= nbits
                     with pytest.raises(ValueError if past
                                        else ReconstructionError):
-                        _overlap_unpack(*pair, width, count, top)
+                        recover(*pair, width, count, 2 * width)
 
 
 def test_overlap_unpack_caller_bound():
-    # The caller's bound folds into the range check: a largest value of
-    # bound - 1 comes back, exactly bound raises.  A bound past X*(X-1)
-    # leaves the recovery's own limit.
-    for width, count in ((3, 1), (9, 5), (27, 4), (54, _FIELD_COUNT)):
+    # The caller's bound 2**t folds into the range check, for t on both
+    # sides of 2*width: a largest value of min(2**t, X*(X-1)) - 1 comes
+    # back, exactly that bound raises, at the first, a middle and the last
+    # position of either parity.  From t = 2*width on the bound is the
+    # recovery's own limit X*(X-1).
+    for width, count in ((1, 3), (3, 1), (9, 5), (27, 4), (54, _FIELD_COUNT)):
         limit = (1 << width) * ((1 << width) - 1)
-        for bound in (1, 1 << (2 * width - 1), limit - 1):
-            for top in (bound - 1, bound):
-                values = [0] * count
-                values[count // 2] = top
-                packed = (shift_pack(values, width),
-                          shift_pack(values[::-1], width))
-                if top < bound:
-                    assert _overlap_unpack(*packed, width, count,
-                                           bound) == values
-                else:
-                    with pytest.raises(ReconstructionError,
-                                       match="out of range"):
-                        _overlap_unpack(*packed, width, count, bound)
+        for t in sorted({0, 1, width, 2 * width - 2, 2 * width - 1,
+                         2 * width, 2 * width + 1, 2 * width + 9}):
+            bound = min(1 << t, limit)
+            for at in {0, 1, count // 2, count - 2, count - 1} & set(
+                    range(count)):
+                for top in (bound - 1, bound):
+                    values = [0] * count
+                    values[at] = top
+                    packed = (shift_pack(values, width),
+                              shift_pack(values[::-1], width))
+                    if top < bound:
+                        assert recover(*packed, width, count, t) == values
+                    else:
+                        with pytest.raises(ReconstructionError,
+                                           match="out of range"):
+                            recover(*packed, width, count, t)
         values = [limit - 1] * count
         packed = shift_pack(values, width), shift_pack(values[::-1], width)
-        assert _overlap_unpack(*packed, width, count, limit << 1) == values
+        assert recover(*packed, width, count, 2 * width + 1) == values
+
+
+def test_overlap_unpack_rejects_borrowing_fields():
+    # Streams that agree but spell a negative h_j = X*q_j + r_{j+1} -
+    # q_{j+1}, built from Q's digits q and R~'s digits r (R~ the reversed
+    # stream's digits read least significant first; r_0 = q_0): q_j =
+    # r_{j+1} = 0 and q_{j+1} = c >= 1 make h_j = -c and h_{j+1} = X*c.
+    # Packed, h_j's field borrows.  Each must raise, at every position that
+    # can borrow (all but the last) and on both sides of the bound 2*width;
+    # with r_{j+1} = c the same streams spell h_j = 0 and come back.
+    def streams(q, r, width):
+        x = 1 << width
+        fwd, rem = divmod(shift_pack(r, width)
+                          + (x * x - 1) * shift_pack(q, width), x)
+        assert rem == 0
+        return fwd, shift_pack(r[::-1], width)
+
+    for width, count in ((1, 2), (2, 3), (3, 4), (8, 9), (54, 65),
+                         (54, _FIELD_COUNT)):
+        x = 1 << width
+        for j in {0, 1, count // 2, count - 2} & set(range(count - 1)):
+            for c in {1, x - 1}:
+                q, r = [0] * count, [0] * (count + 1)
+                q[j + 1] = c
+                for t in (width + 1, 2 * width - 1, 2 * width,
+                          2 * width + 3):
+                    if x * c >= min(1 << t, x * (x - 1)):
+                        continue  # h_{j+1} alone would fail the bound
+                    with pytest.raises(ReconstructionError,
+                                       match="out of range"):
+                        recover(*streams(q, r, width), width, count, t)
+                    r[j + 1] = c
+                    want = [0] * count
+                    want[j + 1] = x * c
+                    assert recover(*streams(q, r, width), width, count,
+                                   t) == want
+                    r[j + 1] = 0
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 2**63, 2**64 - 59])
+def test_overlap_unpack_reduces_mod_n(modulus):
+    # Given a modulus, both parity classes come back reduced by it, equal
+    # to the recovered values taken mod n, and corrupted streams raise as
+    # they do without one.
+    rng = random.Random(modulus)
+    for width in (1, 2, 3, 31, 32, 33, 54, 63, 64, 65):
+        if modulus.bit_length() > 2 * width:
+            continue
+        limit = (1 << width) * ((1 << width) - 1)
+        for count in (1, 2, 3, 4, 40, 41, 129):
+            values = [rng.choice((0, limit - 1, rng.randrange(limit)))
+                      for _ in range(count)]
+            packed = (shift_pack(values, width),
+                      shift_pack(values[::-1], width))
+            for t in (2 * width - 1, 2 * width):
+                if max(values) >> t:
+                    continue
+                assert recover(*packed, width, count, t, modulus) == [
+                    v % modulus for v in values]
+            with pytest.raises(ReconstructionError):
+                recover(packed[0] ^ 1, packed[1], width, count, 2 * width,
+                        modulus)
 
 
 def _corrupted(monkeypatch, name, products):

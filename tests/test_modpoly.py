@@ -9,7 +9,7 @@ from kronmul import bignat, ksint
 from kronmul.bignat import MulConfig, MulStats
 from kronmul.modpoly import (_VARIANT_FUNCS, ModPoly, Variant, choose_variant,
                              mod_mul)
-from kronmul.oracle import schoolbook_mod
+from kronmul.oracle import schoolbook_mod, schoolbook_z
 from kronmul.pack import CoeffVec
 
 EXPLICIT = [Variant.KS1, Variant.KS2, Variant.KS3, Variant.KS4]
@@ -89,9 +89,9 @@ def test_one_check_per_direction(monkeypatch, variant):
     recoveries = []
     original = ksint._overlap_unpack
 
-    def recovery(fwd, rev, width, count, bound):
-        recoveries.append((count, bound))
-        return original(fwd, rev, width, count, bound)
+    def recovery(fwd, rev, width, count, bound_bits, modulus):
+        recoveries.append((count, bound_bits))
+        return original(fwd, rev, width, count, bound_bits, modulus)
 
     monkeypatch.setattr(ksint, "_overlap_unpack", recovery)
     for f, g in cases:
@@ -107,7 +107,7 @@ def test_one_check_per_direction(monkeypatch, variant):
         assert (len(coeff_vecs), len(recoveries), len(mod_polys)) == (
             checks, parts, 0)
         if parts:
-            top = 1 << ksint.derive_params(len(f), len(g), 48).width_full
+            top = ksint.derive_params(len(f), len(g), 48).width_full
             assert sum(count for count, _ in recoveries) == out_len
             assert {bound for _, bound in recoveries} == {top}
         assert h.coeffs == schoolbook_mod(f, g).coeffs
@@ -193,8 +193,11 @@ def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
     # At n = 2**64 - 59 every variant unpacks digits wider than 64 bits by
     # the wide path, except ks3 at even e: ks1 at width 136 for (1500, 200)
     # and 137 for (600, 500), ks3 at 2*69 for (600, 500) (e = 9), and ks2
-    # and ks4 in their overlap recovery.  ks3 and AUTO at (1500, 200), e = 8,
-    # read their two halves reduced at 2*68 bits by the packed path instead.
+    # and ks4 the reversed stream of their overlap recovery, at w = 68 and
+    # 69 (ks2) and 68 and 70 (ks4).  ks2 and ks4 then read each parity
+    # class of each recovery reduced at 2w bits by the packed path, and so
+    # do ks3 and AUTO at (1500, 200), e = 8, with their two halves at 2*68
+    # bits.
     modulus = 2**64 - 59
     rng = random.Random(len_f)
     f = random_modpoly(rng, len_f, modulus)
@@ -205,15 +208,22 @@ def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
     for variant in EXPLICIT + [Variant.AUTO]:
         del wide[:], packed[:]
         assert mod_mul(f, g, variant).coeffs == want
+        p = ksint.derive_params(len_f, len_g, 64)
         if len_f == 1500 and variant in (Variant.KS3, Variant.AUTO):
             assert packed == [136, 136], variant
+        elif variant is Variant.KS2:
+            assert wide and packed == [2 * p.width_half] * 2
+        elif variant is Variant.KS4:
+            assert wide and packed == [4 * p.width_quarter] * 4
         else:
             assert wide and not packed, variant
 
 
 # Shape -> the packed reductions ks3 makes: two from the cutoff at even e
-# (e = 2, 3, 4, 4, 4, 5, 6, 8), none below it, at odd e, or for ks1, ks2
-# and ks4.  Lengths 3 and 5 are test_wall_clock_shape's small degrees.
+# (e = 2, 3, 4, 4, 4, 5, 6, 8), none below it or at odd e.  ks2 makes two
+# from the cutoff at any e (one per parity class of its recovery), ks4
+# four (two per part), and ks1 none.  Lengths 3 and 5 are
+# test_wall_clock_shape's small degrees.
 PACKED_CALLS = {(3, 3): 0, (5, 5): 0, (16, 16): 0, (16, 24): 0, (25, 16): 2,
                 (17, 40): 0, (33, 33): 2, (200, 300): 2}
 
@@ -230,11 +240,45 @@ def test_packed_reduction_calls(monkeypatch, variant):
             assert mod_mul(f, g, variant).coeffs == schoolbook_mod(f, g).coeffs
             ran = (choose_variant(len_f, len_g) if variant is Variant.AUTO
                    else variant)
-            want = calls if ran is Variant.KS3 else 0
+            p = ksint.derive_params(len_f, len_g, (n - 1).bit_length())
+            past = p.out_len >= ksint._PACKED_MOD_MIN_COEFFS
+            want, width = {
+                Variant.KS3: (calls, p.width_full),
+                Variant.KS2: (2 * past, 2 * p.width_half),
+                Variant.KS4: (4 * past, 4 * p.width_quarter),
+            }.get(ran, (0, None))
             assert len(packed) == want, (variant, len_f, len_g, n)
-            width = ksint.derive_params(len_f, len_g,
-                                        (n - 1).bit_length()).width_full
             assert set(packed) <= {width}
+
+
+# Shapes for ks2 and ks4 at the edges: L = 1, 2, 3, equal and unequal
+# lengths in either order, output lengths 1 to 5 and 39 to 43 (each residue
+# mod 4, so each parity of out_len and of ks4's two part counts) on both
+# sides of the packed reduction's cutoff, and longer ones past it.
+KS2_KS4_EDGE_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
+                       (2, 3), (3, 3), (1, 39), (40, 1), (2, 40), (40, 3),
+                       (4, 40), (20, 21), (21, 21), (21, 22), (22, 22),
+                       (64, 65), (100, 3), (3, 130)]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 2**63, 2**64 - 59])
+def test_ks2_ks4_edge_shapes_against_oracle(modulus):
+    # b = 1, 2, 63 and 64: mod_mul against the modular oracle, and ks2 and
+    # ks4 over the integers at b bits against schoolbook, with all-max and
+    # random coefficients.
+    b = (modulus - 1).bit_length()
+    rng = random.Random(modulus)
+    for len_f, len_g in KS2_KS4_EDGE_SHAPES:
+        for draw in (lambda: modulus - 1, lambda: rng.randrange(modulus)):
+            f = ModPoly(tuple(draw() for _ in range(len_f)), modulus)
+            g = ModPoly(tuple(draw() for _ in range(len_g)), modulus)
+            want = schoolbook_mod(f, g).coeffs
+            fz, gz = CoeffVec(f.coeffs, b), CoeffVec(g.coeffs, b)
+            want_z = schoolbook_z(fz, gz).coeffs
+            for variant in (Variant.KS2, Variant.KS4):
+                assert mod_mul(f, g, variant).coeffs == want, (len_f, len_g)
+                mul = _VARIANT_FUNCS[variant]
+                assert mul(fz, gz).coeffs == want_z, (len_f, len_g)
 
 
 def test_even_modulus_all_variants_agree():

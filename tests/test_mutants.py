@@ -106,19 +106,37 @@ MUTANTS = {
     "overlap-unpack-q-bound-off-by-one": (
         "ksint.py", "q.bit_length() > width * count",
         "q.bit_length() >= width * count", "selftest"),
-    # The overlap recovery's folded output bound, ks2's and ks4's only
-    # output check: off by one, it lets a value of exactly the bound
-    # through; dropped, only X*(X-1) is left, which ks2 and ks4 reach past
-    # 2**width_full.  Valid products never reach either, so only corrupted
-    # streams show it.
+    # The overlap recovery's folded output bound 2**t, ks2's and ks4's only
+    # output check: its mask from bit t + 1, which lets a value of exactly
+    # the bound through; dropped, only X*(X-1) is left, which ks2 and ks4
+    # reach past 2**width_full; its mask without each field's top bit, so
+    # at t = 2w - 1 nothing is checked; and without the high-half test,
+    # which from t = 2w on is the check against X*(X-1).  Valid products
+    # never reach any of them, so only corrupted streams show it.  (Dropping
+    # the sign test `s < 0` is an equivalent mutant: a negative S's lowest
+    # borrowing field has a high half of X-1, which the field check reads
+    # in two's complement; test_overlap_unpack_rejects_borrowing_fields
+    # pins the borrows.)
     "overlap-unpack-bound-off-by-one": (
-        "ksint.py", "max(h) >= min(base * (base - 1), bound)",
-        "max(h) > min(base * (base - 1), bound)",
+        "bignat.py", "- (1 << bound_bits))", "- (2 << bound_bits))",
         "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
     "overlap-unpack-bound-ignored": (
-        "ksint.py", "min(base * (base - 1), bound)", "base * (base - 1)",
+        "ksint.py", "t = min(bound_bits, 2 * width)", "t = 2 * width",
         "tests/test_ksint.py::"
         "test_ks2_ks4_reject_products_past_the_output_bound"),
+    "overlap-masks-top-bit-missing": (
+        "bignat.py", "ones * ((1 << 2 * width) - (1 << bound_bits))",
+        "ones * ((1 << 2 * width - 1) - (1 << bound_bits))",
+        "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
+    "overlap-unpack-high-half-check-dropped": (
+        "ksint.py", "else (s >> width & low) + check >> width & check)",
+        "else 0)", "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
+    # The overlap recovery's masks one field short at even counts, where
+    # the last odd coefficient reads R~'s top digit from one field past
+    # the even coefficients'.
+    "overlap-masks-one-field-short": (
+        "ksint.py", "(_overlap_masks, width, t), count // 2 + 1)",
+        "(_overlap_masks, width, t), (count + 1) // 2)", "selftest"),
     # The mask store serves an entry shorter than the request, so a longer
     # vector at a key seen before reads a mask that is too short.
     "mask-store-serves-shorter": (
