@@ -21,20 +21,22 @@ the digits of an integer R~, and X*F - R~ = (X**2 - 1) * Q exactly, where
 Q's base-X digits q_i are each h_i's high digit plus one carry bit of the
 reversed stream.  So one exact division by X**2 - 1 yields every q_i, and
 h_i = X*q_i + r_{i+1} - q_{i+1} with r the reversed digits (q past the top
-is 0): no carry is chased digit by digit.  Its one range check also takes
-the caller's output bound: ks2 and ks4 pass 2**(2b+e), so their output is
-checked there, once.  ks1 checks its output as a product CoeffVec, and so
-does ks3 at odd e; at even e ks3 unpacks at 2N = 2b+e bits, the bound
-itself, so its digits need no check.
+is 0): no carry is chased digit by digit.  The h_i of one parity of i are
+computed at once, as the 2N-bit fields of one packed integer cut from Q
+and R~ by masks, and checked there too: one range check, which also takes
+the caller's output bound.  ks2 and ks4 pass 2**(2b+e), so their output is
+checked there, once.  ks1 unpacks at 2b+e bits, the bound itself, and so
+does ks3 at even e (2N = 2b+e), so their digits need no check; ks3 at odd
+e checks its output as a product CoeffVec.
 
 Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
-passes), every variant returns its coefficients reduced by it.  ks1, ks2,
-ks4 and ks3 at odd e reduce their finished, checked coefficients one `%`
-at a time.  ks3 at even e, where no digit needs a check, reads its
-half-sum and half-difference reduced while they are still packed
-(``bignat._unpack_mod``), once the output has ``_PACKED_MOD_MIN_COEFFS``
-coefficients; at odd e its digits must first be checked against the bound,
-one bit below their width, so it keeps the checked unpack.
+passes), every variant returns its coefficients reduced by it.  Once the
+output has ``_PACKED_MOD_MIN_COEFFS`` coefficients, ks2 and ks4 read each
+checked parity class of their recovery reduced while it is still packed
+(``bignat._unpack_mod``), and ks3 at even e, where no digit needs a check,
+reads its half-sum and half-difference so.  ks1, shorter outputs, and ks3
+at odd e, whose digits must first be checked against the bound one bit
+below their width, reduce their finished coefficients one `%` at a time.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -288,8 +290,9 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     p = _params_for(f, g)
     n = p.width_full
     prod = mul(pack(f, n), pack(g, n), stats, config)
+    # The digits are below 2**width_full, the output bound itself.
     coeffs = _unpack_ints(prod, n, p.out_len)
-    return _mod(CoeffVec(tuple(coeffs), p.width_full), _modulus)
+    return _mod(_validated(tuple(coeffs), p.width_full), _modulus)
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,

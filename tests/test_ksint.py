@@ -339,6 +339,26 @@ def test_ks2_ks4_reject_products_past_the_output_bound(monkeypatch):
                 ks4_mul(f, g)
 
 
+def test_ks1_rejects_a_product_too_wide_for_its_digits(monkeypatch):
+    # ks1 unpacks at width_full, the output bound itself, so no digit can
+    # fail the bound and it builds no product CoeffVec.  A corrupted
+    # product past out_len digits, or negative, still raises from the
+    # unpack, with or without a modulus; one that fits reads as digits
+    # below the bound.  At lengths 2 and b = 4, width_full = 9 and
+    # out_len = 3.
+    f = g = CoeffVec((15, 15), 4)
+    assert derive_params(2, 2, 4).width_full == 9
+    for modulus in (None, 7):
+        for product, error in ((1 << 27, "does not fit"), (-1, "negative")):
+            _corrupted(monkeypatch, "mul", [product])
+            with pytest.raises(ValueError, match=error):
+                ks1_mul(f, g, _modulus=modulus)
+        _corrupted(monkeypatch, "mul", [(1 << 27) - 1])
+        got = ks1_mul(f, g, _modulus=modulus)
+        assert got.coeffs == (511 % (modulus or 512),) * 3
+        assert got.width_bound_bits == 9
+
+
 def test_ks3_rejects_digits_past_the_output_bound(monkeypatch):
     # ks3 unpacks at 2*width_half = 2b + 2*ceil(e/2) bits.  At odd e that is
     # one bit past width_full, so exact half-sums can still spell a digit

@@ -71,12 +71,12 @@ def _counting(monkeypatch, cls):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_one_check_per_direction(monkeypatch, variant):
     # ModPoly checks the inputs.  Each output coefficient is checked at most
-    # once: by the variant's product CoeffVec (ks1, ks3 at odd e and ks4's
-    # 1x1 case), or by the bound 2**width_full that ks2 and ks4 pass to the
+    # once: by the variant's product CoeffVec (ks3 at odd e and ks4's 1x1
+    # case), or by the bound 2**width_full that ks2 and ks4 pass to the
     # overlap recovery (once for ks2, once per even and odd part for ks4).
-    # At even e ks3 unpacks at 2*width_half = width_full bits, the bound
-    # itself, and checks nothing.  mod_mul itself lifts and reduces without
-    # checking again.
+    # ks1, and ks3 at even e, unpack at width_full bits, the bound itself,
+    # and check nothing.  mod_mul itself lifts and reduces without checking
+    # again.
     rng = random.Random(5)
     n = (1 << 48) - 59
     cases = [(random_modpoly(rng, lf, n), random_modpoly(rng, lg, n))
@@ -103,7 +103,7 @@ def test_one_check_per_direction(monkeypatch, variant):
         ran = (choose_variant(len(f), len(g)) if variant is Variant.AUTO
                else variant)
         checks = (ks3_checks[len(f), len(g)] if ran is Variant.KS3
-                  else int(not parts))
+                  else int(ran is Variant.KS4 and out_len == 1))
         assert (len(coeff_vecs), len(recoveries), len(mod_polys)) == (
             checks, parts, 0)
         if parts:
