@@ -220,7 +220,11 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
     if q < 0 or q.bit_length() > width * count:
         raise ReconstructionError("high digits out of range")
     t = min(bound_bits, 2 * width)
-    _, low, check = _masks_for((_overlap_masks, width, t), count // 2 + 1)
+    fields = count // 2 + 1
+    slots, low, check = _masks_for((_overlap_masks, width, t), fields)
+    if t == 2 * width:
+        # check is added below, so it drops its surplus fields first.
+        check >>= (slots - fields) * 2 * width
     q_even, q_odd = q & low, q >> width & low
     r_even, r_odd = r & low, r >> width & low
     parts = ((q_even << width) + r_odd - q_odd,

@@ -135,8 +135,8 @@ MUTANTS = {
     # the last odd coefficient reads R~'s top digit from one field past
     # the even coefficients'.
     "overlap-masks-one-field-short": (
-        "ksint.py", "(_overlap_masks, width, t), count // 2 + 1)",
-        "(_overlap_masks, width, t), (count + 1) // 2)", "selftest"),
+        "ksint.py", "fields = count // 2 + 1", "fields = (count + 1) // 2",
+        "selftest"),
     # The mask store serves an entry shorter than the request, so a longer
     # vector at a key seen before reads a mask that is too short.
     "mask-store-serves-shorter": (
