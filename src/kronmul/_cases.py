@@ -194,7 +194,7 @@ def reconstruct_case(rng, config):
     got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
     check(list(got) == values, "reconstruct", (width, values))
     bits = max(values).bit_length()
-    t = bits - (bits > 0 and rng.randrange(2))
+    t = bits - rng.randrange(2) if bits else 0
     top = 1 << min(64, 2 * width)
     n = _pick(rng, (2, 3, top - 1), 2, top - 1)
 

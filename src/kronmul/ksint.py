@@ -316,11 +316,10 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     return v if packed else _mod(v, _modulus)
 
 
-def _interleave(*parts: list[int]) -> tuple[int, ...]:
-    # parts[i] holds the coefficients at indices i (mod len(parts)).
-    out = [0] * sum(map(len, parts))
-    for i, part in enumerate(parts):
-        out[i::len(parts)] = part
+def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
+    out = [0] * (len(even) + len(odd))
+    out[0::2] = even
+    out[1::2] = odd
     return tuple(out)
 
 
@@ -427,10 +426,11 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
         even_rev, odd_rev = odd_rev, even_rev
     # Each part's recovery splits it by parity again: the even part's into
     # the coefficients at 0 and 2 (mod 4), the odd part's at 1 and 3.
-    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
-    (e0, e2), (o1, o3) = (
-        _overlap_unpack(part, part_rev, 2 * n, count, p.width_full, packed)
-        for part, part_rev, count in ((even, even_rev, (k + 1) // 2),
-                                      (odd, odd_rev, k // 2)))
-    v = _validated(_interleave(e0, o1, e2, o3), p.width_full)
+    w, packed = 2 * n, _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
+    e0, e2 = _overlap_unpack(even, even_rev, w, (k + 1) // 2, p.width_full,
+                             packed)
+    o1, o3 = _overlap_unpack(odd, odd_rev, w, k // 2, p.width_full, packed)
+    out = [0] * k
+    out[0::4], out[1::4], out[2::4], out[3::4] = e0, o1, e2, o3
+    v = _validated(tuple(out), p.width_full)
     return v if packed else _mod(v, _modulus)
