@@ -269,10 +269,11 @@ def mul_signed(a: int, b: int, stats: MulStats | None = None,
 #
 # ks3's and ks4's odd slots at +-2**N, a phase of the strided unpack, the
 # overlap recovery's fields and range check, and the packed reduction's
-# fields are each masked by a W-bit field repeated every s bits.  One store keeps them by (builder, *its arguments), so two kinds
-# never collide.  An entry holds a power-of-two count of fields and serves
-# any shorter request, as every caller only ANDs with a mask or first cuts
-# the one it adds; a longer request replaces it.  A new key past _MASK_KEYS
+# fields are each masked by a W-bit field repeated every s bits.  One store
+# keeps them by (builder, *its arguments), so two kinds never collide.  An
+# entry holds a power-of-two count of fields and serves any shorter
+# request, as every caller only ANDs with a mask or first cuts the one it
+# adds; a longer request replaces it.  A new key past _MASK_KEYS
 # empties the store, and an entry whose first, widest mask has more than
 # _MASK_MAX_BITS bits is built for its call and not kept: at worst 32
 # entries of two 128 KB masks, 8 MB.  That keeps every mask of up to 8192

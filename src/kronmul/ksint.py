@@ -426,7 +426,8 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
         even_rev, odd_rev = odd_rev, even_rev
     # Each part's recovery splits it by parity again: the even part's into
     # the coefficients at 0 and 2 (mod 4), the odd part's at 1 and 3.
-    w, packed = 2 * n, _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
+    w = 2 * n
+    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
     e0, e2 = _overlap_unpack(even, even_rev, w, (k + 1) // 2, p.width_full,
                              packed)
     o1, o3 = _overlap_unpack(odd, odd_rev, w, k // 2, p.width_full, packed)
