@@ -183,8 +183,8 @@ def _overlap_streams(values, width):
 
 def reconstruct_case(rng, config):
     """Values below X(X-1), X = 2**width, recovered from their overlapped
-    digit streams, and recovered as ks2 and ks4 do it: reduced mod n, with
-    the bound 2**t of the values' bit length (below X(X-1) when t < 2*width)
+    digit streams, and as ks2 and ks4 do it, read reduced mod n, with the
+    bound 2**t of the values' bit length (below X(X-1) when t < 2*width)
     or one bit less, which must raise unless all values are 0.  One flipped
     bit must be rejected on both paths."""
     width = _pick(rng, (1, 2, 63, 64), 1, 64)
@@ -199,12 +199,12 @@ def reconstruct_case(rng, config):
     n = _pick(rng, (2, 3, top - 1), 2, top - 1)
 
     def packed(fwd, rev):
-        return ksint._overlap_unpack(_at(fwd, 1 << width),
-                                     _at(rev[::-1], 1 << width), width,
-                                     count, t, n)
+        x = 1 << width
+        parts = ksint._overlap_unpack(_at(fwd, x), _at(rev[::-1], x), width,
+                                      count, t)
+        return ksint._read(parts, 2 * width, count, t, n).coeffs
     if t == bits:
-        check(packed(*streams) == [[v % n for v in values[0::2]],
-                                   [v % n for v in values[1::2]]],
+        check(packed(*streams) == tuple(v % n for v in values),
               "reconstruct-packed", (width, values, n))
     else:
         check(_raises(ReconstructionError, packed, *streams),
@@ -310,16 +310,15 @@ def modpoly_case(rng, config):
     """Up to 60 terms mod n of 2 to 64 bits, a power of two a quarter of the
     time: every variant and AUTO, counted and not, against the modular
     schoolbook, with the output's length and range.  One draw in four puts
-    the output past the packed reduction's cutoff at e = 4 or 6, where ks2,
-    ks3 and ks4 reduce packed; other draws pass it too."""
+    the shorter length at e = 4 or 6 and the output at 40 or more terms,
+    where ks3's packed reduction reads long halves."""
     bits = _pick(rng, (2, 4, 8, 16, 48, 64), 2, 64)
     n = (1 << (bits - 1) if rng.randrange(4) == 0
          else rng.randrange(1 << (bits - 1), 1 << bits))
     if rng.randrange(4) == 0:
-        # The shorter length at e = 4 or 6, the output past the cutoff.
+        # The shorter length at e = 4 or 6, the output of 40 or more.
         short = rng.choice((rng.randint(9, 16), rng.randint(33, 60)))
-        cutoff = ksint._PACKED_MOD_MIN_COEFFS
-        lengths = (short, rng.randint(max(short, cutoff + 1 - short), 60))
+        lengths = (short, rng.randint(max(short, 41 - short), 60))
     else:
         lengths = _lengths(rng, 60)
     f, g = (ModPoly(tuple(_values(rng, length, n)), n)
@@ -339,10 +338,21 @@ def modpoly_case(rng, config):
 CONFIGS = {"classical": MulConfig(classical_only=True),
            "thr16": MulConfig()}
 
+
+def _suite(name, case):
+    # `case`; a library error inside it fails the suite like a mismatch.
+    def run(rng, config):
+        try:
+            return case(rng, config)
+        except (ValueError, ArithmeticError, AssertionError) as exc:
+            raise SelfTestFailure(f"{name}-error: {exc!r}") from exc
+    return run
+
+
 # In the self-test's order: a corrupted multiply fails bignat first.
 # The multiplying suites run under every config, the others under one.
-SUITES = {"bignat": bignat_case, "digits": digits_case,
-          "reconstruct": reconstruct_case, "pack": pack_case,
-          "ksint": ksint_case, "bipoly": bipoly_case,
-          "modpoly": modpoly_case}
+SUITES = {name: _suite(name, case) for name, case in {
+    "bignat": bignat_case, "digits": digits_case,
+    "reconstruct": reconstruct_case, "pack": pack_case, "ksint": ksint_case,
+    "bipoly": bipoly_case, "modpoly": modpoly_case}.items()}
 MULTIPLYING = ("bignat", "ksint", "bipoly", "modpoly")

@@ -598,9 +598,9 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #    go by _unpack_ints, as their digits are below n <= 2**W.
 #
 # That is about a dozen linear big-int operations, plus d to_bytes and
-# struct passes, against _unpack_ints and a `%` per digit.  ks3's output
-# length from which it wins, ksint._PACKED_MOD_MIN_COEFFS = 40, was read
-# from ks3 `mod_mul` calls at a 48-bit modulus, the new path over the old
+# struct passes, against _unpack_ints and a `%` per digit.  ksint's output
+# reader takes this path at every length, though short vectors lose, as
+# ks3 `mod_mul` calls at a 48-bit modulus show, this path over the `%` one
 # (medians of 15 interleaved batches, CPython 3.11, shared 2-core host;
 # two phases at e = 2 and 6, one at e = 4):
 #
@@ -610,8 +610,10 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #   new/old 1.40 1.05 0.95 0.92 0.89  0.99 0.89 0.91  0.87  0.85
 #
 # One phase wins from about 30 coefficients; two are even at about 43 and
-# win from about 65.  The cutoff sits between them, and ks3 at odd e never
-# takes this path.  Cells move by about 0.05 between runs.
+# win from about 65.  AUTO needs no cutoff: its ks3 outputs at even e have
+# 29 or more at e = 4 (one phase), and only e = 2 (shorter length 3 or 4)
+# reads short two-phase vectors, 1.13 at 3x21, in shapes no workload
+# sends; ks2 and ks4 run longer still.  Cells move by about 0.05.
 
 
 def _mod_masks(count: int, width: int, n: int) -> tuple:

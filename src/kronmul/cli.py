@@ -328,14 +328,11 @@ def run_selftest(seed: int, iters: int, out=print) -> int:
             try:
                 for _ in range(iters):
                     case(rng, config)
-            except _cases.SelfTestFailure as exc:
-                out(f"selftest FAILED (seed={seed}): {exc}")
-                return 1
             except Exception as exc:
-                # A library error on a valid case fails the run like a
-                # mismatch.
-                out(f"selftest FAILED (seed={seed}): {suite}: "
-                    f"{type(exc).__name__}: {exc}")
+                # A mismatch, or any error raised on a valid case.
+                if not isinstance(exc, _cases.SelfTestFailure):
+                    exc = f"{suite}: {type(exc).__name__}: {exc}"
+                out(f"selftest FAILED (seed={seed}): {exc}")
                 return 1
             out(f"{suite}: ok ({iters} cases)")
         suites = {suite: case for suite, case in suites.items()

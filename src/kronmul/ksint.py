@@ -27,16 +27,15 @@ and R~ by masks, and checked there too: one range check, which also takes
 the caller's output bound.  ks2 and ks4 pass 2**(2b+e), so their output is
 checked there, once.  ks1 unpacks at 2b+e bits, the bound itself, and so
 does ks3 at even e (2N = 2b+e), so their digits need no check; ks3 at odd
-e checks its output as a product CoeffVec.
+e, one bit wider, has its digits checked as a CoeffVec.
 
 Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
-passes), every variant returns its coefficients reduced by it.  Once the
-output has ``_PACKED_MOD_MIN_COEFFS`` coefficients, ks2 and ks4 read each
-checked parity class of their recovery reduced while it is still packed
-(``bignat._unpack_mod``), and ks3 at even e, where no digit needs a check,
-reads its half-sum and half-difference so.  ks1, shorter outputs, and ks3
-at odd e, whose digits must first be checked against the bound one bit
-below their width, reduce their finished coefficients one `%` at a time.
+passes), every variant returns its coefficients reduced by it.  ks2, ks3
+and ks4 end in one reader, ``_read``: it reads their packed parts reduced
+while still packed (``bignat._unpack_mod``), at every length, and weaves
+them into order.  Only ks3 at odd e and ks4's 1x1 product ask it to check
+the digits first, as a CoeffVec, and reduce them one `%` at a time, as
+ks1 does.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -167,17 +166,16 @@ class OverlapDigits:
 
 
 def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
-                    bound_bits: int, modulus: int | None) -> list[list[int]]:
+                    bound_bits: int) -> tuple[int, int]:
     """The `count` values h_j < min(X*(X-1), 2**bound_bits), X = 2**width,
     whose forward packing at `width` is ``fwd`` and whose reversed packing
-    is ``rev``, each packing spanning count + 1 digits, as two lists: the
-    h_j at even j and those at odd j.  Given a modulus (2 <= modulus <
-    2**64, of at most 2*width bits), each comes back reduced by it.  Raises
-    ReconstructionError when no such values exist (ValueError when ``rev``
-    does not fit in count + 1 digits).  The caller passes its own output
-    bound (ks2 and ks4: width_full), so this range check is the only check
-    of the output; any bound_bits >= 2*width checks the recovery's range
-    alone.
+    is ``rev``, each packing spanning count + 1 digits, as two integers
+    packed at 2*width bits for ``_read``: the h_j at even j and those at odd
+    j.  Raises ReconstructionError when no such values exist (ValueError
+    when ``rev`` does not fit in count + 1 digits).  The caller passes its
+    own output bound (ks2 and ks4: width_full), so this range check is the
+    only check of the output; any bound_bits >= 2*width checks the
+    recovery's range alone.
     """
     # Let r be rev's digits, most significant first, and R~ = sum(r_j X**j).
     # Packing h_j = lo_j + X*hi_j (lo_j < X, hi_j <= X-2) in reverse makes
@@ -237,11 +235,32 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
         if s < 0 or (s & check if t < 2 * width
                      else (s >> width & low) + check >> width & check):
             raise ReconstructionError("coefficient out of range")
-    sizes = (count + 1) // 2, count // 2
+    return parts
+
+
+def _mod(v: CoeffVec, modulus: int | None) -> CoeffVec:
+    # v's coefficients reduced mod `modulus`, when one is given.
     if modulus is None:
-        return [_unpack_ints(s, 2 * width, k) for s, k in zip(parts, sizes)]
-    return [_unpack_mod(s, 2 * width, k, modulus)
-            for s, k in zip(parts, sizes)]
+        return v
+    return _validated(tuple(map(operator.mod, v.coeffs, repeat(modulus))),
+                      v.width_bound_bits)
+
+
+def _read(parts, width: int, count: int, bound: int, modulus: int | None,
+          check: bool = False) -> CoeffVec:
+    """The `count` output coefficients, below 2**bound, whose part i packs
+    those at index i (mod len(parts)) at `width` bits; reduced mod modulus
+    if given.  Fields wider than the bound ask for ``check``: a CoeffVec
+    checks them, then `%` reduces them.  Others are read reduced packed."""
+    m = len(parts)
+    out = [0] * count
+    for i, s in enumerate(parts):
+        k = len(range(i, count, m))
+        out[i::m] = (_unpack_ints(s, width, k) if check or modulus is None
+                     else _unpack_mod(s, width, k, modulus))
+    if check:
+        return _mod(CoeffVec(tuple(out), bound), modulus)
+    return _validated(tuple(out), bound)
 
 
 def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
@@ -250,11 +269,10 @@ def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
     ReconstructionError."""
     # _overlap_unpack bounds every value below X*(X-1) < 2**(2w), the
     # CoeffVec's bound.
-    w = d.width_bits
-    return _validated(_interleave(*_overlap_unpack(
-        _pack_ints(d.forward_digits, w),
-        _pack_ints(d.reversed_digits[::-1], w), w, d.coeff_count, 2 * w,
-        None)), 2 * w)
+    w, k = d.width_bits, d.coeff_count
+    return _read(_overlap_unpack(_pack_ints(d.forward_digits, w),
+                                 _pack_ints(d.reversed_digits[::-1], w), w,
+                                 k, 2 * w), 2 * w, k, 2 * w, None)
 
 
 # Keyed on plain ints (lengths and a CoeffVec's checked bound), so a hit
@@ -269,22 +287,6 @@ def _cached_params(len_f: int, len_g: int, coeff_bits: int) -> KsParams:
 def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
     return _cached_params(len(f), len(g),
                           max(f.width_bound_bits, g.width_bound_bits))
-
-
-def _mod(v: CoeffVec, modulus: int | None) -> CoeffVec:
-    # v's coefficients reduced mod `modulus`, when one is given.
-    if modulus is None:
-        return v
-    return _validated(tuple(map(operator.mod, v.coeffs, repeat(modulus))),
-                      v.width_bound_bits)
-
-
-# The output length from which, given a modulus, ks2, ks4 and ks3 at even e
-# read their coefficients reduced mod n by bignat._unpack_mod in place of
-# _unpack_ints and a `%` per coefficient (bignat's comment above
-# _unpack_mod has the measurements for ks3).  Outputs of 5 and 9
-# coefficients, degrees 2 and 4, stay below it.
-_PACKED_MOD_MIN_COEFFS = 40
 
 
 def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -304,23 +306,14 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Reciprocal variant: forward and reversed half-width products, then
     the overlap recovery of the output chunks, read reduced while packed
-    when given a modulus and from ``_PACKED_MOD_MIN_COEFFS`` coefficients."""
+    when given a modulus."""
     p = _params_for(f, g)
     n = p.width_half
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
     k = p.out_len
-    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
-    v = _validated(_interleave(*_overlap_unpack(
-        prod_fwd, prod_rev, n, k, p.width_full, packed)), p.width_full)
-    return v if packed else _mod(v, _modulus)
-
-
-def _interleave(even: list[int], odd: list[int]) -> tuple[int, ...]:
-    out = [0] * (len(even) + len(odd))
-    out[0::2] = even
-    out[1::2] = odd
-    return tuple(out)
+    return _read(_overlap_unpack(prod_fwd, prod_rev, n, k, p.width_full),
+                 2 * n, k, p.width_full, _modulus)
 
 
 def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
@@ -364,27 +357,16 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Negated variant: products at +-2**N; the half-sum holds the even-index
     output coefficients and the half-difference the odd ones.  Given a
-    modulus, the coefficients come back reduced by it; at even e and from
-    ``_PACKED_MOD_MIN_COEFFS`` coefficients they are reduced while still
-    packed."""
+    modulus, the coefficients come back reduced by it; at even e they are
+    reduced while still packed."""
     p = _params_for(f, g)
     n = p.width_half  # b + ceil(e/2) >= b: _plus_minus's one blit
     even, odd = _half_products(f, g, n, stats, config)
-    k = p.out_len
-    # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that
-    # is the output bound 2**(2b+e) itself, so no digit can fail it and the
-    # packed halves may be read reduced.  At odd e the digits are checked
-    # against the bound before they are reduced.
-    if (2 * n == p.width_full and _modulus is not None
-            and k >= _PACKED_MOD_MIN_COEFFS):
-        return _validated(_interleave(
-            _unpack_mod(even, 2 * n, (k + 1) // 2, _modulus),
-            _unpack_mod(odd, 2 * n, k // 2, _modulus)), p.width_full)
-    coeffs = _interleave(_unpack_ints(even, 2 * n, (k + 1) // 2),
-                         _unpack_ints(odd, 2 * n, k // 2))
-    if 2 * n > p.width_full:
-        return _mod(CoeffVec(coeffs, p.width_full), _modulus)
-    return _mod(_validated(coeffs, p.width_full), _modulus)
+    # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that is
+    # the output bound 2**(2b+e) itself, so no digit can fail it.  At odd e
+    # the reader checks them against the bound before it reduces them.
+    return _read((even, odd), 2 * n, p.out_len, p.width_full, _modulus,
+                 check=2 * n > p.width_full)
 
 
 def _four_point_safe(p: KsParams) -> bool:
@@ -412,8 +394,10 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     p = _params_for(f, g)
     assert _four_point_safe(p)
     if p.out_len == 1:
+        # One field, read at twice the bound so that the reader checks it.
         prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
-        return _mod(CoeffVec((prod,), p.width_full), _modulus)
+        return _read((prod,), 2 * p.width_full, 1, p.width_full, _modulus,
+                     check=True)
     n = p.width_quarter
     k = p.out_len
     even, odd = _half_products(f, g, n, stats, config)
@@ -427,11 +411,6 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     # Each part's recovery splits it by parity again: the even part's into
     # the coefficients at 0 and 2 (mod 4), the odd part's at 1 and 3.
     w = 2 * n
-    packed = _modulus if k >= _PACKED_MOD_MIN_COEFFS else None
-    e0, e2 = _overlap_unpack(even, even_rev, w, (k + 1) // 2, p.width_full,
-                             packed)
-    o1, o3 = _overlap_unpack(odd, odd_rev, w, k // 2, p.width_full, packed)
-    out = [0] * k
-    out[0::4], out[1::4], out[2::4], out[3::4] = e0, o1, e2, o3
-    v = _validated(tuple(out), p.width_full)
-    return v if packed else _mod(v, _modulus)
+    e0, e2 = _overlap_unpack(even, even_rev, w, (k + 1) // 2, p.width_full)
+    o1, o3 = _overlap_unpack(odd, odd_rev, w, k // 2, p.width_full)
+    return _read((e0, o1, e2, o3), 2 * w, k, p.width_full, _modulus)

@@ -2,22 +2,19 @@
 
 Inputs are lifted to integer polynomials and multiplied with one of the
 Kronecker substitution variants, which ``mod_mul`` passes the modulus as a
-private keyword, so the variant returns the product reduced mod n: ks1,
-ks2, ks4 and ks3 at odd e reduce their finished coefficients one `%` at a
-time, and ks3 at even e, from ``ksint._PACKED_MOD_MIN_COEFFS`` output
-coefficients, reads its two halves reduced while still packed.
+private keyword, so the variant returns the product reduced mod n: read
+reduced while still packed, or for ks1 and ks3 at odd e, one `%` at a time.
 The coefficient bit bound is taken from the modulus (bit length of n - 1),
 not from the actual coefficients, so the packed widths depend only on
 (lengths, modulus) and AUTO's variant choice only on the two lengths,
 through two fixed length bands measured on the bench grid.
 
 Each coefficient is checked once per direction: on the way in when the
-caller builds a ``ModPoly``, and on the way out in the variant, when ks1 or
-ks3 builds its product ``CoeffVec`` or inside ks2's and ks4's overlap
-recovery, against the same bound.  ks3 builds that ``CoeffVec`` only at
-odd e; at even e it unpacks at the bound's own width, so no digit can pass
-it.  The lift and the reduction check nothing again, since both keep
-the values in range by construction.
+caller builds a ``ModPoly``, and on the way out in the variant, against
+the same bound: inside ks2's and ks4's overlap recovery, or as a
+``CoeffVec`` in ks3 at odd e and ks4 at 1x1; ks1 and ks3 at even e unpack
+at the bound's own width.  The lift and the reduction check nothing
+again, since both keep the values in range by construction.
 """
 
 from __future__ import annotations

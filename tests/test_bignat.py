@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kronmul import bignat, ksint
+from kronmul import bignat
 from kronmul.bignat import (DEFAULT_MUL_CONFIG, MulConfig, MulStats,
                             from_digits, mul, mul_classical, mul_karatsuba,
                             mul_signed, to_digits)
@@ -437,9 +437,8 @@ def _mod_digits(rng, n, width, count):
 @pytest.mark.parametrize("n", MOD_MODULI)
 def test_unpack_mod_matches_reduced_digits(n):
     rng = random.Random(n)
-    cutoff = ksint._PACKED_MOD_MIN_COEFFS
     for width in _mod_widths(n):
-        for count in (1, 2, 7, cutoff - 1, cutoff, cutoff + 1):
+        for count in (1, 2, 7, 39, 40, 41):
             digits = _mod_digits(rng, n, width, count)
             value = _reference_pack(digits, width)
             assert bignat._unpack_mod(value, width, count, n) == [

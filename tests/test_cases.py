@@ -120,8 +120,8 @@ def test_bignat_suite_reaches_the_toom_split(monkeypatch):
 def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
     # The self-test's seeded draws run the packed reduction at one and at
     # two phases, below width 64, and at a power-of-two modulus, and ks2's
-    # and ks4's packed recovery with a modulus on both sides of its range
-    # check: a bound below 2*width bits and one at it.
+    # and ks4's packed recovery, always given a modulus here, on both sides
+    # of its range check: a bound below 2*width bits and one at it.
     calls, recoveries = [], []
     unpack_mod, overlap_unpack = ksint._unpack_mod, ksint._overlap_unpack
 
@@ -129,10 +129,9 @@ def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
         calls.append((width, n))
         return unpack_mod(value, width, count, n)
 
-    def recovery(fwd, rev, width, count, bound_bits, modulus):
-        if modulus is not None:
-            recoveries.append(bound_bits < 2 * width)
-        return overlap_unpack(fwd, rev, width, count, bound_bits, modulus)
+    def recovery(fwd, rev, width, count, bound_bits):
+        recoveries.append(bound_bits < 2 * width)
+        return overlap_unpack(fwd, rev, width, count, bound_bits)
 
     monkeypatch.setattr(ksint, "_unpack_mod", recorded)
     monkeypatch.setattr(ksint, "_overlap_unpack", recovery)

@@ -6,8 +6,9 @@ from kronmul import bignat, ksint
 from kronmul.bignat import _FIELD_UNPACK_MIN_DIGITS, MulConfig, MulStats
 from kronmul.ksint import (OverlapDigits, ReconstructionError,
                            _four_point_safe, _overlap_unpack, _plus_minus,
-                           _reversed, _shr_exact, derive_params, ks1_mul,
-                           ks2_mul, ks3_mul, ks4_mul, reconstruct_overlapped)
+                           _read, _reversed, _shr_exact, derive_params,
+                           ks1_mul, ks2_mul, ks3_mul, ks4_mul,
+                           reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
 from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
                           pack_reversed)
@@ -126,11 +127,9 @@ def make_overlap_digits(values, width):
 
 
 def recover(fwd, rev, width, count, bound_bits, modulus=None):
-    # _overlap_unpack's two parity classes put back in order.
-    out = [0] * count
-    out[0::2], out[1::2] = _overlap_unpack(fwd, rev, width, count,
-                                           bound_bits, modulus)
-    return out
+    # _overlap_unpack's two packed parity classes, read as ks2 reads them.
+    parts = _overlap_unpack(fwd, rev, width, count, bound_bits)
+    return list(_read(parts, 2 * width, count, bound_bits, modulus).coeffs)
 
 
 def test_reconstruct_round_trip_randomized():
@@ -396,6 +395,43 @@ def test_ks3_rejects_digits_past_the_output_bound(monkeypatch):
     _corrupted(monkeypatch, "mul_signed",
                products([5, 6, 2**10, 8, 9], p.width_half))
     assert ks3_mul(f, g).coeffs == (5, 6, 0, 8, 10)
+
+
+def test_reader_checks_odd_e_digits_before_reducing(monkeypatch):
+    # Given a modulus, ks3 at odd e reads its halves through the output
+    # reader with its check: a digit of exactly 2**width_full, which the
+    # unpack at width_full + 1 bits lets through, must raise before it is
+    # reduced, at 40 coefficients as at 3.  ks4's 1x1 product, one field,
+    # is checked the same way.  At lengths 20 and 21 and b = 4, e = 5,
+    # width_full = 13 and the unpack width is 14.
+    f, g = CoeffVec((15,) * 20, 4), CoeffVec((15,) * 21, 4)
+    p = derive_params(20, 21, 4)
+    assert (p.width_full, 2 * p.width_half, p.out_len) == (13, 14, 40)
+    n = p.width_half
+    rng = random.Random(40)
+    for modulus in (11, 2**63):
+        for digit in (2**13 - 1, 2**13):
+            h = [rng.randrange(2**13) for _ in range(40)]
+            h[17] = digit
+            even, odd = shift_pack(h[0::2], 2 * n), shift_pack(h[1::2], 2 * n)
+            _corrupted(monkeypatch, "mul_signed",
+                       [even + (odd << n), even - (odd << n)])
+            if digit < 2**13:
+                assert ks3_mul(f, g, _modulus=modulus).coeffs == tuple(
+                    v % modulus for v in h)
+            else:
+                with pytest.raises(ValueError,
+                                   match=r"coefficient 17 outside"):
+                    ks3_mul(f, g, _modulus=modulus)
+        one = CoeffVec((15,), 4)
+        for product in (2**8 - 1, 2**8):
+            _corrupted(monkeypatch, "mul", [product])
+            if product < 2**8:
+                assert ks4_mul(one, one, _modulus=modulus).coeffs == (
+                    product % modulus,)
+            else:
+                with pytest.raises(ValueError, match="coefficient 0 outside"):
+                    ks4_mul(one, one, _modulus=modulus)
 
 
 def test_shr_exact_rejects_inexact_half_sums():

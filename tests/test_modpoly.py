@@ -89,9 +89,9 @@ def test_one_check_per_direction(monkeypatch, variant):
     recoveries = []
     original = ksint._overlap_unpack
 
-    def recovery(fwd, rev, width, count, bound_bits, modulus):
+    def recovery(fwd, rev, width, count, bound_bits):
         recoveries.append((count, bound_bits))
-        return original(fwd, rev, width, count, bound_bits, modulus)
+        return original(fwd, rev, width, count, bound_bits)
 
     monkeypatch.setattr(ksint, "_overlap_unpack", recovery)
     for f, g in cases:
@@ -219,18 +219,16 @@ def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
             assert wide and not packed, variant
 
 
-# Shape -> the packed reductions ks3 makes: two from the cutoff at even e
-# (e = 2, 3, 4, 4, 4, 5, 6, 8), none below it or at odd e.  ks2 makes two
-# from the cutoff at any e (one per parity class of its recovery), ks4
-# four (two per part), and ks1 none.  Lengths 3 and 5 are
-# test_wall_clock_shape's small degrees.
-PACKED_CALLS = {(3, 3): 0, (5, 5): 0, (16, 16): 0, (16, 24): 0, (25, 16): 2,
+# Shape -> the packed reductions ks3 makes: two at even e (e = 2, 3, 4, 4,
+# 4, 5, 6, 8), at every length, and none at odd e.  ks2 makes two at any e
+# (one per parity class of its recovery), ks4 four (two per part), and ks1
+# none.  Lengths 3 and 5 are test_wall_clock_shape's small degrees.
+PACKED_CALLS = {(3, 3): 2, (5, 5): 0, (16, 16): 2, (16, 24): 2, (25, 16): 2,
                 (17, 40): 0, (33, 33): 2, (200, 300): 2}
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_packed_reduction_calls(monkeypatch, variant):
-    assert ksint._PACKED_MOD_MIN_COEFFS == 40
     packed = _recording(monkeypatch, ksint, "_unpack_mod")
     rng = random.Random(13)
     for (len_f, len_g), calls in PACKED_CALLS.items():
@@ -241,31 +239,33 @@ def test_packed_reduction_calls(monkeypatch, variant):
             ran = (choose_variant(len_f, len_g) if variant is Variant.AUTO
                    else variant)
             p = ksint.derive_params(len_f, len_g, (n - 1).bit_length())
-            past = p.out_len >= ksint._PACKED_MOD_MIN_COEFFS
             want, width = {
                 Variant.KS3: (calls, p.width_full),
-                Variant.KS2: (2 * past, 2 * p.width_half),
-                Variant.KS4: (4 * past, 4 * p.width_quarter),
+                Variant.KS2: (2, 2 * p.width_half),
+                Variant.KS4: (4, 4 * p.width_quarter),
             }.get(ran, (0, None))
             assert len(packed) == want, (variant, len_f, len_g, n)
             assert set(packed) <= {width}
 
 
-# Shapes for ks2 and ks4 at the edges: L = 1, 2, 3, equal and unequal
-# lengths in either order, output lengths 1 to 5 and 39 to 43 (each residue
-# mod 4, so each parity of out_len and of ks4's two part counts) on both
-# sides of the packed reduction's cutoff, and longer ones past it.
+# Shapes for ks2, ks3 and ks4 at the edges of the output reader: L = 1, 2,
+# 3, equal and unequal lengths in either order, output lengths 1 to 5 and
+# 39 to 43 (each residue mod 4, so each parity of out_len and of ks4's two
+# part counts), at even and at odd e for each length from 3 on (e = 0 or 2,
+# and 1 or 5), and longer ones.
 KS2_KS4_EDGE_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
-                       (2, 3), (3, 3), (1, 39), (40, 1), (2, 40), (40, 3),
-                       (4, 40), (20, 21), (21, 21), (21, 22), (22, 22),
-                       (64, 65), (100, 3), (3, 130)]
+                       (2, 3), (1, 4), (3, 3), (2, 4), (1, 39), (20, 20),
+                       (40, 1), (2, 40), (40, 3), (4, 40), (20, 21),
+                       (21, 21), (3, 39), (21, 22), (22, 22), (64, 65),
+                       (100, 3), (3, 130)]
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 2**63, 2**64 - 59])
 def test_ks2_ks4_edge_shapes_against_oracle(modulus):
-    # b = 1, 2, 63 and 64: mod_mul against the modular oracle, and ks2 and
-    # ks4 over the integers at b bits against schoolbook, with all-max and
-    # random coefficients.
+    # b = 1, 2, 63 and 64: mod_mul against the modular oracle, and ks2, ks3
+    # and ks4 over the integers at b bits against schoolbook, with all-max
+    # and random coefficients.  ks3 reads its halves reduced while packed
+    # at even e and checks them first at odd e.
     b = (modulus - 1).bit_length()
     rng = random.Random(modulus)
     for len_f, len_g in KS2_KS4_EDGE_SHAPES:
@@ -275,7 +275,7 @@ def test_ks2_ks4_edge_shapes_against_oracle(modulus):
             want = schoolbook_mod(f, g).coeffs
             fz, gz = CoeffVec(f.coeffs, b), CoeffVec(g.coeffs, b)
             want_z = schoolbook_z(fz, gz).coeffs
-            for variant in (Variant.KS2, Variant.KS4):
+            for variant in (Variant.KS2, Variant.KS3, Variant.KS4):
                 assert mod_mul(f, g, variant).coeffs == want, (len_f, len_g)
                 mul = _VARIANT_FUNCS[variant]
                 assert mul(fz, gz).coeffs == want_z, (len_f, len_g)

@@ -143,17 +143,25 @@ MUTANTS = {
         "bignat.py", "if entry is not None and entry[0] >= fields:",
         "if entry is not None:",
         "tests/test_bignat.py::test_phase_mask_cache"),
-    # ks3's product check at even e too: every output stays right, only the
-    # check count moves.
+    # ks3 asks the output reader for its check at even e too: every output
+    # stays right, only the check count moves.
     "ks3-check-guard-inclusive": (
-        "ksint.py", "if 2 * n > p.width_full:", "if 2 * n >= p.width_full:",
+        "ksint.py", "2 * n > p.width_full)", "2 * n >= p.width_full)",
         "tests/test_modpoly.py::test_one_check_per_direction"),
-    # ks3 without its product check at odd e, where the unpack width is
-    # one bit past the output bound: only corrupted products show it.
+    # ks3 without its check at odd e, where the unpack width is one bit
+    # past the output bound: only corrupted products show it.
     "ks3-odd-e-check-dropped": (
-        "ksint.py", "return _mod(CoeffVec(coeffs, p.width_full), _modulus)",
-        "return _mod(_validated(coeffs, p.width_full), _modulus)",
+        "ksint.py", "2 * n > p.width_full)", "False)",
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
+    # The output reader with its check skipped, for ks3 at odd e and ks4 at
+    # 1x1; and weaving part i into the places of part i + 1.
+    "read-check-skipped": (
+        "ksint.py", "return _mod(CoeffVec(tuple(out), bound), modulus)",
+        "return _mod(_validated(tuple(out), bound), modulus)",
+        "tests/test_ksint.py::"
+        "test_reader_checks_odd_e_digits_before_reducing"),
+    "read-weave-rotated": ("ksint.py", "out[i::m] = (",
+                           "out[(i + 1) % m::m] = (", "selftest"),
     # The packed reduction mod n: without its conditional subtraction,
     # which Barrett's estimate one short needs; with the estimate shifted
     # one bit short; with the subtraction's flag read one bit low; and
@@ -174,11 +182,10 @@ MUTANTS = {
     "unpack-mod-second-phase-unshifted": (
         "bignat.py", "(c >> r * stride).to_bytes", "c.to_bytes",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
-    # ks3 reduces packed at odd e and not at even e: every output stays
-    # right, only the count of packed reductions shows it.
+    # ks3 reduces packed at odd e and checks at even e: every valid output
+    # stays right, only the count of packed reductions shows it.
     "ks3-packed-mod-parity-inverted": (
-        "ksint.py", "if (2 * n == p.width_full and _modulus is not None",
-        "if (2 * n > p.width_full and _modulus is not None",
+        "ksint.py", "2 * n > p.width_full)", "2 * n == p.width_full)",
         "tests/test_modpoly.py::test_packed_reduction_calls"),
     # The bivariate sign split's odd half as (a+b)/2 + b.
     "bipoly-odd-half-as-sum": (
