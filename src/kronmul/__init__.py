@@ -10,8 +10,7 @@ CLI sit on top.
 """
 
 from .bignat import (DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig, MulStats,
-                     from_digits, mul, mul_classical, mul_karatsuba,
-                     mul_signed, to_digits)
+                     mul, mul_classical, mul_karatsuba, mul_signed)
 from .bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
                      bks_negated, bks_reciprocal, bks_standard, ring_z,
                      ring_zmod)
@@ -21,7 +20,7 @@ from .ksint import (KsParams, OverlapDigits, ReconstructionError,
 from .modpoly import ModPoly, Variant, choose_variant, mod_mul
 from .oracle import schoolbook_bivar, schoolbook_mod, schoolbook_z, \
     uni_schoolbook
-from .pack import CoeffVec
+from .pack import CoeffVec, from_digits, to_digits
 
 __version__ = "0.1.0"
 

@@ -28,8 +28,10 @@ from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
 from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
                     ks3_mul, ks4_mul, reconstruct_overlapped)
 from .modpoly import ModPoly, Variant, mod_mul
-from .pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
-                   pack_reversed)
+from .pack import (_FIELD_BITS, _FIELD_UNPACK_MIN_DIGITS as _FIELD,
+                   _GROUP_MIN_DIGITS as _GROUP, _WIDE_MIN_DIGITS as _WIDE,
+                   CoeffVec, _pack_ints, from_digits, pack, pack_negated,
+                   pack_negated_reversed, pack_reversed, to_digits)
 
 _MAX_DIGITS = 800
 
@@ -133,9 +135,6 @@ def bignat_case(rng, config):
     return a, b
 
 
-_GROUP = bignat._GROUP_MIN_DIGITS
-_FIELD = bignat._FIELD_UNPACK_MIN_DIGITS
-_WIDE = bignat._WIDE_MIN_DIGITS
 # One tier per blit path of _pack_ints and _unpack_ints, as its widths and
 # its digit counts at a width; every draw of a tier runs its path: plain
 # shifts below the group cutoff; groups of eight at widths and counts short
@@ -146,7 +145,7 @@ _WIDE = bignat._WIDE_MIN_DIGITS
 DIGIT_TIERS = {
     "shifts": (range(1, 161), lambda w: (0, _GROUP - 1)),
     "groups": ([w for w in range(1, 161) if _FIELD.get(w, _WIDE) > _GROUP],
-               lambda w: (_GROUP, _FIELD.get(w, _WIDE if w > LIMB_BITS
+               lambda w: (_GROUP, _FIELD.get(w, _WIDE if w > _FIELD_BITS
                                              else _MAX_DIGITS + 1) - 1)),
     "fields": (list(_FIELD), lambda w: (_FIELD[w], _MAX_DIGITS)),
     "wide": (range(65, 161), lambda w: (_WIDE, _MAX_DIGITS)),
@@ -160,12 +159,12 @@ def digits_case(rng, config, tier=None):
     widths, counts = DIGIT_TIERS[tier]
     width = rng.choice(widths)
     count = rng.randint(*counts(width))
-    bits = rng.choice((width, min(width, LIMB_BITS)))
+    bits = rng.choice((width, min(width, _FIELD_BITS)))
     digits = _values(rng, count, 1 << bits)
     value = _at(digits, 1 << width)
-    check(bignat.from_digits(digits, width) == value
-          == bignat._pack_ints(tuple(digits), width)
-          and bignat.to_digits(value, width, count) == digits,
+    check(from_digits(digits, width) == value
+          == _pack_ints(tuple(digits), width)
+          and to_digits(value, width, count) == digits,
           f"digits-{tier}", (width, digits))
     return tier, width, digits
 

@@ -32,7 +32,7 @@ e, one bit wider, has its digits checked as a CoeffVec.
 Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
 passes), every variant returns its coefficients reduced by it.  ks2, ks3
 and ks4 end in one reader, ``_read``: it reads their packed parts reduced
-while still packed (``bignat._unpack_mod``), at every length, and weaves
+while still packed (``pack._unpack_mod``), at every length, and weaves
 them into order.  Only ks3 at odd e and ks4's 1x1 product ask it to check
 the digits first, as a CoeffVec, and reduce them one `%` at a time, as
 ks1 does.
@@ -40,7 +40,7 @@ ks1 does.
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
 x = v(2**N) gives the odd terms' sum, so v(-2**N) = x - 2*(x & mask), with
-the mask from bignat's store.  That is always ks3's case, and ks4's when
+the mask from pack's store.  That is always ks3's case, and ks4's when
 e >= 2b-3.  Below b the slots overlap, and pack._even_odd_at blits the
 even and odd parts at 2N instead, v(+-X) = E(X**2) +- X*O(X**2); their
 digits fit, as ks4's quarter width has 2N >= b + e/2.  ks4 evaluates and
@@ -59,15 +59,15 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bignat import (MulConfig, MulStats, _masks_for, _odd_slots,
-                     _overlap_masks, _pack_ints, _unpack_ints, _unpack_mod,
-                     mul, mul_signed)
+from .bignat import MulConfig, MulStats, mul, mul_signed
 # ks3 and ks4 blit through pack from the bound up and through pack's one
 # even/odd blit below it; ks2 also through pack_reversed.  perfbench's
 # tracer wraps all four pack names in this namespace, so the negated ones
 # stay imported.
-from .pack import (CoeffVec, _even_odd_at, _validated, pack, pack_negated,
-                   pack_negated_reversed, pack_reversed)
+from .pack import (CoeffVec, _even_odd_at, _masks_for, _odd_slots,
+                   _overlap_masks, _pack_ints, _unpack_ints, _unpack_mod,
+                   _validated, pack, pack_negated, pack_negated_reversed,
+                   pack_reversed)
 
 __all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
            "derive_params", "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from kronmul import bignat
-from kronmul.bignat import (DEFAULT_MUL_CONFIG, MulConfig, MulStats,
-                            from_digits, mul, mul_classical, mul_karatsuba,
-                            mul_signed, to_digits)
+from kronmul import bignat, pack
+from kronmul.bignat import (DEFAULT_MUL_CONFIG, MulConfig, MulStats, mul,
+                            mul_classical, mul_karatsuba, mul_signed)
+from kronmul.pack import from_digits, to_digits
 
 
 class SubInt(int):
@@ -282,6 +282,10 @@ def test_results_are_normalized():
     assert results == [2**64 - 1] * 3 + [2 - 2**65, 0, 513, 1, 2, 3]
 
 
+# pack's digit layer: to_digits, from_digits, and the blits, mask store and
+# packed reduction under them.
+
+
 def test_digit_examples():
     assert to_digits(0, 7, 3) == [0, 0, 0]
     assert to_digits(475, 3, 4) == [3, 3, 7, 0]
@@ -327,18 +331,18 @@ def test_digit_blits_match_reference(width):
     # to 8192 terms.
     rng = random.Random(width)
     top = (1 << width) - 1
-    cutoffs = {bignat._GROUP_MIN_DIGITS,
-               *bignat._FIELD_UNPACK_MIN_DIGITS.values()}
+    cutoffs = {pack._GROUP_MIN_DIGITS,
+               *pack._FIELD_UNPACK_MIN_DIGITS.values()}
     counts = [0, 1, 7, 8, 9, 1025, 4097]
     counts += [c + k for c in cutoffs for k in (-1, 0, 1)]
     for count in counts:
         for digits in ([rng.randrange(top + 1) for _ in range(count)],
                        [top] * count):
             value = _reference_pack(digits, width)
-            assert bignat._pack_ints(digits, width) == value
-            assert bignat._unpack_ints(value, width, count) == digits
+            assert pack._pack_ints(digits, width) == value
+            assert pack._unpack_ints(value, width, count) == digits
         with pytest.raises(ValueError, match="value does not fit"):
-            bignat._unpack_ints(1 << (width * count), width, count)
+            pack._unpack_ints(1 << (width * count), width, count)
 
 
 @pytest.mark.parametrize("width", [65, 100, 104, 128, 136, 160])
@@ -348,7 +352,7 @@ def test_wide_digit_round_trips(width):
     # digits at whole-byte widths, pairs at 2049 digits of width 100).
     # Full-width digits pack by groups, 64-bit ones by fields where the
     # width is divisible by 4.
-    assert bignat._WIDE_MIN_DIGITS == 384 and bignat._FIELD_BLOCK == 1024
+    assert pack._WIDE_MIN_DIGITS == 384 and pack._FIELD_BLOCK == 1024
     rng = random.Random(width)
     for count in (383, 384, 1024, 1025, 2049):
         for bits in (width, 64):
@@ -364,20 +368,20 @@ def test_wide_pack_digit_bound(monkeypatch, width, count):
     # Digits up to 2**64 - 1 pack through 64-bit fields; a last digit of
     # 2**64 sends the whole vector to the groups.
     ran = []
-    fields = bignat._pack_fields
+    fields = pack._pack_fields
 
     def recorded(values, w):
         out = fields(values, w)
         ran.append(w)
         return out
 
-    monkeypatch.setattr(bignat, "_pack_fields", recorded)
+    monkeypatch.setattr(pack, "_pack_fields", recorded)
     rng = random.Random(count)
     digits = [rng.getrandbits(64) for _ in range(count)]
     for top, by_fields in ((2**64 - 1, True), (2**64, False)):
         digits[-1] = top
         ran.clear()
-        assert bignat._pack_ints(digits, width) == \
+        assert pack._pack_ints(digits, width) == \
             _reference_pack(digits, width)
         assert ran == [width] * by_fields
 
@@ -389,14 +393,14 @@ def test_unpack_rejects_negative_values(width, count):
     # shifts would read -5 as [251, 255, 255] at width 8, the fields as
     # garbage.
     with pytest.raises(ValueError, match="negative"):
-        bignat._unpack_ints(-5, width, count)
+        pack._unpack_ints(-5, width, count)
 
 
 def test_field_layouts():
     # d is the least power of two with d*width a whole number gap >= 8 of
     # bytes; 54 is ks4's width on a 48-bit modulus.
-    assert bignat._FIELD_LAYOUTS[54] == (4, 27)
-    for width, (d, gap) in bignat._FIELD_LAYOUTS.items():
+    assert pack._FIELD_LAYOUTS[54] == (4, 27)
+    for width, (d, gap) in pack._FIELD_LAYOUTS.items():
         assert d * width == 8 * gap and gap >= 8
         assert d == 1 or (d // 2 * width) % 8 or d // 2 * width < 64
 
@@ -441,8 +445,8 @@ def test_unpack_mod_matches_reduced_digits(n):
         for count in (1, 2, 7, 39, 40, 41):
             digits = _mod_digits(rng, n, width, count)
             value = _reference_pack(digits, width)
-            assert bignat._unpack_mod(value, width, count, n) == [
-                d % n for d in bignat._unpack_ints(value, width, count)], (
+            assert pack._unpack_mod(value, width, count, n) == [
+                d % n for d in pack._unpack_ints(value, width, count)], (
                     width, count)
 
 
@@ -457,7 +461,7 @@ def test_unpack_mod_long_vectors(n, width):
     for count in (1023, 1024, 1025, 2049, 4097):
         digits = _mod_digits(rng, n, width, count)
         value = _reference_pack(digits, width)
-        assert bignat._unpack_mod(value, width, count, n) == [
+        assert pack._unpack_mod(value, width, count, n) == [
             d % n for d in digits], count
 
 
@@ -467,11 +471,11 @@ def test_unpack_mod_rejects_what_unpack_rejects(width, count):
     n = 2**29 - 3
     for value in (-1, -(1 << width), 1 << width * count):
         with pytest.raises(ValueError):
-            bignat._unpack_ints(value, width, count)
+            pack._unpack_ints(value, width, count)
         with pytest.raises(ValueError):
-            bignat._unpack_mod(value, width, count, n)
+            pack._unpack_mod(value, width, count, n)
     top = (1 << width * count) - 1
-    assert bignat._unpack_mod(top, width, count, n) == [
+    assert pack._unpack_mod(top, width, count, n) == [
         ((1 << width) - 1) % n] * count
 
 
@@ -480,36 +484,36 @@ def _assert_mask_store_site(call, key, stride, per_field, short, longer):
     # the short one again read right, the last through the longer entry; a
     # new key past the key limit empties the store, and a mask past the bit
     # bound is built for its call and not kept.
-    bignat._masks.clear()
+    pack._masks.clear()
     call(short)
     call(longer)
-    entry = bignat._masks[key]
+    entry = pack._masks[key]
     assert entry[0] * per_field >= longer
     call(short)
-    assert bignat._masks[key] is entry and len(bignat._masks) == 1
-    bignat._masks.clear()
-    for width in range(1000, 1000 + bignat._MASK_KEYS):
-        bignat._masks_for((bignat._odd_slots, width), 1)
+    assert pack._masks[key] is entry and len(pack._masks) == 1
+    pack._masks.clear()
+    for width in range(1000, 1000 + pack._MASK_KEYS):
+        pack._masks_for((pack._odd_slots, width), 1)
     call(short)
-    assert list(bignat._masks) == [key]
-    past = (bignat._MASK_MAX_BITS // stride + 1) * per_field
+    assert list(pack._masks) == [key]
+    past = (pack._MASK_MAX_BITS // stride + 1) * per_field
     call(past)
-    assert bignat._masks[key][0] * stride <= bignat._MASK_MAX_BITS
+    assert pack._masks[key][0] * stride <= pack._MASK_MAX_BITS
 
 
 def test_phase_mask_cache():
     # The strided unpack's phase masks live in the one mask store, keyed on
     # width, which holds at worst two masks at the bit bound per key.
-    assert bignat._MASK_KEYS * 2 * bignat._MASK_MAX_BITS // 8 <= 8 << 20
+    assert pack._MASK_KEYS * 2 * pack._MASK_MAX_BITS // 8 <= 8 << 20
     rng = random.Random(54)
 
     def phases(count):
         digits = [rng.getrandbits(54) for _ in range(count)]
-        assert bignat._unpack_ints(_reference_pack(digits, 54), 54,
-                                   count) == digits
+        assert pack._unpack_ints(_reference_pack(digits, 54), 54,
+                                 count) == digits
 
     # 54-bit digits: four to a 216-bit field.
-    _assert_mask_store_site(phases, (bignat._phase_masks, 54), 216, 4,
+    _assert_mask_store_site(phases, (pack._phase_masks, 54), 216, 4,
                             48, 4097)
 
 
@@ -520,11 +524,11 @@ def test_mod_mask_cache():
 
     def reduced(count):
         digits = _mod_digits(rng, n, 102, count)
-        assert bignat._unpack_mod(_reference_pack(digits, 102), 102, count,
-                                  n) == [d % n for d in digits]
+        assert pack._unpack_mod(_reference_pack(digits, 102), 102, count,
+                                n) == [d % n for d in digits]
 
     # 102-bit digits: two to a 204-bit field.
-    _assert_mask_store_site(reduced, (bignat._mod_masks, 102, n), 204, 2,
+    _assert_mask_store_site(reduced, (pack._mod_masks, 102, n), 204, 2,
                             40, 1025)
 
 

@@ -14,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kronmul import _cases, bignat  # noqa: E402
+from kronmul import _cases, pack  # noqa: E402
 
 
 def _split_levels(width):
@@ -27,7 +27,7 @@ def test_blits_match_reference(tier, monkeypatch):
     ran = []
 
     def recorder(name):
-        blit = getattr(bignat, name)
+        blit = getattr(pack, name)
 
         def recorded(*args):
             # Recorded on return: a wide pack that falls back to the groups
@@ -38,7 +38,7 @@ def test_blits_match_reference(tier, monkeypatch):
         return recorded
 
     for name in ("_pack_fields", "_unpack_fields", "_unpack_wide"):
-        monkeypatch.setattr(bignat, name, recorder(name))
+        monkeypatch.setattr(pack, name, recorder(name))
 
     @settings(derandomize=True, max_examples=60, database=None,
               deadline=None)
@@ -52,7 +52,7 @@ def test_blits_match_reference(tier, monkeypatch):
                            * (1 + _split_levels(width)))
             return
         fields = tier == "fields"
-        packs = fields and width in bignat._FIELD_PACK_MIN_DIGITS
+        packs = fields and width in pack._FIELD_PACK_MIN_DIGITS
         assert ran == (["_pack_fields"] * 2 * packs
                        + ["_unpack_fields"] * fields)
 

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from kronmul import bignat, ksint
-from kronmul.bignat import _FIELD_UNPACK_MIN_DIGITS, MulConfig, MulStats
+from kronmul import ksint
+from kronmul.bignat import MulConfig, MulStats
 from kronmul.ksint import (OverlapDigits, ReconstructionError,
                            _four_point_safe, _overlap_unpack, _plus_minus,
                            _read, _reversed, _shr_exact, derive_params,
                            ks1_mul, ks2_mul, ks3_mul, ks4_mul,
                            reconstruct_overlapped)
 from kronmul.oracle import schoolbook_z
-from kronmul.pack import (CoeffVec, pack, pack_negated, pack_negated_reversed,
-                          pack_reversed)
+from kronmul.pack import (_FIELD_UNPACK_MIN_DIGITS, _MASK_KEYS,
+                          _MASK_MAX_BITS, CoeffVec, _masks, _masks_for,
+                          _odd_slots, pack, pack_negated,
+                          pack_negated_reversed, pack_reversed)
 
 # A digit count past every width's strided-field cutoff.
 _FIELD_COUNT = max(_FIELD_UNPACK_MIN_DIGITS.values())
@@ -555,12 +557,12 @@ def test_plus_minus_on_both_sides_of_the_bound():
 
 
 def test_odd_slot_mask_cache():
-    # ks3's and ks4's odd-slot masks live in bignat's one mask store, keyed
+    # ks3's and ks4's odd-slot masks live in pack's one mask store, keyed
     # on width: a short mask, then a longer one that replaces it, then the
     # short request again, which reads the longer entry.
-    bignat._masks.clear()
+    _masks.clear()
     rng = random.Random(61)
-    key = (bignat._odd_slots, 61)
+    key = (_odd_slots, 61)
 
     def odd_slots(count):
         v = CoeffVec(tuple(rng.getrandbits(61) for _ in range(count)), 61)
@@ -568,19 +570,19 @@ def test_odd_slot_mask_cache():
 
     odd_slots(3)
     odd_slots(40)
-    entry = bignat._masks[key]
+    entry = _masks[key]
     assert entry[0] * 2 >= 40
     odd_slots(3)
-    assert bignat._masks[key] is entry and list(bignat._masks) == [key]
+    assert _masks[key] is entry and list(_masks) == [key]
     # A new key past the key limit empties the store first.
-    bignat._masks.clear()
-    for width in range(1000, 1000 + bignat._MASK_KEYS):
-        bignat._masks_for((bignat._odd_slots, width), 1)
+    _masks.clear()
+    for width in range(1000, 1000 + _MASK_KEYS):
+        _masks_for((_odd_slots, width), 1)
     odd_slots(3)
-    assert list(bignat._masks) == [key]
+    assert list(_masks) == [key]
     # A mask past the bit bound is built for the call and not kept.
-    odd_slots((bignat._MASK_MAX_BITS // 122 + 1) * 2)
-    assert bignat._masks[key][0] * 122 <= bignat._MASK_MAX_BITS
+    odd_slots((_MASK_MAX_BITS // 122 + 1) * 2)
+    assert _masks[key][0] * 122 <= _MASK_MAX_BITS
 
 
 @pytest.mark.parametrize("b,len_f,len_g", [

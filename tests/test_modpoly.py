@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from kronmul import bignat, ksint
+from kronmul import ksint, pack
 from kronmul.bignat import MulConfig, MulStats
 from kronmul.modpoly import (_VARIANT_FUNCS, ModPoly, Variant, choose_variant,
                              mod_mul)
@@ -139,7 +139,7 @@ def test_caches_keep_type_checks():
 
 def test_import_builds_no_cache():
     # Nothing is built at import, so setup time does not grow.
-    code = ("import kronmul.ksint as k, kronmul.bignat as b; "
+    code = ("import kronmul.ksint as k, kronmul.pack as b; "
             "print(len(b._masks), k._cached_params.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(ksint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -203,7 +203,7 @@ def test_64_bit_modulus_wide_digits_against_oracle(monkeypatch, len_f,
     f = random_modpoly(rng, len_f, modulus)
     g = random_modpoly(rng, len_g, modulus)
     want = schoolbook_mod(f, g).coeffs
-    wide = _recording(monkeypatch, bignat, "_unpack_wide")
+    wide = _recording(monkeypatch, pack, "_unpack_wide")
     packed = _recording(monkeypatch, ksint, "_unpack_mod")
     for variant in EXPLICIT + [Variant.AUTO]:
         del wide[:], packed[:]

@@ -68,7 +68,7 @@ MUTANTS = {
         "e = (min(len_f, len_g) // 2).bit_length()", "selftest"),
     # ks3's odd-slot mask built one doubling short, so it misses the top
     # odd slots.
-    "odd-slot-mask-short": ("bignat.py", "<< width, 2 * width, count)",
+    "odd-slot-mask-short": ("pack.py", "<< width, 2 * width, count)",
                             "<< width, 2 * width, count // 2)", "selftest"),
     # Truncates an odd half-sum, as a corrupted product makes, instead of
     # rejecting it; valid products are always exact, so no output shows it.
@@ -94,13 +94,13 @@ MUTANTS = {
         "_pack_ints(coeffs[1::2], 2 * width_bits) << 2 * width_bits",
         "selftest"),
     # The strided-field unpack reads phase r at phase r - 1's offset.
-    "unpack-fields-phase-r-1": ("bignat.py", "(value >> r * width) & mask",
+    "unpack-fields-phase-r-1": ("pack.py", "(value >> r * width) & mask",
                                 "(value >> (r - 1) * width) & mask",
                                 "selftest"),
     # The byte-string unpack at an odd width keeps a pair's top bit in its
     # odd digit.
     "unpack-wide-odd-shift-short": (
-        "bignat.py", "repeat(width)", "repeat(width - 1)", "selftest"),
+        "pack.py", "repeat(width)", "repeat(width - 1)", "selftest"),
     # The overlap recovery rejects a quotient of exactly width*count bits,
     # which the all-maximal values at its limit reach.
     "overlap-unpack-q-bound-off-by-one": (
@@ -118,14 +118,14 @@ MUTANTS = {
     # in two's complement; test_overlap_unpack_rejects_borrowing_fields
     # pins the borrows.)
     "overlap-unpack-bound-off-by-one": (
-        "bignat.py", "- (1 << bound_bits))", "- (2 << bound_bits))",
+        "pack.py", "- (1 << bound_bits))", "- (2 << bound_bits))",
         "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
     "overlap-unpack-bound-ignored": (
         "ksint.py", "t = min(bound_bits, 2 * width)", "t = 2 * width",
         "tests/test_ksint.py::"
         "test_ks2_ks4_reject_products_past_the_output_bound"),
     "overlap-masks-top-bit-missing": (
-        "bignat.py", "ones * ((1 << 2 * width) - (1 << bound_bits))",
+        "pack.py", "ones * ((1 << 2 * width) - (1 << bound_bits))",
         "ones * ((1 << 2 * width - 1) - (1 << bound_bits))",
         "tests/test_ksint.py::test_overlap_unpack_caller_bound"),
     "overlap-unpack-high-half-check-dropped": (
@@ -140,7 +140,7 @@ MUTANTS = {
     # The mask store serves an entry shorter than the request, so a longer
     # vector at a key seen before reads a mask that is too short.
     "mask-store-serves-shorter": (
-        "bignat.py", "if entry is not None and entry[0] >= fields:",
+        "pack.py", "if entry is not None and entry[0] >= fields:",
         "if entry is not None:",
         "tests/test_bignat.py::test_phase_mask_cache"),
     # ks3 asks the output reader for its check at even e too: every output
@@ -168,19 +168,19 @@ MUTANTS = {
     # reading the second phase of a width of 2 (mod 4) at the first phase's
     # place.
     "unpack-mod-correction-dropped": (
-        "bignat.py", "    even -= (even + fix >> b & mask) * n\n"
+        "pack.py", "    even -= (even + fix >> b & mask) * n\n"
         "    odd -= (odd + fix >> b & mask) * n\n", "",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-barrett-shift-short": (
-        "bignat.py", "even -= (even * m >> width & mask) * n",
+        "pack.py", "even -= (even * m >> width & mask) * n",
         "even -= (even * m >> width - 1 & mask) * n",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-flag-bit-low": (
-        "bignat.py", "even -= (even + fix >> b & mask) * n",
+        "pack.py", "even -= (even + fix >> b & mask) * n",
         "even -= (even + fix >> b - 1 & mask) * n",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-second-phase-unshifted": (
-        "bignat.py", "(c >> r * stride).to_bytes", "c.to_bytes",
+        "pack.py", "(c >> r * stride).to_bytes", "c.to_bytes",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     # ks3 reduces packed at odd e and checks at even e: every valid output
     # stays right, only the count of packed reductions shows it.

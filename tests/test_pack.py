@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from kronmul.bignat import to_digits
 from kronmul.pack import (CoeffVec, pack, pack_negated,
-                          pack_negated_reversed, pack_reversed)
+                          pack_negated_reversed, pack_reversed, to_digits)
 
 
 class SubInt(int):
