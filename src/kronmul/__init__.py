@@ -2,11 +2,13 @@
 
 The integer path packs coefficient vectors into big integers at one, two or
 four carefully chosen evaluation points (powers and reciprocals of 2**N,
-with and without negation), multiplies those ints (CPython's multiply, or
-when word products are counted, Karatsuba over schoolbook leaves), and
-unpacks; the narrower the packing, the less zero-padding is multiplied.
-A ring-generic bivariate reduction, a (Z/nZ)[x] front end and a benchmark
-CLI sit on top.
+with and without negation), multiplies those ints, and unpacks; the
+narrower the packing, the less zero-padding is multiplied.  An uncounted
+product is CPython's multiply, split by Toom-4 on large balanced operands;
+a counted one is Karatsuba over schoolbook leaves.  Only the product is
+counted, because the paper's cost model counts word products.  A
+ring-generic bivariate reduction, a (Z/nZ)[x] front end and a benchmark CLI
+sit on top.
 """
 
 from .bignat import (DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig, MulStats,

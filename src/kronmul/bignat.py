@@ -20,7 +20,8 @@ product it does not split, like every ``mul_classical`` call and every
 counted product under ``classical_only``, is a classical leaf that counts
 exactly m*n word products for an m-limb by n-limb product (``MulStats``)
 and makes one native product.  Every machine product is a call of
-``_native_mul``.
+``_native_mul``.  No option picks between the two: a count needs the
+counted recursion, and an uncounted call gains nothing from it.
 
 All functions are pure, except that a multiply adds its word products to
 the MulStats counter it is given.

@@ -235,10 +235,40 @@ def _git(*args) -> str | None:
 
 def bench_grid(degrees, shapes, modulus_bits: int, reps: int,
                seed: int) -> dict:
-    """The bench file's content: every variant timed uncounted on each
-    cell, which runs ``TIMED_MULTIPLY``, with exact word products under
-    ``MulConfig()`` and under ``classical_only``, and AUTO's pick (not
-    timed)."""
+    """The bench file's content, one JSON document.
+
+    Its ``cells`` are the equal lengths degree + 1 of ``degrees``, then
+    ``shapes``, each with its ``len_f`` and ``len_g``.  A cell's
+    ``variants`` maps each of ks1 to ks4 to:
+
+    - ``wall_ns_median``: the median ns per ``mod_mul`` call over ``reps``
+      repetitions (``_interleaved_samples``), timed uncounted, so on
+      ``TIMED_MULTIPLY``;
+    - ``wall_ns_iqr``: the interquartile range of those repetitions (0 for
+      one repetition);
+    - ``ratio_vs_ks1``: the variant's median over ks1's;
+    - ``word_products`` and ``word_products_classical``: the exact word
+      products of one counted call under ``MulConfig()`` and under
+      ``classical_only``.
+
+    Each cell also holds ``auto``, AUTO's pick (not timed), and
+    ``fastest``, the variant with the least median.  The file holds
+    ``commit`` (the checkout's HEAD) and ``dirty`` (whether tracked files
+    differ from it), both None outside a git checkout; ``nproc``;
+    ``python``, the implementation and version; ``mul_config``, the fields
+    of ``MulConfig()``; ``timed_multiply``; ``auto_thresholds``, AUTO's two
+    bands; ``seed`` and ``reps``; and ``modulus_bits`` and ``modulus``, the
+    modulus drawn from the seed that every cell's inputs share.
+
+    ``timed_multiply`` names the multiply the timings ran on.  Older files
+    hold other values: ``cpython-int`` in BENCH_native.json, made before
+    any Toom split; ``cpython-int, toom3 from 26000 bits at skew below 2``
+    in BENCH_toom3.json, and that with ``, toom4 from 80000 bits at skew
+    below 1.5`` after it in BENCH_toom4.json.  BENCH_baseline.json and
+    BENCH_ks3_mask.json, made before the field, lack it; they ran CPython's
+    multiply.  Compare ratios within one file: raw times on a shared host
+    drift between runs.
+    """
     counted = {"word_products": MulConfig(),
                "word_products_classical": MulConfig(classical_only=True)}
     modulus, inputs = _bench_inputs(degrees, shapes, modulus_bits, seed)

@@ -1,20 +1,16 @@
 """Multiplication in (Z/nZ)[x] for word-sized n.
 
-Inputs are lifted to integer polynomials and multiplied with one of the
-Kronecker substitution variants, which ``mod_mul`` passes the modulus as a
-private keyword, so the variant returns the product reduced mod n: read
-reduced while still packed, or for ks1 and ks3 at odd e, one `%` at a time.
-The coefficient bit bound is taken from the modulus (bit length of n - 1),
-not from the actual coefficients, so the packed widths depend only on
-(lengths, modulus) and AUTO's variant choice only on the two lengths,
-through two fixed length bands measured on the bench grid.
-
-Each coefficient is checked once per direction: on the way in when the
-caller builds a ``ModPoly``, and on the way out in the variant, against
-the same bound: inside ks2's and ks4's overlap recovery, or as a
-``CoeffVec`` in ks3 at odd e and ks4 at 1x1; ks1 and ks3 at even e unpack
-at the bound's own width.  The lift and the reduction check nothing
-again, since both keep the values in range by construction.
+``mod_mul`` decides three things.  It lifts the inputs to integer
+polynomials as they are, checking nothing again: each coefficient was
+checked once, when the caller built its ``ModPoly``.  It takes the
+coefficient bit bound from the modulus (bit length of n - 1), not from the
+actual coefficients, so the packed widths depend only on (lengths,
+modulus).  And it picks the Kronecker substitution variant, AUTO's choice
+depending only on the two lengths, through two fixed length bands measured
+on the bench grid (the comment above ``_KS1_MAX_LENGTH``).  The variant
+gets the modulus as a private keyword and returns the product reduced mod
+n, its output held to the same bound; ksint's docstring says where each
+variant checks and reduces.
 """
 
 from __future__ import annotations

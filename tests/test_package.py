@@ -137,3 +137,49 @@ def test_readme_names_what_exists():
             command, flags)
     for name in set(re.findall(r"BENCH_\w+\.json", readme)):
         assert (ROOT / name).is_file(), name
+
+
+def _resolves(parts):
+    # kronmul.<parts>, by getattr, or by import where no attribute binds a
+    # submodule yet (``kronmul._cases``).
+    obj = kronmul
+    for i, part in enumerate(parts, 1):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            try:
+                obj = importlib.import_module(
+                    ".".join(["kronmul", *parts[:i]]))
+            except ImportError:
+                return False
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    # Every dotted name in README's inline code that starts at the package
+    # or one of its modules (``ksint._read``, ``kronmul._cases.CONFIGS``)
+    # exists, so a code move fails here until README follows it.  File
+    # names (``pack.py``) are not checked.
+    readme = (ROOT / "README.md").read_text()
+    modules = {info.name for info in pkgutil.iter_modules(kronmul.__path__)}
+    names = {name for span in re.findall(r"`([^`\n]+)`", readme)
+             for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.\w+)+",
+                                    span)}
+    checked = [parts[1:] if parts[0] == "kronmul" else parts
+               for parts in (name.split(".") for name in sorted(names))
+               if parts[0] in {"kronmul", *modules}
+               and parts[-1] not in {"py", "json", "toml", "md", "txt"}]
+    assert checked
+    assert [".".join(p) for p in checked if not _resolves(p)] == []
+
+
+def _stated_counts(text):
+    # Counts that a command prints and a later change moves: "622 passed",
+    # "38 mutants", "100 cases", "(~90 s)".
+    return re.findall(r"\b\d[\d,]*\s+(?:tests?|passed|failed|mutants?|rows?"
+                      r"|cases?)\b|~\s*\d[\d.,]*\s*(?:s|ms|min)\b", text)
+
+
+def test_readme_states_no_printed_count():
+    assert _stated_counts("pytest  # full suite (~90 s): 622 passed")
+    assert _stated_counts((ROOT / "README.md").read_text()) == []
