@@ -163,17 +163,12 @@ def _toom_int(x: int, y: int) -> int:
     return _toom4_int(x, y, (max(xb, yb) + 3) // 4)
 
 
-def _toom_signed(x: int, y: int) -> int:
-    product = _toom_int(abs(x), abs(y))
-    return -product if (x < 0) != (y < 0) else product
-
-
 def _toom4_int(x: int, y: int, k: int) -> int:
     # Split both naturals at k bits into four parts, x = x0 + x1*B + x2*B^2
     # + x3*B^3 with B = 2**k, evaluate at 0, 1, -1, 2, -2, 1/2 (scaled by 8,
     # so the product's value there is scaled by 64) and infinity, multiply
-    # pointwise through ``_toom_int`` (magnitudes only) and interpolate by
-    # Bodrato's sequence for these points, as in GMP's
+    # pointwise through ``_toom_int`` (at -1 and -2 through ``mul_signed``,
+    # uncounted) and interpolate by Bodrato's sequence, as in GMP's
     # mpn_toom_interpolate_7pts: exact divisions by 2, 4, 3, 9 and 15, small
     # multiples, shifts and adds.  On entry w1 .. w5 hold the values at -2,
     # 1, -1, 2 and 1/2; on exit each wi is the coefficient of B**i.
@@ -184,9 +179,9 @@ def _toom4_int(x: int, y: int, k: int) -> int:
     xe2, xo2 = x0 + (x2 << 2), (x1 + (x3 << 2)) << 1
     ye2, yo2 = y0 + (y2 << 2), (y1 + (y3 << 2)) << 1
     w0 = _toom_int(x0, y0)
-    w1 = _toom_signed(xe2 - xo2, ye2 - yo2)
+    w1 = mul_signed(xe2 - xo2, ye2 - yo2)
     w2 = _toom_int(xe + xo, ye + yo)
-    w3 = _toom_signed(xe - xo, ye - yo)
+    w3 = mul_signed(xe - xo, ye - yo)
     w4 = _toom_int(xe2 + xo2, ye2 + yo2)
     w5 = _toom_int((x0 << 3) + (x1 << 2) + (x2 << 1) + x3,
                    (y0 << 3) + (y1 << 2) + (y2 << 1) + y3)

@@ -164,8 +164,8 @@ def _bench_inputs(degrees, shapes, modulus_bits: int, seed: int):
     if modulus_bits < 1 or modulus_bits > 64:
         raise CommandError("modulus bits must be in [1, 64]")
     rng = random.Random(seed)
-    modulus = max(2, rng.randrange(1 << (modulus_bits - 1), 1 << modulus_bits)
-                  if modulus_bits > 1 else 2)
+    modulus = (rng.randrange(1 << (modulus_bits - 1), 1 << modulus_bits)
+               if modulus_bits > 1 else 2)
 
     def draw(length):
         return ModPoly(tuple(rng.randrange(modulus) for _ in range(length)),

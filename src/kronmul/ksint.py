@@ -33,9 +33,9 @@ Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
 passes), every variant returns its coefficients reduced by it.  ks2, ks3
 and ks4 end in one reader, ``_read``: it reads their packed parts reduced
 while still packed (``pack._unpack_mod``), at every length, and weaves
-them into order.  Only ks3 at odd e and ks4's 1x1 product ask it to check
-the digits first, as a CoeffVec, and reduce them one `%` at a time, as
-ks1 does.
+them into order.  Only ks3 at odd e asks it to check the digits first, as
+a CoeffVec, and reduce them one `%` at a time, as ks1 does.  ks4's
+one-coefficient product is ks1's.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -397,10 +397,8 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     p = _params_for(f, g)
     assert _four_point_safe(p)
     if p.out_len == 1:
-        # One field, read at twice the bound so that the reader checks it.
-        prod = mul(f.coeffs[0], g.coeffs[0], stats, config)
-        return _read((prod,), 2 * p.width_full, 1, p.width_full, _modulus,
-                     check=True)
+        # Nothing to split: ks1's one product, read at the bound itself.
+        return ks1_mul(f, g, stats=stats, config=config, _modulus=_modulus)
     n = p.width_quarter
     k = p.out_len
     even, odd = _half_products(f, g, n, stats, config)

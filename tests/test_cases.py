@@ -98,23 +98,26 @@ def test_thr1_ksint_suite_splits(monkeypatch):
 def test_bignat_suite_reaches_the_toom_split(monkeypatch):
     # Uncounted products of the suite's large draws split by Toom-4: the
     # self-test's seeded draws two levels deep in some, and hypothesis's
-    # draws of those pairs alone at least one level.  Each split evaluates
-    # two signed points.
-    signed = bignat._toom_signed
-    splits = []
+    # draws of those pairs alone at least one level.
+    split, depth, depths = bignat._toom4_int, 0, []
 
-    def recorded(x, y):
-        splits.append(min(abs(x), abs(y)).bit_length())
-        return signed(x, y)
+    def recorded(x, y, k):
+        nonlocal depth
+        depth += 1
+        depths.append(depth)
+        try:
+            return split(x, y, k)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(bignat, "_toom_signed", recorded)
+    monkeypatch.setattr(bignat, "_toom4_int", recorded)
     rng = random.Random("bignat-0")
     for _ in range(100):
         _cases.SUITES["bignat"](rng, MulConfig())
-    assert max(splits) >= bignat._TOOM_MIN_BITS
-    splits.clear()
+    assert max(depths) >= 2
+    depths.clear()
     _holds(_cases.bignat_toom_case, MulConfig())
-    assert splits
+    assert depths
 
 
 def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):

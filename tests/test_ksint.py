@@ -345,19 +345,28 @@ def test_ks1_rejects_a_product_too_wide_for_its_digits(monkeypatch):
     # fail the bound and it builds no product CoeffVec.  A corrupted
     # product past out_len digits, or negative, still raises from the
     # unpack, with or without a modulus; one that fits reads as digits
-    # below the bound.  At lengths 2 and b = 4, width_full = 9 and
-    # out_len = 3.
-    f = g = CoeffVec((15, 15), 4)
-    assert derive_params(2, 2, 4).width_full == 9
-    for modulus in (None, 7):
-        for product, error in ((1 << 27, "does not fit"), (-1, "negative")):
-            _corrupted(monkeypatch, "mul", [product])
-            with pytest.raises(ValueError, match=error):
-                ks1_mul(f, g, _modulus=modulus)
-        _corrupted(monkeypatch, "mul", [(1 << 27) - 1])
-        got = ks1_mul(f, g, _modulus=modulus)
-        assert got.coeffs == (511 % (modulus or 512),) * 3
-        assert got.width_bound_bits == 9
+    # below the bound.  ks4 at 1x1 makes ks1's one product and must read the
+    # same products alike.  At b = 4 and lengths 2, width_full = 9 and
+    # out_len = 3; at lengths 1, width_full = 8 and out_len = 1.
+    two, one = CoeffVec((15, 15), 4), CoeffVec((15,), 4)
+    for f, variants, shape in ((two, (ks1_mul,), (9, 3)),
+                               (one, (ks1_mul, ks4_mul), (8, 1))):
+        p = derive_params(len(f), len(f), 4)
+        assert (p.width_full, p.out_len) == shape
+        top = p.width_full * p.out_len
+        digit = (1 << p.width_full) - 1
+        for modulus in (None, 7, 2**63):
+            for variant in variants:
+                for product, error in ((1 << top, "does not fit"),
+                                       (-1, "negative")):
+                    _corrupted(monkeypatch, "mul", [product])
+                    with pytest.raises(ValueError, match=error):
+                        variant(f, f, _modulus=modulus)
+                _corrupted(monkeypatch, "mul", [(1 << top) - 1])
+                got = variant(f, f, _modulus=modulus)
+                want = (digit % (modulus or digit + 1),) * p.out_len
+                assert got.coeffs == want
+                assert got.width_bound_bits == p.width_full
 
 
 def test_ks3_rejects_digits_past_the_output_bound(monkeypatch):
@@ -403,9 +412,8 @@ def test_reader_checks_odd_e_digits_before_reducing(monkeypatch):
     # Given a modulus, ks3 at odd e reads its halves through the output
     # reader with its check: a digit of exactly 2**width_full, which the
     # unpack at width_full + 1 bits lets through, must raise before it is
-    # reduced, at 40 coefficients as at 3.  ks4's 1x1 product, one field,
-    # is checked the same way.  At lengths 20 and 21 and b = 4, e = 5,
-    # width_full = 13 and the unpack width is 14.
+    # reduced, at 40 coefficients as at 3.  At lengths 20 and 21 and b = 4,
+    # e = 5, width_full = 13 and the unpack width is 14.
     f, g = CoeffVec((15,) * 20, 4), CoeffVec((15,) * 21, 4)
     p = derive_params(20, 21, 4)
     assert (p.width_full, 2 * p.width_half, p.out_len) == (13, 14, 40)
@@ -425,15 +433,6 @@ def test_reader_checks_odd_e_digits_before_reducing(monkeypatch):
                 with pytest.raises(ValueError,
                                    match=r"coefficient 17 outside"):
                     ks3_mul(f, g, _modulus=modulus)
-        one = CoeffVec((15,), 4)
-        for product in (2**8 - 1, 2**8):
-            _corrupted(monkeypatch, "mul", [product])
-            if product < 2**8:
-                assert ks4_mul(one, one, _modulus=modulus).coeffs == (
-                    product % modulus,)
-            else:
-                with pytest.raises(ValueError, match="coefficient 0 outside"):
-                    ks4_mul(one, one, _modulus=modulus)
 
 
 def test_shr_exact_rejects_inexact_half_sums():

@@ -71,12 +71,11 @@ def _counting(monkeypatch, cls):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_one_check_per_direction(monkeypatch, variant):
     # ModPoly checks the inputs.  Each output coefficient is checked at most
-    # once: by the variant's product CoeffVec (ks3 at odd e and ks4's 1x1
-    # case), or by the bound 2**width_full that ks2 and ks4 pass to the
-    # overlap recovery (once for ks2, once per even and odd part for ks4).
-    # ks1, and ks3 at even e, unpack at width_full bits, the bound itself,
-    # and check nothing.  mod_mul itself lifts and reduces without checking
-    # again.
+    # once: by ks3's product CoeffVec at odd e, or by the bound 2**width_full
+    # that ks2 and ks4 pass to the overlap recovery (once for ks2, once per
+    # even and odd part for ks4).  ks1, ks4's 1x1 case (ks1's product), and
+    # ks3 at even e unpack at width_full bits, the bound itself, and check
+    # nothing.  mod_mul itself lifts and reduces without checking again.
     rng = random.Random(5)
     n = (1 << 48) - 59
     cases = [(random_modpoly(rng, lf, n), random_modpoly(rng, lg, n))
@@ -102,8 +101,7 @@ def test_one_check_per_direction(monkeypatch, variant):
                  Variant.KS4: 2 if out_len > 1 else 0}.get(variant, 0)
         ran = (choose_variant(len(f), len(g)) if variant is Variant.AUTO
                else variant)
-        checks = (ks3_checks[len(f), len(g)] if ran is Variant.KS3
-                  else int(ran is Variant.KS4 and out_len == 1))
+        checks = ks3_checks[len(f), len(g)] if ran is Variant.KS3 else 0
         assert (len(coeff_vecs), len(recoveries), len(mod_polys)) == (
             checks, parts, 0)
         if parts:

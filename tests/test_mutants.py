@@ -153,8 +153,8 @@ MUTANTS = {
     "ks3-odd-e-check-dropped": (
         "ksint.py", "2 * n > p.width_full)", "False)",
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
-    # The output reader with its check skipped, for ks3 at odd e and ks4 at
-    # 1x1; and weaving part i into the places of part i + 1.
+    # The output reader with its check skipped, for ks3 at odd e; and
+    # weaving part i into the places of part i + 1.
     "read-check-skipped": (
         "ksint.py", "return _mod(CoeffVec(tuple(out), bound), modulus)",
         "return _mod(_validated(tuple(out), bound), modulus)",
@@ -162,6 +162,11 @@ MUTANTS = {
         "test_reader_checks_odd_e_digits_before_reducing"),
     "read-weave-rotated": ("ksint.py", "out[i::m] = (",
                            "out[(i + 1) % m::m] = (", "selftest"),
+    # ks4 at 1x1 through its general path: the output stays right, but
+    # it makes four products where ks1's one does.
+    "ks4-one-coefficient-general-path": (
+        "ksint.py", "if p.out_len == 1:", "if False:",
+        "tests/test_ksint.py::test_variant_word_products_pinned"),
     # The packed reduction mod n: without its conditional subtraction,
     # which Barrett's estimate one short needs; with the estimate shifted
     # one bit short; with the subtraction's flag read one bit low; and
