@@ -201,7 +201,7 @@ def reconstruct_case(rng, config):
         x = 1 << width
         parts = ksint._overlap_unpack(_at(fwd, x), _at(rev[::-1], x), width,
                                       count, t)
-        return ksint._read(parts, 2 * width, count, t, n).coeffs
+        return tuple(ksint._read(parts, 2 * width, count, n))
     if t == bits:
         check(packed(*streams) == tuple(v % n for v in values),
               "reconstruct-packed", (width, values, n))

@@ -31,11 +31,20 @@ e, one bit wider, has its digits checked as a CoeffVec.
 
 Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
 passes), every variant returns its coefficients reduced by it.  ks2, ks3
-and ks4 end in one reader, ``_read``: it reads their packed parts reduced
-while still packed (``pack._unpack_mod``), at every length, and weaves
-them into order.  Only ks3 at odd e asks it to check the digits first, as
-a CoeffVec, and reduce them one `%` at a time, as ks1 does.  ks4's
-one-coefficient product is ks1's.
+and ks4 end in one reader, ``_read``: it reads the two packed parts of
+their output, the even- and the odd-index coefficients, reduced while
+still packed (``pack._unpack_mod``), at every length, and weaves them into
+order; ks4 reads its even and its odd part each so.  ks3 at odd e reads
+its digits unreduced instead, checks them as a CoeffVec and reduces them
+one `%` at a time, as ks1 does.  ks4's one-coefficient product is ks1's.
+
+Each call starts from its shape's plan, ``_plan(len f, len g, bit bound,
+modulus)``, kept in a bounded cache (4096 plans): the widths, the output
+length, whether ks3 checks (odd e), the fields of ks3's odd-slot mask and
+the records of ks2's and ks3's reduced reads (``pack._mod_record``, which
+hold store keys).  A plan holds ints below 2**64 and store keys, never a
+mask: each call takes its masks from pack's store.  ks1 and ks3 run
+straight from it.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -61,16 +70,17 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .bignat import MulConfig, MulStats, mul, mul_signed
 # ks3 and ks4 blit through pack from the bound up and through pack's one
 # even/odd blit below it; ks2 also through pack_reversed.  perfbench's
 # tracer wraps all four pack names in this namespace, so the negated ones
 # stay imported.
-from .pack import (CoeffVec, _even_odd_at, _masks_for, _odd_slots,
-                   _overlap_masks, _pack_ints, _unpack_ints, _unpack_mod,
-                   _validated, pack, pack_negated, pack_negated_reversed,
-                   pack_reversed)
+from .pack import (CoeffVec, _even_odd_at, _masks_for, _mod_record,
+                   _odd_slots, _overlap_masks, _pack_ints, _unpack_ints,
+                   _unpack_mod, _validated, pack, pack_negated,
+                   pack_negated_reversed, pack_reversed)
 
 __all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
            "derive_params", "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",
@@ -241,29 +251,23 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
     return parts
 
 
-def _mod(v: CoeffVec, modulus: int | None) -> CoeffVec:
-    # v's coefficients reduced mod `modulus`, when one is given.
+def _read(parts, width: int, count: int, modulus: int | None,
+          records=(None, None)) -> list[int]:
+    """The `count` values whose even-index ones parts[0] packs and odd-index
+    ones parts[1], at `width` bits, in order; reduced mod modulus while
+    packed if one is given, by ``pack._unpack_mod`` with the two reads'
+    records where the caller's plan holds them."""
+    even, odd = parts
+    k = (count + 1) // 2
     if modulus is None:
-        return v
-    return _validated(tuple(map(operator.mod, v.coeffs, repeat(modulus))),
-                      v.width_bound_bits)
-
-
-def _read(parts, width: int, count: int, bound: int, modulus: int | None,
-          check: bool = False) -> CoeffVec:
-    """The `count` output coefficients, below 2**bound, whose part i packs
-    those at index i (mod len(parts)) at `width` bits; reduced mod modulus
-    if given.  Fields wider than the bound ask for ``check``: a CoeffVec
-    checks them, then `%` reduces them.  Others are read reduced packed."""
-    m = len(parts)
+        a, b = _unpack_ints(even, width, k), _unpack_ints(odd, width, count - k)
+    else:
+        a = _unpack_mod(even, width, k, modulus, records[0])
+        b = _unpack_mod(odd, width, count - k, modulus, records[1])
     out = [0] * count
-    for i, s in enumerate(parts):
-        k = len(range(i, count, m))
-        out[i::m] = (_unpack_ints(s, width, k) if check or modulus is None
-                     else _unpack_mod(s, width, k, modulus))
-    if check:
-        return _mod(CoeffVec(tuple(out), bound), modulus)
-    return _validated(tuple(out), bound)
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
 def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
@@ -273,35 +277,54 @@ def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
     # _overlap_unpack bounds every value below X*(X-1) < 2**(2w), the
     # CoeffVec's bound.
     w, k = d.width_bits, d.coeff_count
-    return _read(_overlap_unpack(_pack_ints(d.forward_digits, w),
-                                 _pack_ints(d.reversed_digits[::-1], w), w,
-                                 k, 2 * w), 2 * w, k, 2 * w, None)
+    parts = _overlap_unpack(_pack_ints(d.forward_digits, w),
+                            _pack_ints(d.reversed_digits[::-1], w), w, k,
+                            2 * w)
+    return _validated(tuple(_read(parts, 2 * w, k, None)), 2 * w)
 
 
-# Keyed on plain ints (lengths and a CoeffVec's checked bound), so a hit
-# skips derive_params' checks and the frozen KsParams build.  4096 entries
-# hold every shape of lengths up to 64 at one bound, at about 300 bytes each
-# with the key: at most 1.2 MB.
+class _Plan(NamedTuple):
+    full: int           # width_full, ks1's width and the output bound
+    half: int
+    quarter: int
+    out_len: int
+    ks3_check: bool     # odd e: ks3's digits are one bit past the bound
+    odd_fields: int     # of ks3's odd-slot mask, for the longer operand
+    read_even: tuple    # the records of _read's two reads at 2*half bits
+    read_odd: tuple     # (shared by the plans of one width, count and n)
+
+
+# At about 310 bytes a plan, with its key: at most 1.3 MB.
 @functools.lru_cache(maxsize=4096)
-def _cached_params(len_f: int, len_g: int, coeff_bits: int) -> KsParams:
-    return derive_params(len_f, len_g, coeff_bits)
+def _plan(len_f: int, len_g: int, bits: int, modulus: int | None) -> _Plan:
+    p = derive_params(len_f, len_g, bits)
+    assert _four_point_safe(p)   # ks4's reconstruction bound
+    k, half = p.out_len, p.width_half
+    reads = (None, None)
+    if modulus is not None:
+        reads = (_mod_record(2 * half, (k + 1) // 2, modulus),
+                 _mod_record(2 * half, k // 2, modulus))
+    return _Plan(p.width_full, half, p.width_quarter, k,
+                 2 * half > p.width_full, max(len_f, len_g) // 2, *reads)
 
 
-def _params_for(f: CoeffVec, g: CoeffVec) -> KsParams:
-    return _cached_params(len(f), len(g),
-                          max(f.width_bound_bits, g.width_bound_bits))
+def _reduce(coeffs, modulus: int | None):
+    # coeffs reduced one `%` at a time when a modulus is given.
+    if modulus is None:
+        return tuple(coeffs)
+    return tuple(map(operator.mod, coeffs, repeat(modulus)))
 
 
 def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Standard substitution: one full-width product, direct unpack."""
-    p = _params_for(f, g)
-    n = p.width_full
+    p = _plan(len(f.coeffs), len(g.coeffs),
+              max(f.width_bound_bits, g.width_bound_bits), _modulus)
+    n = p.full
     prod = mul(pack(f, n), pack(g, n), stats, config)
     # The digits are below 2**width_full, the output bound itself.
-    coeffs = _unpack_ints(prod, n, p.out_len)
-    return _mod(_validated(tuple(coeffs), p.width_full), _modulus)
+    return _validated(_reduce(_unpack_ints(prod, n, p.out_len), _modulus), n)
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -310,13 +333,14 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     """Reciprocal variant: forward and reversed half-width products, then
     the overlap recovery of the output chunks, read reduced while packed
     when given a modulus."""
-    p = _params_for(f, g)
-    n = p.width_half
+    p = _plan(len(f.coeffs), len(g.coeffs),
+              max(f.width_bound_bits, g.width_bound_bits), _modulus)
+    n, k = p.half, p.out_len
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
-    k = p.out_len
-    return _read(_overlap_unpack(prod_fwd, prod_rev, n, k, p.width_full),
-                 2 * n, k, p.width_full, _modulus)
+    parts = _overlap_unpack(prod_fwd, prod_rev, n, k, p.full)
+    reads = p.read_even, p.read_odd
+    return _validated(tuple(_read(parts, 2 * n, k, _modulus, reads)), p.full)
 
 
 def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
@@ -344,17 +368,6 @@ def _shr_exact(v: int, k: int) -> int:
     return v >> k
 
 
-def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
-                   config) -> tuple[int, int]:
-    # The even- and odd-index parts E and O of f*g at 2**(2n), from its
-    # values E +- X*O at +-X = +-2**n: the half-sum, and the half-difference
-    # shifted down by n more.  Both products are counted into stats if given.
-    (f_pos, f_neg), (g_pos, g_neg) = _plus_minus(f, n), _plus_minus(g, n)
-    plus = mul_signed(f_pos, g_pos, stats, config)
-    minus = mul_signed(f_neg, g_neg, stats, config)
-    return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
-
-
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
@@ -362,14 +375,26 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     output coefficients and the half-difference the odd ones.  Given a
     modulus, the coefficients come back reduced by it; at even e they are
     reduced while still packed."""
-    p = _params_for(f, g)
-    n = p.width_half  # b + ceil(e/2) >= b: _plus_minus's one blit
-    even, odd = _half_products(f, g, n, stats, config)
+    full, n, _, k, check, odd_fields, read_even, read_odd = _plan(
+        len(f.coeffs), len(g.coeffs),
+        max(f.width_bound_bits, g.width_bound_bits), _modulus)
+    # n = b + ceil(e/2) >= b: _plus_minus's one blit.  f*g's even- and
+    # odd-index parts E and O at 2**(2n) come from its values E +- X*O at
+    # +-X = +-2**n: the half-sum, and the half-difference shifted by n more.
+    x, y = pack(f, n), pack(g, n)
+    _, mask = _masks_for((_odd_slots, n), odd_fields)
+    plus = mul_signed(x, y, stats, config)
+    minus = mul_signed(x - ((x & mask) << 1), y - ((y & mask) << 1), stats,
+                       config)
+    parts = _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
     # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that is
-    # the output bound 2**(2b+e) itself, so no digit can fail it.  At odd e
-    # the reader checks them against the bound before it reduces them.
-    return _read((even, odd), 2 * n, p.out_len, p.width_full, _modulus,
-                 check=2 * n > p.width_full)
+    # the output bound 2**(2b+e) itself, so no digit can fail it.  At odd e a
+    # CoeffVec checks them against the bound before `%` reduces them.
+    if check:
+        checked = CoeffVec(_read(parts, 2 * n, k, None), full)
+        return _validated(_reduce(checked.coeffs, _modulus), full)
+    return _validated(tuple(_read(parts, 2 * n, k, _modulus,
+                                  (read_even, read_odd))), full)
 
 
 def _four_point_safe(p: KsParams) -> bool:
@@ -394,24 +419,32 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     operands and on their reversals (their values at +-2**(-N)), then ks2's
     overlap reconstruction on the even part and on the odd part, read
     reduced as ks2's is."""
-    p = _params_for(f, g)
-    assert _four_point_safe(p)
-    if p.out_len == 1:
+    p = _plan(len(f.coeffs), len(g.coeffs),
+              max(f.width_bound_bits, g.width_bound_bits), _modulus)
+    full, n, k = p.full, p.quarter, p.out_len
+    if k == 1:
         # Nothing to split: ks1's one product, read at the bound itself.
         return ks1_mul(f, g, stats=stats, config=config, _modulus=_modulus)
-    n = p.width_quarter
-    k = p.out_len
-    even, odd = _half_products(f, g, n, stats, config)
-    # The reversed operands multiply to the reversed product.  Its even part
-    # is the reversed even part of f*g for odd k, and the reversed odd part
-    # for even k.
-    even_rev, odd_rev = _half_products(_reversed(f), _reversed(g), n, stats,
-                                       config)
+    # ks3's split at N, below the bound too, on the operands and on their
+    # reversals.  The reversed operands multiply to the reversed product.
+    # Its even part is the reversed even part of f*g for odd k, and the
+    # reversed odd part for even k.
+    halves = []
+    for u, v in ((f, g), (_reversed(f), _reversed(g))):
+        (u_pos, u_neg), (v_pos, v_neg) = _plus_minus(u, n), _plus_minus(v, n)
+        plus = mul_signed(u_pos, v_pos, stats, config)
+        minus = mul_signed(u_neg, v_neg, stats, config)
+        halves.append((_shr_exact(plus + minus, 1),
+                       _shr_exact(plus - minus, 1 + n)))
+    (even, odd), (even_rev, odd_rev) = halves
     if k % 2 == 0:
         even_rev, odd_rev = odd_rev, even_rev
     # Each part's recovery splits it by parity again: the even part's into
     # the coefficients at 0 and 2 (mod 4), the odd part's at 1 and 3.
     w = 2 * n
-    e0, e2 = _overlap_unpack(even, even_rev, w, (k + 1) // 2, p.width_full)
-    o1, o3 = _overlap_unpack(odd, odd_rev, w, k // 2, p.width_full)
-    return _read((e0, o1, e2, o3), 2 * w, k, p.width_full, _modulus)
+    out = [0] * k
+    out[0::2] = _read(_overlap_unpack(even, even_rev, w, (k + 1) // 2, full),
+                      2 * w, (k + 1) // 2, _modulus)
+    out[1::2] = _read(_overlap_unpack(odd, odd_rev, w, k // 2, full), 2 * w,
+                      k // 2, _modulus)
+    return _validated(tuple(out), full)

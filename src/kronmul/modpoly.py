@@ -35,6 +35,10 @@ class Variant(enum.Enum):
     KS4 = "ks4"
     AUTO = "auto"
 
+    # Members compare by identity, so an identity hash agrees; mod_mul's
+    # table lookup then runs no Python-level hash.
+    __hash__ = object.__hash__
+
 
 _VARIANT_FUNCS = {
     Variant.KS1: ks1_mul,
@@ -44,16 +48,16 @@ _VARIANT_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModPoly:
     """Dense polynomial over Z/nZ, constant term first, n in one machine word."""
 
     coeffs: tuple[int, ...]
     modulus: int
 
-    def __post_init__(self):
-        coeffs = tuple(map(operator.index, self.coeffs))
-        n = operator.index(self.modulus)
+    def __init__(self, coeffs, modulus):
+        coeffs = tuple(map(operator.index, coeffs))
+        n = operator.index(modulus)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "modulus", n)
         if n < 2:
@@ -133,8 +137,7 @@ def choose_variant(len_f: int, len_g: int) -> Variant:
 def _reduced(coeffs: tuple[int, ...], n: int) -> ModPoly:
     # A ModPoly over coefficients already known to lie in [0, n).
     p = object.__new__(ModPoly)
-    object.__setattr__(p, "coeffs", coeffs)
-    object.__setattr__(p, "modulus", n)
+    p.__dict__.update(coeffs=coeffs, modulus=n)
     return p
 
 
@@ -147,7 +150,7 @@ def mod_mul(f: ModPoly, g: ModPoly, variant: Variant = Variant.AUTO, *,
     n = f.modulus
     coeff_bits = max(1, (n - 1).bit_length())
     if variant is Variant.AUTO:
-        variant = choose_variant(len(f), len(g))
+        variant = choose_variant(len(f.coeffs), len(g.coeffs))
     try:
         multiply = _VARIANT_FUNCS[variant]
     except KeyError:

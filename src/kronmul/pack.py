@@ -33,7 +33,7 @@ __all__ = ["CoeffVec", "pack", "pack_reversed", "pack_negated",
            "pack_negated_reversed", "to_digits", "from_digits"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoeffVec:
     """Dense coefficient vector over the naturals, constant term first.
 
@@ -44,9 +44,9 @@ class CoeffVec:
     coeffs: tuple[int, ...]
     width_bound_bits: int
 
-    def __post_init__(self):
-        coeffs = tuple(map(operator.index, self.coeffs))
-        bound = operator.index(self.width_bound_bits)
+    def __init__(self, coeffs, width_bound_bits):
+        coeffs = tuple(map(operator.index, coeffs))
+        bound = operator.index(width_bound_bits)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "width_bound_bits", bound)
         if len(coeffs) < 1:
@@ -65,8 +65,7 @@ class CoeffVec:
 def _validated(coeffs: tuple[int, ...], bound: int) -> CoeffVec:
     # A CoeffVec over coefficients already known to satisfy the invariant.
     v = object.__new__(CoeffVec)
-    object.__setattr__(v, "coeffs", coeffs)
-    object.__setattr__(v, "width_bound_bits", bound)
+    v.__dict__.update(coeffs=coeffs, width_bound_bits=bound)
     return v
 
 
@@ -86,25 +85,19 @@ def _even_odd_at(coeffs, width_bits: int) -> tuple[int, int]:
             _pack_ints(coeffs[1::2], 2 * width_bits) << width_bits)
 
 
-def _value_at_pow2(coeffs, width_bits: int, bound: int) -> int:
-    # sum(c_i * 2**(i*width)); a single blit when chunks cannot overlap.
-    if width_bits >= bound:
-        return _pack_ints(coeffs, width_bits)
-    even, odd = _even_odd_at(coeffs, width_bits)
-    return even + odd
-
-
 def pack(v: CoeffVec, width_bits: int) -> int:
     """Value of v at 2**width_bits."""
     _check_width(v, width_bits)
-    return _value_at_pow2(v.coeffs, width_bits, v.width_bound_bits)
+    if width_bits >= v.width_bound_bits:
+        return _pack_ints(v.coeffs, width_bits)
+    even, odd = _even_odd_at(v.coeffs, width_bits)
+    return even + odd
 
 
 def pack_reversed(v: CoeffVec, width_bits: int) -> int:
     """Value of the reversed vector at 2**width_bits, i.e. the value of v at
     2**(-width_bits) normalized by 2**(width_bits*(L-1))."""
-    _check_width(v, width_bits)
-    return _value_at_pow2(v.coeffs[::-1], width_bits, v.width_bound_bits)
+    return pack(_validated(v.coeffs[::-1], v.width_bound_bits), width_bits)
 
 
 def pack_negated(v: CoeffVec, width_bits: int) -> int:
@@ -449,22 +442,27 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #    field r < 2n gives less than n + 2**b <= 2**(b+1), with bit b set
 #    exactly when r >= n; that bit, times n, is subtracted.  After >> b it
 #    is bit 0, and the next field starts at 2W-b >= W, so the mask reads it.
-# 4. The fields, now below n < 2**64, are read in order by one pass of
-#    little-endian `Q` pairs: the odd sub-vector is shifted up by 64 bits
+# 4. The fields, now below n < 2**64, are read in order by one struct pass
+#    of little-endian `Q` pairs: the odd sub-vector is shifted up by 64 bits
 #    only and or-ed onto the even one, so each field of 2W >= 128 bits
 #    holds an even digit in its low 64 bits and the next odd digit in the
-#    64 above.  The pairs sit gap bytes apart in d phases, (d, gap) =
-#    _field_layout(2W), kept with the masks: one at W = 0 (mod 4), two at
-#    W = 2 (mod 4), four at odd W; phase r is the vector shifted down by
-#    r*2W.  Below W = 64 the two sub-vectors are or-ed back at stride W and
-#    go by _unpack_ints, as their digits are below n <= 2**W.
+#    64 above.  At W = 2 (mod 4) every other field starts half a byte past
+#    a byte; one masked add (those fields times 15) moves them up 4 bits,
+#    into spare bits, and pair j is read from the first byte at or past bit
+#    2W*j.  Below W = 64, and at odd W, the two sub-vectors are or-ed back
+#    at stride W and go by _unpack_ints, as their digits are below n <= 2**W.
 #
-# That is about a dozen linear big-int operations, plus d to_bytes and
-# struct passes, against _unpack_ints and a `%` per digit.  ksint's output
-# reader takes this path at every length, though short vectors lose, as
-# ks3 `mod_mul` calls at a 48-bit modulus show, this path over the `%` one
-# (medians of 15 interleaved batches, CPython 3.11, shared 2-core host;
-# two phases at e = 2 and 6, one at e = 4):
+# A read's record (_mod_record: field count, store key and b) comes from
+# ksint's plan for ks2's and ks3's reads, built once per shape, and is built
+# by the read itself for any other caller; its masks come from the store.
+#
+# That is about a dozen linear big-int operations and one struct pass,
+# against _unpack_ints and a `%` per digit.  ksint's output reader takes
+# this path at every length, though short vectors lose, as ks3 `mod_mul`
+# calls at a 48-bit modulus show, this path over the `%` one (medians of 15
+# interleaved batches, CPython 3.11, shared 2-core host; at e = 2 and 6,
+# W = 2 (mod 4), read then by two struct passes, which took 8 us where the
+# masked add takes 6 on 40 digits at W = 102):
 #
 #   shape    3x3  9x9 16x16 9x32 16x32 4x40 4x64 33x33 48x48 64x64
 #   e         2    4    4    4    4     2    2    6     6     6
@@ -479,49 +477,61 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 
 
 def _mod_masks(count: int, width: int, n: int) -> tuple:
-    # (mask, fix, m, (d, gap)) for `count` fields, as _unpack_mod reads them.
+    # (mask, fix, m) for `count` fields, as _unpack_mod reads them.
     ones = _repeated(1, 2 * width, count)
     return (ones * ((1 << width) - 1), ones * ((1 << n.bit_length()) - n),
-            (1 << width) // n, _field_layout(2 * width))
+            (1 << width) // n)
+
+
+@functools.lru_cache(maxsize=1024)
+def _mod_record(width: int, count: int, n: int) -> tuple:
+    # _unpack_mod's record for `count` digits of `width` bits mod n: its
+    # field count, its store key and n's bit length.  Cached, so that the
+    # plans of many shapes share one: at most 1024, about 300 KB.
+    return (count + 1) // 2, (_mod_masks, width, n), n.bit_length()
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_fields(gap: int, n: int) -> struct.Struct:
-    # n pairs of little-endian 64-bit fields, each pair followed by gap - 16
-    # pad bytes.
-    return struct.Struct("<" + f"QQ{gap - 16}x" * n)
+def _pair_fields(stride: int, n: int) -> struct.Struct:
+    # n pairs of little-endian 64-bit fields, pair j on the first byte at
+    # or past bit j*stride.
+    starts = [-(-j * stride // 8) for j in range(n + 1)]
+    return struct.Struct("<" + "".join(f"QQ{b - a - 16}x"
+                                       for a, b in zip(starts, starts[1:])))
 
 
-def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
+def _unpack_mod(value: int, width: int, count: int, n: int,
+                record: tuple | None = None) -> list[int]:
     """The `count` base-2**width digits of ``value``, each reduced mod n,
     for 2 <= n < 2**64 and n.bit_length() <= width; raises ValueError as
-    _unpack_ints does when ``value`` is negative or does not fit."""
+    _unpack_ints does when ``value`` is negative or does not fit.  ``record``
+    is ``_mod_record(width, count, n)``, which ksint's plans hold; without
+    one it is built for the call."""
     if value < 0:
         raise ValueError("cannot split a negative value into digits")
     if value.bit_length() > width * count:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
+    fields, key, b = record or _mod_record(width, count, n)
+    slots, mask, fix, m = _masks_for(key, fields)
     stride = 2 * width
-    fields = (count + 1) // 2
-    slots, mask, fix, m, (d, gap) = _masks_for((_mod_masks, width, n),
-                                               fields)
     # fix is added, so it drops its surplus fields first.
     fix >>= (slots - fields) * stride
-    b = n.bit_length()
     even, odd = value & mask, value >> width & mask
     even -= (even * m >> width & mask) * n
     odd -= (odd * m >> width & mask) * n
     even -= (even + fix >> b & mask) * n
     odd -= (odd + fix >> b & mask) * n
-    if width < 64:
+    if width < 64 or width % 2:
         return _unpack_ints(even | odd << width, width, count)
     c = even | odd << 64
-    groups = -(-fields // d)
-    out = [0] * (2 * d * groups)
-    for r in range(d):
-        raw = (c >> r * stride).to_bytes(groups * gap, "little")
-        pairs = tuple(_field_digits(raw, gap, groups, _pair_fields))
-        out[2 * r::2 * d] = pairs[0::2]
-        out[2 * r + 1::2 * d] = pairs[1::2]
+    if width % 4:
+        _, odd_fields = _masks_for((_odd_slots, stride), fields // 2)
+        c += (c & odd_fields) * 15
+    raw = c.to_bytes(-(-fields * stride // 8), "little")
+    out = []
+    for q in range(0, fields, _FIELD_BLOCK):
+        out += _pair_fields(stride, min(fields - q, _FIELD_BLOCK)).unpack_from(
+            raw, q * stride // 8)
     del out[count:]
     return out
 

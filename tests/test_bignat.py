@@ -439,15 +439,36 @@ def _mod_digits(rng, n, width, count):
 
 
 @pytest.mark.parametrize("n", MOD_MODULI)
-def test_unpack_mod_matches_reduced_digits(n):
+def test_unpack_mod_matches_reduced_digits(monkeypatch, n):
+    # Each read runs twice: as called, and given its record over a store
+    # whose entries claim twice their fields, the true fix in the upper
+    # half and every field below it poisoned.  A read that cuts the fix it
+    # adds to its own field count, so as to add no more than it reads,
+    # never meets the poison.
     rng = random.Random(n)
+    reads = []
     for width in _mod_widths(n):
         for count in (1, 2, 7, 39, 40, 41):
             digits = _mod_digits(rng, n, width, count)
             value = _reference_pack(digits, width)
-            assert pack._unpack_mod(value, width, count, n) == [
-                d % n for d in pack._unpack_ints(value, width, count)], (
-                    width, count)
+            want = [d % n for d in pack._unpack_ints(value, width, count)]
+            assert pack._unpack_mod(value, width, count, n) == want, (
+                width, count)
+            reads.append((value, width, count, want))
+    masks_for = pack._masks_for
+
+    def longer(key, fields):
+        entry = masks_for(key, fields)
+        if key[0] is not pack._mod_masks:
+            return entry
+        slots, mask, fix, m = entry
+        return 2 * slots, mask, fix << slots * 2 * key[1] | mask, m
+
+    monkeypatch.setattr(pack, "_masks_for", longer)
+    for value, width, count, want in reads:
+        record = pack._mod_record(width, count, n)
+        assert pack._unpack_mod(value, width, count, n, record) == want, (
+            width, count)
 
 
 @pytest.mark.parametrize("n, width", [
@@ -479,23 +500,25 @@ def test_unpack_mod_rejects_what_unpack_rejects(width, count):
         ((1 << width) - 1) % n] * count
 
 
-def _assert_mask_store_site(call, key, stride, per_field, short, longer):
-    # At one call site of the mask store: a short request, a longer one and
-    # the short one again read right, the last through the longer entry; a
-    # new key past the key limit empties the store, and a mask past the bit
-    # bound is built for its call and not kept.
+def _assert_mask_store_site(call, keys, stride, per_field, short, longer):
+    # At one call site of the mask store, whose reads take the entries of
+    # `keys`, its own first: a short request, a longer one and the short one
+    # again read right, the last through the longer entry; a new key past
+    # the key limit empties the store, and a mask past the bit bound is
+    # built for its call and not kept.
+    key = keys[0]
     pack._masks.clear()
     call(short)
     call(longer)
     entry = pack._masks[key]
     assert entry[0] * per_field >= longer
     call(short)
-    assert pack._masks[key] is entry and len(pack._masks) == 1
+    assert pack._masks[key] is entry and list(pack._masks) == keys
     pack._masks.clear()
     for width in range(1000, 1000 + pack._MASK_KEYS):
         pack._masks_for((pack._odd_slots, width), 1)
     call(short)
-    assert list(pack._masks) == [key]
+    assert list(pack._masks) == keys
     past = (pack._MASK_MAX_BITS // stride + 1) * per_field
     call(past)
     assert pack._masks[key][0] * stride <= pack._MASK_MAX_BITS
@@ -513,7 +536,7 @@ def test_phase_mask_cache():
                                  count) == digits
 
     # 54-bit digits: four to a 216-bit field.
-    _assert_mask_store_site(phases, (pack._phase_masks, 54), 216, 4,
+    _assert_mask_store_site(phases, [(pack._phase_masks, 54)], 216, 4,
                             48, 4097)
 
 
@@ -527,8 +550,10 @@ def test_mod_mask_cache():
         assert pack._unpack_mod(_reference_pack(digits, 102), 102, count,
                                 n) == [d % n for d in digits]
 
-    # 102-bit digits: two to a 204-bit field.
-    _assert_mask_store_site(reduced, (pack._mod_masks, 102, n), 204, 2,
+    # 102-bit digits: two to a 204-bit field, whose odd fields the pair read
+    # moves onto a byte by the second entry.
+    _assert_mask_store_site(reduced, [(pack._mod_masks, 102, n),
+                                      (pack._odd_slots, 204)], 204, 2,
                             40, 1025)
 
 

@@ -131,7 +131,7 @@ def make_overlap_digits(values, width):
 def recover(fwd, rev, width, count, bound_bits, modulus=None):
     # _overlap_unpack's two packed parity classes, read as ks2 reads them.
     parts = _overlap_unpack(fwd, rev, width, count, bound_bits)
-    return list(_read(parts, 2 * width, count, bound_bits, modulus).coeffs)
+    return _read(parts, 2 * width, count, modulus)
 
 
 def test_reconstruct_round_trip_randomized():

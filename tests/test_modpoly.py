@@ -1,5 +1,6 @@
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -114,14 +115,16 @@ def test_one_check_per_direction(monkeypatch, variant):
 
 
 def test_caches_keep_type_checks():
-    # mod_mul fills ksint's params memo and odd-slot masks for length 1 at
+    # mod_mul fills ksint's plan cache and odd-slot masks for length 1 at
     # 48 bits; the public entry points must still refuse 1.0 and "1" for
     # that same shape, which a cache keyed on equal values would let by.
     n = (1 << 48) - 59
     one = ModPoly((1,), n)
     for variant in EXPLICIT + [Variant.AUTO]:
         assert mod_mul(one, one, variant).coeffs == (1,)
-    assert ksint._cached_params(1, 1, 48) == ksint.derive_params(1, 1, 48)
+    p = ksint.derive_params(1, 1, 48)
+    assert ksint._plan(1, 1, 48, n)[:4] == (p.width_full, p.width_half,
+                                            p.width_quarter, p.out_len)
     for bad in (1.0, "1"):
         for args in ((bad, 1, 48), (1, bad, 48), (1, 1, bad)):
             with pytest.raises(TypeError):
@@ -138,12 +141,63 @@ def test_caches_keep_type_checks():
 def test_import_builds_no_cache():
     # Nothing is built at import, so setup time does not grow.
     code = ("import kronmul.ksint as k, kronmul.pack as b; "
-            "print(len(b._masks), k._cached_params.cache_info().currsize)")
+            "print(len(b._masks), k._plan.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(ksint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def _plan_ints(obj):
+    # Every int a plan holds, through its tuples; anything else must be a
+    # store-key builder or a struct.
+    if isinstance(obj, int):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _plan_ints(item)
+    else:
+        assert obj is None or callable(obj) or isinstance(
+            obj, struct.Struct), obj
+
+
+def test_plan_cache_stays_small():
+    # After every zn-short shape (lengths 8..64 at a 48-bit modulus) and
+    # two long-by-short ones, the plan cache is within its bound and no
+    # plan holds a mask or any other int of 2**64 or more.
+    n = (1 << 48) - 59
+    shapes = [(a, b) for a in range(8, 65) for b in range(8, 65)]
+    shapes += [(4096, 256), (8192, 16)]
+    rng = random.Random(57)
+    for len_f, len_g in shapes:
+        f, g = random_modpoly(rng, len_f, n), random_modpoly(rng, len_g, n)
+        mod_mul(f, g)
+    info = ksint._plan.cache_info()
+    assert info.currsize <= info.maxsize
+    for len_f, len_g in shapes:
+        plan = ksint._plan(len_f, len_g, 48, n)
+        assert max(_plan_ints(plan)) < 2**64, (len_f, len_g)
+
+
+def test_plans_keyed_on_modulus_and_bound():
+    # One process alternates moduli over the same shapes: 1x1, unequal
+    # lengths, and equal ones at odd and at even e.  Each bit bound but
+    # n = 2's comes with a second modulus of the same bound, so a plan
+    # keyed on the bound alone would serve one modulus's reduced reads to
+    # the other.
+    moduli = [2**48 - 59, 251, 2, 2**64 - 59, 2**47 + 5, 241, 2**63 + 25]
+    shapes = [(1, 1), (3, 40), (40, 9), (24, 24), (40, 40)]
+    rng = random.Random(48)
+    for _ in range(2):
+        for n in moduli:
+            for len_f, len_g in shapes:
+                f = random_modpoly(rng, len_f, n)
+                g = random_modpoly(rng, len_g, n)
+                want = schoolbook_mod(f, g).coeffs
+                for variant in EXPLICIT + [Variant.AUTO]:
+                    assert mod_mul(f, g, variant).coeffs == want, (
+                        n, len_f, len_g, variant)
 
 
 def test_mod_mul_worked_example():

@@ -143,35 +143,49 @@ MUTANTS = {
         "pack.py", "if entry is not None and entry[0] >= fields:",
         "if entry is not None:",
         "tests/test_bignat.py::test_phase_mask_cache"),
-    # ks3 asks the output reader for its check at even e too: every output
-    # stays right, only the check count moves.
+    # ks3's plan asks for its check at even e too: every output stays
+    # right, only the check count moves.
     "ks3-check-guard-inclusive": (
-        "ksint.py", "2 * n > p.width_full)", "2 * n >= p.width_full)",
+        "ksint.py", "2 * half > p.width_full,", "2 * half >= p.width_full,",
         "tests/test_modpoly.py::test_one_check_per_direction"),
     # ks3 without its check at odd e, where the unpack width is one bit
     # past the output bound: only corrupted products show it.
     "ks3-odd-e-check-dropped": (
-        "ksint.py", "2 * n > p.width_full)", "False)",
+        "ksint.py", "2 * half > p.width_full,", "False,",
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
-    # The output reader with its check skipped, for ks3 at odd e; and
-    # weaving part i into the places of part i + 1.
+    # ks3 at odd e with its check skipped; and the output reader weaving
+    # its two parts into each other's places.
     "read-check-skipped": (
-        "ksint.py", "return _mod(CoeffVec(tuple(out), bound), modulus)",
-        "return _mod(_validated(tuple(out), bound), modulus)",
+        "ksint.py", "checked = CoeffVec(_read(parts, 2 * n, k, None), full)",
+        "checked = _validated(tuple(_read(parts, 2 * n, k, None)), full)",
         "tests/test_ksint.py::"
         "test_reader_checks_odd_e_digits_before_reducing"),
-    "read-weave-rotated": ("ksint.py", "out[i::m] = (",
-                           "out[(i + 1) % m::m] = (", "selftest"),
+    "read-weave-rotated": ("ksint.py",
+                           "out[0::2] = a\n    out[1::2] = b\n",
+                           "out[1::2] = a\n    out[0::2] = b\n",
+                           "selftest"),
     # ks4 at 1x1 through its general path: the output stays right, but
     # it makes four products where ks1's one does.
     "ks4-one-coefficient-general-path": (
-        "ksint.py", "if p.out_len == 1:", "if False:",
+        "ksint.py", "if k == 1:", "if False:",
         "tests/test_ksint.py::test_variant_word_products_pinned"),
+    # The plan cache keyed without the modulus, so a shape's plan serves
+    # every modulus of the same bit length with the first one's reduced
+    # reads.
+    "plan-key-drops-modulus": (
+        "ksint.py", "@functools.lru_cache(maxsize=4096)\ndef _plan(",
+        "def _plan(len_f, len_g, bits, modulus, _plans={}):\n"
+        "    key = len_f, len_g, bits\n"
+        "    if key not in _plans:\n"
+        "        _plans[key] = _build_plan(len_f, len_g, bits, modulus)\n"
+        "    return _plans[key]\n\n\n"
+        "def _build_plan(",
+        "tests/test_modpoly.py::test_plans_keyed_on_modulus_and_bound"),
     # The packed reduction mod n: without its conditional subtraction,
     # which Barrett's estimate one short needs; with the estimate shifted
-    # one bit short; with the subtraction's flag read one bit low; and
-    # reading the second phase of a width of 2 (mod 4) at the first phase's
-    # place.
+    # one bit short; with the subtraction's flag read one bit low; and, at
+    # a width of 2 (mod 4), the pair read's second phase of fields left
+    # half a byte off the bytes it is read from.
     "unpack-mod-correction-dropped": (
         "pack.py", "    even -= (even + fix >> b & mask) * n\n"
         "    odd -= (odd + fix >> b & mask) * n\n", "",
@@ -185,12 +199,18 @@ MUTANTS = {
         "even -= (even + fix >> b - 1 & mask) * n",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     "unpack-mod-second-phase-unshifted": (
-        "pack.py", "(c >> r * stride).to_bytes", "c.to_bytes",
+        "pack.py", "c += (c & odd_fields) * 15", "c += 0",
+        "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
+    # The fix taken from the store whole, not cut to the read's own field
+    # count: outputs stay right, but each read adds every field the store
+    # holds.
+    "unpack-mod-fix-unshifted": (
+        "pack.py", "    fix >>= (slots - fields) * stride\n", "",
         "tests/test_bignat.py::test_unpack_mod_matches_reduced_digits"),
     # ks3 reduces packed at odd e and checks at even e: every valid output
     # stays right, only the count of packed reductions shows it.
     "ks3-packed-mod-parity-inverted": (
-        "ksint.py", "2 * n > p.width_full)", "2 * n == p.width_full)",
+        "ksint.py", "2 * half > p.width_full,", "2 * half == p.width_full,",
         "tests/test_modpoly.py::test_packed_reduction_calls"),
     # The bivariate sign split's odd half as (a+b)/2 + b.
     "bipoly-odd-half-as-sum": (
