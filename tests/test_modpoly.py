@@ -1,6 +1,5 @@
 import os
 import random
-import struct
 import subprocess
 import sys
 
@@ -151,15 +150,14 @@ def test_import_builds_no_cache():
 
 def _plan_ints(obj):
     # Every int a plan holds, through its tuples; anything else must be a
-    # store-key builder or a struct.
+    # store-key builder.
     if isinstance(obj, int):
         yield obj
     elif isinstance(obj, tuple):
         for item in obj:
             yield from _plan_ints(item)
     else:
-        assert obj is None or callable(obj) or isinstance(
-            obj, struct.Struct), obj
+        assert obj is None or callable(obj), obj
 
 
 def test_plan_cache_stays_small():
