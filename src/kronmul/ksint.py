@@ -31,20 +31,16 @@ e, one bit wider, has its digits checked as a CoeffVec.
 
 Given a modulus (the private keyword ``_modulus``, which ``mod_mul``
 passes), every variant returns its coefficients reduced by it.  ks2, ks3
-and ks4 end in one reader, ``_read``: it reads the two packed parts of
-their output, the even- and the odd-index coefficients, reduced while
-still packed (``pack._unpack_mod``), at every length, and weaves them into
-order; ks4 reads its even and its odd part each so.  ks3 at odd e reads
-its digits unreduced instead, checks them as a CoeffVec and reduces them
-one `%` at a time, as ks1 does.  ks4's one-coefficient product is ks1's.
+and ks4 end in one reader, ``_read``: it reads the even- and odd-index
+coefficients, packed apart, reduced while still packed (pack._unpack_mod)
+at every length, and weaves them into order.  ks3 at odd e reads them
+unreduced, checks them as a CoeffVec and reduces them one `%` at a time,
+as ks1 does.  ks4 reads each of its parts so; its 1x1 product is ks1's.
 
-Each call starts from its shape's plan, ``_plan(len f, len g, bit bound,
-modulus)``, kept in a bounded cache (4096 plans): the widths, the output
-length, whether ks3 checks (odd e), the fields of ks3's odd-slot mask and
-the records of ks2's and ks3's reduced reads (``pack._mod_record``, which
-hold store keys).  A plan holds ints below 2**64 and store keys, never a
-mask: each call takes its masks from pack's store.  ks1 and ks3 run
-straight from it.
+Each call starts from its shape's plan, ``_plan(len f, len g, bit bound)``,
+a bounded cache (4096) of five small ints: the three widths, the output
+length and whether ks3 checks (odd e).  It holds no mask and no modulus:
+pack's store keys masks on width and modulus, so a plan serves them all.
 
 ks3 and ks4 evaluate each operand at +-2**N the same way.  At N >= b
 the slots cannot overlap and one blit does: masking the odd slots of
@@ -70,17 +66,16 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
 
 from .bignat import MulConfig, MulStats, mul, mul_signed
 # ks3 and ks4 blit through pack from the bound up and through pack's one
 # even/odd blit below it; ks2 also through pack_reversed.  perfbench's
 # tracer wraps all four pack names in this namespace, so the negated ones
 # stay imported.
-from .pack import (CoeffVec, _even_odd_at, _masks_for, _mod_record,
-                   _odd_slots, _overlap_masks, _pack_ints, _unpack_ints,
-                   _unpack_mod, _validated, pack, pack_negated,
-                   pack_negated_reversed, pack_reversed)
+from .pack import (CoeffVec, _even_odd_at, _masks_for, _odd_slots,
+                   _overlap_masks, _pack_ints, _unpack_ints, _unpack_mod,
+                   _validated, pack, pack_negated, pack_negated_reversed,
+                   pack_reversed)
 
 __all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
            "derive_params", "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",
@@ -251,22 +246,18 @@ def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
     return parts
 
 
-def _read(parts, width: int, count: int, modulus: int | None,
-          records=(None, None)) -> list[int]:
-    """The `count` values whose even-index ones parts[0] packs and odd-index
-    ones parts[1], at `width` bits, in order; reduced mod modulus while
-    packed if one is given, by ``pack._unpack_mod`` with the two reads'
-    records where the caller's plan holds them."""
+def _read(parts, width: int, count: int, modulus: int | None) -> list[int]:
+    """The `count` values packed at `width` bits, even-index ones in parts[0]
+    and odd ones in parts[1], in order; reduced packed mod modulus, if any."""
     even, odd = parts
     k = (count + 1) // 2
-    if modulus is None:
-        a, b = _unpack_ints(even, width, k), _unpack_ints(odd, width, count - k)
-    else:
-        a = _unpack_mod(even, width, k, modulus, records[0])
-        b = _unpack_mod(odd, width, count - k, modulus, records[1])
     out = [0] * count
-    out[0::2] = a
-    out[1::2] = b
+    if modulus is None:
+        out[0::2] = _unpack_ints(even, width, k)
+        out[1::2] = _unpack_ints(odd, width, count - k)
+    else:
+        out[0::2] = _unpack_mod(even, width, k, modulus)
+        out[1::2] = _unpack_mod(odd, width, count - k, modulus)
     return out
 
 
@@ -283,29 +274,14 @@ def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
     return _validated(tuple(_read(parts, 2 * w, k, None)), 2 * w)
 
 
-class _Plan(NamedTuple):
-    full: int           # width_full, ks1's width and the output bound
-    half: int
-    quarter: int
-    out_len: int
-    ks3_check: bool     # odd e: ks3's digits are one bit past the bound
-    odd_fields: int     # of ks3's odd-slot mask, for the longer operand
-    read_even: tuple    # the records of _read's two reads at 2*half bits
-    read_odd: tuple     # (shared by the plans of one width, count and n)
-
-
-# At about 310 bytes a plan, with its key: at most 1.3 MB.
+# (width_full, width_half, width_quarter, out_len, whether ks3's digits are
+# a bit past the bound), at about 250 bytes with its key: at most 1 MB.
 @functools.lru_cache(maxsize=4096)
-def _plan(len_f: int, len_g: int, bits: int, modulus: int | None) -> _Plan:
+def _plan(len_f: int, len_g: int, bits: int) -> tuple:
     p = derive_params(len_f, len_g, bits)
     assert _four_point_safe(p)   # ks4's reconstruction bound
-    k, half = p.out_len, p.width_half
-    reads = (None, None)
-    if modulus is not None:
-        reads = (_mod_record(2 * half, (k + 1) // 2, modulus),
-                 _mod_record(2 * half, k // 2, modulus))
-    return _Plan(p.width_full, half, p.width_quarter, k,
-                 2 * half > p.width_full, max(len_f, len_g) // 2, *reads)
+    return (p.width_full, p.width_half, p.width_quarter, p.out_len,
+            2 * p.width_half > p.width_full)
 
 
 def _reduce(coeffs, modulus: int | None):
@@ -319,12 +295,11 @@ def ks1_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
     """Standard substitution: one full-width product, direct unpack."""
-    p = _plan(len(f.coeffs), len(g.coeffs),
-              max(f.width_bound_bits, g.width_bound_bits), _modulus)
-    n = p.full
+    n, _, _, k, _ = _plan(len(f.coeffs), len(g.coeffs),
+                          max(f.width_bound_bits, g.width_bound_bits))
     prod = mul(pack(f, n), pack(g, n), stats, config)
     # The digits are below 2**width_full, the output bound itself.
-    return _validated(_reduce(_unpack_ints(prod, n, p.out_len), _modulus), n)
+    return _validated(_reduce(_unpack_ints(prod, n, k), _modulus), n)
 
 
 def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
@@ -333,14 +308,12 @@ def ks2_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     """Reciprocal variant: forward and reversed half-width products, then
     the overlap recovery of the output chunks, read reduced while packed
     when given a modulus."""
-    p = _plan(len(f.coeffs), len(g.coeffs),
-              max(f.width_bound_bits, g.width_bound_bits), _modulus)
-    n, k = p.half, p.out_len
+    full, n, _, k, _ = _plan(len(f.coeffs), len(g.coeffs),
+                             max(f.width_bound_bits, g.width_bound_bits))
     prod_fwd = mul(pack(f, n), pack(g, n), stats, config)
     prod_rev = mul(pack_reversed(f, n), pack_reversed(g, n), stats, config)
-    parts = _overlap_unpack(prod_fwd, prod_rev, n, k, p.full)
-    reads = p.read_even, p.read_odd
-    return _validated(tuple(_read(parts, 2 * n, k, _modulus, reads)), p.full)
+    parts = _overlap_unpack(prod_fwd, prod_rev, n, k, full)
+    return _validated(tuple(_read(parts, 2 * n, k, _modulus)), full)
 
 
 def _plus_minus(v: CoeffVec, n: int) -> tuple[int, int]:
@@ -368,6 +341,17 @@ def _shr_exact(v: int, k: int) -> int:
     return v >> k
 
 
+def _half_products(f: CoeffVec, g: CoeffVec, n: int, stats,
+                   config) -> tuple[int, int]:
+    # The even- and odd-index parts E and O of f*g at 2**(2n), from its
+    # values E +- X*O at +-X = +-2**n: the half-sum, and the half-difference
+    # shifted down by n more.  Both products are counted into stats if given.
+    (f_pos, f_neg), (g_pos, g_neg) = _plus_minus(f, n), _plus_minus(g, n)
+    plus = mul_signed(f_pos, g_pos, stats, config)
+    minus = mul_signed(f_neg, g_neg, stats, config)
+    return _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
+
+
 def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
             config: MulConfig | None = None,
             _modulus: int | None = None) -> CoeffVec:
@@ -375,26 +359,16 @@ def ks3_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     output coefficients and the half-difference the odd ones.  Given a
     modulus, the coefficients come back reduced by it; at even e they are
     reduced while still packed."""
-    full, n, _, k, check, odd_fields, read_even, read_odd = _plan(
-        len(f.coeffs), len(g.coeffs),
-        max(f.width_bound_bits, g.width_bound_bits), _modulus)
-    # n = b + ceil(e/2) >= b: _plus_minus's one blit.  f*g's even- and
-    # odd-index parts E and O at 2**(2n) come from its values E +- X*O at
-    # +-X = +-2**n: the half-sum, and the half-difference shifted by n more.
-    x, y = pack(f, n), pack(g, n)
-    _, mask = _masks_for((_odd_slots, n), odd_fields)
-    plus = mul_signed(x, y, stats, config)
-    minus = mul_signed(x - ((x & mask) << 1), y - ((y & mask) << 1), stats,
-                       config)
-    parts = _shr_exact(plus + minus, 1), _shr_exact(plus - minus, 1 + n)
+    full, n, _, k, check = _plan(len(f.coeffs), len(g.coeffs),
+                                 max(f.width_bound_bits, g.width_bound_bits))
+    parts = _half_products(f, g, n, stats, config)  # n >= b: one blit
     # The digits are below 2**(2n) = 2**(2b + 2*ceil(e/2)): at even e that is
     # the output bound 2**(2b+e) itself, so no digit can fail it.  At odd e a
     # CoeffVec checks them against the bound before `%` reduces them.
     if check:
         checked = CoeffVec(_read(parts, 2 * n, k, None), full)
         return _validated(_reduce(checked.coeffs, _modulus), full)
-    return _validated(tuple(_read(parts, 2 * n, k, _modulus,
-                                  (read_even, read_odd))), full)
+    return _validated(tuple(_read(parts, 2 * n, k, _modulus)), full)
 
 
 def _four_point_safe(p: KsParams) -> bool:
@@ -419,24 +393,17 @@ def ks4_mul(f: CoeffVec, g: CoeffVec, *, stats: MulStats | None = None,
     operands and on their reversals (their values at +-2**(-N)), then ks2's
     overlap reconstruction on the even part and on the odd part, read
     reduced as ks2's is."""
-    p = _plan(len(f.coeffs), len(g.coeffs),
-              max(f.width_bound_bits, g.width_bound_bits), _modulus)
-    full, n, k = p.full, p.quarter, p.out_len
+    full, _, n, k, _ = _plan(len(f.coeffs), len(g.coeffs),
+                             max(f.width_bound_bits, g.width_bound_bits))
     if k == 1:
         # Nothing to split: ks1's one product, read at the bound itself.
         return ks1_mul(f, g, stats=stats, config=config, _modulus=_modulus)
-    # ks3's split at N, below the bound too, on the operands and on their
-    # reversals.  The reversed operands multiply to the reversed product.
-    # Its even part is the reversed even part of f*g for odd k, and the
-    # reversed odd part for even k.
-    halves = []
-    for u, v in ((f, g), (_reversed(f), _reversed(g))):
-        (u_pos, u_neg), (v_pos, v_neg) = _plus_minus(u, n), _plus_minus(v, n)
-        plus = mul_signed(u_pos, v_pos, stats, config)
-        minus = mul_signed(u_neg, v_neg, stats, config)
-        halves.append((_shr_exact(plus + minus, 1),
-                       _shr_exact(plus - minus, 1 + n)))
-    (even, odd), (even_rev, odd_rev) = halves
+    even, odd = _half_products(f, g, n, stats, config)
+    # The reversed operands multiply to the reversed product.  Its even part
+    # is the reversed even part of f*g for odd k, and the reversed odd part
+    # for even k.
+    even_rev, odd_rev = _half_products(_reversed(f), _reversed(g), n, stats,
+                                       config)
     if k % 2 == 0:
         even_rev, odd_rev = odd_rev, even_rev
     # Each part's recovery splits it by parity again: the even part's into

@@ -35,10 +35,6 @@ class Variant(enum.Enum):
     KS4 = "ks4"
     AUTO = "auto"
 
-    # Members compare by identity, so an identity hash agrees; mod_mul's
-    # table lookup then runs no Python-level hash.
-    __hash__ = object.__hash__
-
 
 _VARIANT_FUNCS = {
     Variant.KS1: ks1_mul,
@@ -137,7 +133,8 @@ def choose_variant(len_f: int, len_g: int) -> Variant:
 def _reduced(coeffs: tuple[int, ...], n: int) -> ModPoly:
     # A ModPoly over coefficients already known to lie in [0, n).
     p = object.__new__(ModPoly)
-    p.__dict__.update(coeffs=coeffs, modulus=n)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "modulus", n)
     return p
 
 

@@ -65,7 +65,8 @@ class CoeffVec:
 def _validated(coeffs: tuple[int, ...], bound: int) -> CoeffVec:
     # A CoeffVec over coefficients already known to satisfy the invariant.
     v = object.__new__(CoeffVec)
-    v.__dict__.update(coeffs=coeffs, width_bound_bits=bound)
+    object.__setattr__(v, "coeffs", coeffs)
+    object.__setattr__(v, "width_bound_bits", bound)
     return v
 
 
@@ -85,19 +86,25 @@ def _even_odd_at(coeffs, width_bits: int) -> tuple[int, int]:
             _pack_ints(coeffs[1::2], 2 * width_bits) << width_bits)
 
 
+def _value_at_pow2(coeffs, width_bits: int, bound: int) -> int:
+    # sum(c_i * 2**(i*width)); a single blit when chunks cannot overlap.
+    if width_bits >= bound:
+        return _pack_ints(coeffs, width_bits)
+    even, odd = _even_odd_at(coeffs, width_bits)
+    return even + odd
+
+
 def pack(v: CoeffVec, width_bits: int) -> int:
     """Value of v at 2**width_bits."""
     _check_width(v, width_bits)
-    if width_bits >= v.width_bound_bits:
-        return _pack_ints(v.coeffs, width_bits)
-    even, odd = _even_odd_at(v.coeffs, width_bits)
-    return even + odd
+    return _value_at_pow2(v.coeffs, width_bits, v.width_bound_bits)
 
 
 def pack_reversed(v: CoeffVec, width_bits: int) -> int:
     """Value of the reversed vector at 2**width_bits, i.e. the value of v at
     2**(-width_bits) normalized by 2**(width_bits*(L-1))."""
-    return pack(_validated(v.coeffs[::-1], v.width_bound_bits), width_bits)
+    _check_width(v, width_bits)
+    return _value_at_pow2(v.coeffs[::-1], width_bits, v.width_bound_bits)
 
 
 def pack_negated(v: CoeffVec, width_bits: int) -> int:
@@ -447,22 +454,18 @@ def _unpack_ints(value: int, width: int, count: int) -> list[int]:
 #    only and or-ed onto the even one, so each field of 2W >= 128 bits
 #    holds an even digit in its low 64 bits and the next odd digit in the
 #    64 above.  At W = 2 (mod 4) every other field starts half a byte past
-#    a byte; one masked add (those fields times 15) moves them up 4 bits,
-#    into spare bits, and pair j is read from the first byte at or past bit
-#    2W*j.  Below W = 64, and at odd W, the two sub-vectors are or-ed back
-#    at stride W and go by _unpack_ints, as their digits are below n <= 2**W.
+#    a byte; adding those fields times 15 moves them up 4 bits, into spare
+#    bits.  Below W = 64, and at odd W, the sub-vectors are or-ed back at
+#    stride W and go by _unpack_ints, as their digits are below n <= 2**W.
 #
-# A read's record (_mod_record: field count, store key and b) comes from
-# ksint's plan for ks2's and ks3's reads, built once per shape, and is built
-# by the read itself for any other caller; its masks come from the store.
-#
-# That is about a dozen linear big-int operations and one struct pass,
-# against _unpack_ints and a `%` per digit.  ksint's output reader takes
-# this path at every length, though short vectors lose, as ks3 `mod_mul`
-# calls at a 48-bit modulus show, this path over the `%` one (medians of 15
-# interleaved batches, CPython 3.11, shared 2-core host; at e = 2 and 6,
-# W = 2 (mod 4), read then by two struct passes, which took 8 us where the
-# masked add takes 6 on 40 digits at W = 102):
+# Masks, fix and m come from the store under (_mod_masks, W, n), the odd
+# fields under (_odd_slots, 2W).  That is about a dozen linear big-int
+# operations and one struct pass, against _unpack_ints and a `%` per digit.
+# ksint's output reader takes this path at every length, though short
+# vectors lose, as ks3 `mod_mul` calls at a 48-bit modulus show, this path
+# over the `%` one (medians of 15 interleaved batches, CPython 3.11, shared
+# 2-core host; at e = 2 and 6 by two struct passes, 8 us where the masked
+# add and one pass take 6 on 40 digits at W = 102):
 #
 #   shape    3x3  9x9 16x16 9x32 16x32 4x40 4x64 33x33 48x48 64x64
 #   e         2    4    4    4    4     2    2    6     6     6
@@ -483,39 +486,28 @@ def _mod_masks(count: int, width: int, n: int) -> tuple:
             (1 << width) // n)
 
 
-@functools.lru_cache(maxsize=1024)
-def _mod_record(width: int, count: int, n: int) -> tuple:
-    # _unpack_mod's record for `count` digits of `width` bits mod n: its
-    # field count, its store key and n's bit length.  Cached, so that the
-    # plans of many shapes share one: at most 1024, about 300 KB.
-    return (count + 1) // 2, (_mod_masks, width, n), n.bit_length()
-
-
 @functools.lru_cache(maxsize=64)
-def _pair_fields(stride: int, n: int) -> struct.Struct:
-    # n pairs of little-endian 64-bit fields, pair j on the first byte at
-    # or past bit j*stride.
-    starts = [-(-j * stride // 8) for j in range(n + 1)]
-    return struct.Struct("<" + "".join(f"QQ{b - a - 16}x"
-                                       for a, b in zip(starts, starts[1:])))
+def _pair_fields(gap: int, n: int) -> struct.Struct:
+    # n groups, gap bytes apart, of two pairs of little-endian 64-bit
+    # fields, the second pair on the first byte at or past half the gap.
+    half = (gap + 1) // 2
+    return struct.Struct("<" + f"QQ{half - 16}xQQ{gap - half - 16}x" * n)
 
 
-def _unpack_mod(value: int, width: int, count: int, n: int,
-                record: tuple | None = None) -> list[int]:
+def _unpack_mod(value: int, width: int, count: int, n: int) -> list[int]:
     """The `count` base-2**width digits of ``value``, each reduced mod n,
     for 2 <= n < 2**64 and n.bit_length() <= width; raises ValueError as
-    _unpack_ints does when ``value`` is negative or does not fit.  ``record``
-    is ``_mod_record(width, count, n)``, which ksint's plans hold; without
-    one it is built for the call."""
+    _unpack_ints does when ``value`` is negative or does not fit."""
     if value < 0:
         raise ValueError("cannot split a negative value into digits")
     if value.bit_length() > width * count:
         raise ValueError(f"value does not fit in {count} digits of {width} bits")
-    fields, key, b = record or _mod_record(width, count, n)
-    slots, mask, fix, m = _masks_for(key, fields)
     stride = 2 * width
+    fields = (count + 1) // 2
+    slots, mask, fix, m = _masks_for((_mod_masks, width, n), fields)
     # fix is added, so it drops its surplus fields first.
     fix >>= (slots - fields) * stride
+    b = n.bit_length()
     even, odd = value & mask, value >> width & mask
     even -= (even * m >> width & mask) * n
     odd -= (odd * m >> width & mask) * n
@@ -527,11 +519,9 @@ def _unpack_mod(value: int, width: int, count: int, n: int,
     if width % 4:
         _, odd_fields = _masks_for((_odd_slots, stride), fields // 2)
         c += (c & odd_fields) * 15
-    raw = c.to_bytes(-(-fields * stride // 8), "little")
-    out = []
-    for q in range(0, fields, _FIELD_BLOCK):
-        out += _pair_fields(stride, min(fields - q, _FIELD_BLOCK)).unpack_from(
-            raw, q * stride // 8)
+    groups = -(-fields // 2)    # two fields, 2*stride bits, a struct group
+    raw = c.to_bytes(groups * stride // 4, "little")
+    out = list(_field_digits(raw, stride // 4, groups, _pair_fields))
     del out[count:]
     return out
 

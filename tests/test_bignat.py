@@ -440,9 +440,9 @@ def _mod_digits(rng, n, width, count):
 
 @pytest.mark.parametrize("n", MOD_MODULI)
 def test_unpack_mod_matches_reduced_digits(monkeypatch, n):
-    # Each read runs twice: as called, and given its record over a store
-    # whose entries claim twice their fields, the true fix in the upper
-    # half and every field below it poisoned.  A read that cuts the fix it
+    # Each read runs twice: as called, and over a store whose entries claim
+    # twice their fields, the true fix in the upper half and every field
+    # below it poisoned.  A read that cuts the fix it
     # adds to its own field count, so as to add no more than it reads,
     # never meets the poison.
     rng = random.Random(n)
@@ -466,9 +466,7 @@ def test_unpack_mod_matches_reduced_digits(monkeypatch, n):
 
     monkeypatch.setattr(pack, "_masks_for", longer)
     for value, width, count, want in reads:
-        record = pack._mod_record(width, count, n)
-        assert pack._unpack_mod(value, width, count, n, record) == want, (
-            width, count)
+        assert pack._unpack_mod(value, width, count, n) == want, (width, count)
 
 
 @pytest.mark.parametrize("n, width", [

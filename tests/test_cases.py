@@ -128,9 +128,9 @@ def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
     calls, recoveries = [], []
     unpack_mod, overlap_unpack = ksint._unpack_mod, ksint._overlap_unpack
 
-    def recorded(value, width, count, n, *record):
+    def recorded(value, width, count, n):
         calls.append((width, n))
-        return unpack_mod(value, width, count, n, *record)
+        return unpack_mod(value, width, count, n)
 
     def recovery(fwd, rev, width, count, bound_bits):
         recoveries.append(bound_bits < 2 * width)

@@ -146,12 +146,13 @@ MUTANTS = {
     # ks3's plan asks for its check at even e too: every output stays
     # right, only the check count moves.
     "ks3-check-guard-inclusive": (
-        "ksint.py", "2 * half > p.width_full,", "2 * half >= p.width_full,",
+        "ksint.py", "2 * p.width_half > p.width_full)",
+        "2 * p.width_half >= p.width_full)",
         "tests/test_modpoly.py::test_one_check_per_direction"),
     # ks3 without its check at odd e, where the unpack width is one bit
     # past the output bound: only corrupted products show it.
     "ks3-odd-e-check-dropped": (
-        "ksint.py", "2 * half > p.width_full,", "False,",
+        "ksint.py", "2 * p.width_half > p.width_full)", "False)",
         "tests/test_ksint.py::test_ks3_rejects_digits_past_the_output_bound"),
     # ks3 at odd e with its check skipped; and the output reader weaving
     # its two parts into each other's places.
@@ -160,27 +161,17 @@ MUTANTS = {
         "checked = _validated(tuple(_read(parts, 2 * n, k, None)), full)",
         "tests/test_ksint.py::"
         "test_reader_checks_odd_e_digits_before_reducing"),
-    "read-weave-rotated": ("ksint.py",
-                           "out[0::2] = a\n    out[1::2] = b\n",
-                           "out[1::2] = a\n    out[0::2] = b\n",
-                           "selftest"),
+    "read-weave-rotated": (
+        "ksint.py", "out[0::2] = _unpack_mod(even, width, k, modulus)\n"
+        "        out[1::2] = _unpack_mod(odd, width, count - k, modulus)\n",
+        "out[1::2] = _unpack_mod(even, width, k, modulus)\n"
+        "        out[0::2] = _unpack_mod(odd, width, count - k, modulus)\n",
+        "selftest"),
     # ks4 at 1x1 through its general path: the output stays right, but
     # it makes four products where ks1's one does.
     "ks4-one-coefficient-general-path": (
         "ksint.py", "if k == 1:", "if False:",
         "tests/test_ksint.py::test_variant_word_products_pinned"),
-    # The plan cache keyed without the modulus, so a shape's plan serves
-    # every modulus of the same bit length with the first one's reduced
-    # reads.
-    "plan-key-drops-modulus": (
-        "ksint.py", "@functools.lru_cache(maxsize=4096)\ndef _plan(",
-        "def _plan(len_f, len_g, bits, modulus, _plans={}):\n"
-        "    key = len_f, len_g, bits\n"
-        "    if key not in _plans:\n"
-        "        _plans[key] = _build_plan(len_f, len_g, bits, modulus)\n"
-        "    return _plans[key]\n\n\n"
-        "def _build_plan(",
-        "tests/test_modpoly.py::test_plans_keyed_on_modulus_and_bound"),
     # The packed reduction mod n: without its conditional subtraction,
     # which Barrett's estimate one short needs; with the estimate shifted
     # one bit short; with the subtraction's flag read one bit low; and, at
@@ -210,7 +201,8 @@ MUTANTS = {
     # ks3 reduces packed at odd e and checks at even e: every valid output
     # stays right, only the count of packed reductions shows it.
     "ks3-packed-mod-parity-inverted": (
-        "ksint.py", "2 * half > p.width_full,", "2 * half == p.width_full,",
+        "ksint.py", "2 * p.width_half > p.width_full)",
+        "2 * p.width_half == p.width_full)",
         "tests/test_modpoly.py::test_packed_reduction_calls"),
     # The bivariate sign split's odd half as (a+b)/2 + b.
     "bipoly-odd-half-as-sum": (
