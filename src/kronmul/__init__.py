@@ -16,9 +16,8 @@ from .bignat import (DEFAULT_MUL_CONFIG, LIMB_BITS, MulConfig, MulStats,
 from .bipoly import (BiPoly, MissingHalveError, RingOps, bks_four,
                      bks_negated, bks_reciprocal, bks_standard, ring_z,
                      ring_zmod)
-from .ksint import (KsParams, OverlapDigits, ReconstructionError,
-                    derive_params, ks1_mul, ks2_mul, ks3_mul, ks4_mul,
-                    reconstruct_overlapped)
+from .ksint import (KsParams, ReconstructionError, derive_params, ks1_mul,
+                    ks2_mul, ks3_mul, ks4_mul)
 from .modpoly import ModPoly, Variant, choose_variant, mod_mul
 from .oracle import schoolbook_bivar, schoolbook_mod, schoolbook_z, \
     uni_schoolbook
@@ -31,8 +30,8 @@ __all__ = [
     "mul", "mul_classical", "mul_karatsuba", "mul_signed", "to_digits",
     "from_digits",
     "CoeffVec",
-    "KsParams", "OverlapDigits", "ReconstructionError", "derive_params",
-    "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul", "reconstruct_overlapped",
+    "KsParams", "ReconstructionError", "derive_params",
+    "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",
     "BiPoly", "RingOps", "MissingHalveError", "ring_z", "ring_zmod",
     "bks_standard", "bks_reciprocal", "bks_negated", "bks_four",
     "ModPoly", "Variant", "mod_mul", "choose_variant",

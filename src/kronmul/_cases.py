@@ -25,8 +25,7 @@ from . import bignat, ksint, oracle
 from .bignat import LIMB_BITS, MulConfig, MulStats
 from .bipoly import (BiPoly, MissingHalveError, bks_four, bks_negated,
                      bks_reciprocal, bks_standard, ring_z, ring_zmod)
-from .ksint import (OverlapDigits, ReconstructionError, ks1_mul, ks2_mul,
-                    ks3_mul, ks4_mul, reconstruct_overlapped)
+from .ksint import ReconstructionError, ks1_mul, ks2_mul, ks3_mul, ks4_mul
 from .modpoly import ModPoly, Variant, mod_mul
 from .pack import (_FIELD_BITS, _FIELD_UNPACK_MIN_DIGITS as _FIELD,
                    _GROUP_MIN_DIGITS as _GROUP, _WIDE_MIN_DIGITS as _WIDE,
@@ -169,52 +168,40 @@ def digits_case(rng, config, tier=None):
     return tier, width, digits
 
 
-def _overlap_streams(values, width):
-    # The two digit streams of ``values`` by plain shifts: the forward one
-    # least significant digit first, the reversed one most significant first.
-    count = len(values)
-    mask = (1 << width) - 1
-    fwd = sum(h << (i * width) for i, h in enumerate(values))
-    rev = sum(h << ((count - 1 - i) * width) for i, h in enumerate(values))
-    return ([(fwd >> (i * width)) & mask for i in range(count + 1)],
-            [(rev >> ((count - i) * width)) & mask for i in range(count + 1)])
-
-
 def reconstruct_case(rng, config):
-    """Values below X(X-1), X = 2**width, recovered from their overlapped
-    digit streams, and as ks2 and ks4 do it, read reduced mod n, with the
-    bound 2**t of the values' bit length (below X(X-1) when t < 2*width)
-    or one bit less, which must raise unless all values are 0.  One flipped
-    bit must be rejected on both paths."""
+    """Values below X(X-1), X = 2**width, recovered from their forward and
+    reversed packings as ks2 and ks4 do it: at the recovery's own limit
+    (bound 2*width, no modulus), and read reduced mod n with the bound 2**t
+    of the values' bit length (below X(X-1) when t < 2*width) or one bit
+    less, which must raise unless all values are 0.  Counts 2 and 4 read
+    the last odd value from one field past the even ones.  One flipped bit
+    must be rejected on both paths."""
     width = _pick(rng, (1, 2, 63, 64), 1, 64)
-    count = _pick(rng, (1,), 1, _MAX_DIGITS)
+    count = _pick(rng, (1, 2, 4), 1, _MAX_DIGITS)
     values = _values(rng, count, (1 << width) * ((1 << width) - 1))
-    streams = _overlap_streams(values, width)
-    got = reconstruct_overlapped(OverlapDigits(*streams, width)).coeffs
-    check(list(got) == values, "reconstruct", (width, values))
+    packed = [_at(values, 1 << width), _at(values[::-1], 1 << width)]
     bits = max(values).bit_length()
     t = bits - rng.randrange(2) if bits else 0
     top = 1 << min(64, 2 * width)
     n = _pick(rng, (2, 3, top - 1), 2, top - 1)
 
-    def packed(fwd, rev):
-        x = 1 << width
-        parts = ksint._overlap_unpack(_at(fwd, x), _at(rev[::-1], x), width,
-                                      count, t)
-        return tuple(ksint._read(parts, 2 * width, count, n))
+    def recover(fwd, rev, bound, modulus):
+        parts = ksint._overlap_unpack(fwd, rev, width, count, bound)
+        return ksint._read(parts, 2 * width, count, modulus)
+    check(recover(*packed, 2 * width, None) == values, "reconstruct",
+          (width, values))
     if t == bits:
-        check(packed(*streams) == tuple(v % n for v in values),
+        check(recover(*packed, t, n) == [v % n for v in values],
               "reconstruct-packed", (width, values, n))
     else:
-        check(_raises(ReconstructionError, packed, *streams),
+        check(_raises(ReconstructionError, recover, *packed, t, n),
               "reconstruct-packed-bound", (width, values))
-    # One flipped bit in one stream moves X*F - R~ by a power of two, which
-    # the odd X**2 - 1 never divides: the streams must be rejected.
-    side = streams[rng.randrange(2)]
-    side[rng.randrange(count + 1)] ^= 1 << rng.randrange(width)
-    check(_raises(ReconstructionError, reconstruct_overlapped,
-                  OverlapDigits(*streams, width))
-          and _raises(ReconstructionError, packed, *streams),
+    # One flipped bit in one packing's count + 1 digits moves X*F - R~ by a
+    # power of two, which the odd X**2 - 1 never divides: it must be
+    # rejected.
+    packed[rng.randrange(2)] ^= 1 << rng.randrange(width * (count + 1))
+    check(_raises(ReconstructionError, recover, *packed, 2 * width, None)
+          and _raises(ReconstructionError, recover, *packed, t, n),
           "reconstruct-corrupted", (width, values))
     return width, values
 

@@ -77,13 +77,12 @@ from .pack import (CoeffVec, _even_odd_at, _masks_for, _odd_slots,
                    _validated, pack, pack_negated, pack_negated_reversed,
                    pack_reversed)
 
-__all__ = ["KsParams", "OverlapDigits", "ReconstructionError",
-           "derive_params", "ks1_mul", "ks2_mul", "ks3_mul", "ks4_mul",
-           "reconstruct_overlapped"]
+__all__ = ["KsParams", "ReconstructionError", "derive_params", "ks1_mul",
+           "ks2_mul", "ks3_mul", "ks4_mul"]
 
 
 class ReconstructionError(ArithmeticError):
-    """The overlapped digit streams are inconsistent (precondition violated)."""
+    """The products spell no output in range: one of them is corrupted."""
 
 
 @dataclass(frozen=True)
@@ -134,43 +133,6 @@ def derive_params(len_f: int, len_g: int, coeff_bits: int) -> KsParams:
         width_half=coeff_bits + (e + 1) // 2,
         width_quarter=(full + 3) // 4,
     )
-
-
-@dataclass(frozen=True)
-class OverlapDigits:
-    """Digit streams feeding the overlap reconstruction.
-
-    ``forward_digits`` are the base-2**width digits, least significant
-    first, of sum(h_i * 2**(i*width)).  ``reversed_digits`` come from the
-    sum over the reversed coefficient order and are listed most significant
-    first, so that reversed_digits[i] sits opposite forward position i.
-    Both streams carry one more digit than there are coefficients.
-    """
-
-    forward_digits: tuple[int, ...]
-    reversed_digits: tuple[int, ...]
-    width_bits: int
-
-    def __post_init__(self):
-        fwd = tuple(map(operator.index, self.forward_digits))
-        rev = tuple(map(operator.index, self.reversed_digits))
-        width = operator.index(self.width_bits)
-        object.__setattr__(self, "forward_digits", fwd)
-        object.__setattr__(self, "reversed_digits", rev)
-        object.__setattr__(self, "width_bits", width)
-        if width < 1:
-            raise ValueError("digit width must be >= 1")
-        if len(fwd) != len(rev):
-            raise ValueError("digit streams must have equal length")
-        if len(fwd) < 2:
-            raise ValueError("need at least two digits per stream")
-        digits = fwd + rev
-        if min(digits) < 0 or max(digits) >= 1 << width:
-            raise ValueError("digit out of range")
-
-    @property
-    def coeff_count(self) -> int:
-        return len(self.forward_digits) - 1
 
 
 def _overlap_unpack(fwd: int, rev: int, width: int, count: int,
@@ -259,19 +221,6 @@ def _read(parts, width: int, count: int, modulus: int | None) -> list[int]:
         out[0::2] = _unpack_mod(even, width, k, modulus)
         out[1::2] = _unpack_mod(odd, width, count - k, modulus)
     return out
-
-
-def reconstruct_overlapped(d: OverlapDigits) -> CoeffVec:
-    """Recover the coefficients behind two overlapped packings, each below
-    X*(X-1), X = 2**width_bits.  Inconsistent streams raise
-    ReconstructionError."""
-    # _overlap_unpack bounds every value below X*(X-1) < 2**(2w), the
-    # CoeffVec's bound.
-    w, k = d.width_bits, d.coeff_count
-    parts = _overlap_unpack(_pack_ints(d.forward_digits, w),
-                            _pack_ints(d.reversed_digits[::-1], w), w, k,
-                            2 * w)
-    return _validated(tuple(_read(parts, 2 * w, k, None)), 2 * w)
 
 
 # (width_full, width_half, width_quarter, out_len, whether ks3's digits are

@@ -271,7 +271,7 @@ def _overlap_masks(count: int, width: int, bound_bits: int) -> tuple[int, int]:
 # paths differ on an oversized digit (on the fields, its extra bits OR
 # into its neighbour, and from 2**64 on struct raises), but every caller
 # ensures it (CoeffVec bounds with pack's width check, from_digits,
-# OverlapDigits, unpacked digits), and a check would cost on every blit.
+# unpacked digits), and a check would cost on every blit.
 
 _GROUP_MIN_DIGITS = 48
 _WIDE_MIN_DIGITS = 384

@@ -147,3 +147,33 @@ def test_modpoly_suite_reaches_the_packed_reduction(monkeypatch):
     assert any(w < 32 for w in widths)
     assert any(n & (n - 1) == 0 for _, n in calls)
     assert set(recoveries) == {True, False}
+
+
+def test_reconstruct_suite_reaches_its_edges(monkeypatch):
+    # The self-test's seeded draws run the overlap recovery at its own limit
+    # (bound 2*width) and at a caller's bound below it, read its parts with
+    # a modulus and without one, and draw a count of 2 or 4 with a nonzero
+    # value, where the last odd value is read from one field past the even
+    # ones.
+    bounds, moduli, edge_counts = set(), set(), set()
+    overlap_unpack, read = ksint._overlap_unpack, ksint._read
+
+    def recovery(fwd, rev, width, count, bound_bits):
+        bounds.add(bound_bits < 2 * width)
+        parts = overlap_unpack(fwd, rev, width, count, bound_bits)
+        if count in (2, 4) and any(parts):
+            edge_counts.add(count)
+        return parts
+
+    def reader(parts, width, count, modulus):
+        moduli.add(modulus is None)
+        return read(parts, width, count, modulus)
+
+    monkeypatch.setattr(ksint, "_overlap_unpack", recovery)
+    monkeypatch.setattr(ksint, "_read", reader)
+    rng = random.Random("reconstruct-0")
+    for _ in range(20):
+        _cases.SUITES["reconstruct"](rng, MulConfig())
+    assert bounds == {True, False}
+    assert moduli == {True, False}
+    assert edge_counts

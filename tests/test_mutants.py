@@ -66,6 +66,12 @@ MUTANTS = {
     "derive-params-e-from-half": (
         "ksint.py", "e = (min(len_f, len_g) - 1).bit_length()",
         "e = (min(len_f, len_g) // 2).bit_length()", "selftest"),
+    # ks4 at ks2's half width: every output stays right, but its four
+    # products cost twice ks3's two, not a quarter of ks1's one.
+    "ks4-quarter-width-as-half": (
+        "ksint.py", "width_quarter=(full + 3) // 4,",
+        "width_quarter=(full + 1) // 2,",
+        "tests/test_ksint.py::test_word_products_follow_the_width_model"),
     # ks3's odd-slot mask built one doubling short, so it misses the top
     # odd slots.
     "odd-slot-mask-short": ("pack.py", "<< width, 2 * width, count)",

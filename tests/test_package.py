@@ -183,3 +183,25 @@ def _stated_counts(text):
 def test_readme_states_no_printed_count():
     assert _stated_counts("pytest  # full suite (~90 s): 622 passed")
     assert _stated_counts((ROOT / "README.md").read_text()) == []
+
+
+def test_readme_example_runs():
+    # README's python block runs as written, and each "# (...)" line under
+    # an expression is that expression's value, so an import of a removed
+    # name or a stale output fails here.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    namespace, shown = {}, 0
+    for node in ast.parse(block).body:
+        below = lines[node.end_lineno] if node.end_lineno < len(lines) else ""
+        if below.startswith("# ("):
+            assert isinstance(node, ast.Expr), below
+            value = eval(compile(ast.Expression(node.value), "README.md",
+                                 "eval"), namespace)
+            assert value == ast.literal_eval(below[2:]), below
+            shown += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"),
+                 namespace)
+    assert shown
